@@ -1,12 +1,16 @@
 # Convenience targets for the Basil reproduction.
 
-.PHONY: install test bench quick-bench trace-smoke fault-smoke fault-sweep perf-smoke perf-record prof-smoke prof-trend load-smoke load-sweep obs-smoke obs-check parallel-smoke parallel-ladder geo-smoke geo-sweep examples figures clean
+.PHONY: install test loc bench quick-bench trace-smoke fault-smoke fault-sweep perf-smoke need-out perf-record prof-smoke prof-trend load-smoke load-sweep obs-smoke obs-check parallel-smoke parallel-ladder geo-smoke geo-sweep examples figures clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
 
 test:
 	pytest tests/ 2>&1 | tee test_output.txt
+
+# Source lines per src/repro package and in total (ROADMAP item 4's budget).
+loc:
+	@for d in src/repro/*/ src/repro; do printf '%7d %s\n' "$$(find $$d -name '*.py' | xargs cat | wc -l)" $$d; done
 
 bench:
 	pytest benchmarks/ --benchmark-only -s 2>&1 | tee bench_output.txt
@@ -37,19 +41,24 @@ prof-smoke:
 prof-trend:
 	python -m repro.prof trend --markdown
 
-perf-record:
-	python -m repro.perf record --out BENCH_PR6.json
-	python -m repro.perf record --out BENCH_PR6.json --quick
-	python -m repro.parallel ladder --out BENCH_PR6.json
-	python -m repro.parallel ladder --out BENCH_PR6.json --quick
+# Writers of BENCH rows take the file to write: the committed
+# BENCH_PR*.json files are history, not scratch space.
+need-out:
+	@test -n "$(OUT)" || { echo "set OUT=<file>.json (the committed BENCH_PR*.json are not overwritten)"; exit 1; }
+
+perf-record: need-out
+	python -m repro.perf record --out $(OUT)
+	python -m repro.perf record --out $(OUT) --quick
+	python -m repro.parallel ladder --out $(OUT)
+	python -m repro.parallel ladder --out $(OUT) --quick
 
 parallel-smoke:
 	pytest tests/parallel -m parallel_smoke -q
 	python -m repro.parallel run --kind basil --workers 2 --shards 3 --duration 0.02 --warmup 0.005 --clients 4 --keys 300
 
-parallel-ladder:
-	python -m repro.parallel ladder --out BENCH_PR6.json
-	python -m repro.parallel ladder --out BENCH_PR6.json --quick
+parallel-ladder: need-out
+	python -m repro.parallel ladder --out $(OUT)
+	python -m repro.parallel ladder --out $(OUT) --quick
 
 geo-smoke:
 	pytest tests/geo -m geo_smoke -q

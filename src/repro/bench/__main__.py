@@ -17,9 +17,10 @@ figure subcommand (``--app``/``--dist`` belong to their subcommands).
 
 ``--quick`` shrinks populations/durations for a fast smoke run.
 ``--trace [DIR]`` records every benchmark with the deterministic tracer
-(:mod:`repro.trace`), prints a per-phase latency breakdown under each
-table row, and writes Chrome ``trace_event`` JSON files (default
-``traces/``) viewable in ``chrome://tracing`` or Perfetto.
+(:mod:`repro.trace`) and writes one Chrome ``trace_event`` JSON file per
+run (default ``traces/``), viewable in ``chrome://tracing`` or Perfetto;
+each run prints its trace path and digest.  For the per-phase latency
+breakdown of a trace, see :func:`repro.trace.analysis.render_phase_breakdown`.
 ``--obs [DIR]`` samples time-series telemetry (:mod:`repro.obs`) during
 every benchmark and writes one RunReport JSON per run (default
 ``obs/``) for ``python -m repro.obs compare``.
@@ -141,8 +142,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--trace", nargs="?", const="traces", default=None, metavar="DIR",
         help="record a deterministic trace per benchmark; write Chrome "
-        "trace_event JSON into DIR (default: traces/) and print the "
-        "per-phase latency breakdown",
+        "trace_event JSON into DIR (default: traces/) and print each "
+        "run's trace path and digest",
     )
     parser.add_argument(
         "--obs", nargs="?", const="obs", default=None, metavar="DIR",

@@ -19,9 +19,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any
 
-from repro.baselines.tapir.system import TapirSystem
-from repro.baselines.txsmr.system import TxSMRSystem
-from repro.bench.runner import BenchResult, ExperimentRunner
+from repro.bench.runner import BenchResult
 from repro.config import CryptoConfig, SystemConfig
 
 
@@ -78,10 +76,10 @@ class WorkloadDesc:
     """One figure workload as plain data: registry name + population +
     constructor kwargs.
 
-    Both run paths build from this — the sequential path via
-    :meth:`build`, the parallel path by copying the fields into a
-    :class:`~repro.parallel.models.ModelSpec` — so a figure point is
-    guaranteed to simulate the same workload at any worker count.
+    Every figure point copies the fields into a
+    :class:`~repro.parallel.models.ModelSpec`, so it simulates the same
+    workload at any worker count; :meth:`build` is for callers that want
+    the workload object itself.
     """
 
     name: str
@@ -93,9 +91,8 @@ class WorkloadDesc:
 
         return make_workload(self.name, keys=self.keys, **dict(self.kwargs))
 
-#: When set (see :func:`set_trace_dir`), every ``_run`` attaches a fresh
-#: tracer, prints the per-phase latency breakdown after the paper-style
-#: row, and writes a Chrome trace_event JSON per benchmark into the dir.
+#: When set (see :func:`set_trace_dir`), every figure point attaches a
+#: fresh tracer and writes a Chrome trace_event JSON into the dir.
 _TRACE_DIR: str | None = None
 
 
@@ -115,9 +112,9 @@ def set_trace_dir(path: str | None) -> None:
     _TRACE_DIR = path
 
 
-#: When set (see :func:`set_obs_dir`), every ``_run`` attaches a fresh
-#: :class:`repro.obs.ObsRecorder` and writes a RunReport JSON per
-#: benchmark into the dir.
+#: When set (see :func:`set_obs_dir`), every figure point attaches a
+#: fresh :class:`repro.obs.ObsRecorder` and writes a RunReport JSON into
+#: the dir.
 _OBS_DIR: str | None = None
 
 
@@ -131,57 +128,13 @@ def set_obs_dir(path: str | None) -> None:
     _OBS_DIR = path
 
 
-def _run(system, workload, clients, scale: Scale, name: str, **kwargs) -> BenchResult:
-    tracer = None
-    if _TRACE_DIR is not None:
-        from repro.trace import Tracer
-
-        tracer = Tracer()
-    recorder = None
-    if _OBS_DIR is not None:
-        from repro.obs import ObsRecorder
-
-        recorder = ObsRecorder()
-    runner = ExperimentRunner(
-        system, workload, num_clients=clients,
-        duration=scale.duration, warmup=scale.warmup, name=name,
-        tracer=tracer, recorder=recorder, **kwargs,
-    )
-    result = runner.run()
-    if tracer is not None:
-        import os
-
-        from repro.bench.report import render_trace_summary
-        from repro.trace.export import write_chrome_trace
-
-        path = os.path.join(_TRACE_DIR, name.replace("/", "-") + ".trace.json")
-        result.extra["trace_digest"] = write_chrome_trace(tracer, path)
-        result.extra["trace_path"] = path
-        print(render_trace_summary(tracer, f"{name} phase breakdown"))
-        print(f"  trace: {path} (digest {result.extra['trace_digest'][:12]})")
-    if recorder is not None:
-        import os
-
-        from repro.obs import write_report
-
-        report = recorder.finish(
-            name, bench=result, trace_digest=result.extra.get("trace_digest")
-        )
-        path = os.path.join(_OBS_DIR, name.replace("/", "-") + ".obs.json")
-        write_report(path, report)
-        result.extra["obs_path"] = path
-        result.extra["health"] = report.health
-        print(f"  obs: {path} (health {report.health})")
-    return result
-
-
 def _bench_from_dict(data: dict) -> BenchResult:
     """Rehydrate the parallel runtime's jsonable bench dict into a row."""
     known = {f.name for f in dataclasses.fields(BenchResult)}
     return BenchResult(**{k: v for k, v in data.items() if k in known})
 
 
-def _run_basil(
+def _run_point(
     config: SystemConfig,
     wdesc: WorkloadDesc,
     clients: int,
@@ -191,22 +144,24 @@ def _run_basil(
     fault_schedule=None,
     byz_behaviour: str | None = None,
     byz_count: int = 0,
+    kind: str = "basil",
 ) -> BenchResult:
-    """One Basil figure point through the parallel front-end.
+    """One figure point, of any system ``kind``, through the run pipeline.
 
     ``workers=1`` runs the plain sequential kernel (byte-identical trace
-    digests to the pre-parallel figure path — pinned by the golden-digest
-    tests); ``workers>=2`` partitions by the config's shard layout
-    (:func:`repro.parallel.partition.basil_plan`) and merges per-partition
-    rows/reports back into the sequential schema.  Trace/obs directories
-    travel inside the spec, not module globals, so forked workers write
-    their per-partition artifacts too.
+    digests to a hand-built system + runner — pinned by the golden-digest
+    tests); ``workers>=2`` partitions a Basil point by the config's shard
+    layout (:func:`repro.parallel.partition.basil_plan`) and merges
+    per-partition rows/reports back into the sequential schema (the
+    baselines have no partitioned build: ``workers`` stays 1 for them).
+    Trace/obs directories travel inside the spec, not module globals, so
+    forked workers write their per-partition artifacts too.
     """
     from repro.parallel.models import ModelSpec
     from repro.parallel.runtime import ParallelRunner
 
     spec = ModelSpec(
-        kind="basil",
+        kind=kind,
         config=config,
         workload=wdesc.name,
         workload_keys=wdesc.keys,
@@ -304,29 +259,23 @@ def fig4_systems(
     wdesc = app_workload_desc(app, scale)
     results: dict[str, BenchResult] = {}
 
-    results["basil"] = _run_basil(
+    results["basil"] = _run_point(
         SystemConfig(f=1, batch_size=batches["basil"]),
         wdesc, scale.clients, scale, f"basil/{app}", workers=workers,
     )
-
-    tapir = TapirSystem(SystemConfig(f=1))
-    results["tapir"] = _run(tapir, wdesc.build(), scale.clients, scale, f"tapir/{app}")
-
-    pbft = TxSMRSystem(
-        SystemConfig(f=1, smr_batch_size=batches["pbft"], batch_size=batches["basil"]),
-        protocol="pbft",
+    results["tapir"] = _run_point(
+        SystemConfig(f=1), wdesc, scale.clients, scale, f"tapir/{app}",
+        kind="tapir",
     )
-    results["txbftsmart"] = _run(
-        pbft, wdesc.build(), scale.baseline_clients, scale, f"txbftsmart/{app}"
-    )
-
-    hotstuff = TxSMRSystem(
-        SystemConfig(f=1, smr_batch_size=batches["hotstuff"], batch_size=batches["basil"]),
-        protocol="hotstuff",
-    )
-    results["txhotstuff"] = _run(
-        hotstuff, wdesc.build(), scale.baseline_clients, scale, f"txhotstuff/{app}"
-    )
+    for label, core, kind in (
+        ("txbftsmart", "pbft", "txsmr"), ("txhotstuff", "hotstuff", "txsmr-hotstuff")
+    ):
+        results[label] = _run_point(
+            SystemConfig(
+                f=1, smr_batch_size=batches[core], batch_size=batches["basil"]
+            ),
+            wdesc, scale.baseline_clients, scale, f"{label}/{app}", kind=kind,
+        )
     return results
 
 
@@ -347,7 +296,7 @@ def fig5a_crypto_cost(
                 "ycsb-u", scale.ycsb_keys, (("distribution", dist),)
             )
             name = f"basil-{tag}-{'sig' if crypto_on else 'nosig'}"
-            results[name] = _run_basil(
+            results[name] = _run_point(
                 config, wdesc, scale.clients, scale, name, workers=workers
             )
     return results
@@ -369,7 +318,7 @@ def fig5b_read_quorum(
     ):
         config = SystemConfig(f=f, batch_size=16, read_quorum=quorum, read_fanout=fanout)
         wdesc = WorkloadDesc("ycsb-ro", scale.ycsb_keys)
-        results[label] = _run_basil(
+        results[label] = _run_point(
             config, wdesc, clients, scale, f"readonly-{label}", workers=workers
         )
     return results
@@ -401,7 +350,7 @@ def fig5c_shard_scaling(
             )
             name = f"{'sig' if crypto_on else 'nosig'}-{shards}shard"
             clients = scale.clients if shards == 1 else scale.clients * 2
-            results[name] = _run_basil(
+            results[name] = _run_point(
                 config, wdesc, clients, scale, name, workers=workers
             )
     return results
@@ -421,7 +370,7 @@ def fig6a_fast_path(
                 "ycsb-u", scale.ycsb_keys, (("distribution", dist),)
             )
             name = f"{tag}-{'fp' if fast else 'nofp'}"
-            results[name] = _run_basil(
+            results[name] = _run_point(
                 config, wdesc, scale.clients, scale, name, workers=workers
             )
     return results
@@ -442,7 +391,7 @@ def fig6b_batching(
                 "ycsb-u", scale.ycsb_keys, (("distribution", dist),)
             )
             name = f"{tag}-b{b}"
-            results[name] = _run_basil(
+            results[name] = _run_point(
                 config, wdesc, scale.clients, scale, name, workers=workers
             )
     return results
@@ -520,7 +469,7 @@ def fig7_failures(
             )
             num_byz = round(scale.clients * fraction)
             name = f"{behaviour}@{int(fraction * 100)}%"
-            result = _run_basil(
+            result = _run_point(
                 config, wdesc, scale.clients, scale, name, workers=workers,
                 fault_schedule=fault_schedule,
                 byz_behaviour=behaviour if num_byz else None,

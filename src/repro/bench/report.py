@@ -2,8 +2,7 @@
 
 Every row carries the fast-path rate (DESIGN.md §6.1's ≈96% number) and
 the network's dropped-message count, so loss/adversary runs are visible
-in the same tables.  When a benchmark ran with tracing enabled,
-:func:`render_trace_summary` appends the per-phase latency breakdown.
+in the same tables.
 """
 
 from __future__ import annotations
@@ -47,10 +46,3 @@ def render_series(
         value = result.extra.get(metric, result.throughput)
         lines.append(f"  x={x:>6}: {value:10.1f}  ({result.row()})")
     return "\n".join(lines)
-
-
-def render_trace_summary(tracer, title: str) -> str:
-    """The per-phase latency breakdown for one traced benchmark run."""
-    from repro.trace.analysis import render_phase_breakdown
-
-    return render_phase_breakdown(tracer, title=title)

@@ -50,6 +50,20 @@ class BenchResult:
         return row
 
 
+def abort_reasons(system: Any) -> dict[str, int]:
+    """Per-reason MVTSO abort tallies summed over ``system``'s replicas.
+
+    Basil replicas tally these unconditionally (plain dict increments,
+    no telemetry needed); baseline systems have no such dict and
+    contribute nothing, as does a partition that hosts no replicas.
+    """
+    totals: dict[str, int] = {}
+    for replica in getattr(system, "replicas", {}).values():
+        for reason, count in getattr(replica, "abort_reasons", {}).items():
+            totals[reason] = totals.get(reason, 0) + count
+    return dict(sorted(totals.items()))
+
+
 class ExperimentRunner:
     """Drives ``num_clients`` closed-loop clients over one system.
 
@@ -217,7 +231,7 @@ class ExperimentRunner:
                 correct_commits / self.duration / max(1, correct)
             )
             extra["byz_commits"] = monitor.counter("commits", tag="byz").value
-        reasons = self._abort_reasons()
+        reasons = abort_reasons(self.system)
         if reasons:
             extra["abort_reasons"] = reasons
             extra["abort_taxonomy"] = self._taxonomy_rollup(reasons)
@@ -234,19 +248,6 @@ class ExperimentRunner:
             dropped=getattr(getattr(self.system, "network", None), "messages_dropped", 0),
             extra=extra,
         )
-
-    def _abort_reasons(self) -> dict[str, int]:
-        """Sum per-replica MVTSO abort reasons over the whole system.
-
-        Basil replicas tally these unconditionally (plain dict increments,
-        no telemetry needed); baseline systems have no such dict and
-        contribute nothing.
-        """
-        totals: dict[str, int] = {}
-        for replica in getattr(self.system, "replicas", {}).values():
-            for reason, count in getattr(replica, "abort_reasons", {}).items():
-                totals[reason] = totals.get(reason, 0) + count
-        return dict(sorted(totals.items()))
 
     @staticmethod
     def _taxonomy_rollup(reasons: dict[str, int]) -> dict[str, int]:

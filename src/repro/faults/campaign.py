@@ -25,15 +25,13 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from repro.baselines.tapir.system import TapirSystem
-from repro.baselines.txsmr.system import TxSMRSystem
 from repro.bench.runner import ExperimentRunner
 from repro.byzantine.clients import ByzantineClient
 from repro.config import LivenessConfig, SystemConfig
-from repro.core.system import BasilSystem
 from repro.faults.injector import FaultInjector
 from repro.faults.scenarios import SCENARIOS, Scale, Scenario
 from repro.faults.spec import FaultSchedule
+from repro.parallel.models import build_system
 from repro.trace import Tracer
 from repro.trace.export import trace_digest
 from repro.verify.history import HistoryChecker
@@ -79,23 +77,13 @@ class CaseResult:
 
 
 # ---------------------------------------------------------------------------
-# System construction
+# Run configuration
 # ---------------------------------------------------------------------------
 def make_config(seed: int, overrides: dict[str, Any] | None = None) -> SystemConfig:
     config = SystemConfig(f=1, batch_size=4, seed=seed)
     if overrides:
         config = config.with_overrides(**overrides)
     return config
-
-
-def build_system(kind: str, config: SystemConfig) -> Any:
-    if kind == "basil":
-        return BasilSystem(config)
-    if kind == "tapir":
-        return TapirSystem(config)
-    if kind == "txsmr":
-        return TxSMRSystem(config, protocol="pbft")
-    raise ValueError(f"unknown system kind {kind!r}")
 
 
 def _client_factories(system: Any, schedule: FaultSchedule, num_clients: int):

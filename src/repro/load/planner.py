@@ -158,7 +158,8 @@ def run_point(
     obs_dir: str | None = None,
 ) -> SweepPoint:
     """Run one offered-load point against a *fresh* system."""
-    from repro.faults.campaign import build_system, make_config
+    from repro.faults.campaign import make_config
+    from repro.parallel.models import build_system
 
     config = make_config(seed)
     if num_shards != 1:
@@ -225,25 +226,26 @@ def closed_loop_peak(
     walks a small client ladder around ``clients`` and keeps the max —
     the capacity bound the open-loop knee must land near.
     """
-    from repro.bench.runner import ExperimentRunner
-    from repro.faults.campaign import build_system, make_config
+    from repro.faults.campaign import make_config
+    from repro.parallel.models import ModelSpec, SequentialRun
 
     best = 0.0
     for count in sorted({max(2, clients // 2), clients, clients * 2}):
         config = make_config(seed)
         if num_shards != 1:
             config = config.with_overrides(num_shards=num_shards)
-        system = build_system(system_kind, config)
-        workload = make_workload(workload_name, keys=keys)
-        runner = ExperimentRunner(
-            system,
-            workload,
+        spec = ModelSpec(
+            kind=system_kind,
+            config=config,
+            workload=workload_name,
+            workload_keys=keys,
             num_clients=count,
             duration=duration,
             warmup=warmup,
-            name=f"closed-{system_kind}-{workload_name}-{count}",
+            label=f"closed-{system_kind}-{workload_name}-{count}",
+            trace=False,
         )
-        best = max(best, runner.run().throughput)
+        best = max(best, SequentialRun(spec).run().bench["throughput"])
     return best
 
 

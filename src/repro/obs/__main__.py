@@ -61,7 +61,8 @@ def run_instrumented(
     the cheapest way to fake a crypto performance regression.
     """
     from repro.bench.runner import ExperimentRunner
-    from repro.faults.campaign import build_system, make_config
+    from repro.faults.campaign import make_config
+    from repro.parallel.models import build_system
     from repro.workloads import make_workload
 
     config = make_config(seed)

@@ -1,7 +1,8 @@
 """CLI: ``python -m repro.parallel run|ladder``.
 
-* ``run`` — execute one model (basil / tapir / txsmr / microbench) under
-  the parallel runtime with ``--workers N`` and print the merged result
+* ``run`` — execute one model (``--kind``: basil, microbench, or the
+  sequential-only tapir / txsmr / txsmr-hotstuff) under the parallel
+  runtime with ``--workers N`` and print the merged result
   (digest, events, bench row).  ``--obs out.json`` writes the merged
   per-partition RunReport.
 * ``ladder`` — the scale ladder: run the partitioned kernel microbench
@@ -19,7 +20,7 @@ import multiprocessing as mp
 import os
 import sys
 
-from repro.parallel.models import ModelSpec
+from repro.parallel.models import SEQUENTIAL_KINDS, ModelSpec
 from repro.parallel.runtime import ParallelRunner
 
 
@@ -131,8 +132,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     run_p = sub.add_parser("run", help="run one model under the parallel runtime")
-    run_p.add_argument("--kind", default="basil",
-                       choices=["basil", "tapir", "txsmr", "microbench"])
+    run_p.add_argument("--kind", default="basil", choices=SEQUENTIAL_KINDS)
     run_p.add_argument("--workers", type=int, default=1)
     run_p.add_argument("--shards", type=int, default=2)
     run_p.add_argument("--clients", type=int, default=6)

@@ -3,26 +3,33 @@
 A :class:`ModelSpec` is the unit shipped to worker processes: a pure
 description of *what* to simulate (system kind, config, workload,
 clients, durations) from which any process can build its own partitions.
-Two builders exist per model:
+Two builds exist per model:
 
-* ``build_sequential(spec)`` — the whole system on one plain simulator
+* ``SequentialRun(spec)`` — the whole system on one plain simulator
   (the ``workers=1`` path, byte-identical to a hand-built sequential
   run);
 * ``build_partition(spec, plan, pid)`` — one partition's slice as a
   :class:`PartitionHost`, used by workers in windowed runs.
 
+Both are a :class:`_Run`: instruments attach, the closed-loop runner is
+built and the run is summarised in exactly one place each, and
+:func:`build_system` is the only mapping from a system kind to a system.
+
 Supported kinds: ``basil`` and ``microbench`` build partitioned;
-``tapir`` and ``txsmr`` are sequential-only (they exist so the parallel
-front-end can drive all three systems with one interface, and so the
-``workers=1`` golden-digest guarantee covers the baselines too).
+``tapir``, ``txsmr`` (TxSMR over the PBFT core, the paper's
+TxBFT-SMaRt) and ``txsmr-hotstuff`` (TxSMR over HotStuff, TxHotStuff)
+are sequential-only: every system a figure compares goes through the
+same pipeline, and the ``workers=1`` golden-digest guarantee covers the
+baselines too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field
-from typing import Any
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Any, Iterator
 
 from repro.errors import SimulationError
 from repro.parallel.exchange import Envelope, PartitionResult
@@ -30,7 +37,7 @@ from repro.parallel.partition import PartitionPlan, basil_plan, uniform_plan
 from repro.sim.loop import Simulator
 
 PARTITIONED_KINDS = ("basil", "microbench")
-SEQUENTIAL_KINDS = PARTITIONED_KINDS + ("tapir", "txsmr")
+SEQUENTIAL_KINDS = PARTITIONED_KINDS + ("tapir", "txsmr", "txsmr-hotstuff")
 
 
 @dataclass(frozen=True)
@@ -156,12 +163,14 @@ class ModelSpec:
             return self.duration
         return self.warmup + self.duration + self.warmup  # + cool-down
 
+    def run_name(self, partition_id: int | None = None) -> str:
+        """What a run of this spec (or one partition of it) is called."""
+        name = self.label or self.kind
+        return name if partition_id is None else f"{name}/p{partition_id}"
+
     def artifact_stem(self, partition_id: int | None = None) -> str:
         """Filename stem for per-run artifacts (trace/obs exports)."""
-        stem = (self.label or self.kind).replace("/", "-")
-        if partition_id is not None:
-            stem += f"-p{partition_id}"
-        return stem
+        return self.run_name(partition_id).replace("/", "-")
 
 
 def make_plan(spec: ModelSpec) -> PartitionPlan:
@@ -178,50 +187,207 @@ def make_plan(spec: ModelSpec) -> PartitionPlan:
     )
 
 
-def _replica_abort_reasons(system: Any) -> dict[str, int] | None:
-    """Per-reason MVTSO abort tallies over ``system``'s local replicas.
+def build_system(
+    kind: str, config: Any, geo: Any = None, partition: Any = None
+) -> Any:
+    """The one mapping from a system kind to a system object.
 
-    Mirrors ``ExperimentRunner._abort_reasons`` but runs on partitions
-    that have no runner (the replica slices); None when nothing aborted
-    (or the partition hosts no replicas at all).
+    ``geo`` places a Basil deployment on a WAN topology; ``partition``
+    (a :class:`~repro.parallel.partition.PlanSlice`) builds one slice of
+    it.  Only Basil has either.
     """
-    totals: dict[str, int] = {}
-    for replica in getattr(system, "replicas", {}).values():
-        for reason, count in getattr(replica, "abort_reasons", {}).items():
-            totals[reason] = totals.get(reason, 0) + count
-    return dict(sorted(totals.items())) if totals else None
+    if kind == "basil":
+        if geo is not None:
+            from repro.geo.runner import build_geo_system
+
+            return build_geo_system(config, geo, partition=partition)
+        from repro.core.system import BasilSystem
+
+        return BasilSystem(config, partition=partition)
+    if kind == "tapir":
+        from repro.baselines.tapir.system import TapirSystem
+
+        return TapirSystem(config)
+    if kind in ("txsmr", "txsmr-hotstuff"):
+        from repro.baselines.txsmr.system import TxSMRSystem
+
+        protocol = "hotstuff" if kind == "txsmr-hotstuff" else "pbft"
+        return TxSMRSystem(config, protocol=protocol)
+    raise SimulationError(f"unknown system kind {kind!r}")
 
 
-def _write_trace_artifact(spec: ModelSpec, tracer: Any, pid: int | None) -> None:
-    """Write one partition's Chrome trace into ``spec.trace_dir`` (if set)."""
-    if not spec.trace_dir:
-        return
+def _artifact_path(directory: str | None, filename: str) -> str | None:
+    """Where a per-run artifact goes; None when no directory was asked for."""
+    if not directory:
+        return None
     import os
 
-    from repro.trace.export import write_chrome_trace
-
-    os.makedirs(spec.trace_dir, exist_ok=True)
-    path = os.path.join(spec.trace_dir, spec.artifact_stem(pid) + ".trace.json")
-    write_chrome_trace(tracer, path)
+    os.makedirs(directory, exist_ok=True)
+    return os.path.join(directory, filename)
 
 
-def _write_obs_artifact(spec: ModelSpec, report: Any, pid: int | None) -> None:
-    """Write one partition's RunReport into ``spec.obs_dir`` (if set)."""
-    if not spec.obs_dir:
-        return
-    import os
+@contextmanager
+def _frame(profiler: Any, subsystem: str) -> Iterator[None]:
+    """An attribution frame around post-run reporting (free on NULL_PROFILER)."""
+    profiler.begin(subsystem)
+    try:
+        yield
+    finally:
+        profiler.end()
 
-    from repro.obs import write_report
 
-    os.makedirs(spec.obs_dir, exist_ok=True)
-    path = os.path.join(spec.obs_dir, spec.artifact_stem(pid) + ".obs.json")
-    write_report(path, report)
+class _Run:
+    """What every way of running a spec shares.
+
+    The sequential run and each partition host own one simulator (and,
+    for protocol kinds, one system) and walk the same lifecycle: attach
+    instruments, start the closed-loop runner, summarise.  Each of those
+    steps exists once, here.
+    """
+
+    def __init__(self, spec: ModelSpec, system: Any, sim: Simulator) -> None:
+        self.spec = spec
+        self.system = system  #: None for the microbench
+        self.sim = sim
+        self.runner = None
+        self.tracer = None
+        self.recorder = None
+        self.injector = None
+        if system is not None:  # the microbench has no protocol to observe
+            if spec.trace:
+                from repro.trace.tracer import Tracer
+
+                self.tracer = sim.attach_tracer(Tracer())
+            if spec.obs:
+                from repro.obs.recorder import ObsRecorder
+
+                self.recorder = ObsRecorder()
+            self.injector = spec.make_injector()
+        if spec.prof:
+            from repro.prof.profiler import install_profiler
+
+            install_profiler(sim, system)
+
+    def _start_runner(self, regions: Any = None, load_data: bool = True) -> None:
+        """Build the closed-loop driver and schedule its initial work.
+
+        ``regions`` restricts a geo serving tier to one partition's
+        share; ``load_data=False`` skips the genesis load on a partition
+        that hosts no replicas.
+        """
+        spec = self.spec
+        if spec.geo is not None:
+            from repro.geo.runner import GeoRunner
+
+            self.runner = GeoRunner(
+                self.system,
+                spec.geo,
+                duration=spec.duration,
+                warmup=spec.warmup,
+                name=spec.label,
+                recorder=self.recorder,
+                injector=self.injector,
+                regions=regions,
+                # a partition keeps its raw samples so the merge can
+                # recompute exact percentiles across regions
+                keep_samples=regions is not None,
+            )
+            self.runner.setup()
+            return
+        from repro.bench.runner import ExperimentRunner
+
+        self.runner = ExperimentRunner(
+            self.system,
+            spec.make_workload(),
+            num_clients=spec.num_clients,
+            duration=spec.duration,
+            warmup=spec.warmup,
+            name=spec.label,
+            client_factories=spec.client_factories(self.system),
+            injector=self.injector,
+            recorder=self.recorder,
+        )
+        self.runner.setup(load_data=load_data)
+
+    def _summarize(
+        self,
+        partition_id: int | None,
+        digest: str = "",
+        cross_sent: int = 0,
+        cross_received: int = 0,
+        extra: dict[str, Any] | None = None,
+    ) -> PartitionResult:
+        """Finalize the runner and assemble the run's result and artifacts.
+
+        ``partition_id`` is None for the sequential run (reported as -1).
+        A traced run's digest is its trace digest; otherwise the caller
+        passes its own (the microbench fold).
+        """
+        from repro.bench.runner import abort_reasons
+
+        spec, system, profiler = self.spec, self.system, self.sim.profiler
+        stem = spec.artifact_stem(partition_id)
+        bench = None
+        if self.runner is not None:
+            from repro.obs.report import _jsonable
+
+            with _frame(profiler, "runner.finalize"):
+                result = self.runner.finalize()
+            if spec.byz_client_count:
+                clients = getattr(system, "clients", [])
+                result.extra["equiv_attempts"] = sum(
+                    getattr(c, "equiv_attempts", 0) for c in clients
+                )
+                result.extra["equiv_successes"] = sum(
+                    getattr(c, "equiv_successes", 0) for c in clients
+                )
+            bench = _jsonable(result)
+        if self.tracer is not None:
+            from repro.trace.export import trace_digest, write_chrome_trace
+
+            # sha256 over every trace event — attribute it so post-run
+            # reporting can't masquerade as kernel time.
+            with _frame(profiler, "report.digest"):
+                digest = trace_digest(self.tracer)
+            path = _artifact_path(spec.trace_dir, stem + ".trace.json")
+            if path:
+                write_chrome_trace(self.tracer, path)
+        report = None
+        if self.recorder is not None:
+            from repro.obs.report import write_report
+
+            report_obj = self.recorder.finish(
+                spec.run_name(partition_id), bench=bench, trace_digest=digest or None
+            )
+            report = report_obj.to_dict()
+            path = _artifact_path(spec.obs_dir, stem + ".obs.json")
+            if path:
+                write_report(path, report_obj)
+        network = getattr(system, "network", None)
+        if profiler.enabled:
+            extra = {**(extra or {}), "prof": profiler.table()}
+        return PartitionResult(
+            partition_id=-1 if partition_id is None else partition_id,
+            digest=digest,
+            events=self.sim.events_processed,
+            now=self.sim.now,
+            rng_streams=self.sim.rng_streams(),
+            cross_sent=cross_sent,
+            cross_received=cross_received,
+            messages_delivered=getattr(network, "messages_delivered", 0),
+            messages_dropped=getattr(network, "messages_dropped", 0),
+            bench=bench,
+            report=report,
+            fault_stats=dict(self.injector.stats) if self.injector else None,
+            abort_reasons=abort_reasons(system) or None,
+            extra=extra,
+        )
 
 
 # ---------------------------------------------------------------------------
 # Partition hosts
 # ---------------------------------------------------------------------------
-class PartitionHost:
+class PartitionHost(_Run):
     """One partition's runtime inside a worker process.
 
     Lifecycle: ``start()`` (schedule initial work; no events execute),
@@ -230,8 +396,14 @@ class PartitionHost:
     Outbound cross-partition messages accumulate in ``take_outbox()``.
     """
 
-    partition_id: int
-    sim: Simulator
+    def __init__(
+        self, spec: ModelSpec, system: Any, sim: Simulator, plan: PartitionPlan, pid: int
+    ) -> None:
+        super().__init__(spec, system, sim)
+        self.plan = plan
+        self.partition_id = pid
+        self._outbox: list[Envelope] = []
+        self._seq = 0
 
     def start(self) -> None:
         raise NotImplementedError
@@ -239,53 +411,49 @@ class PartitionHost:
     def deliver(self, env: Envelope) -> None:
         raise NotImplementedError
 
-    def take_outbox(self) -> tuple[Envelope, ...]:
-        raise NotImplementedError
-
     def finalize(self) -> PartitionResult:
         raise NotImplementedError
+
+    def _emit(
+        self, src: str, dst: str, dst_partition: int, delay: float, payload: Any
+    ) -> None:
+        """Queue one cross-partition message for the next window report."""
+        now = self.sim.now
+        self._outbox.append(
+            Envelope(
+                src=src,
+                dst=dst,
+                src_partition=self.partition_id,
+                dst_partition=dst_partition,
+                seq=self._seq,
+                send_time=now,
+                deliver_time=now + delay,
+                payload=payload,
+            )
+        )
+        self._seq += 1
+
+    def take_outbox(self) -> tuple[Envelope, ...]:
+        out = tuple(self._outbox)
+        self._outbox.clear()
+        return out
 
 
 class BasilPartitionHost(PartitionHost):
     """One Basil partition: a shard's replicas, or the client slice."""
 
     def __init__(self, spec: ModelSpec, plan: PartitionPlan, pid: int) -> None:
-        from repro.core.system import BasilSystem
-
-        self.spec = spec
-        self.plan = plan
-        self.partition_id = pid
-        if spec.geo is not None:
-            from repro.geo.runner import build_geo_system
-
-            # Every geo partition hosts one region's serving tier, so
-            # every partition runs its own GeoRunner (no dedicated
-            # client partition).
-            self.is_client_partition = False
-            self.system = build_geo_system(
-                spec.system_config(), spec.geo, partition=plan.slice(pid)
-            )
-        else:
-            self.is_client_partition = pid == plan.num_partitions - 1
-            self.system = BasilSystem(spec.system_config(), partition=plan.slice(pid))
-        self.sim = self.system.sim
-        self.tracer = None
-        if spec.trace:
-            from repro.trace.tracer import Tracer
-
-            self.tracer = self.sim.attach_tracer(Tracer())
-        self.profiler = None
-        if spec.prof:
-            from repro.prof.profiler import install_profiler
-
-            self.profiler = install_profiler(self.sim, self.system)
-        self.recorder = None
-        self.runner = None
-        self.injector = None
-        self._outbox: list[Envelope] = []
-        self._seq = 0
+        system = build_system(
+            "basil", spec.system_config(), geo=spec.geo, partition=plan.slice(pid)
+        )
+        super().__init__(spec, system, system.sim, plan, pid)
+        # Every geo partition hosts one region's serving tier, so every
+        # partition runs its own GeoRunner (no dedicated client partition).
+        self.is_client_partition = (
+            spec.geo is None and pid == plan.num_partitions - 1
+        )
         self._cross_received = 0
-        self.system.network.bind_partition(self._remote_send, plan.lookahead)
+        system.network.bind_partition(self._remote_send, plan.lookahead)
 
     def _remote_send(self, src: str, dst: str, message: Any, delay: float) -> None:
         profiler = self.sim.profiler
@@ -303,7 +471,6 @@ class BasilPartitionHost(PartitionHost):
             self._build_envelope(src, dst, message, delay)
 
     def _build_envelope(self, src: str, dst: str, message: Any, delay: float) -> None:
-        sim = self.sim
         dst_partition = self.plan.partition_of(dst)
         # The network already enforces the global lookahead; pairs with a
         # recorded per-pair floor (geo region pairs) are held to their
@@ -318,67 +485,23 @@ class BasilPartitionHost(PartitionHost):
                 f"{self.plan.partition_label(dst_partition)} latency floor "
                 f"{floor:g}s"
             )
-        self._outbox.append(
-            Envelope(
-                src=src,
-                dst=dst,
-                src_partition=self.partition_id,
-                dst_partition=dst_partition,
-                seq=self._seq,
-                send_time=sim.now,
-                deliver_time=sim.now + delay,
-                payload=message,
-            )
-        )
-        self._seq += 1
+        self._emit(src, dst, dst_partition, delay, message)
 
     def start(self) -> None:
         spec = self.spec
-        self.injector = spec.make_injector()
-        if spec.obs:
-            from repro.obs.recorder import ObsRecorder
-
-            self.recorder = ObsRecorder()
         if spec.geo is not None:
-            from repro.geo.runner import GeoRunner
-
-            region = spec.geo.topology.regions[self.partition_id]
-            self.runner = GeoRunner(
-                self.system,
-                spec.geo,
-                duration=spec.duration,
-                warmup=spec.warmup,
-                name=spec.label,
-                recorder=self.recorder,
-                injector=self.injector,
-                regions=(region,),
-                keep_samples=True,
+            self._start_runner(
+                regions=(spec.geo.topology.regions[self.partition_id],)
             )
-            self.runner.setup()
-            return
-        workload = spec.make_workload()
-        if self.is_client_partition:
-            from repro.bench.runner import ExperimentRunner
-
-            self.runner = ExperimentRunner(
-                self.system,
-                workload,
-                num_clients=spec.num_clients,
-                duration=spec.duration,
-                warmup=spec.warmup,
-                name=spec.label,
-                client_factories=spec.client_factories(self.system),
-                injector=self.injector,
-                recorder=self.recorder,
-            )
-            self.runner.setup(load_data=False)
+        elif self.is_client_partition:
+            self._start_runner(load_data=False)
         else:
             # Same relative order as ExperimentRunner.setup: injector
             # before genesis load, recorder after (crash/byz faults must
             # be armed before any traffic this partition originates).
             if self.injector is not None:
                 self.injector.attach(self.system)
-            self.system.load(workload.iter_data())
+            self.system.load(spec.make_workload().iter_data())
             if self.recorder is not None:
                 self.recorder.attach(self.system, until=spec.end_time())
 
@@ -392,72 +515,11 @@ class BasilPartitionHost(PartitionHost):
             env.payload,
         )
 
-    def take_outbox(self) -> tuple[Envelope, ...]:
-        out = tuple(self._outbox)
-        self._outbox.clear()
-        return out
-
     def finalize(self) -> PartitionResult:
-        spec = self.spec
-        profiler = self.profiler
-        bench = None
-        if self.runner is not None:
-            from repro.obs.report import _jsonable
-
-            if profiler is not None:
-                profiler.begin("runner.finalize")
-            try:
-                result = self.runner.finalize()
-            finally:
-                if profiler is not None:
-                    profiler.end()
-            if spec.byz_client_count:
-                clients = getattr(self.system, "clients", [])
-                result.extra["equiv_attempts"] = sum(
-                    getattr(c, "equiv_attempts", 0) for c in clients
-                )
-                result.extra["equiv_successes"] = sum(
-                    getattr(c, "equiv_successes", 0) for c in clients
-                )
-            bench = _jsonable(result)
-        report = None
-        if self.recorder is not None:
-            report_obj = self.recorder.finish(
-                f"parallel/p{self.partition_id}", config=self.system.config
-            )
-            report = report_obj.to_dict()
-            _write_obs_artifact(spec, report_obj, self.partition_id)
-        digest = ""
-        if self.tracer is not None:
-            from repro.trace.export import trace_digest
-
-            # sha256 over every trace event — attribute it so post-run
-            # reporting can't masquerade as kernel time.
-            if profiler is not None:
-                profiler.begin("report.digest")
-            try:
-                digest = trace_digest(self.tracer)
-            finally:
-                if profiler is not None:
-                    profiler.end()
-            _write_trace_artifact(spec, self.tracer, self.partition_id)
-        network = self.system.network
-        extra = {"prof": profiler.table()} if profiler is not None else None
-        return PartitionResult(
-            partition_id=self.partition_id,
-            digest=digest,
-            events=self.sim.events_processed,
-            now=self.sim.now,
-            rng_streams=self.sim.rng_streams(),
+        return self._summarize(
+            self.partition_id,
             cross_sent=self._seq,
             cross_received=self._cross_received,
-            messages_delivered=network.messages_delivered,
-            messages_dropped=network.messages_dropped,
-            bench=bench,
-            report=report,
-            fault_stats=dict(self.injector.stats) if self.injector else None,
-            abort_reasons=_replica_abort_reasons(self.system),
-            extra=extra,
         )
 
 
@@ -475,23 +537,15 @@ class MicrobenchPartitionHost(PartitionHost):
     """
 
     def __init__(self, spec: ModelSpec, plan: PartitionPlan, pid: int) -> None:
-        self.spec = spec
-        self.plan = plan
-        self.partition_id = pid
-        self.sim = Simulator(seed=spec.system_config().seed, partition_id=pid)
-        self.profiler = None
-        if spec.prof:
-            from repro.prof.profiler import install_profiler
-
-            self.profiler = install_profiler(self.sim)
-        self._outbox: list[Envelope] = []
-        self._seq = 0
+        sim = Simulator(seed=spec.system_config().seed, partition_id=pid)
+        super().__init__(spec, None, sim, plan, pid)
         self._state = _MicrobenchState()
         self._cross_delay = 1.5 * plan.lookahead
 
     def start(self) -> None:
         _microbench_schedule(
             self.sim,
+            self.partition_id,
             self.sim.rng("timers"),
             self.spec,
             self._state,
@@ -499,20 +553,10 @@ class MicrobenchPartitionHost(PartitionHost):
         )
 
     def _emit_cross(self, dst_partition: int) -> None:
-        sim = self.sim
-        self._outbox.append(
-            Envelope(
-                src=f"p{self.partition_id}",
-                dst=f"p{dst_partition}",
-                src_partition=self.partition_id,
-                dst_partition=dst_partition,
-                seq=self._seq,
-                send_time=sim.now,
-                deliver_time=sim.now + self._cross_delay,
-                payload=None,
-            )
+        self._emit(
+            f"p{self.partition_id}", f"p{dst_partition}", dst_partition,
+            self._cross_delay, None,
         )
-        self._seq += 1
 
     def deliver(self, env: Envelope) -> None:
         self.sim.call_at(
@@ -523,25 +567,14 @@ class MicrobenchPartitionHost(PartitionHost):
             env.seq,
         )
 
-    def take_outbox(self) -> tuple[Envelope, ...]:
-        out = tuple(self._outbox)
-        self._outbox.clear()
-        return out
-
     def finalize(self) -> PartitionResult:
         state = self._state
-        extra: dict[str, Any] = {"fires": state.fires}
-        if self.profiler is not None:
-            extra["prof"] = self.profiler.table()
-        return PartitionResult(
-            partition_id=self.partition_id,
+        return self._summarize(
+            self.partition_id,
             digest=state.digest(),
-            events=self.sim.events_processed,
-            now=self.sim.now,
-            rng_streams=self.sim.rng_streams(),
             cross_sent=self._seq,
             cross_received=state.cross_received,
-            extra=extra,
+            extra={"fires": state.fires},
         )
 
 
@@ -565,8 +598,10 @@ class _MicrobenchState:
         return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _microbench_schedule(sim, rng, spec: ModelSpec, state: _MicrobenchState, emit_cross) -> None:
-    """Install one partition's timer population on ``sim``.
+def _microbench_schedule(
+    sim: Simulator, pid: int, rng, spec: ModelSpec, state: _MicrobenchState, emit_cross
+) -> None:
+    """Install partition ``pid``'s timer population on ``sim``.
 
     ``emit_cross(dst_partition)`` is called on every ``cross_every``-th
     fire; destinations rotate over the other partitions so the traffic
@@ -579,17 +614,12 @@ def _microbench_schedule(sim, rng, spec: ModelSpec, state: _MicrobenchState, emi
         state.fires += 1
         if cross_every and state.fires % cross_every == 0:
             step = 1 + (state.fires // cross_every) % max(1, num_partitions - 1)
-            emit_cross((_pid_of(sim) + step) % num_partitions)
+            emit_cross((pid + step) % num_partitions)
         sim.call_later(period, fire, period)
 
     for _ in range(spec.timers):
         period = rng.uniform(0.0008, 0.0012)
         sim.call_later(rng.uniform(0.0, period), fire, period)
-
-
-def _pid_of(sim) -> int:
-    pid = sim.partition_id
-    return pid if pid is not None else getattr(sim, "_virtual_pid", 0)
 
 
 def build_partition(spec: ModelSpec, plan: PartitionPlan, pid: int) -> PartitionHost:
@@ -603,7 +633,7 @@ def build_partition(spec: ModelSpec, plan: PartitionPlan, pid: int) -> Partition
 # ---------------------------------------------------------------------------
 # Sequential builds (the workers=1 path)
 # ---------------------------------------------------------------------------
-class SequentialRun:
+class SequentialRun(_Run):
     """The whole spec on one plain simulator (no partitions, no windows).
 
     Construction wires everything; ``run()`` advances time to the end
@@ -613,67 +643,21 @@ class SequentialRun:
     """
 
     def __init__(self, spec: ModelSpec) -> None:
-        self.spec = spec
-        self.tracer = None
-        self.recorder = None
-        self.runner = None
-        self.injector = None
         self._micro_states: list[_MicrobenchState] = []
         if spec.kind == "microbench":
-            self.sim = Simulator(seed=spec.system_config().seed)
-            self.system = None
+            system = None
+            sim = Simulator(seed=spec.system_config().seed)
         else:
-            self.system = _sequential_system(spec)
-            self.sim = self.system.sim
-        if spec.trace and spec.kind != "microbench":
-            from repro.trace.tracer import Tracer
-
-            self.tracer = self.sim.attach_tracer(Tracer())
-        if spec.obs and spec.kind != "microbench":
-            from repro.obs.recorder import ObsRecorder
-
-            self.recorder = ObsRecorder()
-        self.profiler = None
-        if spec.prof:
-            from repro.prof.profiler import install_profiler
-
-            self.profiler = install_profiler(self.sim, self.system)
+            system = build_system(spec.kind, spec.system_config(), geo=spec.geo)
+            sim = system.sim
+        super().__init__(spec, system, sim)
 
     def start(self) -> None:
         """Schedule all initial work without executing any event."""
-        spec = self.spec
-        if spec.kind == "microbench":
+        if self.spec.kind == "microbench":
             self._start_microbench()
-            return
-        self.injector = spec.make_injector()
-        if spec.geo is not None:
-            from repro.geo.runner import GeoRunner
-
-            self.runner = GeoRunner(
-                self.system,
-                spec.geo,
-                duration=spec.duration,
-                warmup=spec.warmup,
-                name=spec.label,
-                recorder=self.recorder,
-                injector=self.injector,
-            )
-            self.runner.setup()
-            return
-        from repro.bench.runner import ExperimentRunner
-
-        self.runner = ExperimentRunner(
-            self.system,
-            spec.make_workload(),
-            num_clients=spec.num_clients,
-            duration=spec.duration,
-            warmup=spec.warmup,
-            name=spec.label,
-            client_factories=spec.client_factories(self.system),
-            injector=self.injector,
-            recorder=self.recorder,
-        )
-        self.runner.setup()
+        else:
+            self._start_runner()
 
     def _start_microbench(self) -> None:
         """All P virtual partitions on one simulator, one global heap.
@@ -701,9 +685,7 @@ class SequentialRun:
                     delay, states[dst].fold_cross, self.sim.now + delay, pid, seq
                 )
 
-            # each virtual partition needs its own pid for ping routing
-            shim = _VirtualPidSim(self.sim, pid)
-            _microbench_schedule(shim, rng, spec, states[pid], emit_cross)
+            _microbench_schedule(self.sim, pid, rng, spec, states[pid], emit_cross)
 
     def run(self) -> PartitionResult:
         self.start()
@@ -711,68 +693,12 @@ class SequentialRun:
 
     def run_prepared(self) -> PartitionResult:
         """Advance to end_time and summarize (``start()`` already called)."""
-        spec = self.spec
-        profiler = self.profiler
-        self.sim.run(until=spec.end_time())
-        bench = None
-        if self.runner is not None:
-            from repro.obs.report import _jsonable
-
-            if profiler is not None:
-                profiler.begin("runner.finalize")
-            try:
-                result = self.runner.finalize()
-            finally:
-                if profiler is not None:
-                    profiler.end()
-            if spec.byz_client_count:
-                clients = getattr(self.system, "clients", [])
-                result.extra["equiv_attempts"] = sum(
-                    getattr(c, "equiv_attempts", 0) for c in clients
-                )
-                result.extra["equiv_successes"] = sum(
-                    getattr(c, "equiv_successes", 0) for c in clients
-                )
-            bench = _jsonable(result)
-        report = None
-        if self.recorder is not None:
-            report_obj = self.recorder.finish(
-                f"sequential/{spec.kind}", config=getattr(self.system, "config", None)
-            )
-            report = report_obj.to_dict()
-            _write_obs_artifact(spec, report_obj, None)
-        if spec.kind == "microbench":
-            digest = _combine_micro(self._micro_states)
-        elif self.tracer is not None:
-            from repro.trace.export import trace_digest
-
-            if profiler is not None:
-                profiler.begin("report.digest")
-            try:
-                digest = trace_digest(self.tracer)
-            finally:
-                if profiler is not None:
-                    profiler.end()
-            _write_trace_artifact(spec, self.tracer, None)
-        else:
-            digest = ""
-        network = getattr(self.system, "network", None)
-        extra = {"prof": profiler.table()} if profiler is not None else None
-        return PartitionResult(
-            partition_id=-1,
-            digest=digest,
-            events=self.sim.events_processed,
-            now=self.sim.now,
-            rng_streams=self.sim.rng_streams(),
-            cross_sent=0,
-            cross_received=sum(s.cross_received for s in self._micro_states),
-            messages_delivered=getattr(network, "messages_delivered", 0),
-            messages_dropped=getattr(network, "messages_dropped", 0),
-            bench=bench,
-            report=report,
-            fault_stats=dict(self.injector.stats) if self.injector else None,
-            abort_reasons=_replica_abort_reasons(self.system) if self.system else None,
-            extra=extra,
+        self.sim.run(until=self.spec.end_time())
+        states = self._micro_states
+        return self._summarize(
+            None,
+            digest=_combine_micro(states) if states else "",
+            cross_received=sum(s.cross_received for s in states),
         )
 
 
@@ -780,49 +706,3 @@ def _combine_micro(states: list[_MicrobenchState]) -> str:
     from repro.parallel.merge import combine_digests
 
     return combine_digests({pid: s.digest() for pid, s in enumerate(states)})
-
-
-class _VirtualPidSim:
-    """A pid-tagged view of a shared simulator (sequential microbench).
-
-    Forwards scheduling to the real simulator; only exists so
-    ``_microbench_schedule`` can ask "which partition am I?" identically
-    in both builds.
-    """
-
-    __slots__ = ("_sim", "_virtual_pid")
-
-    def __init__(self, sim: Simulator, pid: int) -> None:
-        self._sim = sim
-        self._virtual_pid = pid
-
-    @property
-    def partition_id(self):
-        return None
-
-    @property
-    def now(self) -> float:
-        return self._sim.now
-
-    def call_later(self, delay: float, fn, *args) -> Any:
-        return self._sim.call_later(delay, fn, *args)
-
-
-def _sequential_system(spec: ModelSpec) -> Any:
-    if spec.kind == "basil":
-        if spec.geo is not None:
-            from repro.geo.runner import build_geo_system
-
-            return build_geo_system(spec.system_config(), spec.geo)
-        from repro.core.system import BasilSystem
-
-        return BasilSystem(spec.system_config())
-    if spec.kind == "tapir":
-        from repro.baselines.tapir.system import TapirSystem
-
-        return TapirSystem(spec.system_config())
-    if spec.kind == "txsmr":
-        from repro.baselines.txsmr.system import TxSMRSystem
-
-        return TxSMRSystem(spec.system_config())
-    raise SimulationError(f"no sequential builder for {spec.kind!r}")

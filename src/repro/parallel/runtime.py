@@ -9,6 +9,7 @@ the windowed exchange of :mod:`repro.parallel.exchange` to completion.
 
 from __future__ import annotations
 
+import gc
 import multiprocessing as mp
 import time
 from dataclasses import dataclass, field
@@ -93,23 +94,31 @@ class ParallelRunner:
         spec = self.spec
         seq = SequentialRun(spec)
         seq.start()
-        if spec.gc_freeze:
-            import gc
-
-            gc.collect()
-            gc.freeze()
-            gc.disable()
         deep = None
         if spec.prof_deep:
             from repro.prof.deep import DeepProfiler
 
             deep = DeepProfiler()
-            deep.start()
-        t0 = time.perf_counter()
-        result = seq.run_prepared()
-        wall = time.perf_counter() - t0
-        if deep is not None:
-            deep.stop()
+        gc_was_enabled = gc.isenabled()
+        if spec.gc_freeze:
+            gc.collect()
+            gc.freeze()
+            gc.disable()
+        try:
+            if deep is not None:
+                deep.start()
+            t0 = time.perf_counter()
+            result = seq.run_prepared()
+            wall = time.perf_counter() - t0
+            if deep is not None:
+                deep.stop()
+        finally:
+            # This is the caller's process, not a worker that exits: hand
+            # the collector back the way it was found.
+            if spec.gc_freeze:
+                gc.unfreeze()
+                if gc_was_enabled:
+                    gc.enable()
         prof = []
         if spec.prof or spec.prof_deep:
             prof = [
@@ -146,8 +155,7 @@ class ParallelRunner:
         from repro.parallel.worker import worker_main
 
         ctx = mp.get_context("fork")
-        pipes = []
-        procs = []
+        links: list[_WorkerLink] = []
         try:
             for worker_id, owned in enumerate(ownership):
                 parent, child = ctx.Pipe()
@@ -158,11 +166,10 @@ class ParallelRunner:
                 )
                 proc.start()
                 child.close()
-                pipes.append(parent)
-                procs.append(proc)
+                links.append(_WorkerLink(worker_id, owned, parent, proc))
 
-            for conn in pipes:
-                _expect(conn.recv(), WorkerReady)
+            for link in links:
+                link.recv(WorkerReady)
 
             # Measurement starts after the build barrier: fork + system
             # construction + genesis load are setup, not simulation.
@@ -173,40 +180,36 @@ class ParallelRunner:
             cross_messages = 0
             for window in range(windows):
                 until = min((window + 1) * plan.lookahead, end_time)
-                for worker_id, conn in enumerate(pipes):
-                    inbound = {
-                        pid: tuple(pending[pid]) for pid in ownership[worker_id]
-                    }
-                    for pid in ownership[worker_id]:
+                for link in links:
+                    inbound = {pid: tuple(pending[pid]) for pid in link.owned}
+                    for pid in link.owned:
                         pending[pid] = []
-                    conn.send(WindowGrant(window, until, inbound))
-                for conn in pipes:
-                    reports = _expect(conn.recv(), tuple)
-                    for report in reports:
+                    link.send(WindowGrant(window, until, inbound))
+                for link in links:
+                    for report in link.recv(tuple):
                         for env in report.outbound:
                             cross_messages += 1
                             pending[env.dst_partition].append(env)
             undeliverable = sum(len(v) for v in pending.values())
 
-            for conn in pipes:
-                conn.send(None)
+            for link in links:
+                link.send(None)
             partition_results: dict[int, PartitionResult] = {}
             worker_profs: list[dict[str, Any]] = []
-            for conn in pipes:
-                result = _expect(conn.recv(), WorkerResult)
+            for link in links:
+                result = link.recv(WorkerResult)
                 for part in result.partitions:
                     partition_results[part.partition_id] = part
                 if result.prof is not None:
                     worker_profs.append(result.prof)
             wall = time.perf_counter() - t0
-            for proc in procs:
-                proc.join(timeout=30)
+            for link in links:
+                link.proc.join(timeout=30)
         finally:
-            for proc in procs:
-                if proc.is_alive():
-                    proc.terminate()
-            for conn in pipes:
-                conn.close()
+            for link in links:
+                if link.proc.is_alive():
+                    link.proc.terminate()
+                link.conn.close()
 
         return self._merge(
             plan, partition_results, num_workers, windows, wall, cross_messages,
@@ -343,9 +346,44 @@ def _summary(result: PartitionResult) -> dict[str, Any]:
     }
 
 
-def _expect(message: Any, kind: type) -> Any:
-    if isinstance(message, WorkerError):
-        raise SimulationError(f"worker {message.worker_id} failed:\n{message.error}")
-    if not isinstance(message, kind):
-        raise SimulationError(f"unexpected exchange message {message!r}")
-    return message
+class _WorkerLink:
+    """The coordinator's end of one worker's pipe.
+
+    A worker that exits without reporting a :class:`WorkerError` (killed,
+    ``os._exit``, out of memory) leaves only a closed pipe behind; every
+    send and receive goes through here so that surfaces as an error
+    naming the worker and the partitions that went with it.
+    """
+
+    def __init__(self, worker_id: int, owned: tuple[int, ...], conn, proc) -> None:
+        self.worker_id = worker_id
+        self.owned = owned
+        self.conn = conn
+        self.proc = proc
+
+    def send(self, message: Any) -> None:
+        try:
+            self.conn.send(message)
+        except OSError as exc:
+            raise self._exited() from exc
+
+    def recv(self, kind: type) -> Any:
+        try:
+            message = self.conn.recv()
+        except (EOFError, OSError) as exc:
+            raise self._exited() from exc
+        if isinstance(message, WorkerError):
+            raise SimulationError(
+                f"worker {message.worker_id} failed:\n{message.error}"
+            )
+        if not isinstance(message, kind):
+            raise SimulationError(f"unexpected exchange message {message!r}")
+        return message
+
+    def _exited(self) -> SimulationError:
+        self.proc.join(timeout=1)  # reap it, so the exit code is known
+        return SimulationError(
+            f"worker {self.worker_id} (partitions "
+            f"{', '.join(map(str, self.owned))}) exited with code "
+            f"{self.proc.exitcode} before the run finished"
+        )

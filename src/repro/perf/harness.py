@@ -152,41 +152,37 @@ def _basil_run(
     warmup: float,
     prof: bool = False,
 ) -> BenchEntry:
-    from repro.bench.runner import ExperimentRunner
     from repro.config import CryptoConfig, SystemConfig
-    from repro.core.system import BasilSystem
-    from repro.workloads.ycsb import YCSBWorkload
+    from repro.parallel.models import ModelSpec, SequentialRun
+    from repro.prof.profiler import top_shares
 
-    config = SystemConfig(
-        f=1,
-        num_shards=num_shards,
-        seed=2024,
-        crypto=CryptoConfig(enabled=crypto_enabled),
-    )
-    system = BasilSystem(config)
-    profiler = None
-    if prof:
-        from repro.prof.profiler import install_profiler
-
-        profiler = install_profiler(system.sim, system)
-    workload = YCSBWorkload(num_keys=1000, reads=2, writes=2)
-    runner = ExperimentRunner(
-        system,
-        workload,
+    spec = ModelSpec(
+        kind="basil",
+        config=SystemConfig(
+            f=1,
+            num_shards=num_shards,
+            seed=2024,
+            crypto=CryptoConfig(enabled=crypto_enabled),
+        ),
+        workload="ycsb-t",
+        workload_keys=1000,
         num_clients=num_clients,
         duration=duration,
         warmup=warmup,
-        name=name,
+        label=name,
+        trace=False,
+        prof=prof,
     )
+    run = SequentialRun(spec)  # system construction is not timed
     t0 = time.perf_counter()
-    result = runner.run()
+    result = run.run()  # runner set-up (genesis load) + run + finalize
     wall = time.perf_counter() - t0
     return BenchEntry(
         bench=name,
         wall_s=wall,
-        events_per_s=system.sim.events_processed / wall if wall > 0 else 0.0,
-        sim_tput=result.throughput,
-        prof=_prof_summary(profiler),
+        events_per_s=result.events / wall if wall > 0 else 0.0,
+        sim_tput=result.bench["throughput"],
+        prof=top_shares(result.extra["prof"], 3) if prof else None,
     )
 
 

@@ -555,62 +555,49 @@ class Simulator:
         return self._events_processed
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
-        """Process events until the queue drains, ``until``, or ``max_events``.
+        """Process events until the queue drains, ``until``, or ``max_events``."""
+        self._drain(until, max_events, None)
 
-        The ``max_events`` budget is checked *before* an event is popped:
-        on exhaustion the offending event stays queued, so a caller that
-        catches :class:`SimulationError` and resumes loses nothing.
-        """
-        if self.profiler.enabled:
-            # Branch once per run() call, not per event: the unprofiled
-            # loop below stays exactly as hot as before.
-            return self._run_profiled(until, max_events)
-        queue = self._queue
-        pop = heapq.heappop
-        while queue:
-            when, _seq, ev = queue[0]
-            if until is not None and when > until:
-                self.now = max(self.now, until)
-                return
-            fn = ev._fn
-            if fn is None:  # tombstoned (cancelled) timer
-                pop(queue)
-                continue
-            if max_events is not None and self._events_processed >= max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
-            pop(queue)
-            args = ev._args
-            ev._fn = None  # mark fired; a late cancel() becomes a no-op
-            ev._args = None
-            self.now = when
-            self._events_processed += 1
-            fn(*args)
-        if until is not None:
-            self.now = max(self.now, until)
+    def run_until_complete(self, awaitable: Awaitable[Any], max_events: int | None = None) -> Any:
+        """Drive the loop until ``awaitable`` completes; return its result."""
+        fut = self.ensure_future(awaitable)
+        self._drain(None, max_events, fut)
+        return fut.result()
 
-    def _run_profiled(self, until: float | None, max_events: int | None) -> None:
-        """:meth:`run` with per-dispatch attribution frames.
+    def _drain(
+        self, until: float | None, max_events: int | None, fut: Future | None
+    ) -> None:
+        """The one dispatch loop behind :meth:`run` and :meth:`run_until_complete`.
 
-        Identical control flow to the unprofiled loop — same pop order,
-        same tombstone skipping, same ``max_events`` semantics — plus a
-        ``kernel.loop`` frame around the whole run (its exclusive time is
-        the heap-pop/bookkeeping overhead) and one frame per dispatched
-        callback, classified by target (``cpu.finish``,
-        ``network.deliver``, ``timer.sleep``, ``dispatch.<qualname>``).
+        Stops when the next event is due after ``until``, when ``fut``
+        completes, or when the queue drains — which is a deadlock if
+        ``fut`` is still pending.  The ``max_events`` budget is checked
+        *before* an event is popped: on exhaustion the offending event
+        stays queued, so a caller that catches :class:`SimulationError`
+        and resumes loses nothing.
+
+        With a profiler attached the whole drain sits in a
+        ``kernel.loop`` frame (its exclusive time is the heap-pop and
+        bookkeeping overhead) and every dispatched callback in a frame
+        classified by target (``cpu.finish``, ``network.deliver``,
+        ``timer.sleep``, ``dispatch.<qualname>``).  ``profiler.enabled``
+        is read once, so an unprofiled run pays one local-bool test per
+        event for sharing the loop.
         """
         profiler = self.profiler
+        profiled = profiler.enabled
         queue = self._queue
         pop = heapq.heappop
-        classify = profiler.classify
-        begin = profiler.begin
-        end = profiler.end
-        begin("kernel.loop")
+        if profiled:
+            classify = profiler.classify
+            begin = profiler.begin
+            end = profiler.end
+            begin("kernel.loop")
         try:
-            while queue:
+            while queue and (fut is None or not fut.done()):
                 when, _seq, ev = queue[0]
                 if until is not None and when > until:
-                    self.now = max(self.now, until)
-                    return
+                    break
                 fn = ev._fn
                 if fn is None:  # tombstoned (cancelled) timer
                     pop(queue)
@@ -619,84 +606,24 @@ class Simulator:
                     raise SimulationError(f"exceeded max_events={max_events}")
                 pop(queue)
                 args = ev._args
-                ev._fn = None
+                ev._fn = None  # mark fired; a late cancel() becomes a no-op
                 ev._args = None
                 self.now = when
                 self._events_processed += 1
-                begin(classify(fn))
-                try:
+                if profiled:
+                    begin(classify(fn))
+                    try:
+                        fn(*args)
+                    finally:
+                        end()
+                else:
                     fn(*args)
-                finally:
-                    end()
-            if until is not None:
-                self.now = max(self.now, until)
-        finally:
-            end()
-
-    def run_until_complete(self, awaitable: Awaitable[Any], max_events: int | None = None) -> Any:
-        """Drive the loop until ``awaitable`` completes; return its result."""
-        if self.profiler.enabled:
-            return self._run_until_complete_profiled(awaitable, max_events)
-        fut = self.ensure_future(awaitable)
-        queue = self._queue
-        pop = heapq.heappop
-        while not fut.done():
-            if not queue:
+            if fut is not None and not fut.done():
                 raise SimulationError(
                     "deadlock: event queue drained but awaited future is pending"
                 )
-            when, _seq, ev = queue[0]
-            fn = ev._fn
-            if fn is None:
-                pop(queue)
-                continue
-            if max_events is not None and self._events_processed >= max_events:
-                raise SimulationError(f"exceeded max_events={max_events}")
-            pop(queue)
-            args = ev._args
-            ev._fn = None
-            ev._args = None
-            self.now = when
-            self._events_processed += 1
-            fn(*args)
-        return fut.result()
-
-    def _run_until_complete_profiled(
-        self, awaitable: Awaitable[Any], max_events: int | None
-    ) -> Any:
-        """:meth:`run_until_complete` with per-dispatch attribution frames."""
-        profiler = self.profiler
-        fut = self.ensure_future(awaitable)
-        queue = self._queue
-        pop = heapq.heappop
-        classify = profiler.classify
-        begin = profiler.begin
-        end = profiler.end
-        begin("kernel.loop")
-        try:
-            while not fut.done():
-                if not queue:
-                    raise SimulationError(
-                        "deadlock: event queue drained but awaited future is pending"
-                    )
-                when, _seq, ev = queue[0]
-                fn = ev._fn
-                if fn is None:
-                    pop(queue)
-                    continue
-                if max_events is not None and self._events_processed >= max_events:
-                    raise SimulationError(f"exceeded max_events={max_events}")
-                pop(queue)
-                args = ev._args
-                ev._fn = None
-                ev._args = None
-                self.now = when
-                self._events_processed += 1
-                begin(classify(fn))
-                try:
-                    fn(*args)
-                finally:
-                    end()
+            if until is not None:
+                self.now = max(self.now, until)  # never rewinds the clock
         finally:
-            end()
-        return fut.result()
+            if profiled:
+                end()

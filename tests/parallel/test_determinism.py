@@ -71,3 +71,48 @@ def test_sequential_only_kinds_reject_partitioned_runs():
     spec = ModelSpec(kind="tapir", duration=0.01, warmup=0.002)
     with pytest.raises(SimulationError, match="workers=1"):
         ParallelRunner(spec, workers=2)
+
+
+# ---------------------------------------------------------------------------
+# The harness itself: it leaves the caller's process as it found it, and
+# it names what died.
+# ---------------------------------------------------------------------------
+def test_gc_freeze_run_hands_the_collector_back():
+    """Regression: a ``gc_freeze`` spec at ``workers=1`` runs in the
+    caller's process and used to leave the cyclic GC off for good."""
+    import dataclasses
+    import gc
+
+    assert gc.isenabled()
+    try:
+        ParallelRunner(dataclasses.replace(MICRO, gc_freeze=True), workers=1).run()
+        assert gc.isenabled()
+        assert gc.get_freeze_count() == 0
+    finally:
+        gc.enable()
+        gc.unfreeze()
+
+
+def test_dead_worker_is_a_named_error(monkeypatch):
+    """A worker that exits mid-run surfaces as a SimulationError naming
+    it and its partitions — promptly, not as a bare EOFError or a hang."""
+    import os
+    import time
+
+    import repro.parallel.worker as worker_module
+    from repro.parallel.exchange import WorkerReady
+
+    def ready_then_die(conn, worker_id, spec, plan, owned):
+        # Pass the build barrier, then: worker 1 vanishes without a
+        # WorkerError; worker 0 keeps answering grants with empty reports.
+        conn.send(WorkerReady(worker_id))
+        if worker_id == 1:
+            os._exit(1)
+        while conn.recv() is not None:
+            conn.send(())
+
+    monkeypatch.setattr(worker_module, "worker_main", ready_then_die)
+    t0 = time.monotonic()
+    with pytest.raises(SimulationError, match=r"worker 1 \(partitions 1, 3\) exited with code 1"):
+        ParallelRunner(MICRO, workers=2).run()
+    assert time.monotonic() - t0 < 5.0

@@ -184,7 +184,7 @@ def test_fig4_basil_point_invariant_w2_w4(trace_dirs):
     config = SystemConfig(f=1, batch_size=4, num_shards=2)
     wdesc = WorkloadDesc("ycsb-u", TINY.ycsb_keys)
     rows = {
-        w: exp._run_basil(config, wdesc, TINY.clients, TINY, "fig4-inv", workers=w)
+        w: exp._run_point(config, wdesc, TINY.clients, TINY, "fig4-inv", workers=w)
         for w in (2, 4)
     }
     assert rows[2].extra["trace_digest"] == rows[4].extra["trace_digest"]

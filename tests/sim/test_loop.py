@@ -3,7 +3,26 @@
 import pytest
 
 from repro.errors import SimTimeoutError, SimulationError
+from repro.prof.profiler import Profiler
 from repro.sim.loop import CancelledError, Future, Simulator
+
+
+@pytest.fixture(params=[False, True], ids=["unprofiled", "profiled"])
+def loop_sim(request):
+    """A simulator for the dispatch-loop semantics cases, profiler off and on.
+
+    Both states run the same loop; the profiled one must also leave no
+    attribution frame open, whichever way the loop was left.
+    """
+    sim = Simulator()
+    if request.param:
+        sim.attach_profiler(Profiler())
+    yield sim
+    _assert_frames_closed(sim)
+
+
+def _assert_frames_closed(sim):
+    assert getattr(sim.profiler, "_stack", []) == []
 
 
 def test_clock_starts_at_zero():
@@ -48,14 +67,28 @@ def test_cancel_scheduled_event():
     assert fired == []
 
 
-def test_run_until_advances_clock_without_events():
-    sim = Simulator()
+def test_run_until_advances_clock_without_events(loop_sim):
+    sim = loop_sim
     sim.run(until=5.0)
     assert sim.now == 5.0
 
 
-def test_run_until_does_not_fire_later_events():
-    sim = Simulator()
+def test_run_until_in_the_past_does_not_rewind(loop_sim):
+    sim = loop_sim
+    fired = []
+    sim.call_later(2.0, fired.append, 1)
+    sim.call_later(4.0, fired.append, 2)
+    sim.run(until=3.0)
+    sim.run(until=1.0)  # earlier than now: a no-op, not a rewind
+    assert sim.now == 3.0
+    assert fired == [1]
+    sim.run()
+    assert sim.now == 4.0
+    assert fired == [1, 2]
+
+
+def test_run_until_does_not_fire_later_events(loop_sim):
+    sim = loop_sim
     fired = []
     sim.call_later(2.0, fired.append, 1)
     sim.run(until=1.0)
@@ -185,14 +218,15 @@ def test_task_cancel():
     assert isinstance(task.exception(), CancelledError)
 
 
-def test_deadlock_detection():
-    sim = Simulator()
+def test_deadlock_detection(loop_sim):
+    sim = loop_sim
 
     async def stuck():
         await Future()
 
     with pytest.raises(SimulationError, match="deadlock"):
         sim.run_until_complete(stuck())
+    _assert_frames_closed(sim)
 
 
 def test_rng_streams_deterministic_and_independent():
@@ -219,8 +253,8 @@ def test_awaiting_non_future_rejected():
         sim.run_until_complete(bad())
 
 
-def test_max_events_guard():
-    sim = Simulator()
+def test_max_events_guard(loop_sim):
+    sim = loop_sim
 
     def reschedule():
         sim.call_later(0.001, reschedule)
@@ -228,6 +262,7 @@ def test_max_events_guard():
     sim.call_later(0.0, reschedule)
     with pytest.raises(SimulationError, match="max_events"):
         sim.run(max_events=100)
+    _assert_frames_closed(sim)
 
 
 # ----------------------------------------------------------------------
@@ -339,22 +374,23 @@ def test_gather_return_exceptions():
     assert isinstance(results[1], ValueError)
 
 
-def test_max_events_budget_checked_before_pop():
+def test_max_events_budget_checked_before_pop(loop_sim):
     """Regression: the N+1-th event used to be popped and silently lost
     when the guard raised; resuming must process it."""
-    sim = Simulator()
+    sim = loop_sim
     fired = []
     for i in range(5):
         sim.call_later(0.001 * (i + 1), fired.append, i)
     with pytest.raises(SimulationError, match="max_events"):
         sim.run(max_events=3)
+    _assert_frames_closed(sim)
     assert fired == [0, 1, 2]
     sim.run()  # resume without a budget: nothing was lost
     assert fired == [0, 1, 2, 3, 4]
 
 
-def test_max_events_budget_in_run_until_complete():
-    sim = Simulator()
+def test_max_events_budget_in_run_until_complete(loop_sim):
+    sim = loop_sim
     fired = []
 
     async def main():
@@ -365,6 +401,7 @@ def test_max_events_budget_in_run_until_complete():
     task = sim.create_task(main())
     with pytest.raises(SimulationError, match="max_events"):
         sim.run_until_complete(task, max_events=2)
+    _assert_frames_closed(sim)
     assert fired == [0, 1]
     assert sim.run_until_complete(task) is None
     assert fired == [0, 1, 2, 3, 4]
