@@ -1,6 +1,6 @@
 # Convenience targets for the Basil reproduction.
 
-.PHONY: install test loc bench quick-bench trace-smoke fault-smoke fault-sweep perf-smoke need-out perf-record prof-smoke prof-trend load-smoke load-sweep obs-smoke obs-check parallel-smoke parallel-ladder geo-smoke geo-sweep examples figures clean
+.PHONY: install test loc bench quick-bench trace-smoke fault-smoke fault-sweep perf-smoke prof-smoke load-smoke load-sweep obs-smoke obs-check parallel-smoke parallel-ladder geo-smoke geo-sweep examples figures clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -29,36 +29,27 @@ fault-smoke:
 fault-sweep:
 	python -m repro.faults sweep --seeds 25
 
+# The one perf ledger: all six BENCHMARK.json workloads at small sizes,
+# every gate (twin equality, HistoryChecker, kernel-mix counts, ...).
+# Wall numbers are judged at full size only: see basilbench/README.md.
 perf-smoke:
-	pytest benchmarks/perf_kernel.py benchmarks/perf_parallel.py benchmarks/perf_figures.py benchmarks/perf_geo.py benchmarks/perf_prof.py -m perf_smoke -q -s
+	python3 -m basilbench run --selftest
 
 prof-smoke:
 	pytest tests/prof -m prof_smoke -q
 	python examples/profile_hot_path.py
 	python -m repro.prof run --bench microbench-quick --no-deep --min-coverage 0.8
-	python -m repro.prof trend
-
-prof-trend:
-	python -m repro.prof trend --markdown
-
-# Writers of BENCH rows take the file to write: the committed
-# BENCH_PR*.json files are history, not scratch space.
-need-out:
-	@test -n "$(OUT)" || { echo "set OUT=<file>.json (the committed BENCH_PR*.json are not overwritten)"; exit 1; }
-
-perf-record: need-out
-	python -m repro.perf record --out $(OUT)
-	python -m repro.perf record --out $(OUT) --quick
-	python -m repro.parallel ladder --out $(OUT)
-	python -m repro.parallel ladder --out $(OUT) --quick
+	python -m repro.prof run --bench fig4-basil-quick --no-deep --min-coverage 0.8
+	python -m repro.prof run --bench fig4-basil-quick --no-deep --min-coverage 0.8 --workers 2
 
 parallel-smoke:
 	pytest tests/parallel -m parallel_smoke -q
 	python -m repro.parallel run --kind basil --workers 2 --shards 3 --duration 0.02 --warmup 0.005 --clients 4 --keys 300
+	python -m repro.parallel ladder --quick
 
-parallel-ladder: need-out
-	python -m repro.parallel ladder --out $(OUT)
-	python -m repro.parallel ladder --out $(OUT) --quick
+parallel-ladder:
+	python -m repro.parallel ladder
+	python -m repro.parallel ladder --quick
 
 geo-smoke:
 	pytest tests/geo -m geo_smoke -q

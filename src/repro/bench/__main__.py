@@ -135,11 +135,6 @@ def main(argv: list[str] | None = None) -> int:
         "run sequentially",
     )
     parser.add_argument(
-        "--bench-out", default=None, metavar="BENCH_PR8.json",
-        help="append a figures/<cmd>-w<N> wall-clock row into this "
-        "BENCH_*.json (merging with existing entries)",
-    )
-    parser.add_argument(
         "--trace", nargs="?", const="traces", default=None, metavar="DIR",
         help="record a deterministic trace per benchmark; write Chrome "
         "trace_event JSON into DIR (default: traces/) and print each "
@@ -202,22 +197,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     exp.set_trace_dir(args.trace)
     exp.set_obs_dir(args.obs)
-    import time
-
-    t0 = time.perf_counter()
     args.func(args)
-    wall = time.perf_counter() - t0
-    if args.bench_out:
-        from repro.parallel.__main__ import merge_bench_rows
-
-        row = {
-            "bench": f"figures/{args.command}-w{args.workers}"
-            + ("-quick" if args.quick else "-paper" if args.paper else ""),
-            "wall_s": wall,
-            "events_per_s": 0.0,
-        }
-        merge_bench_rows(args.bench_out, [row])
-        print(f"figure wall-clock {wall:.3f}s -> {args.bench_out} ({row['bench']})")
     return 0
 
 

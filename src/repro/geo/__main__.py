@@ -4,9 +4,8 @@
   serving mode (edge vs direct), each under the parallel runtime
   (``--workers``, region-per-partition), printing a per-region end-user
   latency table and the edge-vs-direct comparison against each
-  topology's fastest cross-region RTT.  ``--bench BENCH.json`` appends
-  ``geo-{topology}-{mode}`` rows via the merging baseline writer;
-  ``--obs DIR`` writes one merged RunReport per point.
+  topology's fastest cross-region RTT.  ``--obs DIR`` writes one merged
+  RunReport per point.
 * ``run`` — one topology x mode point, full bench row + region table.
 * ``topo`` — print a topology's regions and latency matrix (or its
   JSON, for editing into a custom matrix file).
@@ -85,16 +84,7 @@ def _report_point(result, spec) -> dict:
         f"(min cross RTT {rtt * 1000:.0f} ms, windows {result.windows})"
     )
     _print_regions(g)
-    return {
-        "bench": bench["name"],
-        "wall_s": result.wall_s,
-        "events_per_s": result.events_per_s,
-        "mode": g["mode"],
-        "read_p50": g["read_p50"],
-        "write_p50": g["write_p50"],
-        "cross_region_rtt": rtt,
-        "ops": g["ops"],
-    }
+    return g
 
 
 def _write_obs(result, spec, out_dir: str) -> None:
@@ -136,8 +126,6 @@ def main(argv: list[str] | None = None) -> int:
                        f"paths to topology JSON files")
     sweep.add_argument("--modes", nargs="+", default=list(MODES),
                        choices=list(MODES))
-    sweep.add_argument("--bench", default=None, metavar="BENCH.json",
-                       help="merge geo-* rows into this baseline file")
     common(sweep)
 
     run_p = sub.add_parser("run", help="one topology x mode point")
@@ -178,9 +166,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     # sweep
-    from repro.parallel.__main__ import merge_bench_rows
-
-    bench_rows = []
     for name in args.topologies:
         topology = get_topology(name)
         print(
@@ -193,8 +178,7 @@ def main(argv: list[str] | None = None) -> int:
             point = argparse.Namespace(**vars(args), topology=name, mode=mode)
             spec = _spec(point)
             result = _run_point(spec, args.workers)
-            per_mode[mode] = row = _report_point(result, spec)
-            bench_rows.append(row)
+            per_mode[mode] = _report_point(result, spec)
             if args.obs:
                 _write_obs(result, spec, args.obs)
         if "edge" in per_mode and "direct" in per_mode:
@@ -209,13 +193,6 @@ def main(argv: list[str] | None = None) -> int:
                 f"direct {direct['read_p50'] * 1000:.2f} ms "
                 f"({speedup:,.0f}x; one cross-region RTT = {rtt * 1000:.0f} ms)"
             )
-    if args.bench and bench_rows:
-        merge_bench_rows(
-            args.bench,
-            [{"bench": r["bench"], "wall_s": r["wall_s"],
-              "events_per_s": r["events_per_s"]} for r in bench_rows],
-        )
-        print(f"merged {len(bench_rows)} geo rows into {args.bench}")
     return 0
 
 

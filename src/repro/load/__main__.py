@@ -13,7 +13,7 @@ import argparse
 import sys
 
 from repro.load.admission import POLICIES
-from repro.load.planner import run_point, sweep, write_bench_file, write_report
+from repro.load.planner import run_point, sweep, write_report
 
 SYSTEMS = ("basil", "tapir", "txsmr")
 PROCESSES = ("poisson", "uniform", "bursty")
@@ -68,9 +68,6 @@ def main(argv: list[str] | None = None) -> int:
                          "or --loads)")
     sw.add_argument("--out", metavar="FILE",
                     help="write the sweep report JSON here")
-    sw.add_argument("--bench-out", metavar="FILE",
-                    help="write a BENCH_*.json extending the current perf "
-                         "baseline with the load rows")
 
     pt = sub.add_parser("point", help="run one offered-load point")
     _common(pt)
@@ -128,9 +125,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.out:
         write_report(args.out, report)
         print(f"report -> {args.out}")
-    if args.bench_out:
-        benches = write_bench_file(args.bench_out, report)
-        print(f"bench file -> {args.bench_out} ({len(benches)} entries)")
     if report.cross_check_ok is False:
         return 1
     return 0

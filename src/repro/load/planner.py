@@ -351,50 +351,3 @@ def write_report(path: str, report: SweepReport) -> None:
     with open(path, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2)
         fh.write("\n")
-
-
-def to_bench_entries(report: SweepReport) -> list[dict[str, Any]]:
-    """BENCH_*.json rows for the perf gate: knee goodput + overload goodput."""
-    prefix = f"load-{report.system}-{report.workload}"
-    entries = [
-        {
-            "bench": f"{prefix}-knee",
-            "wall_s": report.wall_s,
-            "events_per_s": 0.0,
-            "sim_tput": report.knee_goodput,
-        }
-    ]
-    for point in report.overload:
-        entries.append(
-            {
-                "bench": f"{prefix}-2x-{point.policy}",
-                "wall_s": report.wall_s,
-                "events_per_s": 0.0,
-                "sim_tput": point.goodput_tps,
-            }
-        )
-    return entries
-
-
-def write_bench_file(path: str, report: SweepReport, root: str = ".") -> list[str]:
-    """Write a ``BENCH_*.json`` that *extends* the current perf baseline.
-
-    ``find_baseline`` picks the newest ``BENCH_*.json`` by PR number, so
-    a file containing only load rows would shadow the kernel baselines
-    and silently disable the perf gate.  Merge: keep every entry of the
-    newest existing baseline verbatim, then append/replace the load rows.
-    """
-    from repro.perf.compare import find_baseline
-
-    merged: dict[str, dict[str, Any]] = {}
-    baseline = find_baseline(root)
-    if baseline is not None:
-        with open(baseline) as fh:
-            for entry in json.load(fh):
-                merged[entry["bench"]] = entry
-    for entry in to_bench_entries(report):
-        merged[entry["bench"]] = entry
-    with open(path, "w") as fh:
-        json.dump(list(merged.values()), fh, indent=2)
-        fh.write("\n")
-    return sorted(merged)

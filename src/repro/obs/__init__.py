@@ -1,7 +1,7 @@
 """Time-series telemetry, protocol health monitors, and run analytics.
 
 The fourth observability layer of the reproduction (after tracing,
-fault campaigns, and the perf harness):
+fault campaigns, and wall-clock profiling):
 
 * :mod:`repro.obs.registry` — labeled Counter/Gauge/Histogram registry,
   zero-cost when unregistered (``Simulator.metrics`` defaults to

@@ -6,7 +6,7 @@ verification cost, for producing deliberately-degraded runs).
 ``compare`` diffs two RunReports with tolerance-flagged deltas and
 exits non-zero on a regression.  ``check`` re-runs the canonical smoke
 configuration and compares it against the committed baseline
-(``OBS_BASELINE.json``) — the observability twin of the perf gate.
+(``OBS_BASELINE.json``).
 
 Examples::
 

@@ -13,7 +13,7 @@ Two runs of the same config + seed produce byte-identical metrics, so
 the comparison reports "no differences" — that property is itself a
 determinism check, and is pinned in tests.  ``python -m repro.obs
 compare A B [--html out.html]`` is the CLI face; ``make obs-check``
-gates on a committed baseline the same way ``make perf-smoke`` does.
+gates on a committed baseline.
 """
 
 from __future__ import annotations

@@ -7,9 +7,8 @@
   per-partition RunReport.
 * ``ladder`` — the scale ladder: run the partitioned kernel microbench
   at each worker count (fresh process per measurement), print aggregate
-  events/s and speedups, and record ``parallel-ladder-*`` rows into a
-  ``BENCH_*.json`` baseline (merging with existing entries, like
-  ``python -m repro.perf record --quick``).
+  events/s and speedups, and exit 1 unless every row — the sequential
+  one included — reports the same digest and event count.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import multiprocessing as mp
-import os
 import sys
 
 from repro.parallel.models import SEQUENTIAL_KINDS, ModelSpec
@@ -109,24 +107,6 @@ def run_ladder(spec: ModelSpec, worker_counts: list[int], tag: str) -> list[dict
     return rows
 
 
-def merge_bench_rows(path: str, rows: list[dict]) -> None:
-    """Write ladder rows into a BENCH_*.json, preserving other entries."""
-    existing: dict[str, dict] = {}
-    if os.path.exists(path):
-        with open(path) as fh:
-            existing = {e["bench"]: e for e in json.load(fh)}
-    for row in rows:
-        existing[row["bench"]] = {
-            "bench": row["bench"],
-            "wall_s": row["wall_s"],
-            "events_per_s": row["events_per_s"],
-            "sim_tput": 0.0,
-        }
-    with open(path, "w") as fh:
-        json.dump(list(existing.values()), fh, indent=2)
-        fh.write("\n")
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro.parallel")
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -151,8 +131,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="microbench: timers per partition")
 
     lad = sub.add_parser("ladder", help="scale ladder: events/s vs workers")
-    lad.add_argument("--out", default=None, metavar="BENCH_PR6.json",
-                     help="merge ladder rows into this baseline file")
     lad.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4])
     lad.add_argument("--quick", action="store_true")
     lad.add_argument("--timers", type=int, default=None)
@@ -168,13 +146,19 @@ def main(argv: list[str] | None = None) -> int:
             f"{spec.duration * 1000:.1f} ms simulated"
         )
         rows = run_ladder(spec, args.workers, tag)
-        digests = {row["digest"] for row in rows if row["workers"] > 1}
-        if len(digests) > 1:
-            print("ERROR: windowed digests differ across worker counts")
+        # The microbench digest is defined equal at every worker count,
+        # the one-heap w1 execution included.
+        base = rows[0]
+        differing = [
+            row["workers"] for row in rows[1:]
+            if (row["digest"], row["events"]) != (base["digest"], base["events"])
+        ]
+        if differing:
+            print(
+                f"ERROR: digest/event count at workers={differing} differs "
+                f"from workers={base['workers']}"
+            )
             return 1
-        if args.out:
-            merge_bench_rows(args.out, rows)
-            print(f"merged {len(rows)} rows into {args.out}")
         return 0
 
     # run

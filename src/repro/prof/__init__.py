@@ -1,6 +1,6 @@
 """Wall-clock profiling & performance attribution (off by default).
 
-Three pillars:
+Two pillars:
 
 * :mod:`repro.prof.profiler` — exclusive-time subsystem attribution at
   the kernel seams (event dispatch, task trampoline, ``Cpu.spend``,
@@ -10,14 +10,12 @@ Three pillars:
 * :mod:`repro.prof.deep` / :mod:`repro.prof.flame` — ``sys.setprofile``
   deep mode with collapsed-stack (flamegraph) and top-N hot-function
   export, runnable per parallel worker and merged like digests.
-* :mod:`repro.prof.trend` — BENCH_PR*.json trajectory analytics with
-  regression flagging.
 
-CLI: ``python -m repro.prof {run,report,trend}``.
+CLI: ``python -m repro.prof {run,report}``.
 
 Only the dependency-free profiler core is imported eagerly so the sim
 kernel can use ``from repro.prof.profiler import NULL_PROFILER`` without
-cycles; runners/trend/CLI live in their own modules.
+cycles; runners/CLI live in their own modules.
 """
 
 from repro.prof.profiler import (

@@ -1,11 +1,9 @@
-"""CLI: ``python -m repro.prof {run,report,trend}``.
+"""CLI: ``python -m repro.prof {run,report}``.
 
 ``run`` profiles one named bench target (attribution always; deep
 Python-level sampling on by default, ``--no-deep`` to skip) and writes
 the profile JSON plus flamegraph artifacts.  ``report`` re-renders a
-saved profile without re-running anything.  ``trend`` lines up every
-committed ``BENCH_*.json`` snapshot in PR order and flags >15% events/s
-drops between a bench's consecutive appearances.
+saved profile without re-running anything.
 
 Examples::
 
@@ -13,7 +11,6 @@ Examples::
     python -m repro.prof run --bench fig4-basil-quick
     python -m repro.prof run --bench fig4-basil-quick --workers 2 --no-deep
     python -m repro.prof report PROF_fig4-basil-quick.json --top 20
-    python -m repro.prof trend --markdown
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ import argparse
 import sys
 
 from repro.prof.report import load_profile, write_profile
-from repro.prof.trend import DEFAULT_THRESHOLD, build_trend
 
 
 def _slug(name: str) -> str:
@@ -79,22 +75,10 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_trend(args) -> int:
-    report = build_trend(args.root, threshold=args.threshold,
-                         bench_filter=args.bench)
-    if args.markdown:
-        print(report.render_markdown(threshold=args.threshold))
-    else:
-        print(report.render())
-    if report.regressions and args.strict:
-        return 1
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.prof",
-        description="Wall-clock profiling, attribution, and perf trends.",
+        description="Wall-clock profiling and attribution.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -124,19 +108,6 @@ def main(argv: list[str] | None = None) -> int:
     rp.add_argument("--html", metavar="FILE",
                     help="re-render the flamegraph HTML here")
     rp.set_defaults(func=cmd_report)
-
-    tr = sub.add_parser("trend", help="events/s trend across BENCH_*.json")
-    tr.add_argument("--root", default=".", metavar="DIR",
-                    help="directory holding BENCH_*.json snapshots")
-    tr.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                    help=f"flag drops beyond this (default {DEFAULT_THRESHOLD})")
-    tr.add_argument("--bench", metavar="SUBSTR",
-                    help="only benches whose name contains SUBSTR")
-    tr.add_argument("--markdown", action="store_true",
-                    help="emit the EXPERIMENTS.md table form")
-    tr.add_argument("--strict", action="store_true",
-                    help="exit 1 when any regression is flagged")
-    tr.set_defaults(func=cmd_trend)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -3,10 +3,7 @@
 ``python -m repro.prof run --bench <name>`` resolves the name here to a
 :class:`~repro.parallel.models.ModelSpec`; everything the parallel
 front-end can run (protocol figures, the kernel microbench ladder, geo
-WAN points) is therefore profilable through one door.  The specs mirror
-the perf-gate benchmarks exactly (``benchmarks/perf_figures.py`` /
-``perf_parallel.py`` / ``perf_geo.py``) so an attribution table lines up
-with the BENCH row of the same name.
+WAN points) is therefore profilable through one door.
 """
 
 from __future__ import annotations
@@ -84,8 +81,7 @@ def _geo_wan3_edge_quick() -> ModelSpec:
 #: name -> (description, factory).
 TARGETS: dict[str, tuple[str, TargetFactory]] = {
     "fig4-basil-quick": (
-        "quick Fig 4 Basil point (YCSB-U uniform, 2 shards) — the perf-gate "
-        "figure spec",
+        "quick Fig 4 Basil point (YCSB-U uniform, 2 shards)",
         lambda: _fig4_basil(quick=True),
     ),
     "fig4-basil": (
@@ -102,7 +98,7 @@ TARGETS: dict[str, tuple[str, TargetFactory]] = {
         _microbench_quick,
     ),
     "geo-wan3-edge-quick": (
-        "quick 3-region WAN edge-serving point (the perf-gate geo spec)",
+        "quick 3-region WAN edge-serving point",
         _geo_wan3_edge_quick,
     ),
 }

@@ -181,8 +181,8 @@ class Network:
         profiler = self.sim.profiler
         if profiler.enabled:
             # Covers the full send path — latency sampling, adversary,
-            # and the cross-partition leg (``_send_remote`` runs inside
-            # this frame); scheduling lands in the nested heap_push frame.
+            # and the cross-partition leg; scheduling lands in the nested
+            # heap_push frame.
             profiler.begin("network.send")
             try:
                 self._send(src, dst, message)
@@ -192,11 +192,22 @@ class Network:
             self._send(src, dst, message)
 
     def _send(self, src: Node, dst: str, message: Any) -> None:
+        """One path for local and cross-partition sends.
+
+        Accounting, drop_rate, latency sampling and the adversary behave
+        the same for both, drawing from this partition's own RNG
+        streams; only the up-front destination check and the final
+        hand-off (lookahead check + exchange envelope versus a local
+        ``call_later``) depend on where ``dst`` lives.
+        """
         metrics = self.sim.metrics
-        if dst in self._remote:
-            self._send_remote(src, dst, message)
-            return
-        if dst not in self._nodes:
+        remote = dst in self._remote
+        if remote:
+            if self._remote_send is None:
+                raise SimulationError(
+                    f"{dst!r} is remote but no partition exchange is bound"
+                )
+        elif dst not in self._nodes:
             if dst not in self._known:
                 raise SimulationError(f"unknown destination {dst!r}")
             # A crashed (unregistered) peer: the message is simply lost.
@@ -239,66 +250,25 @@ class Network:
                     dst=dst, msg=type(message).__name__, reason="adversary",
                 )
             return
+        if remote:
+            self._check_lookahead(src.name, dst, delay, "delay")
         if tracer.enabled:
             tracer.instant(
                 src.name, "net", "send",
                 dst=dst, msg=type(message).__name__, delay=delay,
             )
-        self.sim.call_later(delay, self._deliver, src.name, dst, message)
+        if remote:
+            self._remote_send(src.name, dst, message, delay)
+        else:
+            self.sim.call_later(delay, self._deliver, src.name, dst, message)
 
-    def _send_remote(self, src: Node, dst: str, message: Any) -> None:
-        """The cross-partition leg of :meth:`send`.
-
-        Mirrors the local path exactly — accounting, drop_rate, latency
-        sampling, and adversary all behave the same, drawing from this
-        partition's own RNG streams — but the delivery becomes a
-        serializable envelope handed to the exchange instead of a local
-        ``call_later``.
-        """
-        if self._remote_send is None:
-            raise SimulationError(
-                f"{dst!r} is remote but no partition exchange is bound"
-            )
-        src.messages_sent += 1
-        metrics = self.sim.metrics
-        tracer = self.sim.tracer
-        config = self.config
-        if metrics.enabled:
-            metrics.counter("net_sends_total").add()
-        if config.drop_rate and self._rng.random() < config.drop_rate:
-            self.messages_dropped += 1
-            if metrics.enabled:
-                metrics.counter("net_drops_total", reason="drop_rate").add()
-            if tracer.enabled:
-                tracer.instant(
-                    src.name, "net", "drop",
-                    dst=dst, msg=type(message).__name__, reason="drop_rate",
-                )
-            return
-        base = self.latency.sample(self._rng, src.name, dst)
-        delay = self.adversary.intercept(src.name, dst, message, base)
-        if delay is None:
-            self.messages_dropped += 1
-            if metrics.enabled:
-                metrics.counter("net_drops_total", reason="adversary").add()
-            if tracer.enabled:
-                tracer.instant(
-                    src.name, "net", "drop",
-                    dst=dst, msg=type(message).__name__, reason="adversary",
-                )
-            return
+    def _check_lookahead(self, src: str, dst: str, delay: float, what: str) -> None:
         if delay < self._lookahead:
             raise SimulationError(
-                f"cross-partition delay {delay} violates lookahead "
-                f"{self._lookahead} ({src.name} -> {dst} over "
-                f"{self.latency.describe(src.name, dst)})"
+                f"cross-partition {what} {delay} violates lookahead "
+                f"{self._lookahead} ({src} -> {dst} over "
+                f"{self.latency.describe(src, dst)})"
             )
-        if tracer.enabled:
-            tracer.instant(
-                src.name, "net", "send",
-                dst=dst, msg=type(message).__name__, delay=delay,
-            )
-        self._remote_send(src.name, dst, message, delay)
 
     def deliver_remote(self, src: str, dst: str, message: Any) -> None:
         """Deliver an envelope that arrived from another partition.
@@ -330,12 +300,7 @@ class Network:
                 raise SimulationError(
                     f"{dst!r} is remote but no partition exchange is bound"
                 )
-            if delay < self._lookahead:
-                raise SimulationError(
-                    f"cross-partition inject delay {delay} violates lookahead "
-                    f"{self._lookahead} ({src} -> {dst} over "
-                    f"{self.latency.describe(src, dst)})"
-                )
+            self._check_lookahead(src, dst, delay, "inject delay")
             self._remote_send(src, dst, message, delay)
             return
         self.sim.call_later(delay, self._deliver, src, dst, message)

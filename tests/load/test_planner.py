@@ -10,8 +10,6 @@ from repro.load.planner import (
     SweepPoint,
     SweepReport,
     detect_knee,
-    to_bench_entries,
-    write_bench_file,
     write_report,
 )
 
@@ -93,43 +91,3 @@ def test_report_json_roundtrip(tmp_path):
     assert data["cross_check"]["ok"] is True
     assert len(data["points"]) == 3
     assert [p["policy"] for p in data["overload"]] == ["none", "aimd"]
-
-
-def test_bench_entries_cover_knee_and_overload():
-    entries = to_bench_entries(make_report())
-    names = [e["bench"] for e in entries]
-    assert names == [
-        "load-basil-ycsb-t-knee",
-        "load-basil-ycsb-t-2x-none",
-        "load-basil-ycsb-t-2x-aimd",
-    ]
-    assert entries[0]["sim_tput"] == 1900
-
-
-def test_write_bench_file_merges_existing_baseline(tmp_path):
-    """Load rows must extend, not shadow, the newest perf baseline."""
-    baseline = [
-        {"bench": "kernel-timers-200000", "wall_s": 0.5, "events_per_s": 1e5,
-         "sim_tput": 0.0},
-    ]
-    (tmp_path / "BENCH_PR3.json").write_text(json.dumps(baseline))
-    out = tmp_path / "BENCH_PR4.json"
-    benches = write_bench_file(str(out), make_report(), root=str(tmp_path))
-    assert "kernel-timers-200000" in benches
-    assert "load-basil-ycsb-t-knee" in benches
-    merged = {e["bench"]: e for e in json.loads(out.read_text())}
-    # The kernel entry survives verbatim so the perf gate keeps its baseline.
-    assert merged["kernel-timers-200000"]["wall_s"] == 0.5
-    assert merged["load-basil-ycsb-t-2x-aimd"]["sim_tput"] == 1800
-
-
-def test_write_bench_file_without_baseline(tmp_path):
-    empty = tmp_path / "empty"
-    empty.mkdir()
-    out = empty / "BENCH_X.json"
-    benches = write_bench_file(str(out), make_report(), root=str(empty))
-    assert benches == [
-        "load-basil-ycsb-t-2x-aimd",
-        "load-basil-ycsb-t-2x-none",
-        "load-basil-ycsb-t-knee",
-    ]

@@ -116,3 +116,25 @@ def test_dead_worker_is_a_named_error(monkeypatch):
     with pytest.raises(SimulationError, match=r"worker 1 \(partitions 1, 3\) exited with code 1"):
         ParallelRunner(MICRO, workers=2).run()
     assert time.monotonic() - t0 < 5.0
+
+
+def test_ladder_compares_the_sequential_row_too(monkeypatch, capsys):
+    """A windowed run that diverged from the one-heap execution fails the
+    ladder: the digest check covers w1, not only the windowed rows."""
+    from repro.parallel import __main__ as cli
+
+    args = ["ladder", "--workers", "1", "2", "--timers", "20", "--duration", "0.0006"]
+    assert cli.main(args) == 0
+
+    real = cli.measure
+
+    def forged(spec, workers):
+        row = real(spec, workers)
+        if workers == 1:
+            row["digest"] = "forged"
+        return row
+
+    monkeypatch.setattr(cli, "measure", forged)
+    capsys.readouterr()
+    assert cli.main(args) == 1
+    assert "workers=[2]" in capsys.readouterr().out

@@ -103,18 +103,8 @@ def test_targets_registry_resolves():
         resolve_target("no-such-bench")
 
 
-def test_cli_trend_and_report(tmp_path, capsys):
+def test_cli_report(tmp_path, capsys):
     from repro.prof.__main__ import main
-
-    # trend over a synthetic pair of snapshots
-    for tag, eps in (("PR1", 100.0), ("PR2", 40.0)):
-        (tmp_path / f"BENCH_{tag}.json").write_text(json.dumps(
-            [{"bench": "k", "wall_s": 1.0, "events_per_s": eps, "sim_tput": 0}]
-        ))
-    assert main(["trend", "--root", str(tmp_path)]) == 0
-    assert main(["trend", "--root", str(tmp_path), "--strict"]) == 1
-    out = capsys.readouterr().out
-    assert "k" in out and "regression" in out
 
     # report re-renders a saved profile
     report = profile_run(_tiny_spec(), workers=1)
