@@ -77,7 +77,7 @@ class WorkloadDesc:
     constructor kwargs.
 
     Every figure point copies the fields into a
-    :class:`~repro.parallel.models.ModelSpec`, so it simulates the same
+    :class:`~repro.run.ModelSpec`, so it simulates the same
     workload at any worker count; :meth:`build` is for callers that want
     the workload object itself.
     """
@@ -100,7 +100,7 @@ def set_trace_dir(path: str | None) -> None:
     """Enable (or disable with ``None``) tracing for every benchmark run.
 
     The globals only configure the *front-end*: parallel runs copy them
-    into the picklable :class:`~repro.parallel.models.ModelSpec`, because
+    into the picklable :class:`~repro.run.ModelSpec`, because
     module state mutated after workers fork would never reach them (the
     spec is the only channel into a worker process).
     """
@@ -157,8 +157,8 @@ def _run_point(
     Trace/obs directories travel inside the spec, not module globals, so
     forked workers write their per-partition artifacts too.
     """
-    from repro.parallel.models import ModelSpec
     from repro.parallel.runtime import ParallelRunner
+    from repro.run import ModelSpec
 
     spec = ModelSpec(
         kind=kind,
@@ -186,23 +186,14 @@ def _run_point(
     if run.fault_stats is not None:
         result.extra.setdefault("fault_stats", dict(run.fault_stats))
     if _TRACE_DIR is not None:
-        import os
-
         result.extra["trace_digest"] = run.digest
-        stem = spec.artifact_stem(None if run.workers == 1 else 0)
-        path = os.path.join(_TRACE_DIR, stem + ".trace.json")
+        path = spec.artifact_path("trace", None if run.workers == 1 else 0)
         result.extra["trace_path"] = path
         print(f"  trace: {path} (digest {run.digest[:12]})")
     if _OBS_DIR is not None and run.report is not None:
-        import json
-        import os
-
-        path = os.path.join(_OBS_DIR, spec.artifact_stem() + ".obs.json")
-        if run.workers > 1:
-            # partitions wrote their own slices; this is the merged view
-            os.makedirs(_OBS_DIR, exist_ok=True)
-            with open(path, "w") as fh:
-                json.dump(run.report, fh, indent=2, sort_keys=True)
+        # written by the pipeline (workers>1: the merged view, beside the
+        # partitions' own slices)
+        path = spec.artifact_path("obs")
         result.extra["obs_path"] = path
         result.extra["health"] = run.report.get("health", "")
         print(f"  obs: {path} (health {result.extra['health']})")

@@ -11,7 +11,8 @@ import argparse
 import sys
 
 from repro.faults.campaign import replay_bundle, summarize, sweep
-from repro.faults.scenarios import SCENARIOS, SYSTEMS, Scale
+from repro.faults.scenarios import SCENARIOS, Scale
+from repro.run import SYSTEM_KINDS
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -28,7 +29,7 @@ def main(argv: list[str] | None = None) -> int:
                     help="first seed value (default 1)")
     sw.add_argument("--scenarios", nargs="+", choices=sorted(SCENARIOS),
                     metavar="NAME", help="subset of scenarios (default: all)")
-    sw.add_argument("--systems", nargs="+", choices=SYSTEMS,
+    sw.add_argument("--systems", nargs="+", choices=SYSTEM_KINDS,
                     help="subset of systems (default: each scenario's own)")
     sw.add_argument("--full", action="store_true",
                     help="full-size runs (default: quick scale)")
@@ -70,6 +71,8 @@ def main(argv: list[str] | None = None) -> int:
         with_trace=not args.no_trace,
         obs_dir=args.obs,
     )
+    if not results:
+        parser.error("no selected scenario runs on the selected systems")
     print(summarize(results))
     return 1 if any(not r.ok for r in results) else 0
 

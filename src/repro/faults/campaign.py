@@ -1,9 +1,9 @@
 """The seed-sweep simulation fuzzer.
 
-One *case* = (scenario, system kind, seed).  The campaign builds a fresh
-system, arms a :class:`~repro.faults.injector.FaultInjector` with the
-scenario's seed-derived schedule, drives closed-loop clients through the
-existing bench harness, then — after a fault-free drain — checks:
+One *case* = (scenario, system kind, seed).  A case is one
+:class:`~repro.run.ModelSpec` — the scenario's seed-derived
+schedule, closed-loop clients left to finish, a fault-free drain — run
+through the one pipeline; the campaign then checks:
 
 * **Safety**, unconditionally: the Byz-serializability
   :class:`~repro.verify.history.HistoryChecker` for Basil; store
@@ -25,17 +25,11 @@ import os
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from repro.bench.runner import ExperimentRunner
-from repro.byzantine.clients import ByzantineClient
 from repro.config import LivenessConfig, SystemConfig
-from repro.faults.injector import FaultInjector
 from repro.faults.scenarios import SCENARIOS, Scale, Scenario
 from repro.faults.spec import FaultSchedule
-from repro.parallel.models import build_system
-from repro.trace import Tracer
-from repro.trace.export import trace_digest
+from repro.run import ModelSpec, SequentialRun
 from repro.verify.history import HistoryChecker
-from repro.workloads.ycsb import YCSBWorkload
 
 
 @dataclass
@@ -54,9 +48,6 @@ class CaseResult:
     safety_violations: list[str] = field(default_factory=list)
     liveness_violations: list[str] = field(default_factory=list)
     bundle: str | None = None
-    #: Health verdict + report path when telemetry was recorded (obs_dir).
-    health: str | None = None
-    obs_path: str | None = None
 
     @property
     def ok(self) -> bool:
@@ -72,7 +63,8 @@ class CaseResult:
         return (
             f"{status} {self.scenario:<26} {self.system:<6} seed={self.seed:<4} "
             f"commits={self.commits:<5} aborts={self.aborts:<4} "
-            f"faults={self.faults_applied:<5}{tail}"
+            f"faults={self.faults_applied:<5} "
+            f"digest={self.digest[:12] if self.digest else '-'}{tail}"
         )
 
 
@@ -86,27 +78,6 @@ def make_config(seed: int, overrides: dict[str, Any] | None = None) -> SystemCon
     return config
 
 
-def _client_factories(system: Any, schedule: FaultSchedule, num_clients: int):
-    """Expand byz-client faults into the runner's client factory mix."""
-    byz: list[tuple[str, float]] = []
-    for fault in schedule.byz_clients:
-        byz.extend([(fault.behaviour, fault.faulty_fraction)] * fault.count)
-    if not byz:
-        return None
-    factories = []
-    for i in range(num_clients):
-        if i < len(byz):
-            behaviour, fraction = byz[i]
-            factories.append(
-                lambda s=system, b=behaviour, fr=fraction: s.create_client(
-                    client_class=ByzantineClient, behaviour=b, faulty_fraction=fr
-                )
-            )
-        else:
-            factories.append(lambda s=system: s.create_client())
-    return factories
-
-
 # ---------------------------------------------------------------------------
 # Safety oracles
 # ---------------------------------------------------------------------------
@@ -115,7 +86,7 @@ def check_safety(kind: str, system: Any) -> list[str]:
         return [str(v) for v in HistoryChecker(system).check()]
     if kind == "tapir":
         return _tapir_convergence(system)
-    if kind == "txsmr":
+    if kind in ("txsmr", "txsmr-hotstuff"):
         return _txsmr_convergence(system)
     raise ValueError(f"unknown system kind {kind!r}")
 
@@ -193,50 +164,39 @@ def execute_case(
     obs_dir: str | None = None,
 ) -> CaseResult:
     """Run one fully specified case (the replay entry point)."""
-    config = make_config(seed, config_overrides)
-    system = build_system(system_kind, config)
-    injector = FaultInjector(schedule)
-    tracer = Tracer() if with_trace else None
-    recorder = None
-    if obs_dir is not None:
-        from repro.obs import ObsRecorder
-
-        recorder = ObsRecorder()
-    workload = YCSBWorkload(
-        num_keys=scale.keys, reads=2, writes=2, distribution="zipfian"
-    )
-    runner = ExperimentRunner(
-        system,
-        workload,
+    spec = ModelSpec(
+        kind=system_kind,
+        config=make_config(seed, config_overrides),
+        workload="ycsb-z",
+        workload_keys=scale.keys,
         num_clients=scale.clients,
         duration=scale.duration,
         warmup=scale.warmup,
-        name=f"{scenario_name}/{system_kind}/seed{seed}",
-        client_factories=_client_factories(system, schedule, scale.clients),
-        tracer=tracer,
-        injector=injector,
-        recorder=recorder,
-        cancel_at_end=False,
+        label=f"{scenario_name}/{system_kind}/seed{seed}",
+        trace=with_trace,
+        obs=obs_dir is not None,
+        obs_dir=obs_dir,
+        fault_schedule=schedule,
+        # Transient faults have ended by construction (see scenarios), so
+        # retries/recoveries/writebacks settle before the oracles look.
+        drain=liveness.drain,
     )
-    bench = runner.run()
-    # Fault-free drain: transient faults have ended by construction (see
-    # scenarios), so retries/recoveries/writebacks can settle before the
-    # oracles look at the final state.
-    system.sim.run(until=scale.end_time + liveness.drain)
+    run = SequentialRun(spec)
+    result = run.run()
 
     case = CaseResult(
         scenario=scenario_name,
         system=system_kind,
         seed=seed,
-        commits=bench.commits,
-        aborts=bench.aborts,
-        protocol_errors=runner.monitor.counter("protocol_errors").value,
-        faults_applied=injector.faults_applied(),
-        digest=trace_digest(tracer) if tracer is not None else None,
-        safety_violations=check_safety(system_kind, system),
+        commits=result.bench["commits"],
+        aborts=result.bench["aborts"],
+        protocol_errors=run.runner.monitor.counter("protocol_errors").value,
+        faults_applied=sum(result.fault_stats.values()),
+        digest=result.digest or None,
+        safety_violations=check_safety(system_kind, run.system),
     )
     if system_kind == "basil":
-        case.undecided = len(HistoryChecker(system).undecided_prepared())
+        case.undecided = len(HistoryChecker(run.system).undecided_prepared())
 
     if case.commits < liveness.min_commits:
         case.liveness_violations.append(
@@ -254,24 +214,6 @@ def execute_case(
         case.liveness_violations.append(
             f"protocol_errors {case.protocol_errors} > max {liveness.max_protocol_errors}"
         )
-    if recorder is not None:
-        import os
-
-        from repro.obs import write_report
-
-        report = recorder.finish(
-            f"{scenario_name}/{system_kind}/seed{seed}",
-            bench=bench,
-            trace_digest=case.digest,
-            meta={"scenario": scenario_name, "faults_applied": case.faults_applied},
-        )
-        os.makedirs(obs_dir, exist_ok=True)
-        path = os.path.join(
-            obs_dir, f"{scenario_name}-{system_kind}-seed{seed}.obs.json"
-        )
-        write_report(path, report)
-        case.health = report.health
-        case.obs_path = path
     return case
 
 

@@ -30,9 +30,6 @@ from repro.faults.spec import (
     PartitionFault,
 )
 
-#: System kinds the campaign can build.
-SYSTEMS = ("basil", "tapir", "txsmr")
-
 
 @dataclass(frozen=True)
 class Scale:
@@ -67,7 +64,9 @@ class Scenario:
     name: str
     description: str
     build: Callable[[int, Scale, random.Random], tuple["FaultSchedule.__class__", ...]]
-    systems: tuple[str, ...] = SYSTEMS
+    #: Not every kind the campaign can run (``repro.run.SYSTEM_KINDS``):
+    #: the sweep matrix holds one SMR core.
+    systems: tuple[str, ...] = ("basil", "tapir", "txsmr")
     liveness: LivenessConfig = field(default_factory=LivenessConfig)
     config_overrides: dict[str, Any] = field(default_factory=dict)
 

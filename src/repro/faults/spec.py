@@ -166,9 +166,11 @@ class ByzantineReplicaFault:
 class ByzantineClientFault:
     """Include ``count`` Byzantine clients of the given behaviour.
 
-    Interpreted by the campaign runner when it builds the client mix
-    (Basil systems only); ``behaviour`` keys the paper's Sec 6.4 client
-    strategies in :data:`repro.byzantine.clients.BEHAVIOURS`.
+    Interpreted by the run pipeline when it builds the client mix
+    (``ModelSpec.client_factories``), so every consumer of a schedule
+    gets them, not only the campaign; Basil systems only.  ``behaviour``
+    keys the paper's Sec 6.4 client strategies in
+    :data:`repro.byzantine.clients.BEHAVIOURS`.
     """
 
     kind: str = field(default="byz-client", init=False)

@@ -14,8 +14,6 @@
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 
 from repro.geo.plan import MODES, GeoSpec, derive_lookahead
@@ -24,7 +22,7 @@ from repro.geo.topology import TOPOLOGIES, get_topology
 
 def _spec(args: argparse.Namespace) -> "ModelSpec":
     from repro.config import SystemConfig
-    from repro.parallel.models import ModelSpec
+    from repro.run import ModelSpec
 
     topology = get_topology(args.topology)
     schedule = None
@@ -48,7 +46,8 @@ def _spec(args: argparse.Namespace) -> "ModelSpec":
         duration=args.duration,
         warmup=args.warmup,
         label=f"geo-{topology.name}-{args.mode}",
-        obs=bool(getattr(args, "obs", None)),
+        obs=bool(args.obs),
+        obs_dir=args.obs,
         fault_schedule=schedule,
     )
 
@@ -84,18 +83,9 @@ def _report_point(result, spec) -> dict:
         f"(min cross RTT {rtt * 1000:.0f} ms, windows {result.windows})"
     )
     _print_regions(g)
+    if spec.obs_dir:  # the pipeline wrote it
+        print(f"    wrote merged obs report to {spec.artifact_path('obs')}")
     return g
-
-
-def _write_obs(result, spec, out_dir: str) -> None:
-    if result.report is None:
-        return
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, spec.artifact_stem() + ".obs.json")
-    with open(path, "w") as fh:
-        json.dump(result.report, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-    print(f"    wrote merged obs report to {path}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -161,8 +151,6 @@ def main(argv: list[str] | None = None) -> int:
         spec = _spec(args)
         result = _run_point(spec, args.workers)
         _report_point(result, spec)
-        if args.obs:
-            _write_obs(result, spec, args.obs)
         return 0
 
     # sweep
@@ -179,8 +167,6 @@ def main(argv: list[str] | None = None) -> int:
             spec = _spec(point)
             result = _run_point(spec, args.workers)
             per_mode[mode] = _report_point(result, spec)
-            if args.obs:
-                _write_obs(result, spec, args.obs)
         if "edge" in per_mode and "direct" in per_mode:
             edge, direct = per_mode["edge"], per_mode["direct"]
             rtt = edge["cross_region_rtt"]

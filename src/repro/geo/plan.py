@@ -1,7 +1,7 @@
 """Geo run descriptions and region-per-partition plans.
 
 A :class:`GeoSpec` is the picklable "geo flavour" attached to a
-:class:`repro.parallel.models.ModelSpec`: topology, serving mode, user
+:class:`repro.run.ModelSpec`: topology, serving mode, user
 population and edge-tier knobs.  :func:`geo_plan` maps a geo deployment
 onto partitions **one region per partition**: a region's replicas, edge
 proxy, and users all share a partition, so every cross-partition message

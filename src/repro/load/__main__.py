@@ -14,13 +14,13 @@ import sys
 
 from repro.load.admission import POLICIES
 from repro.load.planner import run_point, sweep, write_report
+from repro.run import SYSTEM_KINDS
 
-SYSTEMS = ("basil", "tapir", "txsmr")
 PROCESSES = ("poisson", "uniform", "bursty")
 
 
 def _common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--system", default="basil", choices=SYSTEMS)
+    sub.add_argument("--system", default="basil", choices=SYSTEM_KINDS)
     sub.add_argument("--workload", default="ycsb-t", metavar="NAME",
                      help="ycsb-t | ycsb-u | ycsb-z | retwis | smallbank | tpcc")
     sub.add_argument("--process", default="poisson", choices=PROCESSES,
@@ -81,7 +81,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "list":
         from repro.workloads import WORKLOADS
 
-        print("systems:  " + " ".join(SYSTEMS))
+        print("systems:  " + " ".join(SYSTEM_KINDS))
         print("workloads: " + " ".join(sorted([*WORKLOADS, "tpcc"])))
         print("processes: " + " ".join(PROCESSES))
         print("policies:  " + " ".join(sorted(POLICIES)))

@@ -87,8 +87,16 @@ class OpenLoopGenerator:
 
     # ------------------------------------------------------------------
     def run(self) -> "BenchResult":
-        from repro.bench.runner import BenchResult
+        self.system.sim.run(until=self.setup())
+        return self.finalize()
 
+    def setup(self) -> float:
+        """Wire up the load without advancing time; returns end_time.
+
+        The same ``setup()`` / ``finalize()`` split as
+        :class:`~repro.bench.runner.ExperimentRunner`, so the run
+        pipeline (:mod:`repro.run`) can drive either.
+        """
         sim = self.system.sim
         if self.tracer is not None:
             sim.attach_tracer(self.tracer)
@@ -102,9 +110,14 @@ class OpenLoopGenerator:
         self._end_time = end_time
         if self.recorder is not None:
             self.recorder.attach(self.system, until=end_time)
-        driver = sim.create_task(self._drive(end_time), name="load-driver")
-        sim.run(until=end_time)
-        driver.cancel()
+        self._driver = sim.create_task(self._drive(end_time), name="load-driver")
+        return end_time
+
+    def finalize(self) -> "BenchResult":
+        """Stop the load once time has reached ``end_time``; returns results."""
+        from repro.bench.runner import BenchResult
+
+        self._driver.cancel()
         for task in self._tasks:
             task.cancel()
         return self._result(BenchResult)

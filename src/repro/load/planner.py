@@ -20,8 +20,8 @@ from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from repro.config import AdmissionConfig, ArrivalConfig
-from repro.load.generator import OpenLoopGenerator
-from repro.workloads import make_workload
+from repro.faults.campaign import make_config
+from repro.run import ModelSpec, SequentialRun
 
 #: Knee heuristics: saturated when one more unit of offered load yields
 #: less than this much goodput...
@@ -154,55 +154,36 @@ def run_point(
     proxies: int = 40,
     num_shards: int = 1,
     admission: AdmissionConfig | None = None,
-    tracer: Any = None,
     obs_dir: str | None = None,
 ) -> SweepPoint:
     """Run one offered-load point against a *fresh* system."""
-    from repro.faults.campaign import make_config
-    from repro.parallel.models import build_system
-
-    config = make_config(seed)
-    if num_shards != 1:
-        config = config.with_overrides(num_shards=num_shards)
-    system = build_system(system_kind, config)
-    workload = make_workload(workload_name, keys=keys)
     if admission is None:
         admission = AdmissionConfig(policy=policy)
-    recorder = None
-    if obs_dir is not None:
-        from repro.obs import ObsRecorder
-
-        recorder = ObsRecorder()
-    gen = OpenLoopGenerator(
-        system,
-        workload,
-        ArrivalConfig(process=process, rate=rate),
-        admission=admission,
+    spec = ModelSpec(
+        kind=system_kind,
+        config=make_config(seed, {"num_shards": num_shards}),
+        workload=workload_name,
+        workload_keys=keys,
+        num_clients=proxies,
         duration=duration,
         warmup=warmup,
-        proxies=proxies,
-        tracer=tracer,
-        recorder=recorder,
+        label=f"load-{system_kind}-{workload_name}-{rate:.0f}-{admission.policy}",
+        trace=False,
+        obs=obs_dir is not None,
+        obs_dir=obs_dir,
+        arrivals=ArrivalConfig(process=process, rate=rate),
+        admission=admission,
     )
-    result = gen.run()
-    if recorder is not None:
-        import os
-
-        from repro.obs import write_report as write_obs_report
-
-        name = f"load-{system_kind}-{workload_name}-{rate:.0f}-{admission.policy}"
-        obs = recorder.finish(name, config=config, bench=result)
-        os.makedirs(obs_dir, exist_ok=True)
-        write_obs_report(os.path.join(obs_dir, name + ".obs.json"), obs)
+    result = SequentialRun(spec).run().bench
     return SweepPoint(
         offered=rate,
-        offered_tps=result.offered_tps,
-        goodput_tps=result.goodput_tps,
-        mean_latency=result.mean_latency,
-        p99_latency=result.p99_latency,
-        commit_rate=result.commit_rate,
-        shed=result.shed_count,
-        gave_up=result.extra.get("gave_up", 0),
+        offered_tps=result["offered_tps"],
+        goodput_tps=result["goodput_tps"],
+        mean_latency=result["mean_latency"],
+        p99_latency=result["p99_latency"],
+        commit_rate=result["commit_rate"],
+        shed=result["shed_count"],
+        gave_up=result["extra"].get("gave_up", 0),
         policy=admission.policy,
     )
 
@@ -226,17 +207,11 @@ def closed_loop_peak(
     walks a small client ladder around ``clients`` and keeps the max —
     the capacity bound the open-loop knee must land near.
     """
-    from repro.faults.campaign import make_config
-    from repro.parallel.models import ModelSpec, SequentialRun
-
     best = 0.0
     for count in sorted({max(2, clients // 2), clients, clients * 2}):
-        config = make_config(seed)
-        if num_shards != 1:
-            config = config.with_overrides(num_shards=num_shards)
         spec = ModelSpec(
             kind=system_kind,
-            config=config,
+            config=make_config(seed, {"num_shards": num_shards}),
             workload=workload_name,
             workload_keys=keys,
             num_clients=count,

@@ -24,12 +24,11 @@ import os
 import sys
 from typing import Any
 
+from repro.faults.campaign import make_config
 from repro.obs.compare import DEFAULT_TOLERANCE, compare_reports, render_compare
 from repro.obs.health import default_basil_rules
-from repro.obs.recorder import ObsRecorder
 from repro.obs.report import RunReport, load_report, write_report
-
-SYSTEMS = ("basil", "tapir", "txsmr")
+from repro.run import SYSTEM_KINDS, ModelSpec, SequentialRun
 
 #: The canonical ``check`` configuration: small enough for CI, long
 #: enough that every health-rule signal has non-trivial series.
@@ -60,24 +59,16 @@ def run_instrumented(
     ``verify_cost_scale`` multiplies the signature-verification cost —
     the cheapest way to fake a crypto performance regression.
     """
-    from repro.bench.runner import ExperimentRunner
-    from repro.faults.campaign import make_config
-    from repro.parallel.models import build_system
-    from repro.workloads import make_workload
-
-    config = make_config(seed)
-    if shards != 1:
-        config = config.with_overrides(num_shards=shards)
+    config = make_config(seed, {"num_shards": shards})
+    meta: dict[str, Any] = {"clients": clients, "workload": workload}
     if verify_cost_scale != 1.0:
         crypto = dataclasses.replace(
             config.crypto, verify_cost=config.crypto.verify_cost * verify_cost_scale
         )
         config = config.with_overrides(crypto=crypto)
-    sys_obj = build_system(system, config)
-
-    injector = None
+        meta["verify_cost_scale"] = verify_cost_scale
+    schedule = None
     if partition is not None:
-        from repro.faults.injector import FaultInjector
         from repro.faults.spec import FaultSchedule, PartitionFault
 
         # A 3/3 split: with n = 5f+1 = 6 neither side has a commit
@@ -88,29 +79,28 @@ def run_instrumented(
             groups=(("s*/r0", "s*/r1", "s*/r2"), ("*",)),
             start=start, end=start + length,
         )
-        injector = FaultInjector(
-            FaultSchedule(name="obs-run", faults=(fault,)).validate()
-        )
-
-    recorder = ObsRecorder(interval=interval)
-    runner = ExperimentRunner(
-        sys_obj,
-        make_workload(workload, keys=keys),
+        schedule = FaultSchedule(name="obs-run", faults=(fault,)).validate()
+        meta["partition"] = list(partition)
+    spec = ModelSpec(
+        kind=system,
+        config=config,
+        workload=workload,
+        workload_keys=keys,
         num_clients=clients,
         duration=duration,
         warmup=warmup,
-        name=name or f"obs-{system}-{workload}-seed{seed}",
-        injector=injector,
-        recorder=recorder,
-        cancel_at_end=False,
+        label=name or f"obs-{system}-{workload}-seed{seed}",
+        trace=False,
+        obs=True,
+        obs_interval=interval,
+        fault_schedule=schedule,
+        # Clients are left running, not cancelled: a cancel runs their
+        # ``finally`` blocks, which record basil_fallback_seconds.
+        drain=0.0,
     )
-    bench = runner.run()
-    meta: dict[str, Any] = {"clients": clients, "workload": workload}
-    if partition is not None:
-        meta["partition"] = list(partition)
-    if verify_cost_scale != 1.0:
-        meta["verify_cost_scale"] = verify_cost_scale
-    return recorder.finish(runner.name, config=config, bench=bench, meta=meta)
+    report = RunReport.from_dict(SequentialRun(spec).run().report)
+    report.meta.update(meta)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +181,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     rn = sub.add_parser("run", help="one instrumented run -> RunReport JSON")
-    rn.add_argument("--system", default="basil", choices=SYSTEMS)
+    rn.add_argument("--system", default="basil", choices=SYSTEM_KINDS)
     rn.add_argument("--seed", type=int, default=11)
     rn.add_argument("--clients", type=int, default=8)
     rn.add_argument("--shards", type=int, default=1)

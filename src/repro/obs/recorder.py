@@ -1,6 +1,7 @@
 """Glue: attach a registry + ticker + probes to a system, emit a RunReport.
 
-An :class:`ObsRecorder` is the one-call way to instrument a run:
+An :class:`ObsRecorder` is the one-call way to instrument a run; the
+run pipeline (:mod:`repro.run`) does this for ``ModelSpec(obs=True)``:
 
     recorder = ObsRecorder(interval=0.005)
     runner = ExperimentRunner(system, workload, ..., recorder=recorder)
@@ -77,20 +78,17 @@ class ObsRecorder:
         interval: float = 0.005,
         rules: list[HealthRule] | None = None,
         registry: MetricsRegistry | None = None,
-        probe_nodes: bool = True,
     ) -> None:
         self.registry = registry or MetricsRegistry()
         self.ticker = MetricsTicker(self.registry, interval=interval)
         self.rules = default_basil_rules() if rules is None else rules
-        self.probe_nodes = probe_nodes
         self.system: Any = None
 
     def attach(self, system: Any, until: float | None = None) -> "ObsRecorder":
         """Instrument ``system``; sample until ``until`` (sim seconds)."""
         self.system = system
         system.sim.attach_metrics(self.registry)
-        if self.probe_nodes:
-            self.ticker.add_probe(system_probe(system))
+        self.ticker.add_probe(system_probe(system))
         self.ticker.attach(system.sim, until=until)
         return self
 

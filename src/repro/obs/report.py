@@ -7,10 +7,11 @@ determinism oracle), the sampled metric time series, histogram
 summaries, the benchmark row, and the evaluated health verdicts.
 
 Reports are plain JSON (``schema`` field versions the layout, the same
-convention as ``repro.load.sweep/v1``) and are written by the bench
-runner (``python -m repro.bench --obs``), the load planner, the fault
-sweeper, and ``python -m repro.obs run``.  ``python -m repro.obs
-compare A B`` diffs two of them.
+convention as ``repro.load.sweep/v1``).  The run pipeline
+(:mod:`repro.run`) writes one per run into ``ModelSpec.obs_dir`` — for
+the bench, load, faults and geo CLIs' ``--obs`` alike — and ``python -m
+repro.obs run --out`` writes the one it is handed back.  ``python -m
+repro.obs compare A B`` diffs two of them.
 """
 
 from __future__ import annotations

@@ -29,9 +29,10 @@ Determinism contract (see docs/parallel.md):
 
 from repro.parallel.exchange import Envelope, envelope_order, window_count
 from repro.parallel.merge import combine_digests, merge_event_streams
-from repro.parallel.models import ModelSpec, make_plan
+from repro.parallel.models import make_plan
 from repro.parallel.partition import PartitionPlan, PlanSlice, audit_rng_streams
 from repro.parallel.runtime import ParallelResult, ParallelRunner
+from repro.run import ModelSpec
 
 __all__ = [
     "Envelope",

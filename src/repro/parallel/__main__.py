@@ -14,12 +14,11 @@
 from __future__ import annotations
 
 import argparse
-import json
 import multiprocessing as mp
 import sys
 
-from repro.parallel.models import SEQUENTIAL_KINDS, ModelSpec
 from repro.parallel.runtime import ParallelRunner
+from repro.run import SEQUENTIAL_KINDS, ModelSpec
 
 
 def ladder_spec(quick: bool, timers: int | None = None, duration: float | None = None) -> ModelSpec:
@@ -210,9 +209,9 @@ def main(argv: list[str] | None = None) -> int:
             f"p99 {bench.get('p99_latency', 0.0) * 1000:.2f} ms"
         )
     if args.obs and result.report is not None:
-        with open(args.obs, "w") as fh:
-            json.dump(result.report, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        from repro.obs.report import RunReport, write_report
+
+        write_report(args.obs, RunReport.from_dict(result.report))
         print(f"  wrote merged obs report to {args.obs}")
     return 0
 

@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
+from repro.run import PartitionResult
 
 @dataclass(frozen=True)
 class Envelope:
@@ -91,33 +92,6 @@ class WorkerReady:
     """Worker -> coordinator: partitions built, measurement may start."""
 
     worker_id: int
-
-
-@dataclass(frozen=True)
-class PartitionResult:
-    """One partition's contribution to the merged run result."""
-
-    partition_id: int
-    digest: str
-    events: int
-    now: float
-    rng_streams: dict[str, str]
-    cross_sent: int
-    cross_received: int
-    messages_delivered: int = 0
-    messages_dropped: int = 0
-    bench: dict[str, Any] | None = None  #: client partition only
-    report: dict[str, Any] | None = None  #: obs RunReport dict, if recorded
-    #: This partition's FaultInjector.stats counters (None: no injector).
-    #: Each partition counts the fault actions *it* performed — link and
-    #: partition faults on the sending side, crashes on the hosting side
-    #: — so the campaign-level stats are the element-wise sum.
-    fault_stats: dict[str, int] | None = None
-    #: Per-replica MVTSO abort-reason tallies summed over this
-    #: partition's replicas (replica partitions only; merged into the
-    #: bench row so partitioned runs keep the sequential row schema).
-    abort_reasons: dict[str, int] | None = None
-    extra: dict[str, Any] | None = None
 
 
 @dataclass(frozen=True)

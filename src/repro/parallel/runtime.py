@@ -18,7 +18,6 @@ from typing import Any
 from repro.errors import SimulationError
 from repro.parallel.exchange import (
     Envelope,
-    PartitionResult,
     WindowGrant,
     WorkerError,
     WorkerReady,
@@ -26,13 +25,15 @@ from repro.parallel.exchange import (
     window_count,
 )
 from repro.parallel.merge import combine_digests, merge_partition_reports
-from repro.parallel.models import (
+from repro.parallel.models import make_plan
+from repro.parallel.partition import audit_rng_streams
+from repro.run import (
     PARTITIONED_KINDS,
     ModelSpec,
+    PartitionResult,
     SequentialRun,
-    make_plan,
+    write_obs_artifact,
 )
-from repro.parallel.partition import audit_rng_streams
 
 
 @dataclass
@@ -76,6 +77,11 @@ class ParallelRunner:
                 f"model kind {spec.kind!r} only supports workers=1 "
                 f"(partitioned kinds: {', '.join(PARTITIONED_KINDS)})"
             )
+        for name in ("drain", "arrivals"):
+            # One partition's drain or arrival stream, outside the window
+            # exchange, would never reach the others.
+            if workers > 1 and getattr(spec, name) is not None:
+                raise SimulationError(f"ModelSpec.{name} only supports workers=1")
         self.spec = spec
         self.workers = workers
 
@@ -241,7 +247,7 @@ class ParallelRunner:
         fault_stats = _sum_counters(
             r.fault_stats for r in results.values() if r.fault_stats is not None
         )
-        if getattr(spec, "geo", None) is not None:
+        if spec.geo is not None:
             # Geo runs measure a serving tier on every partition: union
             # the per-region rows instead of taking the first bench.
             from repro.geo.runner import merge_geo_benches
@@ -271,6 +277,7 @@ class ParallelRunner:
                 trace_digest=digest,
                 meta=meta,
             )
+            write_obs_artifact(spec, report)  # beside the partitions' slices
         return ParallelResult(
             digest=digest,
             events=sum(r.events for r in results.values()),

@@ -21,8 +21,9 @@ from repro.parallel.exchange import (
     WorkerResult,
     envelope_order,
 )
-from repro.parallel.models import ModelSpec, build_partition
+from repro.parallel.models import build_partition
 from repro.parallel.partition import PartitionPlan
+from repro.run import ModelSpec
 
 
 def worker_main(

@@ -2,7 +2,7 @@
 
 :func:`profile_run` is the programmatic face of ``python -m repro.prof
 run``: resolve a named target (or take a prepared
-:class:`~repro.parallel.models.ModelSpec`), switch attribution (and
+:class:`~repro.run.ModelSpec`), switch attribution (and
 optionally deep sampling) on, execute through
 :class:`~repro.parallel.runtime.ParallelRunner`, and fold the pieces —
 per-partition attribution tables, worker-level exchange seams, per-worker
@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any
 
-from repro.parallel.models import ModelSpec
 from repro.parallel.runtime import ParallelResult, ParallelRunner
 from repro.prof.deep import merge_collapsed
 from repro.prof.profiler import merge_tables
 from repro.prof.report import ProfileReport
 from repro.prof.targets import resolve_target
+from repro.run import ModelSpec
 
 
 def profile_run(

@@ -1,7 +1,7 @@
 """Named profiling targets: bench/figure/geo entry points by name.
 
 ``python -m repro.prof run --bench <name>`` resolves the name here to a
-:class:`~repro.parallel.models.ModelSpec`; everything the parallel
+:class:`~repro.run.ModelSpec`; everything the parallel
 front-end can run (protocol figures, the kernel microbench ladder, geo
 WAN points) is therefore profilable through one door.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.parallel.models import ModelSpec
+from repro.run import ModelSpec
 
 TargetFactory = Callable[[], ModelSpec]
 

@@ -49,9 +49,17 @@ def test_failing_case_writes_replayable_bundle(tmp_path):
     impossible = LivenessConfig(min_commits=10**9, max_undecided=None)
     case = execute_case(
         scenario.name, "basil", 2, schedule, TINY, impossible,
+        obs_dir=str(tmp_path / "obs"),
     )
     assert not case.ok
     assert any("min" in v for v in case.liveness_violations)
+    # the run pipeline wrote the case's telemetry report, under the case's name
+    report = json.loads(
+        (tmp_path / "obs" / "partition-minority-basil-seed2.obs.json").read_text()
+    )
+    assert report["name"] == "partition-minority/basil/seed2"
+    assert report["trace_digest"] == case.digest
+    assert report["bench"]["commits"] == case.commits
 
     path = write_bundle(case, schedule, TINY, impossible, {}, str(tmp_path))
     bundle = json.loads(open(path).read())

@@ -10,7 +10,7 @@ from repro.geo.plan import GeoSpec
 from repro.geo.topology import wan3
 from repro.obs.health import HealthRule, expand_rule_per_label
 from repro.parallel import ParallelRunner
-from repro.parallel.models import ModelSpec
+from repro.run import ModelSpec
 
 pytestmark = pytest.mark.geo_smoke
 

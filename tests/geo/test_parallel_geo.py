@@ -32,7 +32,8 @@ from repro.geo.plan import GeoSpec
 from repro.geo.runner import GeoRunner, build_geo_system
 from repro.geo.topology import wan3
 from repro.parallel import ParallelRunner
-from repro.parallel.models import BasilPartitionHost, ModelSpec, make_plan
+from repro.parallel.models import BasilPartitionHost, make_plan
+from repro.run import ModelSpec
 from repro.trace.export import trace_digest
 from repro.trace.tracer import Tracer
 
@@ -90,6 +91,17 @@ def test_geo_spec_rejects_non_basil_and_byz():
         ModelSpec(kind="microbench", geo=_geo())
     with pytest.raises(SimulationError, match="byzantine"):
         ModelSpec(kind="basil", geo=_geo(), byz_client_count=1)
+    # the schedule's byz-client faults are the same mix: same refusal
+    from repro.config import ArrivalConfig
+    from repro.faults.spec import ByzantineClientFault, FaultSchedule
+
+    byz = FaultSchedule(faults=(ByzantineClientFault(count=1),))
+    with pytest.raises(SimulationError, match="byz-client faults"):
+        ModelSpec(kind="basil", geo=_geo(), fault_schedule=byz)
+    with pytest.raises(SimulationError, match="open-loop arrivals"):
+        ModelSpec(kind="basil", geo=_geo(), arrivals=ArrivalConfig())
+    with pytest.raises(SimulationError, match="byzantine client mix"):
+        ModelSpec(kind="basil", arrivals=ArrivalConfig(), fault_schedule=byz)
 
 
 def test_pair_floor_names_the_region_pair():

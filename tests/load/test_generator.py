@@ -117,3 +117,32 @@ def test_bursty_process_runs_open_loop():
     _, result = run_open_loop(rate=1_000.0, process="bursty")
     assert result.commits > 0
     assert result.offered_tps > 0
+
+
+def test_spec_with_arrivals_matches_hand_built_generator():
+    """The run pipeline's open-loop path is this generator, wired the
+    same way: same trace digest, same bench row (but the run's name)."""
+    import dataclasses
+
+    from repro.run import ModelSpec, SequentialRun
+    from repro.trace import Tracer
+    from repro.trace.export import trace_digest
+
+    policy = AdmissionConfig(policy="static-cap", cap=2, mode="shed")
+    gen, want = run_open_loop(rate=2_000.0, policy=policy, tracer=Tracer())
+    spec = ModelSpec(
+        kind="basil",
+        config=SystemConfig(f=1, num_shards=1, batch_size=4, seed=11),
+        workload="ycsb-t",
+        workload_keys=400,
+        num_clients=4,  # the proxy pool
+        duration=0.06,
+        warmup=0.02,
+        arrivals=ArrivalConfig(process="poisson", rate=2_000.0),
+        admission=policy,
+    )
+    result = SequentialRun(spec).run()
+    assert result.digest == trace_digest(gen.tracer)
+    row = dataclasses.asdict(want)
+    assert want.shed_count > 0
+    assert {**result.bench, "name": row["name"]} == row

@@ -15,7 +15,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.errors import SimulationError
 from repro.parallel import ParallelRunner
-from repro.parallel.models import ModelSpec
+from repro.run import ModelSpec
 
 pytestmark = pytest.mark.parallel_smoke
 
@@ -71,6 +71,21 @@ def test_sequential_only_kinds_reject_partitioned_runs():
     spec = ModelSpec(kind="tapir", duration=0.01, warmup=0.002)
     with pytest.raises(SimulationError, match="workers=1"):
         ParallelRunner(spec, workers=2)
+
+
+def test_sequential_only_fields_reject_partitioned_runs():
+    """A drain or an arrival stream on one partition would never reach the
+    others: refused by name, not ignored."""
+    from repro.config import ArrivalConfig
+
+    drained = ModelSpec(kind="basil", drain=0.1)
+    with pytest.raises(SimulationError, match=r"ModelSpec\.drain only supports workers=1"):
+        ParallelRunner(drained, workers=2)
+    open_loop = ModelSpec(kind="basil", arrivals=ArrivalConfig(rate=500.0))
+    with pytest.raises(SimulationError, match=r"ModelSpec\.arrivals only supports workers=1"):
+        ParallelRunner(open_loop, workers=2)
+    ParallelRunner(drained, workers=1)  # both are fine sequentially
+    ParallelRunner(open_loop, workers=1)
 
 
 # ---------------------------------------------------------------------------

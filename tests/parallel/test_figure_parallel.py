@@ -28,9 +28,9 @@ from repro.bench.experiments import Scale, WorkloadDesc, fig7_crash_schedule
 from repro.bench.runner import ExperimentRunner
 from repro.byzantine.clients import ByzantineClient
 from repro.config import CryptoConfig, SystemConfig
-from repro.faults.spec import FaultSchedule, PartitionFault
+from repro.faults.spec import ByzantineClientFault, FaultSchedule, PartitionFault
 from repro.parallel import ParallelRunner
-from repro.parallel.models import ModelSpec
+from repro.run import ModelSpec, SequentialRun
 from repro.trace.export import trace_digest
 from repro.trace.tracer import Tracer
 
@@ -278,6 +278,26 @@ def test_fig7_schedule_digest_invariant_w2_w4():
     r4 = ParallelRunner(_spec(config, schedule), workers=4).run()
     assert r2.digest == r4.digest
     assert r2.fault_stats == r4.fault_stats
+
+
+def test_schedule_byz_clients_reach_the_runner_at_any_worker_count():
+    """A schedule's byz-client faults become clients for every consumer
+    of a spec, not only the fault campaign (which used to build the mix
+    itself: here the runner came up all-correct)."""
+    config = SystemConfig(f=1, batch_size=4, num_shards=2)
+    schedule = FaultSchedule(
+        name="byz", faults=(ByzantineClientFault(behaviour="stall-late", count=2),)
+    )
+    seq = SequentialRun(_spec(config, schedule))
+    seq.start()
+    assert seq.runner.byz_clients == 2
+    assert seq.runner.correct_clients == TINY.clients - 2
+
+    r2 = ParallelRunner(_spec(config, schedule), workers=2).run()
+    r4 = ParallelRunner(_spec(config, schedule), workers=4).run()
+    assert r2.digest == r4.digest
+    assert "byz_commits" in r2.bench["extra"]  # the client slice ran the mix
+    assert r2.digest != ParallelRunner(_spec(config, None), workers=2).run().digest
 
 
 def test_empty_schedule_is_byte_identical_at_workers2():

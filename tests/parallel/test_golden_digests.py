@@ -9,12 +9,15 @@ the contract that lets every existing experiment move behind
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.bench.runner import ExperimentRunner
+from repro.byzantine.clients import ByzantineClient
 from repro.config import SystemConfig
 from repro.parallel import ParallelRunner
-from repro.parallel.models import ModelSpec
+from repro.run import ModelSpec
 from repro.trace.export import trace_digest
 from repro.trace.tracer import Tracer
 from repro.workloads import make_workload
@@ -79,6 +82,56 @@ def test_workers1_identical_to_hand_built(kind):
     assert result.bench is not None
     assert result.bench["commits"] == bench.commits
     assert result.bench["throughput"] == pytest.approx(bench.throughput)
+
+
+def test_drained_faulted_run_identical_to_hand_built():
+    """``drain`` + a schedule: what the fault campaign runs.  Clients are
+    left to finish, the bench row is taken at end_time, and the digest
+    covers the fault-free drain after it."""
+    from repro.core.system import BasilSystem
+    from repro.faults.injector import FaultInjector
+    from repro.faults.spec import ByzantineClientFault, FaultSchedule, PartitionFault
+
+    config, drain = _config(), 0.03
+    schedule = FaultSchedule(
+        name="golden",
+        faults=(
+            PartitionFault(groups=(("s*/r2",), ("*",)), start=0.008, end=0.02),
+            ByzantineClientFault(behaviour="stall-late", count=1),
+        ),
+    )
+    system = BasilSystem(config)
+    tracer = system.sim.attach_tracer(Tracer())
+    factories = [
+        lambda: system.create_client(
+            client_class=ByzantineClient, behaviour="stall-late", faulty_fraction=1.0
+        )
+    ] + [system.create_client] * (NUM_CLIENTS - 1)
+    runner = ExperimentRunner(
+        system,
+        make_workload("ycsb-t", keys=KEYS),
+        num_clients=NUM_CLIENTS,
+        duration=DURATION,
+        warmup=WARMUP,
+        client_factories=factories,
+        injector=FaultInjector(schedule),
+        cancel_at_end=False,
+    )
+    bench = runner.run()
+    system.sim.run(until=WARMUP + DURATION + WARMUP + drain)
+
+    spec = dataclasses.replace(
+        _spec("basil", config), fault_schedule=schedule, drain=drain
+    )
+    result = ParallelRunner(spec, workers=1).run()
+    assert result.digest == trace_digest(tracer)
+    assert result.events == system.sim.events_processed
+    assert result.sim_seconds == system.sim.now
+    assert result.bench["commits"] == bench.commits
+    assert result.bench["aborts"] == bench.aborts
+    # the drain is what the digest covers beyond the undrained run
+    undrained = dataclasses.replace(spec, drain=None)
+    assert ParallelRunner(undrained, workers=1).run().digest != result.digest
 
 
 def test_workers1_run_commits_transactions():

@@ -62,7 +62,7 @@ def test_profiled_sequential_run_matches_golden_digest():
 
 def _parallel_digest(prof: bool, workers: int = 2):
     from repro.parallel import ParallelRunner
-    from repro.parallel.models import ModelSpec
+    from repro.run import ModelSpec
 
     spec = ModelSpec(
         kind="basil",

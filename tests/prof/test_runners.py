@@ -7,10 +7,10 @@ import json
 import pytest
 
 from repro.config import SystemConfig
-from repro.parallel.models import ModelSpec
 from repro.prof.report import ProfileReport, load_profile, write_profile
 from repro.prof.runners import profile_run
 from repro.prof.targets import TARGETS, describe_targets, resolve_target
+from repro.run import ModelSpec
 
 
 def _tiny_spec(**overrides) -> ModelSpec:
