@@ -1,6 +1,6 @@
 # Convenience targets for the Basil reproduction.
 
-.PHONY: install test loc bench quick-bench trace-smoke fault-smoke fault-sweep perf-smoke prof-smoke load-smoke load-sweep obs-smoke obs-check parallel-smoke parallel-ladder geo-smoke geo-sweep examples figures clean
+.PHONY: install test loc bench quick-bench trace-smoke fault-smoke fault-sweep perf-smoke paper-smoke prof-smoke load-smoke load-sweep obs-smoke obs-check parallel-smoke parallel-ladder geo-smoke geo-sweep examples figures clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -34,6 +34,13 @@ fault-sweep:
 # Wall numbers are judged at full size only: see basilbench/README.md.
 perf-smoke:
 	python3 -m basilbench run --selftest
+
+# The paper's YCSB-T population (10 M keys, Sec 6.1) on a 2-shard Basil
+# deployment for a short window: genesis is implicit, so this builds in
+# milliseconds and holds state only for the keys the window touches.
+paper-smoke:
+	python -m repro.parallel run --kind basil --workload ycsb-t --keys 10000000 \
+		--shards 2 --clients 8 --duration 0.05 --warmup 0.01
 
 prof-smoke:
 	pytest tests/prof -m prof_smoke -q

@@ -37,12 +37,6 @@ class TapirStore:
         self.versions: VersionStore = VersionStore()
         self.prepared: dict[Digest, TapirTxState] = {}
 
-    def load(self, key, value) -> None:
-        from repro.core.certificates import GENESIS_TXID
-        from repro.core.timestamps import GENESIS
-
-        self.versions.apply_committed_write(key, GENESIS, value, GENESIS_TXID)
-
     def read(self, key, ts: Timestamp):
         """Latest committed version below ``ts`` (prepared are invisible)."""
         return self.versions.latest_committed(key, ts)

@@ -19,7 +19,8 @@ from typing import Any
 
 from repro.config import SystemConfig
 from repro.baselines.tapir.store import TapirStore, TapirVote
-from repro.core.sharding import Sharder, stream_load
+from repro.core.genesis import Genesis
+from repro.core.sharding import Sharder
 from repro.core.timestamps import GENESIS, Timestamp
 from repro.core.transaction import TxBuilder, TxRecord
 from repro.errors import ProtocolError, SimTimeoutError
@@ -90,11 +91,6 @@ class TapirReplica(Node):
         self.sharder = sharder
         self.shard = sharder.shard_of_replica(name)
         self.store = TapirStore()
-
-    def load(self, items: dict[Any, Any]) -> None:
-        for key, value in items.items():
-            if self.sharder.shard_of(key) == self.shard:
-                self.store.load(key, value)
 
     async def handle_message(self, sender: str, message: Any) -> None:
         if isinstance(message, TRead):
@@ -370,12 +366,11 @@ class TapirSystem:
             self.replicas[name] = replica
 
     def load(self, items: Any) -> None:
-        """Genesis load: accepts a mapping or lazy ``(key, value)`` pairs,
-        streamed in shard-bucketed chunks (see ``stream_load``)."""
-        by_shard: dict[int, list[Any]] = {}
+        """Make ``items`` the shared, implicit genesis of every replica
+        (see ``BasilSystem.load``)."""
+        genesis = Genesis(items, self.sharder)
         for replica in self.replicas.values():
-            by_shard.setdefault(replica.shard, []).append(replica)
-        stream_load(self.sharder, by_shard, items)
+            replica.store.versions.seed(genesis, replica.shard)
 
     def create_client(self) -> TapirClient:
         from repro.core.system import CLOCK_EPOCH

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.crypto.digest import Digest
+from repro.storage.versionstore import GenesisTable, Version
 
 
 @dataclass(frozen=True)
@@ -34,20 +35,26 @@ class _Entry:
     version: int = 0
 
 
+def _genesis_entry(version: Version) -> _Entry:
+    return _Entry(value=version.value, version=1)
+
+
 @dataclass
 class OCCStore:
-    """Versioned KV state plus in-doubt (prepared) lock tables."""
+    """Versioned KV state plus in-doubt (prepared) lock tables.
 
-    data: dict[Any, _Entry] = field(default_factory=dict)
+    ``data`` holds an entry only for keys something has read or written;
+    once seeded (``data.seed(genesis, shard)``) an untouched population
+    key materialises at version 1 on first touch.
+    """
+
+    data: GenesisTable = field(default_factory=lambda: GenesisTable(_genesis_entry))
     prepared: dict[Digest, ShardTx] = field(default_factory=dict)
     write_locks: dict[Any, Digest] = field(default_factory=dict)
     read_locks: dict[Any, set[Digest]] = field(default_factory=dict)
 
-    def load(self, key: Any, value: Any) -> None:
-        self.data[key] = _Entry(value=value, version=1)
-
     def read(self, key: Any) -> tuple[Any, int]:
-        entry = self.data.get(key)
+        entry = self.data[key]
         if entry is None:
             return None, 0
         return entry.value, entry.version
@@ -58,7 +65,7 @@ class OCCStore:
         if tx.txid in self.prepared:
             return "ok"  # duplicate prepare (client retry): same answer
         for key, version in tx.read_set:
-            entry = self.data.get(key)
+            entry = self.data[key]
             current = entry.version if entry is not None else 0
             if current != version:
                 return "abort"  # read is stale
@@ -82,7 +89,9 @@ class OCCStore:
         if tx is None:
             return False  # already finished (duplicate commit)
         for key, value in tx.write_set:
-            entry = self.data.setdefault(key, _Entry())
+            entry = self.data[key]
+            if entry is None:
+                entry = self.data[key] = _Entry()
             entry.value = value
             entry.version += 1
         self._release(tx)

@@ -58,11 +58,6 @@ class TxShardApp(StateMachine):
         self.commits = 0
         self.aborts = 0
 
-    def load(self, items: dict[Any, Any]) -> None:
-        for key, value in items.items():
-            if self.sharder.shard_of(key) == self.shard:
-                self.store.load(key, value)
-
     # ------------------------------------------------------------------
     async def apply(self, op: Any, index: int) -> Any:
         kind = op[0]

@@ -17,7 +17,8 @@ from repro.baselines.smr.pbft import PBFTReplica
 from repro.baselines.txsmr.occ import ShardTx
 from repro.baselines.txsmr.shardapp import ShardReadReply, ShardReadRequest, TxShardApp
 from repro.config import SystemConfig
-from repro.core.sharding import Sharder, stream_load
+from repro.core.genesis import Genesis
+from repro.core.sharding import Sharder
 from repro.core.timestamps import Timestamp
 from repro.crypto.digest import digest_of
 from repro.crypto.signatures import KeyRegistry
@@ -224,12 +225,11 @@ class TxSMRSystem:
                 self.apps[name] = app
 
     def load(self, items: Any) -> None:
-        """Genesis load: accepts a mapping or lazy ``(key, value)`` pairs,
-        streamed in shard-bucketed chunks (see ``stream_load``)."""
-        by_shard: dict[int, list[Any]] = {}
+        """Make ``items`` the shared, implicit genesis of every replica's
+        state machine (see ``BasilSystem.load``)."""
+        genesis = Genesis(items, self.sharder)
         for app in self.apps.values():
-            by_shard.setdefault(app.shard, []).append(app)
-        stream_load(self.sharder, by_shard, items)
+            app.store.data.seed(genesis, app.shard)
 
     def create_client(self) -> TxSMRClient:
         from repro.core.system import CLOCK_EPOCH

@@ -40,8 +40,8 @@ def _scale(args) -> exp.Scale:
         import os
 
         if os.environ.get("REPRO_QUICK"):
-            # CI smoke boxes can't stream 10M-key populations; honor the
-            # env override so `--paper` recipes still complete there.
+            # Smoke environments run every recipe at the quick scale:
+            # honor the env override so `--paper` ones complete there too.
             print("REPRO_QUICK set: substituting quick scale for --paper")
             return exp.Scale.quick()
         return exp.Scale.paper()

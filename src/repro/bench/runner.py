@@ -132,24 +132,20 @@ class ExperimentRunner:
         self.system.sim.run(until=end_time)
         return self.finalize()
 
-    def setup(self, load_data: bool = True) -> float:
+    def setup(self) -> float:
         """Wire up the benchmark without advancing time; returns end_time.
 
         ``run()`` is ``setup(); sim.run(until=end_time); finalize()`` —
         the split exists for the space-parallel runtime
         (:mod:`repro.parallel`), whose worker advances time in lookahead
-        windows between the two halves.  ``load_data=False`` skips the
-        genesis load for partitions that host no replicas (the client
-        slice streams nothing anyway, but skipping avoids generating the
-        whole population just to discard it).
+        windows between the two halves.
         """
         sim = self.system.sim
         if self.tracer is not None:
             sim.attach_tracer(self.tracer)
         if self.injector is not None:
             self.injector.attach(self.system)
-        if load_data:
-            self.system.load(self.workload.iter_data())
+        self.system.load(self.workload.genesis())
         end_time = self.warmup + self.duration + self.warmup  # + cool-down
         if self.recorder is not None:
             self.recorder.attach(self.system, until=end_time)

@@ -1,0 +1,70 @@
+"""Implicit genesis: a deployment's initial state, shared and never copied.
+
+Every replica of every shard starts from the same population, so the
+population is held once — as the immutable mapping ``Workload.genesis()``
+returns — and a :class:`Genesis` wraps it with the two things a store
+needs: the shared GENESIS :class:`~repro.storage.versionstore.Version` of
+a key (memoised, so a key touched on all 5f+1 replicas of its shard still
+has one version object) and the number of population keys the sharder
+places on a shard (so ``store.stats()`` can count keys no store has
+materialised).  A store creates a key's state from it on first touch
+(:class:`~repro.storage.versionstore.GenesisTable`); nothing here or there
+schedules an event or draws from an RNG stream.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Iterable, Mapping
+
+from repro.core.certificates import GENESIS_TXID
+from repro.core.sharding import Sharder
+from repro.core.timestamps import GENESIS
+from repro.storage.versionstore import Version
+
+_ABSENT = object()
+
+
+class Genesis:
+    """One population for the whole deployment (all shards, all replicas)."""
+
+    def __init__(
+        self, values: Mapping[Any, Any] | Iterable[tuple[Any, Any]], sharder: Sharder
+    ) -> None:
+        #: Treated as immutable from here on: stores read it on first touch.
+        self.values: Mapping[Any, Any] = (
+            values if isinstance(values, Mapping) else dict(values)
+        )
+        self.sharder = sharder
+        #: Per shard, the genesis versions handed out so far: the second
+        #: to (5f+1)-th replica to touch a key pay two lookups for it.
+        self._versions: list[dict[Any, Version]] = [
+            {} for _ in range(sharder.num_shards)
+        ]
+        self._census: list[int] | None = None
+
+    def version(self, key: Any, shard: int) -> Version | None:
+        """The GENESIS version of ``key`` as seen by a store of ``shard``.
+
+        None when the key is outside the population or the sharder places
+        it on another shard — both read as absent, as if never loaded.
+        """
+        memo = self._versions[shard]
+        version = memo.get(key)
+        if version is None:
+            if self.sharder.shard_of(key) != shard:
+                return None
+            value = self.values.get(key, _ABSENT)
+            if value is _ABSENT:
+                return None
+            version = memo[key] = Version(key, GENESIS, value, GENESIS_TXID)
+        return version
+
+    def population(self, shard: int) -> int:
+        """How many population keys live on ``shard``.
+
+        Counted on first use (one O(population) pass for a multi-shard
+        deployment) and cached; only observability asks.
+        """
+        if self._census is None:
+            self._census = self.sharder.census(self.values)
+        return self._census[shard]

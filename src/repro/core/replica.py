@@ -68,7 +68,7 @@ from repro.core.mvtso import (
     undo_prepare,
 )
 from repro.core.sharding import Sharder
-from repro.core.timestamps import GENESIS, Timestamp
+from repro.core.timestamps import Timestamp
 from repro.crypto.cost_model import CryptoContext
 from repro.crypto.digest import Digest
 from repro.crypto.signatures import KeyRegistry
@@ -114,15 +114,6 @@ class BasilReplica(Node):
         #: timestamps or prepares but never finish transactions.
         self.client_reads: dict[int, int] = {}
         self.client_settled: dict[int, int] = {}
-
-    # ------------------------------------------------------------------
-    # Setup
-    # ------------------------------------------------------------------
-    def load(self, items: dict[Any, Any]) -> None:
-        """Install genesis state (committed at the GENESIS timestamp)."""
-        for key, value in items.items():
-            if self.sharder.shard_of(key) == self.shard:
-                self.store.apply_committed_write(key, GENESIS, value, GENESIS_TXID)
 
     def state_of(self, txid: Digest) -> TxState:
         state = self.tx_states.get(txid)

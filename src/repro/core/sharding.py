@@ -14,7 +14,7 @@ every correct participant derives the same answers:
 from __future__ import annotations
 
 import zlib
-from typing import Any, Iterable
+from typing import Any, Collection, Iterable
 
 from repro.config import SystemConfig
 from repro.core.transaction import TxRecord
@@ -23,44 +23,6 @@ from repro.crypto.digest import canonical_encode
 
 def replica_name(shard: int, index: int) -> str:
     return f"s{shard}/r{index}"
-
-
-def stream_load(
-    sharder: "Sharder",
-    targets: dict[int, list[Any]],
-    items: Any,
-    chunk_size: int = 8192,
-) -> None:
-    """Stream genesis ``(key, value)`` pairs into per-shard stores.
-
-    ``items`` may be a mapping or any iterable of pairs — e.g. a lazy
-    ``Workload.iter_data()`` generator.  Keys are bucketed by shard and
-    flushed in bounded chunks to every target of that shard (objects with
-    a ``load(mapping)`` method), so paper-scale populations (10 M YCSB
-    keys, 1 M Smallbank accounts) load without materializing the full key
-    list, and shards absent from ``targets`` (hosted by another partition
-    of a space-parallel run) are skipped for free.  Per-shard insertion
-    order matches the eager-dict path exactly.  Pure setup: never
-    schedules events or draws from an RNG stream.
-    """
-    if not targets:
-        return  # e.g. a partition hosting only clients
-    buckets: dict[int, dict[Any, Any]] = {shard: {} for shard in targets}
-    pairs = items.items() if hasattr(items, "items") else items
-    for key, value in pairs:
-        shard = sharder.shard_of(key)
-        bucket = buckets.get(shard)
-        if bucket is None:
-            continue
-        bucket[key] = value
-        if len(bucket) >= chunk_size:
-            for target in targets[shard]:
-                target.load(bucket)
-            buckets[shard] = {}
-    for shard, bucket in buckets.items():
-        if bucket:
-            for target in targets[shard]:
-                target.load(bucket)
 
 
 class Sharder:
@@ -86,9 +48,21 @@ class Sharder:
             return 0
         shard = self._placement.get(key)
         if shard is None:
-            shard = zlib.crc32(canonical_encode(key)) % self.num_shards
-            self._placement[key] = shard
+            shard = self._placement[key] = self._place(key)
         return shard
+
+    def _place(self, key: Any) -> int:
+        return zlib.crc32(canonical_encode(key)) % self.num_shards
+
+    def census(self, keys: Collection[Any]) -> list[int]:
+        """Keys per shard, bypassing the placement memo: a population can
+        be far larger than the working set the memo is sized for."""
+        if self.num_shards == 1:
+            return [len(keys)]
+        counts = [0] * self.num_shards
+        for key in keys:
+            counts[self._place(key)] += 1
+        return counts
 
     # -- membership ----------------------------------------------------------
     def members(self, shard: int) -> tuple[str, ...]:

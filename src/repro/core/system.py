@@ -12,7 +12,8 @@ from typing import Any, Awaitable, Callable, Type
 from repro.config import SystemConfig
 from repro.core.client import BasilClient
 from repro.core.replica import BasilReplica
-from repro.core.sharding import Sharder, stream_load
+from repro.core.genesis import Genesis
+from repro.core.sharding import Sharder
 from repro.crypto.signatures import KeyRegistry
 from repro.sim.loop import Simulator
 from repro.sim.network import Network, NetworkAdversary
@@ -55,6 +56,9 @@ class BasilSystem:
         self.registry = KeyRegistry(seed=self.config.seed)
         self.sharder = Sharder(self.config)
         self.replicas: dict[str, BasilReplica] = {}
+        #: The deployment's initial state, shared by every replica's store
+        #: (None until ``load``: every key then reads as absent).
+        self.genesis: Genesis | None = None
         self.clients: list[BasilClient] = []
         self._next_client_id = 1
         skew_rng = self.sim.rng("clock-skew")
@@ -85,26 +89,22 @@ class BasilSystem:
     # Setup
     # ------------------------------------------------------------------
     def load(self, items: Any) -> None:
-        """Install genesis key/value state on every replica of its shard.
+        """Make ``items`` the genesis state of the whole deployment.
 
-        ``items`` may be a mapping or any iterable of ``(key, value)``
-        pairs — e.g. a lazy ``Workload.iter_data()`` generator — streamed
-        through in shard-bucketed chunks so paper-scale populations (10 M
-        YCSB keys, 1 M Smallbank accounts) load without ever
-        materializing the full key list, and each replica only sees its
-        own shard's keys.  Pure setup: never schedules events or draws
-        from an RNG stream, so the load path cannot perturb schedules.
+        ``items`` is a mapping (``Workload.genesis()``; any iterable of
+        ``(key, value)`` pairs is collected into one) that must not
+        change afterwards.  It is wrapped once, in ``self.genesis``, and
+        every local replica's store is pointed at that one object: no
+        key is copied or even visited here, whatever the population (10 M
+        YCSB keys, 1 M Smallbank accounts).  A store creates a key's
+        state when a read, prepare, RTS or write first touches it on the
+        key's own shard; until then the key reads as its GENESIS version
+        with ``GENESIS_CERT``.  Call before traffic starts.  Pure setup:
+        never schedules events or draws from an RNG stream.
         """
-        by_shard: dict[int, list[BasilReplica]] = {}
-        for shard in range(self.config.num_shards):
-            local = [
-                self.replicas[name]
-                for name in self.sharder.members(shard)
-                if name in self.replicas
-            ]
-            if local:
-                by_shard[shard] = local
-        stream_load(self.sharder, by_shard, items)
+        self.genesis = Genesis(items, self.sharder)
+        for replica in self.replicas.values():
+            replica.store.seed(self.genesis, replica.shard)
 
     def create_client(
         self, client_class: Type[BasilClient] = BasilClient, **kwargs: Any
@@ -141,6 +141,8 @@ class BasilSystem:
             self.sim, name, self.network, self.config, self.sharder, self.registry
         )
         replica.clock_offset = old.clock_offset
+        if self.genesis is not None:
+            replica.store.seed(self.genesis, replica.shard)
         self.network._nodes[name] = replica
         self.replicas[name] = replica
         return replica

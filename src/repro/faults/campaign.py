@@ -135,17 +135,19 @@ def _txsmr_convergence(system: Any) -> list[str]:
         for key in keys:
             by_version: dict[int, Any] = {}
             for name in members:
-                entry = system.apps[name].store.data.get(key)
-                if entry is None:
-                    continue
-                if entry.version in by_version:
-                    if by_version[entry.version] != entry.value:
+                # ``read`` rather than ``data.get``: a replica that has not
+                # touched the key yet still holds its genesis entry.
+                value, version = system.apps[name].store.read(key)
+                if version == 0:
+                    continue  # absent here
+                if version in by_version:
+                    if by_version[version] != value:
                         violations.append(
                             f"[txsmr-divergence] shard {shard} key {key!r} "
-                            f"version {entry.version}: two values"
+                            f"version {version}: two values"
                         )
                 else:
-                    by_version[entry.version] = entry.value
+                    by_version[version] = value
     return violations
 
 

@@ -144,7 +144,7 @@ class GeoRunner:
         sim, config = system.sim, system.config
         if self.injector is not None:
             self.injector.attach(system)
-        system.load(self.workload.iter_data())
+        system.load(self.workload.genesis())
         window_end = self.warmup + self.duration
         skew_rng = sim.rng("clock-skew")
         for region in self.regions:

@@ -102,7 +102,7 @@ class OpenLoopGenerator:
             sim.attach_tracer(self.tracer)
         if self.injector is not None:
             self.injector.attach(self.system)
-        self.system.load(self.workload.load_data())
+        self.system.load(self.workload.genesis())
         self._clients = [self.system.create_client() for _ in range(self.proxies)]
         self._next_proxy = 0
         self._tasks: list[Any] = []

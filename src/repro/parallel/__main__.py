@@ -3,8 +3,9 @@
 * ``run`` — execute one model (``--kind``: basil, microbench, or the
   sequential-only tapir / txsmr / txsmr-hotstuff) under the parallel
   runtime with ``--workers N`` and print the merged result
-  (digest, events, bench row).  ``--obs out.json`` writes the merged
-  per-partition RunReport.
+  (digest, events, bench row, and what building it cost: set-up seconds
+  and peak RSS).  ``--obs out.json`` writes the merged per-partition
+  RunReport.
 * ``ladder`` — the scale ladder: run the partitioned kernel microbench
   at each worker count (fresh process per measurement), print aggregate
   events/s and speedups, and exit 1 unless every row — the sequential
@@ -15,7 +16,9 @@ from __future__ import annotations
 
 import argparse
 import multiprocessing as mp
+import resource
 import sys
+import time
 
 from repro.parallel.runtime import ParallelRunner
 from repro.run import SEQUENTIAL_KINDS, ModelSpec
@@ -184,7 +187,15 @@ def main(argv: list[str] | None = None) -> int:
             obs=bool(args.obs),
             fault_schedule=schedule,
         )
+    started = time.perf_counter()
     result = ParallelRunner(spec, workers=args.workers).run()
+    # Everything but the event loop: workload and system construction,
+    # genesis, forks, and the summary.
+    setup_s = time.perf_counter() - started - result.wall_s
+    peak_kb = max(
+        resource.getrusage(who).ru_maxrss
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    )
     print(
         f"{args.kind}: workers={result.workers} partitions={result.partitions} "
         f"windows={result.windows}"
@@ -193,6 +204,7 @@ def main(argv: list[str] | None = None) -> int:
         f"  digest {result.digest[:16]}…  events {result.events:,}  "
         f"wall {result.wall_s:.3f}s  ({result.events_per_s:,.0f} events/s)"
     )
+    print(f"  setup {setup_s:.2f}s  peak rss {peak_kb / 1024:.0f} MB (largest process)")
     if result.cross_messages:
         print(
             f"  cross-partition messages {result.cross_messages:,} "

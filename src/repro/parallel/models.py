@@ -153,14 +153,11 @@ class BasilPartitionHost(PartitionHost):
                 regions=(spec.geo.topology.regions[self.partition_id],)
             )
         elif self.is_client_partition:
-            self._start_runner(load_data=False)
+            self._start_runner()
         else:
-            # Same relative order as ExperimentRunner.setup: injector
-            # before genesis load, recorder after (crash/byz faults must
-            # be armed before any traffic this partition originates).
             if self.injector is not None:
                 self.injector.attach(self.system)
-            self.system.load(spec.make_workload().iter_data())
+            self.system.load(spec.make_workload().genesis())
             if self.recorder is not None:
                 self.recorder.attach(self.system, until=spec.end_time())
 

@@ -316,12 +316,10 @@ class _Run:
 
             install_profiler(sim, system)
 
-    def _start_runner(self, regions: Any = None, load_data: bool = True) -> None:
+    def _start_runner(self, regions: Any = None) -> None:
         """Build the run's driver and schedule its initial work.
 
-        ``regions`` restricts a geo serving tier to one partition's
-        share; ``load_data=False`` skips the genesis load on a partition
-        that hosts no replicas.
+        ``regions`` restricts a geo serving tier to one partition's share.
         """
         spec = self.spec
         common = dict(
@@ -368,7 +366,7 @@ class _Run:
                 cancel_at_end=spec.drain is None,
                 **common,
             )
-            self.runner.setup(load_data=load_data)
+            self.runner.setup()
 
     def _summarize(
         self,

@@ -13,6 +13,11 @@ This is the storage substrate under one replica.  It tracks, per key:
 
 Timestamps are opaque, totally ordered values (Basil uses
 ``(time, client_id)`` tuples via :class:`repro.core.timestamps.Timestamp`).
+
+Genesis is implicit: a store seeded with the deployment's shared
+:class:`repro.core.genesis.Genesis` holds state only for keys something
+has touched (see :class:`GenesisTable`), yet answers every query as if
+the whole population had been written at the genesis timestamp.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import bisect
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Generic, Hashable, Iterable, TypeVar
+from typing import Any, Callable, Generic, Hashable, Iterable, TypeVar
 
 from repro.errors import StorageError
 from repro.prof.profiler import NULL_PROFILER
@@ -48,7 +53,7 @@ class Version(Generic[TS]):
         return (self.key, self.timestamp, self.value, self.writer, self.status.value)
 
 
-@dataclass
+@dataclass(slots=True)
 class _KeyState:
     """Per-key bookkeeping. All lists are kept sorted by timestamp."""
 
@@ -59,6 +64,61 @@ class _KeyState:
     #: Reads by prepared/committed transactions: sorted by reader timestamp,
     #: entries are (reader_ts, version_ts_read, reader_txid).
     reads: list[tuple[Any, Any, bytes]] = field(default_factory=list)
+
+
+class GenesisTable(dict):
+    """``key -> per-key state`` of one store, with an implicit genesis.
+
+    ``table[key]`` is the touching lookup: a miss on a population key
+    that the sharder places on this store's shard builds the key's state
+    from its shared genesis :class:`Version` (``make(version)``) and
+    keeps it; a miss on any other key returns None and stores nothing,
+    so such keys read as absent exactly as in a store nobody loaded.
+    ``table.get(key)`` never materialises; hits cost one subscript.
+    """
+
+    __slots__ = ("genesis", "shard", "materialised", "_make")
+
+    def __init__(self, make: Callable[[Version], Any]) -> None:
+        super().__init__()
+        #: The deployment's shared repro.core.genesis.Genesis (None until
+        #: the system loads one: every key is then absent).
+        self.genesis: Any = None
+        self.shard = 0
+        #: Population keys whose state lives in this table.
+        self.materialised = 0
+        self._make = make
+
+    def seed(self, genesis: Any, shard: int) -> None:
+        self.genesis = genesis
+        self.shard = shard
+
+    def genesis_version(self, key: Key) -> Version | None:
+        """``key``'s genesis version here, or None; never materialises."""
+        genesis = self.genesis
+        return genesis.version(key, self.shard) if genesis is not None else None
+
+    def untouched(self) -> int:
+        """Population keys of this shard with no state in this table."""
+        genesis = self.genesis
+        if genesis is None:
+            return 0
+        return genesis.population(self.shard) - self.materialised
+
+    def __missing__(self, key: Key) -> Any:
+        genesis = self.genesis
+        if genesis is None:
+            return None
+        version = genesis.version(key, self.shard)
+        if version is None:
+            return None
+        self.materialised += 1
+        state = self[key] = self._make(version)
+        return state
+
+
+def _genesis_state(version: Version) -> _KeyState:
+    return _KeyState(committed=[(version.timestamp, version)])
 
 
 class VersionStore(Generic[TS]):
@@ -72,28 +132,40 @@ class VersionStore(Generic[TS]):
     profiler = NULL_PROFILER
 
     def __init__(self) -> None:
-        self._keys: dict[Key, _KeyState] = {}
+        self._keys: GenesisTable = GenesisTable(_genesis_state)
+
+    def seed(self, genesis: Any, shard: int) -> None:
+        """Adopt the deployment's shared genesis as this store's initial
+        state (before traffic; see :class:`GenesisTable`)."""
+        self._keys.seed(genesis, shard)
 
     def _state(self, key: Key) -> _KeyState:
-        state = self._keys.get(key)
+        state = self._keys[key]
         if state is None:
-            state = _KeyState()
-            self._keys[key] = state
+            state = self._keys[key] = _KeyState()
         return state
 
     def __contains__(self, key: Key) -> bool:
         state = self._keys.get(key)
-        return bool(state and state.committed)
+        if state is None:
+            return self._keys.genesis_version(key) is not None
+        return bool(state.committed)
 
     def keys(self) -> Iterable[Key]:
+        """The *touched* keys: those with state here.  Population keys
+        nothing has read or written yet are not listed (ask
+        ``key in store`` / ``committed_versions(key)`` about those)."""
         return self._keys.keys()
 
     def stats(self) -> dict[str, int]:
         """Size counters for observability probes (pure observation).
 
         Walks the per-key state; intended for periodic sampling (the
-        obs ticker), not per-operation paths.
+        obs ticker), not per-operation paths.  Untouched population keys
+        count as one key holding one committed version each, so the
+        numbers are those of a store that had loaded every key.
         """
+        untouched = self._keys.untouched()
         committed = prepared = rts = reads = 0
         for state in self._keys.values():
             committed += len(state.committed)
@@ -101,8 +173,8 @@ class VersionStore(Generic[TS]):
             rts += len(state.rts)
             reads += len(state.reads)
         return {
-            "keys": len(self._keys),
-            "committed_versions": committed,
+            "keys": len(self._keys) + untouched,
+            "committed_versions": committed + untouched,
             "prepared_versions": prepared,
             "rts_reservations": rts,
             "read_index_entries": reads,
@@ -149,7 +221,7 @@ class VersionStore(Generic[TS]):
         return self._latest_committed(key, before)
 
     def _latest_committed(self, key: Key, before: TS) -> Version | None:
-        state = self._keys.get(key)
+        state = self._keys[key]
         if not state or not state.committed:
             return None
         idx = bisect.bisect_left(state.committed, (before,))
@@ -169,6 +241,9 @@ class VersionStore(Generic[TS]):
         return self._latest_prepared(key, before)
 
     def _latest_prepared(self, key: Key, before: TS) -> Version | None:
+        # ``.get``, here and in every query below that only concerns
+        # prepared versions, RTS or the read index: an untouched key has
+        # none of those, so there is nothing to materialise it for.
         state = self._keys.get(key)
         if not state or not state.prepared:
             return None
@@ -276,7 +351,7 @@ class VersionStore(Generic[TS]):
         return self._writes_between(key, low, high)
 
     def _writes_between(self, key: Key, low: TS, high: TS) -> list[Version]:
-        state = self._keys.get(key)
+        state = self._keys[key]
         if not state:
             return []
         found: list[Version] = []
@@ -325,7 +400,10 @@ class VersionStore(Generic[TS]):
     # ------------------------------------------------------------------
     def committed_versions(self, key: Key) -> list[Version]:
         state = self._keys.get(key)
-        return [v for _, v in state.committed] if state else []
+        if state is None:
+            version = self._keys.genesis_version(key)
+            return [version] if version is not None else []
+        return [v for _, v in state.committed]
 
     def prepared_versions(self, key: Key) -> list[Version]:
         state = self._keys.get(key)

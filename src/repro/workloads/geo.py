@@ -13,9 +13,13 @@ the standard closed-loop :class:`repro.bench.runner.ExperimentRunner`.
 from __future__ import annotations
 
 import random
-from typing import Any, Iterator
+from typing import Any
 
-from repro.workloads.base import TxTask, Workload
+from repro.workloads.base import IndexedGenesis, TxTask, Workload
+
+
+def geo_key(index: int) -> str:
+    return f"geo/{index}"
 
 
 class GeoSessionWorkload(Workload):
@@ -27,9 +31,8 @@ class GeoSessionWorkload(Workload):
         self.num_keys = num_keys
         self.read_fraction = read_fraction
 
-    def iter_data(self) -> Iterator[tuple[Any, Any]]:
-        for i in range(self.num_keys):
-            yield f"geo/{i}", 0
+    def genesis(self) -> IndexedGenesis:
+        return IndexedGenesis(self.num_keys, (("geo/", geo_key),), 0)
 
     def next_op(self, rng: random.Random) -> tuple[str, str, Any]:
         """One session operation: ``(op, key, value)``.
@@ -37,7 +40,7 @@ class GeoSessionWorkload(Workload):
         Draw order (key roll, op roll, value roll for writes) is fixed —
         it is part of the geo determinism contract across worker counts.
         """
-        key = f"geo/{rng.randrange(self.num_keys)}"
+        key = geo_key(rng.randrange(self.num_keys))
         if rng.random() < self.read_fraction:
             return "read", key, None
         return "write", key, rng.randrange(1_000_000)

@@ -59,7 +59,7 @@ class RetwisWorkload(Workload):
         self._zipf = ZipfGenerator(num_users, zipf_theta)
         self._new_uid = num_users
 
-    def load_data(self) -> dict[Any, Any]:
+    def genesis(self) -> dict[Any, Any]:
         data: dict[Any, Any] = {}
         for uid in range(self.num_users):
             data[user_key(uid)] = {"name": f"user{uid}", "seq": self.initial_posts}

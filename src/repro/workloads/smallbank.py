@@ -10,9 +10,7 @@ population is scaled down for simulation).
 from __future__ import annotations
 
 import random
-from typing import Any, Iterator
-
-from repro.workloads.base import TxTask, Workload, pick_mix
+from repro.workloads.base import IndexedGenesis, TxTask, Workload, pick_mix
 
 MIX = [
     ("amalgamate", 0.15),
@@ -47,12 +45,14 @@ class SmallbankWorkload(Workload):
         self.hot_probability = hot_probability
         self.initial_balance = initial_balance
 
-    def iter_data(self) -> Iterator[tuple[Any, Any]]:
-        """Stream accounts lazily: checking then savings, in account order
-        (the same insertion order the eager dict used)."""
-        for account in range(self.num_accounts):
-            yield checking_key(account), self.initial_balance
-            yield savings_key(account), self.initial_balance
+    def genesis(self) -> IndexedGenesis:
+        """Every account opens with ``initial_balance`` in both its
+        checking and its savings account (account order, checking first)."""
+        return IndexedGenesis(
+            self.num_accounts,
+            (("checking:", checking_key), ("savings:", savings_key)),
+            self.initial_balance,
+        )
 
     def _pick_account(self, rng: random.Random) -> int:
         if rng.random() < self.hot_probability:

@@ -44,7 +44,7 @@ class TPCCWorkload(Workload):
         self._load_rng = random.Random(seed)
 
     # ------------------------------------------------------------------
-    def load_data(self) -> dict[Any, Any]:
+    def genesis(self) -> dict[Any, Any]:
         rng = self._load_rng
         data: dict[Any, Any] = {}
         for i in range(self.num_items):

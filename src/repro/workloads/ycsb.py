@@ -9,9 +9,9 @@
 from __future__ import annotations
 
 import random
-from typing import Any, Iterator
+from typing import Any
 
-from repro.workloads.base import TxTask, Workload
+from repro.workloads.base import IndexedGenesis, TxTask, Workload
 from repro.workloads.zipf import UniformGenerator, ZipfGenerator
 
 
@@ -44,16 +44,11 @@ class YCSBWorkload(Workload):
             self._gen = ZipfGenerator(num_keys, zipf_theta)
         self.name = f"ycsb-{'u' if distribution == 'uniform' else 'z'}"
 
-    def iter_data(self) -> Iterator[tuple[Any, Any]]:
-        """Stream the key space lazily, in index order.
-
-        The 10 M-key paper configuration is ~1 GB of keys if materialized;
-        streaming lets every space-parallel worker filter down to its own
-        shards' keys without ever holding the full population.
-        """
-        value = b"\x00" * self.value_size
-        for i in range(self.num_keys):
-            yield ycsb_key(i), value
+    def genesis(self) -> IndexedGenesis:
+        """Every key holds ``value_size`` zero bytes, in index order."""
+        return IndexedGenesis(
+            self.num_keys, (("ycsb:", ycsb_key),), b"\x00" * self.value_size
+        )
 
     def next_transaction(self, rng: random.Random) -> TxTask:
         count = self.reads + self.writes

@@ -1,14 +1,17 @@
 """Zipfian sampling over a fixed population.
 
-Precomputes the cumulative distribution once (O(n) setup) and samples by
-binary search; ranks are scattered over the key space with a multiplier
-permutation so that "hot" items are not adjacent keys.
+Precomputes the cumulative distribution once (O(n) setup, 8 bytes per
+item) and samples by binary search; ranks are scattered over the key
+space with a multiplier permutation so that "hot" items are not adjacent
+keys.
 """
 
 from __future__ import annotations
 
 import bisect
 import random
+from array import array
+from itertools import accumulate
 
 
 class ZipfGenerator:
@@ -21,13 +24,13 @@ class ZipfGenerator:
             raise ValueError("theta must be >= 0")
         self.n = n
         self.theta = theta
-        weights = [1.0 / (i + 1) ** theta for i in range(n)]
+        # Packed doubles, not lists of float objects: 80 MB instead of
+        # 640 MB at the paper's 10 M keys.  Left-to-right sums throughout,
+        # so every CDF entry (and hence every draw) is bit-for-bit what a
+        # plain ``acc += w / total`` loop over a list produces.
+        weights = array("d", (1.0 / (i + 1) ** theta for i in range(n)))
         total = sum(weights)
-        acc = 0.0
-        self._cdf = []
-        for w in weights:
-            acc += w / total
-            self._cdf.append(acc)
+        self._cdf = array("d", accumulate(w / total for w in weights))
         self._cdf[-1] = 1.0
         # multiplicative scatter: map rank -> (rank * step + offset) % n
         # with step coprime to n, so popularity is spread across keys.

@@ -1,6 +1,16 @@
 """Unit tests for the TxSMR shard OCC state machine."""
 
 from repro.baselines.txsmr.occ import OCCStore, ShardTx
+from repro.config import SystemConfig
+from repro.core.genesis import Genesis
+from repro.core.sharding import Sharder
+
+
+def loaded(**items):
+    """A store whose (implicit) genesis holds ``items``."""
+    store = OCCStore()
+    store.data.seed(Genesis(items, Sharder(SystemConfig())), 0)
+    return store
 
 
 def tx(txid, reads=(), writes=()):
@@ -8,8 +18,7 @@ def tx(txid, reads=(), writes=()):
 
 
 def test_prepare_commit_applies_writes():
-    store = OCCStore()
-    store.load("k", 1)
+    store = loaded(k=1)
     t = tx(b"t1", reads=[("k", 1)], writes=[("k", 2)])
     assert store.prepare(t) == "ok"
     assert store.commit(b"t1")
@@ -17,8 +26,7 @@ def test_prepare_commit_applies_writes():
 
 
 def test_stale_read_version_aborts():
-    store = OCCStore()
-    store.load("k", 1)
+    store = loaded(k=1)
     t1 = tx(b"t1", reads=[("k", 1)], writes=[("k", 2)])
     store.prepare(t1)
     store.commit(b"t1")
@@ -36,37 +44,32 @@ def test_read_of_missing_key_version_zero():
 
 
 def test_write_write_conflict_with_indoubt_aborts():
-    store = OCCStore()
-    store.load("k", 1)
+    store = loaded(k=1)
     assert store.prepare(tx(b"t1", writes=[("k", 2)])) == "ok"
     assert store.prepare(tx(b"t2", writes=[("k", 3)])) == "abort"
 
 
 def test_read_write_conflict_with_indoubt_aborts():
-    store = OCCStore()
-    store.load("k", 1)
+    store = loaded(k=1)
     assert store.prepare(tx(b"t1", writes=[("k", 2)])) == "ok"
     assert store.prepare(tx(b"t2", reads=[("k", 1)])) == "abort"
 
 
 def test_write_read_conflict_with_indoubt_aborts():
-    store = OCCStore()
-    store.load("k", 1)
+    store = loaded(k=1)
     assert store.prepare(tx(b"t1", reads=[("k", 1)], writes=[("z", 0)])) == "ok"
     assert store.prepare(tx(b"t2", writes=[("k", 3)])) == "abort"
 
 
 def test_abort_releases_locks():
-    store = OCCStore()
-    store.load("k", 1)
+    store = loaded(k=1)
     store.prepare(tx(b"t1", writes=[("k", 2)]))
     assert store.abort(b"t1")
     assert store.prepare(tx(b"t2", writes=[("k", 3)])) == "ok"
 
 
 def test_duplicate_prepare_and_commit_idempotent():
-    store = OCCStore()
-    store.load("k", 1)
+    store = loaded(k=1)
     t = tx(b"t1", writes=[("k", 2)])
     assert store.prepare(t) == "ok"
     assert store.prepare(t) == "ok"
@@ -77,9 +80,7 @@ def test_duplicate_prepare_and_commit_idempotent():
 
 def test_determinism_same_op_sequence_same_state():
     def run():
-        store = OCCStore()
-        store.load("a", 1)
-        store.load("b", 2)
+        store = loaded(a=1, b=2)
         store.prepare(tx(b"t1", reads=[("a", 1)], writes=[("a", 10)]))
         store.prepare(tx(b"t2", reads=[("b", 99)], writes=[("b", 20)]))  # stale: abort
         store.commit(b"t1")

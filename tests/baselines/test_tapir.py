@@ -5,8 +5,17 @@ import pytest
 from repro.baselines.tapir.store import TapirStore, TapirVote
 from repro.baselines.tapir.system import TapirSystem
 from repro.config import SystemConfig
+from repro.core.genesis import Genesis
+from repro.core.sharding import Sharder
 from repro.core.timestamps import GENESIS, Timestamp
 from repro.core.transaction import TxBuilder
+
+
+def loaded(**items):
+    """A store whose (implicit) genesis holds ``items``."""
+    store = TapirStore()
+    store.versions.seed(Genesis(items, Sharder(SystemConfig())), 0)
+    return store
 
 
 def ts(t, c=1):
@@ -26,15 +35,13 @@ def make_tx(stamp, reads=(), writes=()):
 # Store-level OCC
 # ---------------------------------------------------------------------------
 def test_occ_clean_prepare_ok():
-    store = TapirStore()
-    store.load("k", 1)
+    store = loaded(k=1)
     tx = make_tx(ts(10), reads=[("k", GENESIS)], writes=[("k", 2)])
     assert store.occ_check(tx) is TapirVote.OK
 
 
 def test_occ_stale_read_aborts():
-    store = TapirStore()
-    store.load("k", 1)
+    store = loaded(k=1)
     tx1 = make_tx(ts(5), writes=[("k", 2)])
     store.occ_check(tx1)
     store.commit(tx1)
@@ -52,8 +59,7 @@ def test_occ_conflict_with_prepared_is_abstain():
 
 
 def test_occ_prepared_writes_invisible_to_reads():
-    store = TapirStore()
-    store.load("k", 1)
+    store = loaded(k=1)
     tx1 = make_tx(ts(5), writes=[("k", 99)])
     store.occ_check(tx1)
     version = store.read("k", ts(10))

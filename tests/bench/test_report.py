@@ -57,7 +57,7 @@ def test_app_tables_consistent():
     for app, batches in APP_BATCHES.items():
         assert {"basil", "pbft", "hotstuff"} <= set(batches)
         workload = APP_WORKLOADS[app]()
-        assert hasattr(workload, "load_data")
+        assert hasattr(workload, "genesis")
 
 
 def test_correct_tps_per_client_fallbacks():

@@ -13,7 +13,7 @@ def make_wl():
 
 def test_load_data_shape():
     wl = make_wl()
-    data = wl.load_data()
+    data = wl.genesis()
     assert user_key(0) in data
     assert follows_key(199) in data
     assert data[user_key(5)]["seq"] == 1
@@ -30,7 +30,7 @@ def test_mix_distribution(rng):
 
 def test_post_tweet_appends_and_bumps_seq(rng):
     wl = make_wl()
-    data = wl.load_data()
+    data = wl.genesis()
     for _ in range(200):
         task = wl.next_transaction(rng)
         if task.name != "retwis/post_tweet":
@@ -52,7 +52,7 @@ def test_post_tweet_appends_and_bumps_seq(rng):
 
 def test_follow_adds_followee(rng):
     wl = make_wl()
-    data = wl.load_data()
+    data = wl.genesis()
     for _ in range(300):
         task = wl.next_transaction(rng)
         if task.name != "retwis/follow":
@@ -71,7 +71,7 @@ def test_follow_adds_followee(rng):
 
 def test_add_user_creates_fresh_ids(rng):
     wl = make_wl()
-    data = wl.load_data()
+    data = wl.genesis()
     created = []
     for _ in range(500):
         task = wl.next_transaction(rng)
@@ -89,7 +89,7 @@ def test_add_user_creates_fresh_ids(rng):
 
 def test_timeline_reads_only(rng):
     wl = make_wl()
-    data = wl.load_data()
+    data = wl.genesis()
     for _ in range(100):
         task = wl.next_transaction(rng)
         if task.name != "retwis/load_timeline":

@@ -21,7 +21,7 @@ def make_wl(**kw):
 
 def test_load_data_two_accounts_per_customer():
     wl = make_wl()
-    data = wl.load_data()
+    data = dict(wl.genesis())
     assert len(data) == 400
     assert data[checking_key(0)] == 10_000
     assert data[savings_key(199)] == 10_000
@@ -43,7 +43,7 @@ def test_mix_frequencies_roughly_match(rng):
 def test_hot_accounts_dominate(rng):
     wl = make_wl()
     touched = Counter()
-    data = wl.load_data()
+    data = dict(wl.genesis())
     for _ in range(1500):
         session, _ = drive(wl.next_transaction(rng).body, data)
         for key in session.reads:
@@ -55,7 +55,7 @@ def test_hot_accounts_dominate(rng):
 
 def test_send_payment_conserves_money(rng):
     wl = make_wl()
-    data = wl.load_data()
+    data = dict(wl.genesis())
     initial_total = sum(data.values())
     for _ in range(300):
         task = wl.next_transaction(rng)
@@ -67,7 +67,7 @@ def test_send_payment_conserves_money(rng):
 
 def test_amalgamate_zeroes_source(rng):
     wl = make_wl()
-    data = wl.load_data()
+    data = dict(wl.genesis())
     done = 0
     for _ in range(500):
         task = wl.next_transaction(rng)
@@ -84,7 +84,7 @@ def test_amalgamate_zeroes_source(rng):
 
 def test_deposit_increases_balance(rng):
     wl = make_wl()
-    data = wl.load_data()
+    data = dict(wl.genesis())
     for _ in range(500):
         task = wl.next_transaction(rng)
         if task.name != "smallbank/deposit_checking":

@@ -20,7 +20,7 @@ def wl():
 
 @pytest.fixture()
 def data(wl):
-    return wl.load_data()
+    return wl.genesis()
 
 
 def test_load_data_contains_all_tables(wl, data):
