@@ -99,7 +99,7 @@ class TxShardApp(StateMachine):
         for shard, atts in proofs:
             if shard == self.shard:
                 continue
-            members = set(self.sharder.members(shard))
+            members = self.sharder.member_set(shard)
             valid: set[str] = set()
             for att in atts:
                 payload = attestation_payload(att)

@@ -237,7 +237,7 @@ class CertValidator:
         return await self._check_votes(tally, expected, quorum)
 
     async def _check_votes(self, tally: VoteTally, expected: Vote, quorum: int) -> bool:
-        members = set(self.sharder.members(tally.shard))
+        members = self.sharder.member_set(tally.shard)
         chosen: dict[str, object] = {}
         for att in tally.votes:
             vote: PrepareVote = attestation_payload(att)
@@ -262,7 +262,7 @@ class CertValidator:
             return False
         if log.shard != self.sharder.s_log(tx):
             return False
-        members = set(self.sharder.members(log.shard))
+        members = self.sharder.member_set(log.shard)
         chosen: dict[str, object] = {}
         for att in log.st2rs:
             result: DecisionLogResult = attestation_payload(att)

@@ -635,7 +635,7 @@ class BasilReplica(Node):
     async def _valid_elect_proof(
         self, payload: DecFBPayload, proof: tuple[Attestation, ...]
     ) -> bool:
-        members = set(self.sharder.members(self.shard))
+        members = self.sharder.member_set(self.shard)
         seen: set[str] = set()
         decisions: list[Decision] = []
         for att in proof:

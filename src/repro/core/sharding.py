@@ -37,6 +37,9 @@ class Sharder:
         self._members = tuple(
             tuple(replica_name(s, i) for i in range(self.n)) for s in range(self.num_shards)
         )
+        #: The same memberships as sets, for the membership tests certificate
+        #: validation runs on every tally it checks.
+        self._member_sets = tuple(frozenset(m) for m in self._members)
         #: key -> shard placement memo; placement is a pure function of the
         #: key and ``num_shards``, and workloads draw from a bounded key
         #: space, so this stays small and saves re-encoding hot keys.
@@ -67,6 +70,9 @@ class Sharder:
     # -- membership ----------------------------------------------------------
     def members(self, shard: int) -> tuple[str, ...]:
         return self._members[shard]
+
+    def member_set(self, shard: int) -> frozenset[str]:
+        return self._member_sets[shard]
 
     def all_replicas(self) -> Iterable[str]:
         for shard_members in self._members:

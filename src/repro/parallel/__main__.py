@@ -35,8 +35,7 @@ def ladder_spec(quick: bool, timers: int | None = None, duration: float | None =
     to stay cache-resident while the sequential heap holds the full
     million entries.  The 0.5 ms window width keeps the per-window
     barrier (128 partition reports each) from dominating at this
-    partition count.  GC freeze is on for both modes (see
-    docs/parallel.md).
+    partition count.
     """
     if quick:
         return ModelSpec(
@@ -46,7 +45,6 @@ def ladder_spec(quick: bool, timers: int | None = None, duration: float | None =
             duration=duration if duration is not None else 0.0015,
             cross_every=64,
             lookahead=5e-4,
-            gc_freeze=True,
         )
     return ModelSpec(
         kind="microbench",
@@ -55,7 +53,6 @@ def ladder_spec(quick: bool, timers: int | None = None, duration: float | None =
         duration=duration if duration is not None else 0.002,
         cross_every=64,
         lookahead=5e-4,
-        gc_freeze=True,
     )
 
 
@@ -174,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
             schedule = FaultSchedule.from_json(fh.read())
     if args.kind == "microbench":
         spec = ModelSpec(kind="microbench", timers=args.timers,
-                         duration=args.duration, gc_freeze=False)
+                         duration=args.duration)
     else:
         spec = ModelSpec(
             kind=args.kind,

@@ -9,7 +9,6 @@ the windowed exchange of :mod:`repro.parallel.exchange` to completion.
 
 from __future__ import annotations
 
-import gc
 import multiprocessing as mp
 import time
 from dataclasses import dataclass, field
@@ -34,6 +33,7 @@ from repro.run import (
     SequentialRun,
     write_obs_artifact,
 )
+from repro.sim.loop import collector_paused
 
 
 @dataclass
@@ -105,12 +105,10 @@ class ParallelRunner:
             from repro.prof.deep import DeepProfiler
 
             deep = DeepProfiler()
-        gc_was_enabled = gc.isenabled()
-        if spec.gc_freeze:
-            gc.collect()
-            gc.freeze()
-            gc.disable()
-        try:
+        # As in a worker: one pause from the first event to the summary,
+        # so every worker count is timed over the same thing.  This is the
+        # caller's process, so the collector is handed back afterwards.
+        with collector_paused():
             if deep is not None:
                 deep.start()
             t0 = time.perf_counter()
@@ -118,13 +116,6 @@ class ParallelRunner:
             wall = time.perf_counter() - t0
             if deep is not None:
                 deep.stop()
-        finally:
-            # This is the caller's process, not a worker that exits: hand
-            # the collector back the way it was found.
-            if spec.gc_freeze:
-                gc.unfreeze()
-                if gc_was_enabled:
-                    gc.enable()
         prof = []
         if spec.prof or spec.prof_deep:
             prof = [
@@ -184,18 +175,21 @@ class ParallelRunner:
                 pid: [] for pid in range(plan.num_partitions)
             }
             cross_messages = 0
-            for window in range(windows):
-                until = min((window + 1) * plan.lookahead, end_time)
-                for link in links:
-                    inbound = {pid: tuple(pending[pid]) for pid in link.owned}
-                    for pid in link.owned:
-                        pending[pid] = []
-                    link.send(WindowGrant(window, until, inbound))
-                for link in links:
-                    for report in link.recv(tuple):
-                        for env in report.outbound:
-                            cross_messages += 1
-                            pending[env.dst_partition].append(env)
+            # Envelopes and grants are acyclic and die by reference count;
+            # automatic collection here would only rescan the caller's heap.
+            with collector_paused():
+                for window in range(windows):
+                    until = min((window + 1) * plan.lookahead, end_time)
+                    for link in links:
+                        inbound = {pid: tuple(pending[pid]) for pid in link.owned}
+                        for pid in link.owned:
+                            pending[pid] = []
+                        link.send(WindowGrant(window, until, inbound))
+                    for link in links:
+                        for report in link.recv(tuple):
+                            for env in report.outbound:
+                                cross_messages += 1
+                                pending[env.dst_partition].append(env)
             undeliverable = sum(len(v) for v in pending.values())
 
             for link in links:

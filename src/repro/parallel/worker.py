@@ -10,7 +10,6 @@ schedules — only which process pays for them.
 
 from __future__ import annotations
 
-import gc
 import time
 import traceback
 
@@ -24,6 +23,7 @@ from repro.parallel.exchange import (
 from repro.parallel.models import build_partition
 from repro.parallel.partition import PartitionPlan
 from repro.run import ModelSpec
+from repro.sim.loop import collector_paused
 
 
 def worker_main(
@@ -58,62 +58,59 @@ def worker_main(
         hosts = [build_partition(spec, plan, pid) for pid in owned]
         for host in hosts:
             host.start()
-        if spec.gc_freeze:
-            # The standing event population (timers, tasks, futures) is
-            # long-lived; without freezing, gen-2 collections repeatedly
-            # scan millions of live EventHandles and drown the
-            # partition-local scheduling win.  Applied identically to the
-            # sequential build by the ladder, so comparisons stay fair.
-            gc.collect()
-            gc.freeze()
-            gc.disable()
         conn.send(WorkerReady(worker_id))
         if deep is not None:
             deep.start()
-        t0 = time.perf_counter()
-        while True:
-            if profiler is not None:
-                # Blocked on the coordinator barrier: the parallel
-                # efficiency loss the attribution report must show.
-                profiler.begin("exchange.wait")
-                grant = conn.recv()
-                profiler.end()
-            else:
-                grant = conn.recv()
-            if grant is None:
-                break
-            reports = []
-            for host in hosts:
-                inbound = grant.inbound.get(host.partition_id, ())
-                if inbound:
-                    # Deterministic merge: schedule in (deliver_time,
-                    # src_partition, seq) order so local event sequence
-                    # numbers never depend on arrival order.
-                    for env in sorted(inbound, key=envelope_order):
-                        host.deliver(env)
-                host.sim.run(until=grant.until)
-                reports.append(
-                    WindowReport(grant.window, host.partition_id, host.take_outbox())
-                )
-            if profiler is not None:
-                # Envelope pickling onto the pipe: the serialization cost
-                # of the cross-partition exchange.
-                profiler.begin("exchange.pipe")
-                conn.send(tuple(reports))
-                profiler.end()
-            else:
-                conn.send(tuple(reports))
-        wall = time.perf_counter() - t0
-        if deep is not None:
-            deep.stop()
-        results = tuple(host.finalize() for host in hosts)
-        prof = None
-        if profiler is not None or deep is not None:
-            prof = {
-                "attr": profiler.table() if profiler is not None else {},
-                "deep": dict(deep.collapsed) if deep is not None else None,
-            }
-        conn.send(WorkerResult(worker_id, results, wall, prof=prof))
+        # One pause from the first window to the result on the pipe: a
+        # per-window run() would hand the collector back and take it again
+        # every window, and finalize() would have it rescan everything the
+        # run left alive in a process that is about to exit.  The kernel's
+        # own young-generation collection still runs.
+        with collector_paused():
+            t0 = time.perf_counter()
+            while True:
+                if profiler is not None:
+                    # Blocked on the coordinator barrier: the parallel
+                    # efficiency loss the attribution report must show.
+                    profiler.begin("exchange.wait")
+                    grant = conn.recv()
+                    profiler.end()
+                else:
+                    grant = conn.recv()
+                if grant is None:
+                    break
+                reports = []
+                for host in hosts:
+                    inbound = grant.inbound.get(host.partition_id, ())
+                    if inbound:
+                        # Deterministic merge: schedule in (deliver_time,
+                        # src_partition, seq) order so local event sequence
+                        # numbers never depend on arrival order.
+                        for env in sorted(inbound, key=envelope_order):
+                            host.deliver(env)
+                    host.sim.run(until=grant.until)
+                    reports.append(
+                        WindowReport(grant.window, host.partition_id, host.take_outbox())
+                    )
+                if profiler is not None:
+                    # Envelope pickling onto the pipe: the serialization cost
+                    # of the cross-partition exchange.
+                    profiler.begin("exchange.pipe")
+                    conn.send(tuple(reports))
+                    profiler.end()
+                else:
+                    conn.send(tuple(reports))
+            wall = time.perf_counter() - t0
+            if deep is not None:
+                deep.stop()
+            results = tuple(host.finalize() for host in hosts)
+            prof = None
+            if profiler is not None or deep is not None:
+                prof = {
+                    "attr": profiler.table() if profiler is not None else {},
+                    "deep": dict(deep.collapsed) if deep is not None else None,
+                }
+            conn.send(WorkerResult(worker_id, results, wall, prof=prof))
     except BaseException:
         try:
             conn.send(WorkerError(worker_id, traceback.format_exc()))

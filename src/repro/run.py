@@ -93,8 +93,6 @@ class ModelSpec:
     obs: bool = False
     #: Telemetry sampling interval in simulated seconds.
     obs_interval: float = 0.005
-    #: Freeze the cyclic GC after build (both modes; see docs/parallel.md).
-    gc_freeze: bool = False
     #: Fault schedule (:class:`repro.faults.spec.FaultSchedule`) applied
     #: by every partition: each builds its own injector from the same
     #: serialized schedule and applies the local share (crashes on the

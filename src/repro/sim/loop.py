@@ -26,14 +26,19 @@ Execution model (see docs/simulation.md for the full contract):
 * Timer cancellation is O(1): the heap entry is tombstoned (callback and
   args dropped immediately) and skipped at pop time; when tombstones
   dominate, the heap is compacted in one linear pass.
+* Kernel objects form no reference cycles once they are finished, so
+  reference counting frees them; the dispatch loop runs with the host's
+  automatic cyclic collection paused (see ``COLLECT_EVERY``).
 """
 
 from __future__ import annotations
 
+import gc
 import heapq
 import random
 from collections import deque
-from typing import Any, Awaitable, Callable, Coroutine, Generator, Iterable
+from contextlib import contextmanager
+from typing import Any, Awaitable, Callable, Coroutine, Generator, Iterable, Iterator
 
 from repro.errors import SimTimeoutError, SimulationError
 from repro.prof.profiler import NULL_PROFILER
@@ -51,6 +56,31 @@ _CASCADE_LIMIT = 64
 
 _cascade_depth = 0
 _spilled: deque[tuple["Future", list[Callable[["Future"], None]]]] = deque()
+
+#: Dispatched events between two young-generation collections inside the
+#: dispatch loop, which otherwise runs with automatic collection paused.
+#: The kernel leaves the collector nothing to find, so this is only the
+#: safety net for cycles built by other code.  A collection costs what is
+#: alive of the allocations since the previous one, never the standing
+#: heap; at 2**20 the largest figure point (a few million events) pays a
+#: handful, and a period shorter than a heap's turnover would pay for the
+#: same survivors again and again — a scale-ladder run re-arms a million
+#: live ``EventHandle``s every million events.  A constant, not an
+#: option: code that builds cycles per event is a bug
+#: (tests/sim/test_cycle_free.py), not something to tune around.
+COLLECT_EVERY = 2**20
+
+
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause automatic cyclic collection; restore what was found on exit."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class CancelledError(Exception):
@@ -169,7 +199,13 @@ class Future:
             yield self
         exc = self._exception
         if exc is not None:
-            raise exc
+            try:
+                raise exc
+            finally:
+                # The raise hangs this frame on exc.__traceback__; without
+                # its two locals the frame no longer closes the loop
+                # exception -> traceback -> frame -> future -> exception.
+                del exc, self
         if self._result is _PENDING:
             raise SimulationError("future result accessed before completion")
         return self._result
@@ -188,30 +224,42 @@ class Task(Future):
     The task completes with the coroutine's return value (or exception).
     """
 
-    __slots__ = ("_coro", "_sim", "_wake", "name")
+    __slots__ = ("_coro", "_sim", "_wake", "_awaiting", "name")
 
     def __init__(self, sim: "Simulator", coro: Coroutine[Any, Any, Any], name: str = "") -> None:
         super().__init__()
         self._coro = coro
         self._sim = sim
-        self._wake = self._wakeup  # bind once; attached on every suspend
+        #: Bound once, attached on every suspend.  It makes the task a
+        #: self-cycle, so every way a task ends drops it again.
+        self._wake = self._step
+        #: The future this task is suspended on (stale while it runs).
+        self._awaiting: Future | None = None
         self.name = name or getattr(coro, "__name__", "task")
-        self._step(None, None)
+        self._step()
 
     def cancel(self) -> bool:
         """Throw :class:`CancelledError` into the coroutine."""
         if self.done():
             return False
         self._cancelled = True
+        awaited = self._awaiting
+        if awaited is not None:
+            # Otherwise the future keeps this task, coroutine frame and
+            # all, until it resolves — for a Signal nobody fires, forever.
+            awaited.remove_done_callback(self._wake)
         try:
             self._coro.throw(CancelledError())
         except (CancelledError, StopIteration):
             pass
+        self._wake = self._awaiting = None
         if not self.done():
             self.set_exception(CancelledError())
         return True
 
-    def _step(self, value: Any, exc: BaseException | None) -> None:
+    def _step(self, _awaited: Future | None = None) -> None:
+        # Also the done-callback of the awaited future (``_wake``), whose
+        # outcome Future.__await__ reads for itself: the argument is unused.
         if self._result is not _PENDING or self._exception is not None:
             return
         profiler = self._sim.profiler
@@ -221,49 +269,44 @@ class Task(Future):
             # minus nested frames (cpu.spend, network.send, crypto.*).
             profiler.begin("task.step")
             try:
-                self._advance(value, exc)
+                self._advance()
             finally:
                 profiler.end()
         else:
-            self._advance(value, exc)
+            self._advance()
 
-    def _advance(self, value: Any, exc: BaseException | None) -> None:
+    def _advance(self) -> None:
         coro = self._coro
+        # Resuming is always a plain send(None): Future.__await__ re-reads
+        # the awaited future's result or exception after its yield, so an
+        # exception surfaces at the await site without being thrown in.
         # Iterative trampoline: an awaited future that is already complete
         # resumes the coroutine in this same frame instead of recursing
-        # through add_done_callback -> _wakeup -> _step.
+        # through add_done_callback -> _step.
         while True:
             try:
-                if exc is not None:
-                    awaited = coro.throw(exc)
-                else:
-                    awaited = coro.send(value)
+                awaited = coro.send(None)
             except StopIteration as stop:
+                self._wake = self._awaiting = None
                 self.set_result(stop.value)
                 return
-            except CancelledError as err:
-                self._cancelled = True
-                self.set_exception(err)
-                return
             except BaseException as err:  # noqa: BLE001 - surfaced via the task
+                self._wake = self._awaiting = None
+                if isinstance(err, CancelledError):
+                    self._cancelled = True
                 self.set_exception(err)
+                # This frame rides err.__traceback__, which the task now
+                # holds: without ``self`` it no longer closes that loop.
+                del self
                 return
             if not isinstance(awaited, Future):
                 raise SimulationError(
                     f"sim coroutines may only await sim futures, got {awaited!r}"
                 )
             if awaited._result is _PENDING and awaited._exception is None:
+                self._awaiting = awaited
                 awaited.add_done_callback(self._wake)
                 return
-            exc = awaited._exception
-            value = awaited._result if exc is None else None
-
-    def _wakeup(self, fut: Future) -> None:
-        exc = fut._exception
-        if exc is not None:
-            self._step(None, exc)
-        else:
-            self._step(fut._result, None)
 
 
 class EventHandle:
@@ -583,47 +626,56 @@ class Simulator:
         ``timer.sleep``, ``dispatch.<qualname>``).  ``profiler.enabled``
         is read once, so an unprofiled run pays one local-bool test per
         event for sharing the loop.
+
+        The loop runs with the host's automatic cyclic collection paused
+        and hands it back as it found it, however it exits (a nested
+        drain finds it paused and leaves it paused); see ``COLLECT_EVERY``
+        for the one collection it schedules itself.
         """
         profiler = self.profiler
         profiled = profiler.enabled
         queue = self._queue
         pop = heapq.heappop
+        collect_every = COLLECT_EVERY
         if profiled:
             classify = profiler.classify
             begin = profiler.begin
             end = profiler.end
             begin("kernel.loop")
-        try:
-            while queue and (fut is None or not fut.done()):
-                when, _seq, ev = queue[0]
-                if until is not None and when > until:
-                    break
-                fn = ev._fn
-                if fn is None:  # tombstoned (cancelled) timer
+        with collector_paused():
+            try:
+                while queue and (fut is None or not fut.done()):
+                    when, _seq, ev = queue[0]
+                    if until is not None and when > until:
+                        break
+                    fn = ev._fn
+                    if fn is None:  # tombstoned (cancelled) timer
+                        pop(queue)
+                        continue
+                    if max_events is not None and self._events_processed >= max_events:
+                        raise SimulationError(f"exceeded max_events={max_events}")
                     pop(queue)
-                    continue
-                if max_events is not None and self._events_processed >= max_events:
-                    raise SimulationError(f"exceeded max_events={max_events}")
-                pop(queue)
-                args = ev._args
-                ev._fn = None  # mark fired; a late cancel() becomes a no-op
-                ev._args = None
-                self.now = when
-                self._events_processed += 1
-                if profiled:
-                    begin(classify(fn))
-                    try:
+                    args = ev._args
+                    ev._fn = None  # mark fired; a late cancel() becomes a no-op
+                    ev._args = None
+                    self.now = when
+                    self._events_processed += 1
+                    if self._events_processed % collect_every == 0:
+                        gc.collect(1)  # young generations only: see COLLECT_EVERY
+                    if profiled:
+                        begin(classify(fn))
+                        try:
+                            fn(*args)
+                        finally:
+                            end()
+                    else:
                         fn(*args)
-                    finally:
-                        end()
-                else:
-                    fn(*args)
-            if fut is not None and not fut.done():
-                raise SimulationError(
-                    "deadlock: event queue drained but awaited future is pending"
-                )
-            if until is not None:
-                self.now = max(self.now, until)  # never rewinds the clock
-        finally:
-            if profiled:
-                end()
+                if fut is not None and not fut.done():
+                    raise SimulationError(
+                        "deadlock: event queue drained but awaited future is pending"
+                    )
+                if until is not None:
+                    self.now = max(self.now, until)  # never rewinds the clock
+            finally:
+                if profiled:
+                    end()

@@ -35,6 +35,10 @@ def test_membership_size_is_5f_plus_1():
         s = Sharder(SystemConfig(num_shards=2, f=f))
         assert len(s.members(0)) == 5 * f + 1
         assert len(set(s.members(0)) & set(s.members(1))) == 0
+        for shard in (0, 1):  # the set view is the ordered tuple's members
+            assert isinstance(s.members(shard), tuple)
+            assert s.member_set(shard) == frozenset(s.members(shard))
+            assert s.member_set(shard) is s.member_set(shard)  # built once
 
 
 def test_shard_of_replica_roundtrip():

@@ -92,20 +92,78 @@ def test_sequential_only_fields_reject_partitioned_runs():
 # The harness itself: it leaves the caller's process as it found it, and
 # it names what died.
 # ---------------------------------------------------------------------------
-def test_gc_freeze_run_hands_the_collector_back():
-    """Regression: a ``gc_freeze`` spec at ``workers=1`` runs in the
-    caller's process and used to leave the cyclic GC off for good."""
-    import dataclasses
+def _run_loops():
+    """Every way a caller's process enters the dispatch loop, by name;
+    each returns None or raises what its loop is built to raise."""
+    from repro.run import SequentialRun
+    from repro.sim.loop import Future, Simulator
+
+    def forever(sim):
+        sim.call_later(1.0, forever, sim)
+
+    def busy():
+        sim = Simulator()
+        forever(sim)
+        return sim
+
+    def boom():
+        raise ValueError("callback failed")
+
+    def callback_raises():
+        sim = Simulator()
+        sim.call_later(1.0, boom)
+        sim.run()
+
+    def until_complete():
+        sim = busy()
+        sim.run_until_complete(sim.sleep(5.0))
+
+    async def nested(sim):
+        await sim.sleep(1.0)
+        sim.run_until_complete(sim.sleep(1.0))  # a drain inside a drain
+
+    def run_nested():
+        sim = Simulator()
+        sim.run_until_complete(nested(sim))
+
+    return {
+        "Simulator.run": lambda: busy().run(until=10.0),
+        "run_until_complete": until_complete,
+        "nested run_until_complete": run_nested,
+        "SequentialRun.run": lambda: SequentialRun(MICRO).run(),
+        "ParallelRunner workers=1": lambda: ParallelRunner(MICRO, workers=1).run(),
+        "ParallelRunner workers=2": lambda: ParallelRunner(MICRO, workers=2).run(),
+        "max_events": lambda: busy().run(max_events=5),
+        "deadlock": lambda: Simulator().run_until_complete(Future()),
+        "callback raises": callback_raises,
+    }
+
+
+def test_run_loops_hand_the_collector_back():
+    """The dispatch loop pauses the host's cyclic collector; every entry
+    point leaves ``gc.isenabled()`` exactly as it found it — enabled or
+    disabled — also when the loop raises."""
     import gc
 
+    raising = {
+        "max_events": SimulationError,
+        "deadlock": SimulationError,
+        "callback raises": ValueError,
+    }
     assert gc.isenabled()
     try:
-        ParallelRunner(dataclasses.replace(MICRO, gc_freeze=True), workers=1).run()
-        assert gc.isenabled()
-        assert gc.get_freeze_count() == 0
+        for name, enter in _run_loops().items():
+            for enabled in (True, False):
+                gc.enable() if enabled else gc.disable()
+                if name in raising:
+                    with pytest.raises(raising[name]):
+                        enter()
+                else:
+                    enter()
+                assert gc.isenabled() == enabled, (name, enabled)
+                assert gc.get_freeze_count() == 0, name
     finally:
         gc.enable()
-        gc.unfreeze()
 
 
 def test_dead_worker_is_a_named_error(monkeypatch):
