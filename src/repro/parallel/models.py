@@ -163,7 +163,7 @@ class BasilPartitionHost(PartitionHost):
 
     def deliver(self, env: Envelope) -> None:
         self._cross_received += 1
-        self.sim.call_at(
+        self.sim._schedule(
             max(env.deliver_time, self.sim.now),
             self.system.network.deliver_remote,
             env.src,
@@ -215,7 +215,7 @@ class MicrobenchPartitionHost(PartitionHost):
         )
 
     def deliver(self, env: Envelope) -> None:
-        self.sim.call_at(
+        self.sim._schedule(
             max(env.deliver_time, self.sim.now),
             self._state.fold_cross,
             env.deliver_time,

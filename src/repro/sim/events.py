@@ -1,8 +1,8 @@
 """Synchronization primitives for sim coroutines.
 
 These mirror the small subset of ``asyncio`` primitives the protocols
-need: a FIFO semaphore (used by the CPU model), an unbounded queue
-(mailboxes), and a one-shot signal.
+need: an unbounded queue (mailboxes) and a one-shot signal.  The CPU
+model is a callback chain of its own (:class:`repro.sim.node.Cpu`).
 """
 
 from __future__ import annotations
@@ -10,41 +10,26 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Deque
 
-from repro.sim.loop import CancelledError, Future, Simulator
+from repro.sim.loop import Future, Simulator
 
 
-class Semaphore:
-    """A counting semaphore with strict FIFO wakeup order."""
+class Getter(Future):
+    """A single-use place in a :class:`Queue`'s line, owned by its caller:
+    cancelling it withdraws it, so no ``put`` lands where nobody waits."""
 
-    def __init__(self, sim: Simulator, value: int) -> None:
-        if value < 1:
-            raise ValueError("semaphore initial value must be >= 1")
-        self._sim = sim
-        self._value = value
-        self._waiters: Deque[Future] = deque()
+    __slots__ = ("_line", "__weakref__")
 
-    @property
-    def available(self) -> int:
-        return self._value
+    _caller_owned = True
 
-    def acquire(self) -> Future:
-        """Awaitable that resolves once a permit is held."""
-        fut = Future()
-        if self._value > 0 and not self._waiters:
-            self._value -= 1
-            fut.set_result(None)
-        else:
-            self._waiters.append(fut)
-        return fut
+    def __init__(self, line: Deque["Getter"]) -> None:
+        super().__init__()
+        self._line = line
 
-    def release(self) -> None:
-        while self._waiters:
-            waiter = self._waiters.popleft()
-            if waiter.done():  # cancelled waiter: skip it
-                continue
-            waiter.set_result(None)
-            return
-        self._value += 1
+    def cancel(self) -> bool:
+        if self.done():
+            return False
+        self._line.remove(self)
+        return super().cancel()
 
 
 class Queue:
@@ -53,45 +38,28 @@ class Queue:
     def __init__(self, sim: Simulator) -> None:
         self._sim = sim
         self._items: Deque[Any] = deque()
-        self._getters: Deque[Future] = deque()
+        self._getters: Deque[Getter] = deque()
 
     def __len__(self) -> int:
         return len(self._items)
 
     def put(self, item: Any) -> None:
-        while self._getters:
-            getter = self._getters.popleft()
-            if getter.done():
-                continue
-            getter.set_result(item)
-            return
-        self._items.append(item)
+        getters = self._getters
+        if getters:
+            getters.popleft().set_result(item)
+        else:
+            self._items.append(item)
 
-    async def get(self) -> Any:
-        """Suspend until an item is available, then return it.
-
-        ``get`` is a coroutine (not a bare future) so that
-        ``sim.wait_for(queue.get(), t)`` wraps it in a task the combinator
-        owns: on timeout the task is cancelled and the handler below
-        *withdraws* the reservation, instead of leaving a poisoned getter
-        in line that would eat the next ``put``.
-        """
+    def get(self) -> Future:
+        """The next item: a completed future if one is waiting, else a
+        :class:`Getter` put in line now (``wait_for`` cancels it on timeout)."""
         if self._items:
-            return self._items.popleft()
-        fut = Future()
-        self._getters.append(fut)
-        try:
-            return await fut
-        except CancelledError:
-            # Abandoned before an item arrived (wakeups are synchronous,
-            # so a resolved getter can never be cancelled): take the
-            # reservation back out of line so put() never targets it.
-            if not fut.done():
-                try:
-                    self._getters.remove(fut)
-                except ValueError:
-                    pass
-            raise
+            fut = Future()
+            fut._result = self._items.popleft()
+            return fut
+        getter = Getter(self._getters)
+        self._getters.append(getter)
+        return getter
 
 
 class Signal:

@@ -20,12 +20,13 @@ Execution model (see docs/simulation.md for the full contract):
   FIFO drained by the outermost frame.  Protocol runs stay far below the
   limit (asserted by the golden-digest test), so the spill never engages
   there and schedules are byte-identical to the pre-rewrite kernel.
-* Within one task, ``Task._step`` is an iterative loop: a coroutine that
+* Within one task, ``Task._advance`` is an iterative loop: a coroutine that
   awaits an already-completed future resumes in the same frame instead of
-  re-entering ``_step`` through the callback chain.
-* Timer cancellation is O(1): the heap entry is tombstoned (callback and
-  args dropped immediately) and skipped at pop time; when tombstones
-  dominate, the heap is compacted in one linear pass.
+  re-entering ``_advance`` through the callback chain.
+* Public timers are ``(when, seq, handle)`` heap records; events nobody
+  can cancel (CPU charges, sleeps, deliveries) are bare ``(when, seq, fn,
+  args)`` records.  Timer cancellation is O(1): the entry is tombstoned
+  and skipped at pop time; when tombstones dominate, the heap is compacted.
 * Kernel objects form no reference cycles once they are finished, so
   reference counting frees them; the dispatch loop runs with the host's
   automatic cyclic collection paused (see ``COLLECT_EVERY``).
@@ -34,10 +35,11 @@ Execution model (see docs/simulation.md for the full contract):
 from __future__ import annotations
 
 import gc
-import heapq
 import random
 from collections import deque
 from contextlib import contextmanager
+from functools import wraps
+from heapq import heapify, heappop, heappush
 from typing import Any, Awaitable, Callable, Coroutine, Generator, Iterable, Iterator
 
 from repro.errors import SimTimeoutError, SimulationError
@@ -91,6 +93,10 @@ class Future:
     """A single-assignment result container awaitable from sim coroutines."""
 
     __slots__ = ("_result", "_exception", "_callbacks", "_cancelled")
+
+    #: A caller-owned future (a queue getter) is cancelled by whoever
+    #: abandons it; a shared one is only detached from.
+    _caller_owned = False
 
     def __init__(self) -> None:
         self._result: Any = _PENDING
@@ -165,6 +171,20 @@ class Future:
         self._callbacks = kept or None
         return removed
 
+    def _resolve(self, value: Any) -> None:
+        """Complete a pending kernel-owned future (a sleep, a CPU charge)
+        from the event that dispatched it: no cascade is under that event,
+        so the waiters run directly, without the depth accounting."""
+        self._result = value
+        callbacks = self._callbacks
+        if callbacks is not None:
+            self._callbacks = None
+            if type(callbacks) is list:
+                for fn in callbacks:
+                    fn(self)
+            else:
+                callbacks(self)
+
     def _run_callbacks(self) -> None:
         global _cascade_depth
         callbacks = self._callbacks
@@ -230,13 +250,14 @@ class Task(Future):
         super().__init__()
         self._coro = coro
         self._sim = sim
-        #: Bound once, attached on every suspend.  It makes the task a
-        #: self-cycle, so every way a task ends drops it again.
-        self._wake = self._step
+        #: Bound (profiled or not) once, attached on every suspend.  It makes
+        #: the task a self-cycle, so every way a task ends drops it again.
+        self._wake = self._advance_profiled if sim.profiler.enabled else self._advance
         #: The future this task is suspended on (stale while it runs).
         self._awaiting: Future | None = None
         self.name = name or getattr(coro, "__name__", "task")
-        self._step()
+        sim._live_tasks += 1
+        self._wake()
 
     def cancel(self) -> bool:
         """Throw :class:`CancelledError` into the coroutine."""
@@ -248,50 +269,53 @@ class Task(Future):
             # Otherwise the future keeps this task, coroutine frame and
             # all, until it resolves — for a Signal nobody fires, forever.
             awaited.remove_done_callback(self._wake)
+            if awaited._caller_owned:
+                awaited.cancel()  # e.g. withdraw a queue getter from line
         try:
             self._coro.throw(CancelledError())
         except (CancelledError, StopIteration):
             pass
         self._wake = self._awaiting = None
+        self._sim._live_tasks -= 1
         if not self.done():
             self.set_exception(CancelledError())
         return True
 
-    def _step(self, _awaited: Future | None = None) -> None:
+    def _advance_profiled(self, _awaited: Future | None = None) -> None:
+        if self._wake is None:
+            return
+        # The protocol-logic bucket: a coroutine's segments between suspends,
+        # minus nested frames (cpu.spend, network.send, crypto.*).
+        profiler = self._sim.profiler
+        profiler.begin("task.step")
+        try:
+            self._advance()
+        finally:
+            profiler.end()
+
+    def _advance(self, _awaited: Future | None = None) -> None:
         # Also the done-callback of the awaited future (``_wake``), whose
         # outcome Future.__await__ reads for itself: the argument is unused.
-        if self._result is not _PENDING or self._exception is not None:
+        if self._wake is None:  # finished or cancelled: a stale wake-up
             return
-        profiler = self._sim.profiler
-        if profiler.enabled:
-            # Trampoline segments are the protocol-logic bucket: everything
-            # a coroutine does between suspensions lands in "task.step",
-            # minus nested frames (cpu.spend, network.send, crypto.*).
-            profiler.begin("task.step")
-            try:
-                self._advance()
-            finally:
-                profiler.end()
-        else:
-            self._advance()
-
-    def _advance(self) -> None:
         coro = self._coro
         # Resuming is always a plain send(None): Future.__await__ re-reads
         # the awaited future's result or exception after its yield, so an
         # exception surfaces at the await site without being thrown in.
         # Iterative trampoline: an awaited future that is already complete
         # resumes the coroutine in this same frame instead of recursing
-        # through add_done_callback -> _step.
+        # through the callback chain.
         while True:
             try:
                 awaited = coro.send(None)
             except StopIteration as stop:
                 self._wake = self._awaiting = None
+                self._sim._live_tasks -= 1
                 self.set_result(stop.value)
                 return
             except BaseException as err:  # noqa: BLE001 - surfaced via the task
                 self._wake = self._awaiting = None
+                self._sim._live_tasks -= 1
                 if isinstance(err, CancelledError):
                     self._cancelled = True
                 self.set_exception(err)
@@ -304,8 +328,16 @@ class Task(Future):
                     f"sim coroutines may only await sim futures, got {awaited!r}"
                 )
             if awaited._result is _PENDING and awaited._exception is None:
+                # add_done_callback, inlined: one registration per suspend.
                 self._awaiting = awaited
-                awaited.add_done_callback(self._wake)
+                wake = self._wake
+                callbacks = awaited._callbacks
+                if callbacks is None:
+                    awaited._callbacks = wake
+                elif type(callbacks) is list:
+                    callbacks.append(wake)
+                else:
+                    awaited._callbacks = [callbacks, wake]
                 return
 
 
@@ -373,10 +405,11 @@ class Simulator:
         self._rng_prefix = (
             f"{seed}/" if partition_id is None else f"{seed}/p{partition_id}/"
         )
-        self._queue: list[tuple[float, int, EventHandle]] = []
+        self._queue: list[tuple] = []  # (when, seq, handle) | (when, seq, fn, args)
         self._seq = 0
         self._events_processed = 0
-        self._tombstones = 0
+        self._tombstones = 0  # cancelled timer records still in the heap
+        self._live_tasks = 0  # tasks created and not yet finished
         self._rngs: dict[str, random.Random] = {}
         #: Observability hook; NULL_TRACER records nothing and costs one
         #: attribute read per instrumented site (see repro.trace).
@@ -401,8 +434,18 @@ class Simulator:
         return registry
 
     def attach_profiler(self, profiler: Any) -> Any:
-        """Install a :class:`repro.prof.Profiler`; returns it for chaining."""
+        """Install a :class:`repro.prof.Profiler`; returns it for chaining.
+
+        Decided here, not per call: the scheduler switches to its framed
+        variants and each task picks its step when created, so attaching
+        while a task is live (it would go unattributed) is an error.
+        """
+        if self._live_tasks:
+            raise SimulationError(
+                f"attach the profiler before starting tasks ({self._live_tasks} live)"
+            )
         self.profiler = profiler
+        self.__class__ = _ProfiledSimulator if profiler.enabled else Simulator
         return profiler
 
     # ------------------------------------------------------------------
@@ -438,33 +481,26 @@ class Simulator:
         if when < self.now:
             raise SimulationError(f"cannot schedule into the past ({when} < {self.now})")
         handle = EventHandle(self, when, fn, args)
-        profiler = self.profiler
-        if profiler.enabled:
-            profiler.begin("kernel.heap_push")
-            heapq.heappush(self._queue, (when, self._seq, handle))
-            profiler.end()
-        else:
-            heapq.heappush(self._queue, (when, self._seq, handle))
+        heappush(self._queue, (when, self._seq, handle))
         self._seq += 1
         return handle
 
     def call_later(self, delay: float, fn: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``fn(*args)`` after ``delay`` simulated seconds."""
         # Inlined call_at without the past-check (now + max(0, delay) can
-        # never be in the past): this is called for every timer, sleep,
-        # and CPU charge in the sim.
+        # never be in the past).
         now = self.now
         when = now + delay if delay > 0.0 else now
         handle = EventHandle(self, when, fn, args)
-        profiler = self.profiler
-        if profiler.enabled:
-            profiler.begin("kernel.heap_push")
-            heapq.heappush(self._queue, (when, self._seq, handle))
-            profiler.end()
-        else:
-            heapq.heappush(self._queue, (when, self._seq, handle))
+        heappush(self._queue, (when, self._seq, handle))
         self._seq += 1
         return handle
+
+    def _schedule(self, when: float, fn: Callable[..., None], *args: Any) -> None:
+        """Schedule an event nobody can cancel (a charge, sleep or delivery):
+        a bare record, no handle.  The caller keeps ``when >= now``."""
+        heappush(self._queue, (when, self._seq, fn, args))
+        self._seq += 1
 
     def create_task(self, coro: Coroutine[Any, Any, Any], name: str = "") -> Task:
         """Start driving a coroutine immediately (first step runs inline)."""
@@ -473,23 +509,24 @@ class Simulator:
     def sleep(self, delay: float) -> Future:
         """Awaitable that resolves ``delay`` simulated seconds from now."""
         fut = Future()
-        self.call_later(delay, self._resolve_sleep, fut)
+        now = self.now
+        self._schedule(now + delay if delay > 0.0 else now, self._resolve_sleep, fut)
         return fut
 
     @staticmethod
     def _resolve_sleep(fut: Future) -> None:
-        if not fut.done():
-            fut.set_result(None)
+        if fut._result is _PENDING and fut._exception is None:  # not cancelled
+            fut._resolve(None)
 
     def _compact(self) -> None:
-        """Drop tombstoned entries and restore the heap invariant.
+        """Drop tombstoned timers and restore the heap invariant.
 
         (when, seq) is a total order (seq is unique), so heapify after
         filtering pops the survivors in exactly the same order as lazy
         deletion would — compaction never perturbs a schedule.
         """
-        self._queue[:] = [entry for entry in self._queue if entry[2]._fn is not None]
-        heapq.heapify(self._queue)
+        self._queue[:] = [e for e in self._queue if len(e) == 4 or e[2]._fn is not None]
+        heapify(self._queue)
         self._tombstones = 0
 
     # ------------------------------------------------------------------
@@ -498,12 +535,13 @@ class Simulator:
     def wait_for(self, awaitable: Awaitable[Any], timeout: float) -> Future:
         """Await with a deadline; raises :class:`SimTimeoutError` on expiry.
 
-        On timeout, the inner future/task is cancelled only if this
-        combinator created it (i.e. ``awaitable`` was a coroutine).  A bare
+        On timeout, the inner future/task is cancelled only if the caller
+        owned it: a coroutine (wrapped in a task here) or a caller-owned
+        future such as a ``Queue.get()`` getter.  A bare
         :class:`Future` passed in may be shared with other waiters, so it is
         left untouched — the combinator merely detaches its callback.
         """
-        created = not isinstance(awaitable, Future)
+        owned = not isinstance(awaitable, Future) or awaitable._caller_owned
         inner = self.ensure_future(awaitable)
         outer = Future()
 
@@ -521,7 +559,7 @@ class Simulator:
             if outer.done():
                 return
             outer.set_exception(SimTimeoutError(f"timed out after {timeout}s"))
-            if created:
+            if owned:
                 inner.cancel()
             else:
                 inner.remove_done_callback(_done)
@@ -545,24 +583,24 @@ class Simulator:
 
         With ``return_exceptions=False`` (default) the first member
         exception fails the gather immediately, and any still-pending
-        tasks *this combinator created* (members passed as coroutines) are
-        cancelled so they cannot keep mutating protocol state behind the
-        caller's back.  Bare futures passed in are shared with their
-        owners and are never cancelled.
+        members the caller owned (coroutines, queue getters) are cancelled
+        so they cannot keep mutating protocol state behind the caller's
+        back.  Bare futures passed in are shared with their owners and are
+        never cancelled.
 
         With ``return_exceptions=True`` exceptions are collected into the
         result list in place of values and the gather always waits for
         every member — the mode fault-campaign code wants.
         """
         futures: list[Future] = []
-        created: list[bool] = []
+        owned: list[bool] = []
         for a in awaitables:
             if isinstance(a, Future):
                 futures.append(a)
-                created.append(False)
+                owned.append(a._caller_owned)
             else:
                 futures.append(self.create_task(a))  # type: ignore[arg-type]
-                created.append(True)
+                owned.append(True)
         result = Future()
         remaining = len(futures)
         if remaining == 0:
@@ -578,7 +616,7 @@ class Simulator:
             if exc is not None and not return_exceptions:
                 result.set_exception(exc)
                 for j, member in enumerate(futures):
-                    if created[j] and not member.done():
+                    if owned[j] and not member.done():
                         member.cancel()
                 return
             values[index] = exc if exc is not None else fut.result()
@@ -627,6 +665,9 @@ class Simulator:
         is read once, so an unprofiled run pays one local-bool test per
         event for sharing the loop.
 
+        A timer record fires through its handle (a cancelled one is popped
+        and uncounted from the tombstones); a bare record fires as is.
+
         The loop runs with the host's automatic cyclic collection paused
         and hands it back as it found it, however it exits (a nested
         drain finds it paused and leaves it paused); see ``COLLECT_EVERY``
@@ -635,8 +676,10 @@ class Simulator:
         profiler = self.profiler
         profiled = profiler.enabled
         queue = self._queue
-        pop = heapq.heappop
+        pop = heappop
         collect_every = COLLECT_EVERY
+        horizon = float("inf") if until is None else until
+        budget = float("inf") if max_events is None else max_events
         if profiled:
             classify = profiler.classify
             begin = profiler.begin
@@ -645,19 +688,29 @@ class Simulator:
         with collector_paused():
             try:
                 while queue and (fut is None or not fut.done()):
-                    when, _seq, ev = queue[0]
-                    if until is not None and when > until:
+                    entry = queue[0]
+                    when = entry[0]
+                    if when > horizon:
                         break
-                    fn = ev._fn
-                    if fn is None:  # tombstoned (cancelled) timer
+                    if len(entry) == 4:  # an internal event: no handle
+                        if self._events_processed >= budget:
+                            raise SimulationError(f"exceeded max_events={max_events}")
                         pop(queue)
-                        continue
-                    if max_events is not None and self._events_processed >= max_events:
-                        raise SimulationError(f"exceeded max_events={max_events}")
-                    pop(queue)
-                    args = ev._args
-                    ev._fn = None  # mark fired; a late cancel() becomes a no-op
-                    ev._args = None
+                        fn = entry[2]
+                        args = entry[3]
+                    else:
+                        handle = entry[2]
+                        fn = handle._fn
+                        if fn is None:  # tombstoned (cancelled) timer
+                            pop(queue)
+                            self._tombstones -= 1
+                            continue
+                        if self._events_processed >= budget:
+                            raise SimulationError(f"exceeded max_events={max_events}")
+                        pop(queue)
+                        args = handle._args
+                        handle._fn = None  # mark fired; a late cancel() is a no-op
+                        handle._args = None
                     self.now = when
                     self._events_processed += 1
                     if self._events_processed % collect_every == 0:
@@ -679,3 +732,27 @@ class Simulator:
             finally:
                 if profiled:
                     end()
+
+
+def _heap_push_framed(method: Callable[..., Any]) -> Callable[..., Any]:
+    """``method`` inside a ``kernel.heap_push`` attribution frame."""
+
+    @wraps(method)
+    def framed(self: Simulator, *args: Any) -> Any:
+        profiler = self.profiler
+        profiler.begin("kernel.heap_push")
+        try:
+            return method(self, *args)
+        finally:
+            profiler.end()
+
+    return framed
+
+
+class _ProfiledSimulator(Simulator):
+    """A simulator with a profiler attached: one ``kernel.heap_push`` frame
+    per push of either record shape (see ``attach_profiler``)."""
+
+    call_at = _heap_push_framed(Simulator.call_at)
+    call_later = _heap_push_framed(Simulator.call_later)
+    _schedule = _heap_push_framed(Simulator._schedule)

@@ -198,7 +198,7 @@ class Network:
         the same for both, drawing from this partition's own RNG
         streams; only the up-front destination check and the final
         hand-off (lookahead check + exchange envelope versus a local
-        ``call_later``) depend on where ``dst`` lives.
+        delivery event) depend on where ``dst`` lives.
         """
         metrics = self.sim.metrics
         remote = dst in self._remote
@@ -260,7 +260,13 @@ class Network:
         if remote:
             self._remote_send(src.name, dst, message, delay)
         else:
-            self.sim.call_later(delay, self._deliver, src.name, dst, message)
+            self._deliver_after(delay, src.name, dst, message)
+
+    def _deliver_after(self, delay: float, src: str, dst: str, message: Any) -> None:
+        """A local delivery: an uncancellable event (no handle)."""
+        sim = self.sim
+        now = sim.now
+        sim._schedule(now + delay if delay > 0.0 else now, self._deliver, src, dst, message)
 
     def _check_lookahead(self, src: str, dst: str, delay: float, what: str) -> None:
         if delay < self._lookahead:
@@ -291,7 +297,7 @@ class Network:
         delivered as-is after ``delay``, subject only to the destination
         still being registered at delivery time.  In a space-parallel run
         a copy addressed to a remote node leaves as an exchange envelope
-        (it must: a local ``call_later`` would silently drop it in
+        (it must: a local delivery event would silently drop it in
         ``_deliver``), and the lookahead bound applies to it like any
         other cross-partition delivery.
         """
@@ -303,7 +309,7 @@ class Network:
             self._check_lookahead(src, dst, delay, "inject delay")
             self._remote_send(src, dst, message, delay)
             return
-        self.sim.call_later(delay, self._deliver, src, dst, message)
+        self._deliver_after(delay, src, dst, message)
 
     def _deliver(self, src: str, dst: str, message: Any) -> None:
         tracer = self.sim.tracer

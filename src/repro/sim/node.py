@@ -87,20 +87,20 @@ class Cpu:
         if self._free > 0 and not self._pending:
             self._free -= 1
             self.busy_time += cost
-            sim.call_later(cost, self._finish, fut, cost, enqueued)
+            sim._schedule(sim.now + cost, self._finish, fut, cost, enqueued)
         else:
             self._pending.append((fut, cost, enqueued))
         return fut
 
     def _finish(self, fut: Future, cost: float, enqueued: float) -> None:
+        sim = self.sim
         pending = self._pending
         if pending:
             nfut, ncost, nenq = pending.popleft()
             self.busy_time += ncost
-            self.sim.call_later(ncost, self._finish, nfut, ncost, nenq)
+            sim._schedule(sim.now + ncost, self._finish, nfut, ncost, nenq)
         else:
             self._free += 1
-        sim = self.sim
         tracer = sim.tracer
         if tracer.enabled:
             end = sim.now
@@ -108,7 +108,7 @@ class Cpu:
                 self.owner, "cpu", "work", enqueued, end,
                 cost=cost, queued=end - cost - enqueued,
             )
-        fut.set_result(None)
+        fut._resolve(None)
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of aggregate core-time spent busy over ``elapsed``."""

@@ -97,3 +97,35 @@ def test_workers2_prof_on_equals_prof_off():
     ]
     assert all(t for t in tables), "per-partition attribution missing"
     assert any("task.step" in t for t in tables)
+
+
+def _instrumented_run(trace: bool, prof: bool):
+    from repro.run import ModelSpec, SequentialRun
+
+    run = SequentialRun(ModelSpec(
+        kind="basil",
+        config=SystemConfig(f=1, num_shards=1, batch_size=4, seed=11),
+        workload="ycsb-z",
+        workload_keys=300,
+        num_clients=6,
+        duration=0.03,
+        warmup=0.005,
+        trace=trace,
+        prof=prof,
+    ))
+    result = run.run()
+    return result, run.sim
+
+
+def test_instruments_off_and_on_push_and_dispatch_the_same_events():
+    """Attach-time instrument choice: the profiled scheduler variants and
+    the framed task step push exactly what the plain ones push (equal
+    final ``seq``), dispatch the same events and trace the same digest."""
+    bare, bare_sim = _instrumented_run(trace=False, prof=False)
+    traced, traced_sim = _instrumented_run(trace=True, prof=False)
+    both, both_sim = _instrumented_run(trace=True, prof=True)
+    assert bare.events == traced.events == both.events > 1_000
+    assert bare_sim._seq == traced_sim._seq == both_sim._seq
+    assert traced.digest and traced.digest == both.digest
+    table = both.extra["prof"]
+    assert table["kernel.heap_push"]["calls"] == both_sim._seq

@@ -219,13 +219,14 @@ def test_cancel_mid_await_runs_finally_and_detaches(collector_off):
 
 
 def test_wait_for_timeout_frees_the_timed_out_getter(collector_off):
+    """The getter is withdrawn from line, cancelled, and then freed."""
     sim = Simulator()
     queue = Queue(sim)
-    frames = []
+    getters = []
 
     async def consumer():
         get = queue.get()
-        frames.append(weakref.ref(get))
+        getters.append(weakref.ref(get))
         try:
             await sim.wait_for(get, timeout=0.1)
         except SimTimeoutError:
@@ -234,7 +235,7 @@ def test_wait_for_timeout_frees_the_timed_out_getter(collector_off):
 
     assert sim.run_until_complete(consumer()) == "timed out"
     assert len(queue._getters) == 0
-    assert frames[0]() is None
+    assert getters[0]() is None
 
 
 def test_crashed_replica_frees_its_dependency_wait(collector_off):

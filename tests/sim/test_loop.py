@@ -486,3 +486,101 @@ def test_remove_done_callback():
     assert fut.remove_done_callback(cb) == 1
     fut.set_result(1)
     assert seen == []
+
+
+# ----------------------------------------------------------------------
+# Two record shapes, the tombstone count, attach-time instruments
+# ----------------------------------------------------------------------
+def _dead_in_heap(sim):
+    """Cancelled timer records still in the heap."""
+    return sum(1 for entry in sim._queue if len(entry) == 3 and entry[2]._fn is None)
+
+
+def test_tombstone_counter_counts_cancelled_entries_still_queued():
+    """Popping a cancelled entry uncounts it, so "dead entries outnumber
+    live ones" compares the heap's real contents."""
+    sim = Simulator()
+    early = [sim.call_later(0.001 * (i + 1), lambda: None) for i in range(10)]
+    for handle in early[:6]:
+        handle.cancel()
+    assert sim._tombstones == _dead_in_heap(sim) == 6
+    sim.run(until=0.0085)  # pops the six tombstones, fires two timers
+    assert sim._tombstones == _dead_in_heap(sim) == 0
+    late = [sim.call_later(1.0 + i * 1e-3, lambda: None) for i in range(300)]
+    for handle in late[:200]:
+        handle.cancel()
+    assert len(sim._queue) < 302  # a compaction ran on the way
+    assert sim._tombstones == _dead_in_heap(sim) > 0
+    sim.run()
+    assert sim._tombstones == _dead_in_heap(sim) == 0
+
+
+@pytest.mark.parametrize("shape", ["handle", "bare"])
+def test_max_events_leaves_either_record_shape_queued(loop_sim, shape):
+    sim = loop_sim
+    fired = []
+    for i in range(3):
+        sim.call_later(0.001 * (i + 1), fired.append, i)
+    if shape == "handle":
+        sim.call_later(0.01, fired.append, "next")
+    else:
+        sim._schedule(0.01, fired.append, "next")
+    with pytest.raises(SimulationError, match="max_events"):
+        sim.run(max_events=3)
+    _assert_frames_closed(sim)
+    (entry,) = sim._queue
+    assert len(entry) == (3 if shape == "handle" else 4)
+    if shape == "handle":
+        assert entry[2]._fn is not None  # not marked fired
+    sim.run()
+    assert fired == [0, 1, 2, "next"]
+
+
+def test_sleep_and_charges_push_bare_records_timers_handles():
+    from repro.sim.node import Cpu
+
+    sim = Simulator()
+    handle = sim.call_later(1.0, lambda: None)
+    sim.sleep(0.5)
+    Cpu(sim, cores=1).spend(0.25)
+    by_time = {entry[0]: entry for entry in sim._queue}
+    assert len(by_time[0.25]) == len(by_time[0.5]) == 4  # (when, seq, fn, args)
+    assert by_time[1.0][2] is handle  # (when, seq, handle)
+
+
+def test_attach_profiler_frames_every_push():
+    from repro.sim.node import Cpu
+
+    sim = Simulator()
+    profiler = sim.attach_profiler(Profiler())
+    sim.call_later(0.1, lambda: None)
+    sim.call_at(0.2, lambda: None)
+
+    async def napper():
+        await sim.sleep(0.3)
+        await Cpu(sim, cores=1).spend(0.1)
+
+    sim.create_task(napper())
+    sim.run()
+    table = profiler.table()
+    assert table["kernel.heap_push"]["calls"] == sim._seq == 4
+    assert table["task.step"]["calls"] == 3  # start, after sleep, after charge
+
+
+def test_attach_profiler_with_live_tasks_is_an_error():
+    """A task already running would step unattributed: refuse instead."""
+    sim = Simulator()
+
+    async def napper():
+        await sim.sleep(1.0)
+
+    sim.create_task(napper())
+    with pytest.raises(SimulationError, match="before starting tasks"):
+        sim.attach_profiler(Profiler())
+    assert not sim.profiler.enabled
+    sim.run()
+    assert sim._live_tasks == 0
+    profiler = sim.attach_profiler(Profiler())  # nothing live any more
+    sim.create_task(napper())
+    sim.run()
+    assert profiler.table()["task.step"]["calls"] == 2
