@@ -61,11 +61,11 @@ parallel-ladder:
 geo-smoke:
 	pytest tests/geo -m geo_smoke -q
 	python examples/edge_sessions.py
-	python -m repro.geo sweep --topologies wan3 --workers 2 \
+	python -m repro.geo sweep --topologies wan3 \
 		--duration 0.5 --warmup 0.15 --keys 16
 
 geo-sweep:
-	python -m repro.geo sweep --topologies wan3 wan5 --workers 3 --obs runs/geo
+	python -m repro.geo sweep --topologies wan3 wan5 --obs runs/geo
 
 load-smoke:
 	pytest tests -m load_smoke -q

@@ -51,42 +51,42 @@ def _scale(args) -> exp.Scale:
 def cmd_fig4(args) -> None:
     apps = [args.app] if args.app else list(exp.APP_WORKLOADS)
     for app in apps:
-        results = exp.fig4_systems(app, scale=_scale(args), workers=args.workers)
+        results = exp.fig4_systems(app, scale=_scale(args))
         print(render_table(f"Fig 4 — {app}", results))
 
 
 def cmd_fig5a(args) -> None:
     print(render_table(
         "Fig 5a — crypto cost",
-        exp.fig5a_crypto_cost(_scale(args), workers=args.workers),
+        exp.fig5a_crypto_cost(_scale(args)),
     ))
 
 
 def cmd_fig5b(args) -> None:
     print(render_table(
         "Fig 5b — read quorum",
-        exp.fig5b_read_quorum(_scale(args), workers=args.workers),
+        exp.fig5b_read_quorum(_scale(args)),
     ))
 
 
 def cmd_fig5c(args) -> None:
     print(render_table(
         "Fig 5c — shard scaling",
-        exp.fig5c_shard_scaling(_scale(args), workers=args.workers),
+        exp.fig5c_shard_scaling(_scale(args)),
     ))
 
 
 def cmd_fig6a(args) -> None:
     print(render_table(
         "Fig 6a — fast path",
-        exp.fig6a_fast_path(_scale(args), workers=args.workers),
+        exp.fig6a_fast_path(_scale(args)),
     ))
 
 
 def cmd_fig6b(args) -> None:
     print(render_table(
         "Fig 6b — batching",
-        exp.fig6b_batching(_scale(args), workers=args.workers),
+        exp.fig6b_batching(_scale(args)),
     ))
 
 
@@ -97,9 +97,7 @@ def cmd_fig7(args) -> None:
         schedule = exp.fig7_crash_schedule(
             exp.SystemConfig(f=1, batch_size=4), scale, num_crashes=args.crashes
         )
-    results = exp.fig7_failures(
-        args.dist, scale=scale, workers=args.workers, fault_schedule=schedule
-    )
+    results = exp.fig7_failures(args.dist, scale=scale, fault_schedule=schedule)
     for behaviour, series in results.items():
         print(render_series(f"Fig 7 — {behaviour} ({args.dist})", series))
 
@@ -129,12 +127,6 @@ def main(argv: list[str] | None = None) -> int:
         "--quick so smoke environments still complete",
     )
     parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="run Basil figure points on the space-parallel kernel with "
-        "N worker processes (shard-per-partition plan); baselines always "
-        "run sequentially",
-    )
-    parser.add_argument(
         "--trace", nargs="?", const="traces", default=None, metavar="DIR",
         help="record a deterministic trace per benchmark; write Chrome "
         "trace_event JSON into DIR (default: traces/) and print each "
@@ -149,11 +141,9 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def _passthrough(p) -> None:
-        # Accept the global flags after the subcommand too (the README
-        # idiom is `fig4 --workers 2`); SUPPRESS keeps an absent
-        # subcommand flag from clobbering the global parse.
-        p.add_argument("--workers", type=int, metavar="N",
-                       default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+        # Accept the global flags after the subcommand too (`fig5b
+        # --quick`); SUPPRESS keeps an absent subcommand flag from
+        # clobbering the global parse.
         p.add_argument("--quick", action="store_true",
                        default=argparse.SUPPRESS, help=argparse.SUPPRESS)
         p.add_argument("--paper", action="store_true",
@@ -174,8 +164,7 @@ def main(argv: list[str] | None = None) -> int:
     p7.add_argument("--dist", choices=["uniform", "zipfian"], default="zipfian")
     p7.add_argument(
         "--crashes", type=int, default=0, metavar="N",
-        help="overlay N replica crash/restart faults with plan-derived "
-        "targets (same logical victims at any --workers count)",
+        help="overlay N replica crash/restart faults",
     )
     p7.set_defaults(func=cmd_fig7)
     _passthrough(p7)

@@ -78,8 +78,7 @@ class WorkloadDesc:
     constructor kwargs.
 
     Every figure point copies the fields into a
-    :class:`~repro.run.ModelSpec`, so it simulates the same
-    workload at any worker count; :meth:`build` is for callers that want
+    :class:`~repro.run.ModelSpec`; :meth:`build` is for callers that want
     the workload object itself.
     """
 
@@ -100,10 +99,8 @@ _TRACE_DIR: str | None = None
 def set_trace_dir(path: str | None) -> None:
     """Enable (or disable with ``None``) tracing for every benchmark run.
 
-    The globals only configure the *front-end*: parallel runs copy them
-    into the picklable :class:`~repro.run.ModelSpec`, because
-    module state mutated after workers fork would never reach them (the
-    spec is the only channel into a worker process).
+    The globals only configure the *front-end*: each figure point copies
+    them into its :class:`~repro.run.ModelSpec`.
     """
     global _TRACE_DIR
     if path is not None:
@@ -130,7 +127,7 @@ def set_obs_dir(path: str | None) -> None:
 
 
 def _bench_from_dict(data: dict) -> BenchResult:
-    """Rehydrate the parallel runtime's jsonable bench dict into a row."""
+    """Rehydrate the run pipeline's jsonable bench dict into a row."""
     known = {f.name for f in dataclasses.fields(BenchResult)}
     return BenchResult(**{k: v for k, v in data.items() if k in known})
 
@@ -141,7 +138,6 @@ def _run_point(
     clients: int,
     scale: Scale,
     name: str,
-    workers: int = 1,
     fault_schedule=None,
     byz_behaviour: str | None = None,
     byz_count: int = 0,
@@ -149,17 +145,10 @@ def _run_point(
 ) -> BenchResult:
     """One figure point, of any system ``kind``, through the run pipeline.
 
-    ``workers=1`` runs the plain sequential kernel (byte-identical trace
-    digests to a hand-built system + runner — pinned by the golden-digest
-    tests); ``workers>=2`` partitions a Basil point by the config's shard
-    layout (:func:`repro.parallel.partition.basil_plan`) and merges
-    per-partition rows/reports back into the sequential schema (the
-    baselines have no partitioned build: ``workers`` stays 1 for them).
-    Trace/obs directories travel inside the spec, not module globals, so
-    forked workers write their per-partition artifacts too.
+    A :class:`~repro.run.SequentialRun`: byte-identical trace digests to a
+    hand-built system + runner (pinned by the golden-digest tests).
     """
-    from repro.parallel.runtime import ParallelRunner
-    from repro.run import ModelSpec
+    from repro.run import ModelSpec, SequentialRun
 
     spec = ModelSpec(
         kind=kind,
@@ -179,22 +168,17 @@ def _run_point(
         trace_dir=_TRACE_DIR,
         obs_dir=_OBS_DIR,
     )
-    run = ParallelRunner(spec, workers=workers).run()
+    run = SequentialRun(spec).run()
     result = _bench_from_dict(run.bench)
-    if workers > 1:
-        result.extra["workers"] = run.workers
-        result.extra["windows"] = run.windows
     if run.fault_stats is not None:
         result.extra.setdefault("fault_stats", dict(run.fault_stats))
     if _TRACE_DIR is not None:
         result.extra["trace_digest"] = run.digest
-        path = spec.artifact_path("trace", None if run.workers == 1 else 0)
+        path = spec.artifact_path("trace")
         result.extra["trace_path"] = path
         print(f"  trace: {path} (digest {run.digest[:12]})")
     if _OBS_DIR is not None and run.report is not None:
-        # written by the pipeline (workers>1: the merged view, beside the
-        # partitions' own slices)
-        path = spec.artifact_path("obs")
+        path = spec.artifact_path("obs")  # written by the pipeline
         result.extra["obs_path"] = path
         result.extra["health"] = run.report.get("health", "")
         print(f"  obs: {path} (health {result.extra['health']})")
@@ -238,22 +222,15 @@ APP_BATCHES = {
 }
 
 
-def fig4_systems(
-    app: str, scale: Scale = DEFAULT_SCALE, workers: int = 1
-) -> dict[str, BenchResult]:
-    """One app (Figure 4a/4b column): throughput + latency per system.
-
-    ``workers`` parallelizes the Basil point over shard partitions; the
-    baselines have no partitioned build and always run sequentially (the
-    flag still applies — a fig4 sweep with ``--workers`` completes).
-    """
+def fig4_systems(app: str, scale: Scale = DEFAULT_SCALE) -> dict[str, BenchResult]:
+    """One app (Figure 4a/4b column): throughput + latency per system."""
     batches = APP_BATCHES[app]
     wdesc = app_workload_desc(app, scale)
     results: dict[str, BenchResult] = {}
 
     results["basil"] = _run_point(
         SystemConfig(f=1, batch_size=batches["basil"]),
-        wdesc, scale.clients, scale, f"basil/{app}", workers=workers,
+        wdesc, scale.clients, scale, f"basil/{app}",
     )
     results["tapir"] = _run_point(
         SystemConfig(f=1), wdesc, scale.clients, scale, f"tapir/{app}",
@@ -274,9 +251,7 @@ def fig4_systems(
 # ---------------------------------------------------------------------------
 # Figure 5a: cost of cryptography (Basil with vs without signatures)
 # ---------------------------------------------------------------------------
-def fig5a_crypto_cost(
-    scale: Scale = DEFAULT_SCALE, workers: int = 1
-) -> dict[str, BenchResult]:
+def fig5a_crypto_cost(scale: Scale = DEFAULT_SCALE) -> dict[str, BenchResult]:
     results = {}
     for dist, tag in (("uniform", "rw-u"), ("zipfian", "rw-z")):
         for crypto_on in (True, False):
@@ -288,18 +263,14 @@ def fig5a_crypto_cost(
                 "ycsb-u", scale.ycsb_keys, (("distribution", dist),)
             )
             name = f"basil-{tag}-{'sig' if crypto_on else 'nosig'}"
-            results[name] = _run_point(
-                config, wdesc, scale.clients, scale, name, workers=workers
-            )
+            results[name] = _run_point(config, wdesc, scale.clients, scale, name)
     return results
 
 
 # ---------------------------------------------------------------------------
 # Figure 5b: read quorum size (read-only workload, 24 reads/txn)
 # ---------------------------------------------------------------------------
-def fig5b_read_quorum(
-    scale: Scale = DEFAULT_SCALE, workers: int = 1
-) -> dict[str, BenchResult]:
+def fig5b_read_quorum(scale: Scale = DEFAULT_SCALE) -> dict[str, BenchResult]:
     results = {}
     f = 1
     # Read-only transactions are cheap per-replica; it takes ~3x the usual
@@ -310,18 +281,14 @@ def fig5b_read_quorum(
     ):
         config = SystemConfig(f=f, batch_size=16, read_quorum=quorum, read_fanout=fanout)
         wdesc = WorkloadDesc("ycsb-ro", scale.ycsb_keys)
-        results[label] = _run_point(
-            config, wdesc, clients, scale, f"readonly-{label}", workers=workers
-        )
+        results[label] = _run_point(config, wdesc, clients, scale, f"readonly-{label}")
     return results
 
 
 # ---------------------------------------------------------------------------
 # Figure 5c: shard scaling (1 -> 3 shards), with and without crypto
 # ---------------------------------------------------------------------------
-def fig5c_shard_scaling(
-    scale: Scale = DEFAULT_SCALE, workers: int = 1
-) -> dict[str, BenchResult]:
+def fig5c_shard_scaling(scale: Scale = DEFAULT_SCALE) -> dict[str, BenchResult]:
     # The no-crypto runs push very high simulated throughput (millions of
     # events); a shorter window keeps wall-clock sane without changing
     # the 1-shard -> 3-shard ratios the figure reports.
@@ -342,18 +309,14 @@ def fig5c_shard_scaling(
             )
             name = f"{'sig' if crypto_on else 'nosig'}-{shards}shard"
             clients = scale.clients if shards == 1 else scale.clients * 2
-            results[name] = _run_point(
-                config, wdesc, clients, scale, name, workers=workers
-            )
+            results[name] = _run_point(config, wdesc, clients, scale, name)
     return results
 
 
 # ---------------------------------------------------------------------------
 # Figure 6a: fast path on/off
 # ---------------------------------------------------------------------------
-def fig6a_fast_path(
-    scale: Scale = DEFAULT_SCALE, workers: int = 1
-) -> dict[str, BenchResult]:
+def fig6a_fast_path(scale: Scale = DEFAULT_SCALE) -> dict[str, BenchResult]:
     results = {}
     for dist, tag in (("uniform", "rw-u"), ("zipfian", "rw-z")):
         for fast in (True, False):
@@ -362,9 +325,7 @@ def fig6a_fast_path(
                 "ycsb-u", scale.ycsb_keys, (("distribution", dist),)
             )
             name = f"{tag}-{'fp' if fast else 'nofp'}"
-            results[name] = _run_point(
-                config, wdesc, scale.clients, scale, name, workers=workers
-            )
+            results[name] = _run_point(config, wdesc, scale.clients, scale, name)
     return results
 
 
@@ -373,7 +334,6 @@ def fig6a_fast_path(
 # ---------------------------------------------------------------------------
 def fig6b_batching(
     scale: Scale = DEFAULT_SCALE, sizes: tuple[int, ...] = (1, 2, 4, 8, 16, 32),
-    workers: int = 1,
 ) -> dict[str, BenchResult]:
     results = {}
     for dist, tag in (("uniform", "rw-u"), ("zipfian", "rw-z")):
@@ -383,9 +343,7 @@ def fig6b_batching(
                 "ycsb-u", scale.ycsb_keys, (("distribution", dist),)
             )
             name = f"{tag}-b{b}"
-            results[name] = _run_point(
-                config, wdesc, scale.clients, scale, name, workers=workers
-            )
+            results[name] = _run_point(config, wdesc, scale.clients, scale, name)
     return results
 
 
@@ -401,22 +359,19 @@ def fig7_crash_schedule(
     num_crashes: int = 1,
     seed: int | None = None,
 ):
-    """A Fig 7 replica crash/restart schedule with plan-derived targets.
+    """A Fig 7 replica crash/restart schedule.
 
-    Victims are drawn from the :func:`repro.parallel.partition.basil_plan`
-    roster — the authoritative node-name list for the deployment — never
-    from a live system's dict order, so the same seed crashes the same
-    *logical* replica at any worker count (worker packing can't reshuffle
-    the roster; digest-checked w1 vs w2 in the regression tests).
-    Crashes land at 30% of the measured window and restart at 70%.
+    Victims are drawn from the deployment's sorted replica names, never
+    from a live system's dict order, so a seed always names the same
+    replicas.  Crashes land at 30% of the measured window and restart at
+    70%.
     """
     import random as _random
 
+    from repro.core.sharding import Sharder
     from repro.faults.spec import CrashFault, FaultSchedule
-    from repro.parallel.partition import basil_plan
 
-    plan = basil_plan(config, scale.clients)
-    replicas = sorted(n for n in plan.roster() if not n.startswith("client/"))
+    replicas = sorted(Sharder(config).all_replicas())
     rng = _random.Random(f"{seed if seed is not None else config.seed}/fig7-crashes")
     victims = rng.sample(replicas, min(num_crashes, len(replicas)))
     crash_at = scale.warmup + 0.3 * scale.duration
@@ -435,7 +390,6 @@ def fig7_failures(
     behaviours: tuple[str, ...] = FAILURE_BEHAVIOURS,
     byz_client_fractions: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3),
     scale: Scale = DEFAULT_SCALE,
-    workers: int = 1,
     fault_schedule=None,
 ) -> dict[str, dict[float, BenchResult]]:
     """Correct-client throughput vs fraction of Byzantine clients.
@@ -445,8 +399,7 @@ def fig7_failures(
     faulty-transaction percentage; with faulty_fraction=1 these
     coincide at the client granularity).  ``fault_schedule`` overlays
     replica faults (see :func:`fig7_crash_schedule`) on every point; its
-    injector stats end up in each row's ``extra["fault_stats"]``,
-    aggregated across partitions when ``workers > 1``.
+    injector stats end up in each row's ``extra["fault_stats"]``.
     """
     results: dict[str, dict[float, BenchResult]] = {}
     for behaviour in behaviours:
@@ -462,7 +415,7 @@ def fig7_failures(
             num_byz = round(scale.clients * fraction)
             name = f"{behaviour}@{int(fraction * 100)}%"
             result = _run_point(
-                config, wdesc, scale.clients, scale, name, workers=workers,
+                config, wdesc, scale.clients, scale, name,
                 fault_schedule=fault_schedule,
                 byz_behaviour=behaviour if num_byz else None,
                 byz_count=num_byz,

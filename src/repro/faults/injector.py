@@ -65,16 +65,6 @@ class FaultInjector:
         Must run before traffic starts: Byzantine replica swaps reuse the
         replica's identity key, and crash events are scheduled on the
         simulator clock.  Returns self for chaining.
-
-        Partition-aware: when ``system`` is one slice of a space-parallel
-        deployment (``system.partition`` is a PlanSlice), node patterns
-        are validated against the *whole* deployment's roster but only
-        act on replicas this partition hosts — so the same schedule
-        serializes into every partition and each one applies its local
-        share.  Link/partition faults are evaluated on the *sending*
-        partition (this injector wraps the sender's adversary, which
-        also runs on the cross-partition export path), so the set of
-        messages a schedule affects does not depend on worker packing.
         """
         if self.network is not None:
             raise SimulationError("fault injector is already attached")
@@ -93,26 +83,11 @@ class FaultInjector:
 
     @staticmethod
     def _matching_replicas(system: Any, pattern: str) -> list[str]:
-        """Replica names ``pattern`` selects, restricted to local ones.
-
-        In a partitioned system the pattern is checked against the full
-        roster (raising on a pattern that matches no deployment node,
-        exactly as the sequential path raises on an unknown replica),
-        then filtered down to the replicas this partition actually
-        hosts — which may legitimately be none.
-        """
-        partition = getattr(system, "partition", None)
-        if partition is None:
-            names = [name for name in system.replicas if fnmatchcase(name, pattern)]
-            if not names:
-                raise SimulationError(f"fault pattern {pattern!r} matches no replica")
-            return names
-        roster = [name for name in partition.roster() if fnmatchcase(name, pattern)]
-        if not roster:
-            raise SimulationError(
-                f"fault pattern {pattern!r} matches no node in the deployment roster"
-            )
-        return [name for name in roster if name in system.replicas]
+        """Replica names ``pattern`` selects (at least one, or an error)."""
+        names = [name for name in system.replicas if fnmatchcase(name, pattern)]
+        if not names:
+            raise SimulationError(f"fault pattern {pattern!r} matches no replica")
+        return names
 
     def _apply_byz_replicas(self, system: Any) -> None:
         for fault in self.schedule.byz_replicas:

@@ -8,15 +8,12 @@ Everything the single-datacenter reproduction lacked to tell the
   per-region-pair base latency + jitter.
 * :mod:`repro.geo.latency` — node placement across regions and the
   :class:`RegionLatencyModel` that replaces the uniform network link.
-* :mod:`repro.geo.plan` — :class:`GeoSpec` run descriptions and
-  region-per-partition plans whose lookahead is derived from the
-  minimum entry of the latency matrix.
+* :mod:`repro.geo.plan` — :class:`GeoSpec` run descriptions.
 * :mod:`repro.geo.edge` — the :class:`EdgeProxy` session tier: sticky
   per-region sessions, read-lease fast paths, write-back batching.
 * :mod:`repro.geo.faults` — region-correlated fault specs layered on
   the :mod:`repro.faults` schedule format.
-* :mod:`repro.geo.runner` — build + drive a geo deployment, sequential
-  or under :class:`repro.parallel.ParallelRunner`.
+* :mod:`repro.geo.runner` — build + drive a geo deployment.
 
 CLI: ``python -m repro.geo sweep`` compares edge-decoupled vs
 direct-to-core serving across topologies.
@@ -24,7 +21,7 @@ direct-to-core serving across topologies.
 
 from repro.geo.edge import EdgeProxy, EdgeUser
 from repro.geo.latency import GeoPlacement, RegionLatencyModel
-from repro.geo.plan import GeoSpec, derive_lookahead, geo_plan
+from repro.geo.plan import GeoSpec
 from repro.geo.runner import GeoRunner, build_geo_system
 from repro.geo.topology import GeoTopology, get_topology, wan3, wan5
 
@@ -37,8 +34,6 @@ __all__ = [
     "GeoTopology",
     "RegionLatencyModel",
     "build_geo_system",
-    "derive_lookahead",
-    "geo_plan",
     "get_topology",
     "wan3",
     "wan5",

@@ -1,11 +1,10 @@
 """CLI: ``python -m repro.geo sweep|run|topo``.
 
 * ``sweep`` — the geo serving experiment: every requested topology x
-  serving mode (edge vs direct), each under the parallel runtime
-  (``--workers``, region-per-partition), printing a per-region end-user
-  latency table and the edge-vs-direct comparison against each
-  topology's fastest cross-region RTT.  ``--obs DIR`` writes one merged
-  RunReport per point.
+  serving mode (edge vs direct), printing a per-region end-user latency
+  table and the edge-vs-direct comparison against each topology's
+  fastest cross-region RTT.  ``--obs DIR`` writes one RunReport per
+  point.
 * ``run`` — one topology x mode point, full bench row + region table.
 * ``topo`` — print a topology's regions and latency matrix (or its
   JSON, for editing into a custom matrix file).
@@ -16,7 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.geo.plan import MODES, GeoSpec, derive_lookahead
+from repro.geo.plan import MODES, GeoSpec
 from repro.geo.topology import TOPOLOGIES, get_topology
 
 
@@ -52,10 +51,10 @@ def _spec(args: argparse.Namespace) -> "ModelSpec":
     )
 
 
-def _run_point(spec, workers: int):
-    from repro.parallel.runtime import ParallelRunner
+def _run_point(spec):
+    from repro.run import SequentialRun
 
-    return ParallelRunner(spec, workers=workers).run()
+    return SequentialRun(spec).run()
 
 
 def _print_regions(geo_extra: dict) -> None:
@@ -80,11 +79,11 @@ def _report_point(result, spec) -> dict:
         f"read p50 {g['read_p50'] * 1000:7.2f} ms  "
         f"write p50 {g['write_p50'] * 1000:7.2f} ms  "
         f"commits {bench['commits']:>4}  "
-        f"(min cross RTT {rtt * 1000:.0f} ms, windows {result.windows})"
+        f"(min cross RTT {rtt * 1000:.0f} ms)"
     )
     _print_regions(g)
     if spec.obs_dir:  # the pipeline wrote it
-        print(f"    wrote merged obs report to {spec.artifact_path('obs')}")
+        print(f"    wrote obs report to {spec.artifact_path('obs')}")
     return g
 
 
@@ -93,7 +92,6 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def common(p):
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--shards", type=int, default=1)
         p.add_argument("--users", type=int, default=4,
                        help="end users per region")
@@ -104,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--warmup", type=float, default=0.15)
         p.add_argument("--seed", type=int, default=2024)
         p.add_argument("--obs", default=None, metavar="DIR",
-                       help="write merged RunReports into this directory")
+                       help="write RunReports into this directory")
         p.add_argument("--faults", default=None, metavar="SCHEDULE.json",
                        help="apply a FaultSchedule (e.g. a region blackout)")
 
@@ -136,7 +134,7 @@ def main(argv: list[str] | None = None) -> int:
             print(topology.to_json())
             return 0
         print(f"topology {topology.name}: {len(topology.regions)} regions, "
-              f"lookahead {derive_lookahead(topology) * 1000:.0f} ms")
+              f"min cross RTT {2 * topology.min_cross_region().base * 1000:.0f} ms")
         width = max(len(r) for r in topology.regions) + 2
         print(" " * width + "".join(f"{r:>{width}}" for r in topology.regions))
         for a in topology.regions:
@@ -149,8 +147,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.cmd == "run":
         spec = _spec(args)
-        result = _run_point(spec, args.workers)
-        _report_point(result, spec)
+        _report_point(_run_point(spec), spec)
         return 0
 
     # sweep
@@ -158,15 +155,13 @@ def main(argv: list[str] | None = None) -> int:
         topology = get_topology(name)
         print(
             f"{topology.name}: {len(topology.regions)} regions, min cross RTT "
-            f"{2 * derive_lookahead(topology) * 1000:.0f} ms, "
-            f"workers={args.workers}"
+            f"{2 * topology.min_cross_region().base * 1000:.0f} ms"
         )
         per_mode = {}
         for mode in args.modes:
             point = argparse.Namespace(**vars(args), topology=name, mode=mode)
             spec = _spec(point)
-            result = _run_point(spec, args.workers)
-            per_mode[mode] = _report_point(result, spec)
+            per_mode[mode] = _report_point(_run_point(spec), spec)
         if "edge" in per_mode and "direct" in per_mode:
             edge, direct = per_mode["edge"], per_mode["direct"]
             rtt = edge["cross_region_rtt"]

@@ -32,6 +32,7 @@ from typing import Any
 from repro.core.client import BasilClient
 from repro.errors import ProtocolError, SimTimeoutError
 from repro.sim.loop import Future
+from repro.sim.monitor import Histogram
 from repro.sim.node import Node
 
 
@@ -69,13 +70,12 @@ class EdgeWriteReply:
 # ---------------------------------------------------------------------------
 # Latency accounting
 # ---------------------------------------------------------------------------
-def percentile(samples: list[float], q: float) -> float:
-    """Nearest-rank percentile of an unsorted sample list (0 when empty)."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = min(len(ordered) - 1, max(0, int(q * len(ordered))))
-    return ordered[rank]
+def histogram(samples: list[float]) -> Histogram:
+    """``samples`` as a :class:`Histogram`, for its one percentile rule."""
+    hist = Histogram("geo")
+    for sample in samples:
+        hist.record(sample)
+    return hist
 
 
 class RegionStats:
@@ -108,15 +108,16 @@ class RegionStats:
             (self.reads if op == "read" else self.writes).append(latency)
 
     def summary(self) -> dict[str, Any]:
+        reads, writes = histogram(self.reads), histogram(self.writes)
         return {
             "reads": self.read_total,
             "writes": self.write_total,
             "failures": self.failures,
-            "read_p50": percentile(self.reads, 0.50),
-            "read_p99": percentile(self.reads, 0.99),
+            "read_p50": reads.percentile(50),
+            "read_p99": reads.percentile(99),
             "read_mean": sum(self.reads) / len(self.reads) if self.reads else 0.0,
-            "write_p50": percentile(self.writes, 0.50),
-            "write_p99": percentile(self.writes, 0.99),
+            "write_p50": writes.percentile(50),
+            "write_p99": writes.percentile(99),
             "write_mean": sum(self.writes) / len(self.writes) if self.writes else 0.0,
         }
 

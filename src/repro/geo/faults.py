@@ -6,9 +6,7 @@ an arbitrary replica subset.  These builders resolve a region through a
 :class:`~repro.geo.latency.GeoPlacement` into the explicit node names it
 hosts (exact names are valid fnmatch patterns) and compose the standard
 :mod:`repro.faults.spec` primitives, so geo fault schedules serialize,
-replay, and inject exactly like any other schedule — including under
-:class:`repro.parallel.ParallelRunner`, where each partition applies the
-sending side of the same serialized schedule.
+replay, and inject exactly like any other schedule.
 """
 
 from __future__ import annotations

@@ -88,10 +88,6 @@ class GeoPlacement:
     def replicas_in(self, region: str) -> tuple[str, ...]:
         return tuple(n for n in self.nodes_in(region) if n.startswith("s"))
 
-    def roster(self) -> tuple[str, ...]:
-        """Every node name in the deployment, in placement order."""
-        return tuple(self._regions_of)
-
 
 class RegionLatencyModel:
     """Per-(src, dst) latency looked up through a region placement.
@@ -101,12 +97,11 @@ class RegionLatencyModel:
     ``sample`` path is one dict hit + the usual jitter draw.
     """
 
-    __slots__ = ("topology", "placement", "_floor", "_pairs")
+    __slots__ = ("topology", "placement", "_pairs")
 
     def __init__(self, topology: GeoTopology, placement: GeoPlacement) -> None:
         self.topology = topology
         self.placement = placement
-        self._floor = min(link.base for link in topology.links)
         self._pairs: dict[tuple[str, str], tuple[float, float]] = {}
 
     def _pair(self, src: str, dst: str) -> tuple[float, float]:
@@ -123,9 +118,6 @@ class RegionLatencyModel:
         if jitter:
             base += rng.uniform(0.0, jitter)
         return base
-
-    def floor(self) -> float:
-        return self._floor
 
     def describe(self, src: str, dst: str) -> str:
         a = self.placement.region_of(src)

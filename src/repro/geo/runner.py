@@ -14,19 +14,16 @@ while consensus still pays WAN quorum latency underneath.
 
 ``GeoRunner`` mirrors :class:`repro.bench.runner.ExperimentRunner`'s
 lifecycle (``setup()`` schedules everything without executing an event;
-``finalize()`` summarizes) so the parallel partition hosts can drive
-either interchangeably.  Under :class:`repro.parallel.ParallelRunner`
-each partition is one region (see :func:`repro.geo.plan.geo_plan`);
-``merge_geo_benches`` unions the per-region rows back into one bench.
+``finalize()`` summarizes) so the run pipeline (:mod:`repro.run`) drives
+either the same way.  Geo runs are sequential.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any
 
 from repro.bench.runner import BenchResult
-from repro.errors import SimulationError
-from repro.geo.edge import DirectUser, EdgeProxy, EdgeUser, RegionStats, percentile
+from repro.geo.edge import DirectUser, EdgeProxy, EdgeUser, RegionStats, histogram
 from repro.geo.latency import RegionLatencyModel, user_name
 from repro.geo.obs import edge_probe, geo_health_rules
 from repro.geo.plan import GeoSpec
@@ -54,8 +51,8 @@ def wan_timeouts(config: Any, topology: Any) -> Any:
     )
 
 
-def build_geo_system(config: Any, geo: GeoSpec, partition: Any = None) -> Any:
-    """A Basil deployment on ``geo``'s topology (optionally one slice).
+def build_geo_system(config: Any, geo: GeoSpec) -> Any:
+    """A Basil deployment on ``geo``'s topology.
 
     Replicas carry their hosting region (``replica.region``) so the
     core's churn metrics come out region-labeled, and the network's
@@ -67,7 +64,7 @@ def build_geo_system(config: Any, geo: GeoSpec, partition: Any = None) -> Any:
     config = wan_timeouts(config, geo.topology)
     placement = geo.placement(config)
     model = RegionLatencyModel(geo.topology, placement)
-    system = BasilSystem(config, partition=partition, latency=model)
+    system = BasilSystem(config, latency=model)
     for name, replica in system.replicas.items():
         replica.region = placement.region_of(name)
     return system
@@ -75,19 +72,12 @@ def build_geo_system(config: Any, geo: GeoSpec, partition: Any = None) -> Any:
 
 #: Client-id block per region: region ``i`` owns ids ``1000*(i+1) ...``.
 #: Blocks keep client ids (which salt Basil timestamps) unique across
-#: regions even when each partition constructs only its own region.
+#: regions.
 _REGION_ID_BLOCK = 1000
 
 
 class GeoRunner:
-    """Closed-loop geo serving experiment over one (slice of a) system.
-
-    ``regions`` restricts the serving tier to a subset (a partitioned
-    run passes its own region); core replicas are whatever ``system``
-    hosts.  ``keep_samples`` retains raw per-region latency samples in
-    the bench row's ``extra`` so cross-partition merges can recompute
-    exact percentiles (dropped again by :func:`merge_geo_benches`).
-    """
+    """Closed-loop geo serving experiment over one system."""
 
     def __init__(
         self,
@@ -98,29 +88,16 @@ class GeoRunner:
         name: str = "",
         recorder: Any = None,
         injector: Any = None,
-        regions: Sequence[str] | None = None,
-        keep_samples: bool = False,
     ) -> None:
         self.system = system
         self.geo = geo
         topology = geo.topology
-        if regions is None:
-            self.regions = topology.regions
-        else:
-            unknown = set(regions) - set(topology.regions)
-            if unknown:
-                raise SimulationError(
-                    f"unknown regions {sorted(unknown)} on topology "
-                    f"{topology.name!r}"
-                )
-            wanted = set(regions)
-            self.regions = tuple(r for r in topology.regions if r in wanted)
+        self.regions = topology.regions
         self.duration = duration
         self.warmup = warmup
         self.name = name or f"geo-{topology.name}-{geo.mode}"
         self.recorder = recorder
         self.injector = injector
-        self.keep_samples = keep_samples
         self.workload = GeoSessionWorkload(
             num_keys=geo.keys, read_fraction=geo.read_fraction
         )
@@ -160,7 +137,7 @@ class GeoRunner:
                 proxy.clock_offset = CLOCK_EPOCH + skew_rng.uniform(
                     -config.clock_skew, config.clock_skew
                 )
-                self._adopt(proxy)
+                system.network.register(proxy)
                 proxy.start()
                 self.proxies[region] = proxy
                 for i in range(geo.users_per_region):
@@ -171,7 +148,7 @@ class GeoRunner:
                         stop_issuing=window_end, end_time=self.end_time,
                         think_time=geo.think_time,
                     )
-                    self._adopt(user)
+                    system.network.register(user)
                     user.start()
                     members.append(user)
             else:
@@ -187,7 +164,7 @@ class GeoRunner:
                     user.clock_offset = CLOCK_EPOCH + skew_rng.uniform(
                         -config.clock_skew, config.clock_skew
                     )
-                    self._adopt(user)
+                    system.network.register(user)
                     user.start()
                     members.append(user)
             self.users[region] = members
@@ -199,12 +176,6 @@ class GeoRunner:
                 self.recorder.ticker.add_probe(edge_probe(self.proxies))
             self.recorder.attach(system, until=self.end_time)
         return self.end_time
-
-    def _adopt(self, node: Any) -> None:
-        """Register a serving-tier node on the (possibly sliced) network."""
-        if self.system.partition is not None:
-            node.partition_id = self.system.partition.partition_id
-        self.system.network.register(node)
 
     # ------------------------------------------------------------------
     # Execution + results
@@ -247,6 +218,7 @@ class GeoRunner:
             per_region[region] = row
         all_samples = read_samples + write_samples
         ops = len(all_samples)
+        reads, writes = histogram(read_samples), histogram(write_samples)
         fastest = topology.min_cross_region()
         extra_geo: dict[str, Any] = {
             "topology": topology.name,
@@ -256,25 +228,17 @@ class GeoRunner:
             "cross_region_rtt": 2.0 * fastest.base,
             "ops": ops,
             "failures": failures,
-            "read_p50": percentile(read_samples, 0.50),
-            "read_p99": percentile(read_samples, 0.99),
-            "write_p50": percentile(write_samples, 0.50),
-            "write_p99": percentile(write_samples, 0.99),
+            "read_p50": reads.percentile(50),
+            "read_p99": reads.percentile(99),
+            "write_p50": writes.percentile(50),
+            "write_p99": writes.percentile(99),
         }
-        if self.keep_samples:
-            extra_geo["samples"] = {
-                region: {
-                    "reads": list(self.stats[region].reads),
-                    "writes": list(self.stats[region].writes),
-                }
-                for region in self.regions
-            }
         attempts = commits + aborts
         return BenchResult(
             name=self.name,
             throughput=ops / self.duration if self.duration else 0.0,
             mean_latency=sum(all_samples) / ops if ops else 0.0,
-            p99_latency=percentile(all_samples, 0.99),
+            p99_latency=histogram(all_samples).percentile(99),
             commit_rate=commits / attempts if attempts else 1.0,
             fast_path_rate=fast / commits if commits else 0.0,
             commits=commits,
@@ -284,54 +248,3 @@ class GeoRunner:
             extra={"geo": extra_geo},
         )
 
-
-def merge_geo_benches(rows: Sequence[dict[str, Any]]) -> dict[str, Any] | None:
-    """Union per-partition geo bench rows (dict form) into one bench.
-
-    Region tables union (each region is measured on exactly one
-    partition); overall latency percentiles are recomputed from the
-    retained raw samples, which are then dropped from the merged row.
-    """
-    rows = [r for r in rows if r]
-    if not rows:
-        return None
-    read_samples: list[float] = []
-    write_samples: list[float] = []
-    regions: dict[str, dict[str, Any]] = {}
-    commits = aborts = failures = ops = 0
-    fast_commits = 0.0
-    for row in rows:
-        g = dict((row.get("extra") or {}).get("geo") or {})
-        regions.update(g.get("regions") or {})
-        for sample in (g.get("samples") or {}).values():
-            read_samples.extend(sample.get("reads", ()))
-            write_samples.extend(sample.get("writes", ()))
-        failures += int(g.get("failures", 0))
-        commits += int(row.get("commits", 0))
-        aborts += int(row.get("aborts", 0))
-        fast_commits += row.get("fast_path_rate", 0.0) * row.get("commits", 0)
-    all_samples = read_samples + write_samples
-    ops = len(all_samples)
-    merged = dict(rows[0])
-    duration = float(merged.get("duration") or 0.0)
-    attempts = commits + aborts
-    merged["throughput"] = ops / duration if duration else 0.0
-    merged["mean_latency"] = sum(all_samples) / ops if ops else 0.0
-    merged["p99_latency"] = percentile(all_samples, 0.99)
-    merged["commit_rate"] = commits / attempts if attempts else 1.0
-    merged["fast_path_rate"] = fast_commits / commits if commits else 0.0
-    merged["commits"] = commits
-    merged["aborts"] = aborts
-    extra = dict(merged.get("extra") or {})
-    geo = dict(extra.get("geo") or {})
-    geo.pop("samples", None)
-    geo["regions"] = regions
-    geo["ops"] = ops
-    geo["failures"] = failures
-    geo["read_p50"] = percentile(read_samples, 0.50)
-    geo["read_p99"] = percentile(read_samples, 0.99)
-    geo["write_p50"] = percentile(write_samples, 0.50)
-    geo["write_p99"] = percentile(write_samples, 0.99)
-    extra["geo"] = geo
-    merged["extra"] = extra
-    return merged

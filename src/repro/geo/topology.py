@@ -120,7 +120,8 @@ class GeoTopology:
                 yield link
 
     def min_cross_region(self) -> RegionLink:
-        """The fastest cross-region link (its base is the lookahead basis)."""
+        """The fastest cross-region link (one RTT of it is the edge tier's
+        yardstick)."""
         links = list(self.cross_region_links())
         if not links:
             raise SimulationError(

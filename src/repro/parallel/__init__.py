@@ -11,6 +11,10 @@ one-way cross-partition network latency, so a message sent inside a
 window can never be due for delivery inside the same window — the
 windowed barrier exchange is always conservative.
 
+``workers >= 2`` runs plain closed-loop Basil and the kernel
+microbench; geo runs, fault schedules, obs recording, drains and
+open-loop arrivals are ``workers=1`` only.
+
 Determinism contract (see docs/parallel.md):
 
 * The partition count is a function of the *topology*, never of the
@@ -28,7 +32,7 @@ Determinism contract (see docs/parallel.md):
 """
 
 from repro.parallel.exchange import Envelope, envelope_order, window_count
-from repro.parallel.merge import combine_digests, merge_event_streams
+from repro.parallel.merge import combine_digests
 from repro.parallel.models import make_plan
 from repro.parallel.partition import PartitionPlan, PlanSlice, audit_rng_streams
 from repro.parallel.runtime import ParallelResult, ParallelRunner
@@ -45,6 +49,5 @@ __all__ = [
     "combine_digests",
     "envelope_order",
     "make_plan",
-    "merge_event_streams",
     "window_count",
 ]

@@ -4,8 +4,8 @@
   sequential-only tapir / txsmr / txsmr-hotstuff) under the parallel
   runtime with ``--workers N`` and print the merged result
   (digest, events, bench row, and what building it cost: set-up seconds
-  and peak RSS).  ``--obs out.json`` writes the merged per-partition
-  RunReport.
+  and peak RSS).  ``--obs out.json`` and ``--faults`` are ``workers=1``
+  only.
 * ``ladder`` — the scale ladder: run the partitioned kernel microbench
   at each worker count (fresh process per measurement), print aggregate
   events/s and speedups, and exit 1 unless every row — the sequential
@@ -121,11 +121,9 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("--warmup", type=float, default=0.02)
     run_p.add_argument("--seed", type=int, default=2024)
     run_p.add_argument("--obs", default=None, metavar="OUT.json",
-                       help="record per-partition telemetry, write merged report")
+                       help="record telemetry, write report")
     run_p.add_argument("--faults", default=None, metavar="SCHEDULE.json",
-                       help="apply a repro.faults FaultSchedule (each "
-                       "partition applies its local share; stats are "
-                       "summed across partitions)")
+                       help="apply a repro.faults FaultSchedule")
     run_p.add_argument("--timers", type=int, default=2000,
                        help="microbench: timers per partition")
 
@@ -209,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     if result.fault_stats is not None:
         applied = {k: v for k, v in result.fault_stats.items() if v}
-        print(f"  fault stats (all partitions): {applied or 'none applied'}")
+        print(f"  fault stats: {applied or 'none applied'}")
     if result.bench:
         bench = result.bench
         print(
@@ -221,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.obs.report import RunReport, write_report
 
         write_report(args.obs, RunReport.from_dict(result.report))
-        print(f"  wrote merged obs report to {args.obs}")
+        print(f"  wrote obs report to {args.obs}")
     return 0
 
 

@@ -1,16 +1,13 @@
 """Deterministic merging of per-partition results.
 
-Each partition produces its own trace digest, event count, and metric
-series; these helpers fold them into one run-level artifact in an order
-that depends only on partition ids — never on worker packing or message
-arrival order.
+Each partition produces its own trace digest; :func:`combine_digests`
+folds them into one run digest in an order that depends only on
+partition ids — never on worker packing or message arrival order.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
-from typing import Any, Iterable, Iterator
 
 
 def combine_digests(digests: dict[int, str]) -> str:
@@ -24,77 +21,3 @@ def combine_digests(digests: dict[int, str]) -> str:
     for pid in sorted(digests):
         h.update(f"{pid}:{digests[pid]}\n".encode())
     return h.hexdigest()
-
-
-def merge_event_streams(
-    streams: dict[int, Iterable[tuple[float, int, Any]]],
-) -> Iterator[tuple[float, int, int, Any]]:
-    """K-way merge of per-partition event streams into one total order.
-
-    Each stream yields ``(time, seq, item)`` tuples already ordered
-    within its partition; the merged order is ``(time, partition_id,
-    seq)`` — the same tie-break the exchange uses for envelopes, so a
-    merged timeline built from partitioned runs is stable run-to-run.
-    Yields ``(time, partition_id, seq, item)``.
-    """
-    def keyed(pid: int, stream: Iterable[tuple[float, int, Any]]):
-        for ts, seq, item in stream:
-            yield ts, pid, seq, item
-
-    yield from heapq.merge(
-        *(keyed(pid, stream) for pid, stream in sorted(streams.items()))
-    )
-
-
-def merge_partition_reports(
-    reports: dict[int, dict[str, Any]],
-    name: str,
-    bench: dict[str, Any] | None = None,
-    trace_digest: str | None = None,
-    meta: dict[str, Any] | None = None,
-) -> dict[str, Any]:
-    """Fold per-partition obs ``RunReport`` dicts into one run report.
-
-    Series and histograms are tagged with their partition so nothing is
-    lost in the merge; health is the worst across partitions; verdicts
-    concatenate in partition order.  The result is a plain
-    ``repro.obs.run/v1`` dict (round-trippable through
-    ``RunReport.from_dict``).
-    """
-    if not reports:
-        raise ValueError("no partition reports to merge")
-    order = {"ok": 0, "warn": 1, "fail": 2}
-    base = reports[min(reports)]
-    merged: dict[str, Any] = dict(base)
-    merged["name"] = name
-    merged["sim_seconds"] = max(r.get("sim_seconds", 0.0) for r in reports.values())
-    merged["health"] = max(
-        (r.get("health", "ok") for r in reports.values()),
-        key=lambda h: order.get(h, 2),
-    )
-    verdicts: list[dict[str, Any]] = []
-    series: list[dict[str, Any]] = []
-    histograms: dict[str, Any] = {}
-    for pid in sorted(reports):
-        report = reports[pid]
-        tag = f"p{pid}"
-        for verdict in report.get("verdicts", []):
-            verdicts.append({**verdict, "partition": pid})
-        for entry in report.get("series", []):
-            labels = dict(entry.get("labels") or {})
-            labels["partition"] = tag
-            series.append({**entry, "labels": labels})
-        for key, summary in (report.get("histograms") or {}).items():
-            histograms[f"{tag}/{key}"] = summary
-    merged["verdicts"] = verdicts
-    merged["series"] = series
-    merged["histograms"] = histograms
-    if bench is not None:
-        merged["bench"] = bench
-    if trace_digest is not None:
-        merged["trace_digest"] = trace_digest
-    merged_meta = dict(base.get("meta") or {})
-    merged_meta["partitions"] = sorted(reports)
-    merged_meta.update(meta or {})
-    merged["meta"] = merged_meta
-    return merged

@@ -24,17 +24,13 @@ from repro.run import (
 )
 
 # The byte-frozen basilbench/ imports ModelSpec and SequentialRun from here:
-# this line goes with ROADMAP item 8's benchmark-only PR.
+# this line goes with ROADMAP item 9's benchmark-only PR.
 from repro.run import SequentialRun  # noqa: F401
 from repro.sim.loop import Simulator
 
 
 def make_plan(spec: ModelSpec) -> PartitionPlan:
     if spec.kind == "basil":
-        if spec.geo is not None:
-            from repro.geo.plan import geo_plan
-
-            return geo_plan(spec.system_config(), spec.geo)
         return basil_plan(spec.system_config(), spec.num_clients)
     if spec.kind == "microbench":
         return uniform_plan(spec.partitions, spec.lookahead)
@@ -102,15 +98,9 @@ class BasilPartitionHost(PartitionHost):
     """One Basil partition: a shard's replicas, or the client slice."""
 
     def __init__(self, spec: ModelSpec, plan: PartitionPlan, pid: int) -> None:
-        system = build_system(
-            "basil", spec.system_config(), geo=spec.geo, partition=plan.slice(pid)
-        )
+        system = build_system("basil", spec.system_config(), partition=plan.slice(pid))
         super().__init__(spec, system, system.sim, plan, pid)
-        # Every geo partition hosts one region's serving tier, so every
-        # partition runs its own GeoRunner (no dedicated client partition).
-        self.is_client_partition = (
-            spec.geo is None and pid == plan.num_partitions - 1
-        )
+        self.is_client_partition = pid == plan.num_partitions - 1
         self._cross_received = 0
         system.network.bind_partition(self._remote_send, plan.lookahead)
 
@@ -130,36 +120,14 @@ class BasilPartitionHost(PartitionHost):
             self._build_envelope(src, dst, message, delay)
 
     def _build_envelope(self, src: str, dst: str, message: Any, delay: float) -> None:
-        dst_partition = self.plan.partition_of(dst)
-        # The network already enforces the global lookahead; pairs with a
-        # recorded per-pair floor (geo region pairs) are held to their
-        # own, tighter bound so a misplaced node or a latency-model bug
-        # is named by region pair instead of slipping under the window.
-        floor = self.plan.pair_floor(self.partition_id, dst_partition)
-        if delay < floor:
-            raise SimulationError(
-                f"cross-partition delay {delay:g}s for {src} -> {dst} "
-                f"undercuts the "
-                f"{self.plan.partition_label(self.partition_id)} <-> "
-                f"{self.plan.partition_label(dst_partition)} latency floor "
-                f"{floor:g}s"
-            )
-        self._emit(src, dst, dst_partition, delay, message)
+        # The network has already held the delay to the plan's lookahead.
+        self._emit(src, dst, self.plan.partition_of(dst), delay, message)
 
     def start(self) -> None:
-        spec = self.spec
-        if spec.geo is not None:
-            self._start_runner(
-                regions=(spec.geo.topology.regions[self.partition_id],)
-            )
-        elif self.is_client_partition:
+        if self.is_client_partition:
             self._start_runner()
         else:
-            if self.injector is not None:
-                self.injector.attach(self.system)
-            self.system.load(spec.make_workload().genesis())
-            if self.recorder is not None:
-                self.recorder.attach(self.system, until=spec.end_time())
+            self.system.load(self.spec.make_workload().genesis())
 
     def deliver(self, env: Envelope) -> None:
         self._cross_received += 1

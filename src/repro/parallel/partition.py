@@ -9,8 +9,8 @@ what makes trace digests invariant across worker counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Iterable
+from dataclasses import dataclass
+from typing import Any
 
 from repro.errors import SimulationError
 
@@ -33,15 +33,6 @@ class PartitionPlan:
     roster_names: tuple[str, ...] = ()
     default_partition: int = 0
     label: str = "plan"
-    #: Human-readable name per partition (e.g. the hosting region in a
-    #: geo plan); empty means partitions are anonymous.
-    partition_labels: tuple[str, ...] = ()
-    #: Per-partition-pair delivery floors as ``(p, q, floor)`` triples
-    #: (symmetric; derived from a latency matrix in geo plans).  The
-    #: global ``lookahead`` must not exceed any pair's floor — a window
-    #: wider than the fastest inter-partition link would let a message
-    #: land in a window its destination already executed.
-    pair_floors: tuple[tuple[int, int, float], ...] = ()
 
     def __post_init__(self) -> None:
         if self.num_partitions < 1:
@@ -51,40 +42,6 @@ class PartitionPlan:
         for name, pid in self.assignment:
             if not 0 <= pid < self.num_partitions:
                 raise SimulationError(f"{name!r} assigned to bad partition {pid}")
-        if self.partition_labels and len(self.partition_labels) != self.num_partitions:
-            raise SimulationError(
-                f"{len(self.partition_labels)} partition labels for "
-                f"{self.num_partitions} partitions"
-            )
-        for p, q, floor in self.pair_floors:
-            if floor < self.lookahead:
-                raise SimulationError(
-                    f"lookahead {self.lookahead:g}s exceeds the "
-                    f"{self.partition_label(p)} <-> {self.partition_label(q)} "
-                    f"latency floor {floor:g}s; derive the lookahead from the "
-                    f"minimum entry of the latency matrix"
-                )
-
-    def partition_label(self, pid: int) -> str:
-        """Display name of partition ``pid`` (region name in geo plans)."""
-        if self.partition_labels and 0 <= pid < len(self.partition_labels):
-            return self.partition_labels[pid]
-        return f"p{pid}"
-
-    def pair_floor(self, p: int, q: int) -> float:
-        """Delivery floor between partitions ``p`` and ``q`` (symmetric).
-
-        Falls back to the global lookahead when no per-pair floor is
-        recorded (uniform-latency plans).
-        """
-        floors = self.__dict__.get("_pair_floor_memo")
-        if floors is None:
-            floors = {}
-            for a, b, floor in self.pair_floors:
-                floors[(a, b)] = floor
-                floors[(b, a)] = floor
-            object.__setattr__(self, "_pair_floor_memo", floors)
-        return floors.get((p, q), self.lookahead)
 
     @property
     def _index(self) -> dict[str, int]:

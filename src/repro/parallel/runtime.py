@@ -23,16 +23,10 @@ from repro.parallel.exchange import (
     WorkerResult,
     window_count,
 )
-from repro.parallel.merge import combine_digests, merge_partition_reports
+from repro.parallel.merge import combine_digests
 from repro.parallel.models import make_plan
 from repro.parallel.partition import audit_rng_streams
-from repro.run import (
-    PARTITIONED_KINDS,
-    ModelSpec,
-    PartitionResult,
-    SequentialRun,
-    write_obs_artifact,
-)
+from repro.run import PARTITIONED_KINDS, ModelSpec, PartitionResult, SequentialRun
 from repro.sim.loop import collector_paused
 
 
@@ -49,9 +43,9 @@ class ParallelResult:
     lookahead: float
     sim_seconds: float
     bench: dict[str, Any] | None = None
-    report: dict[str, Any] | None = None  #: merged obs RunReport dict
-    #: FaultInjector counters summed element-wise across partitions
-    #: (None when the run carried no fault schedule).
+    #: The obs RunReport dict and the FaultInjector counters (workers=1
+    #: only: a windowed run carries neither).
+    report: dict[str, Any] | None = None
     fault_stats: dict[str, int] | None = None
     cross_messages: int = 0
     undeliverable: int = 0  #: envelopes due after the end of the run
@@ -77,10 +71,11 @@ class ParallelRunner:
                 f"model kind {spec.kind!r} only supports workers=1 "
                 f"(partitioned kinds: {', '.join(PARTITIONED_KINDS)})"
             )
-        for name in ("drain", "arrivals"):
-            # One partition's drain or arrival stream, outside the window
-            # exchange, would never reach the others.
-            if workers > 1 and getattr(spec, name) is not None:
+        for name in ("drain", "arrivals", "geo", "fault_schedule", "obs"):
+            # The windowed kernel runs plain closed-loop Basil and the
+            # microbench, the two configurations that were measured.
+            value = getattr(spec, name)
+            if workers > 1 and value is not None and value is not False:
                 raise SimulationError(f"ModelSpec.{name} only supports workers=1")
         self.spec = spec
         self.workers = workers
@@ -238,40 +233,12 @@ class ParallelRunner:
             {pid: r.rng_streams for pid, r in results.items()},
         )
         digest = combine_digests({pid: r.digest for pid, r in results.items()})
-        fault_stats = _sum_counters(
-            r.fault_stats for r in results.values() if r.fault_stats is not None
+        bench = next(
+            (r.bench for _, r in sorted(results.items()) if r.bench is not None),
+            None,
         )
-        if spec.geo is not None:
-            # Geo runs measure a serving tier on every partition: union
-            # the per-region rows instead of taking the first bench.
-            from repro.geo.runner import merge_geo_benches
-
-            bench = merge_geo_benches(
-                [r.bench for _, r in sorted(results.items()) if r.bench is not None]
-            )
-        else:
-            bench = next(
-                (r.bench for _, r in sorted(results.items()) if r.bench is not None),
-                None,
-            )
         if bench is not None:
-            bench = _fold_into_bench(bench, results, fault_stats)
-        report = None
-        partials = {
-            pid: r.report for pid, r in results.items() if r.report is not None
-        }
-        if partials:
-            meta: dict[str, Any] = {"workers": num_workers, "windows": windows}
-            if fault_stats is not None:
-                meta["fault_stats"] = fault_stats
-            report = merge_partition_reports(
-                partials,
-                name=spec.label or f"parallel/{spec.kind}",
-                bench=bench,
-                trace_digest=digest,
-                meta=meta,
-            )
-            write_obs_artifact(spec, report)  # beside the partitions' slices
+            bench = _fold_into_bench(bench, results)
         return ParallelResult(
             digest=digest,
             events=sum(r.events for r in results.values()),
@@ -282,8 +249,6 @@ class ParallelRunner:
             lookahead=plan.lookahead,
             sim_seconds=max(r.now for r in results.values()),
             bench=bench,
-            report=report,
-            fault_stats=fault_stats,
             cross_messages=cross_messages,
             undeliverable=undeliverable,
             per_partition={pid: _summary(r) for pid, r in results.items()},
@@ -303,9 +268,7 @@ def _sum_counters(dicts) -> dict[str, int] | None:
 
 
 def _fold_into_bench(
-    bench: dict[str, Any],
-    results: dict[int, PartitionResult],
-    fault_stats: dict[str, int] | None,
+    bench: dict[str, Any], results: dict[int, PartitionResult]
 ) -> dict[str, Any]:
     """Fold replica-partition state into the client partition's bench row.
 
@@ -313,8 +276,7 @@ def _fold_into_bench(
     looking at the whole system; in a partitioned run the client slice
     sees only its own network and no replicas, so the merge restores the
     sequential row schema: drops summed over every partition's network,
-    abort reasons summed over the replica partitions, and (when a fault
-    schedule ran) the aggregated injector counters.
+    abort reasons summed over the replica partitions.
     """
     from repro.bench.runner import ExperimentRunner
 
@@ -329,8 +291,6 @@ def _fold_into_bench(
             reasons[reason] = reasons.get(reason, 0) + count
         extra["abort_reasons"] = dict(sorted(reasons.items()))
         extra["abort_taxonomy"] = ExperimentRunner._taxonomy_rollup(reasons)
-    if fault_stats is not None:
-        extra["fault_stats"] = dict(fault_stats)
     bench["extra"] = extra
     return bench
 

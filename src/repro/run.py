@@ -2,24 +2,26 @@
 
 A :class:`ModelSpec` is a pure description of *what* to simulate (system
 kind, config, workload, clients or arrivals, faults, durations,
-instruments).  Every entry point builds one and runs it, as
-``SequentialRun(spec)`` — the whole system on one plain simulator,
-byte-identical to a hand-built sequential run — or, through
-``repro.parallel.ParallelRunner``, as one partition host per plan slice
-(:mod:`repro.parallel.models`).
+instruments).  Every entry point builds one and runs it as
+``SequentialRun(spec)``: the whole system on one plain simulator,
+byte-identical to a hand-built sequential run.  The figures, geo runs,
+the fault campaign, ``obs run`` and the open-loop planner all run this
+way.  ``repro.parallel.ParallelRunner`` can also run a plain
+closed-loop ``basil`` spec or the ``microbench`` as one partition host
+per plan slice (:mod:`repro.parallel.models`); it refuses every other
+kind and every spec with ``drain``, ``arrivals``, ``geo``,
+``fault_schedule`` or ``obs`` set.
 
 Both are a :class:`_Run`: the only place a runner, recorder, injector or
 tracer is constructed, the only place a fault schedule becomes a client
-mix, and (with ``ParallelRunner._merge`` for the merged view) the only
-writer of a run's ``.obs.json``.  :func:`build_system` is the only
-mapping from a system kind to a system.
+mix, and the only writer of a run's ``.obs.json``.
+:func:`build_system` is the only mapping from a system kind to a system.
 
-Supported kinds: ``basil`` and ``microbench`` build partitioned;
-``tapir``, ``txsmr`` (TxSMR over the PBFT core, the paper's
-TxBFT-SMaRt) and ``txsmr-hotstuff`` (TxSMR over HotStuff, TxHotStuff)
-are sequential-only: every system a figure compares goes through the
-same pipeline, and the ``workers=1`` golden-digest guarantee covers the
-baselines too.
+Supported kinds: ``basil``, ``microbench``, ``tapir``, ``txsmr``
+(TxSMR over the PBFT core, the paper's TxBFT-SMaRt) and
+``txsmr-hotstuff`` (TxSMR over HotStuff, TxHotStuff): every system a
+figure compares goes through the same pipeline, and the golden-digest
+guarantee covers the baselines too.
 """
 
 from __future__ import annotations
@@ -54,11 +56,9 @@ class PartitionResult:
     messages_delivered: int = 0
     messages_dropped: int = 0
     bench: dict[str, Any] | None = None  #: client partition only
-    report: dict[str, Any] | None = None  #: obs RunReport dict, if recorded
-    #: This partition's FaultInjector.stats counters (None: no injector).
-    #: Each partition counts the fault actions *it* performed — link and
-    #: partition faults on the sending side, crashes on the hosting side
-    #: — so the campaign-level stats are the element-wise sum.
+    #: The obs RunReport dict and the FaultInjector.stats counters (None
+    #: when not recorded / no injector; always None on a partition).
+    report: dict[str, Any] | None = None
     fault_stats: dict[str, int] | None = None
     #: Per-replica MVTSO abort-reason tallies summed over this
     #: partition's replicas (replica partitions only; merged into the
@@ -89,14 +89,12 @@ class ModelSpec:
     label: str = ""
     #: Attach a tracer per partition and compute trace digests.
     trace: bool = True
-    #: Attach an ObsRecorder per partition and merge the RunReports.
+    #: Attach an ObsRecorder and write a RunReport.  ``workers=1`` only.
     obs: bool = False
     #: Telemetry sampling interval in simulated seconds.
     obs_interval: float = 0.005
     #: Fault schedule (:class:`repro.faults.spec.FaultSchedule`) applied
-    #: by every partition: each builds its own injector from the same
-    #: serialized schedule and applies the local share (crashes on the
-    #: hosting partition, link/partition faults on the sending side).
+    #: by a FaultInjector.  ``workers=1`` only.
     fault_schedule: Any = None
     #: Byzantine client mix (Fig 7): the first ``byz_client_count`` of
     #: ``num_clients`` use this behaviour on every transaction; the
@@ -116,12 +114,12 @@ class ModelSpec:
     admission: Any = None
     #: Geo deployment (:class:`repro.geo.plan.GeoSpec`): place the basil
     #: system on a WAN topology and drive it with the geo serving tier
-    #: instead of the standard closed-loop clients.  Partitioned runs use
-    #: one partition per region (:func:`repro.geo.plan.geo_plan`).
+    #: instead of the standard closed-loop clients.  ``workers=1`` only.
     geo: Any = None
     #: Output directories threaded through the spec (NOT module globals,
-    #: which forked workers cannot be handed): when set, each partition
-    #: writes ``{label}-p{pid}.trace.json`` / ``.obs.json`` there.
+    #: which forked workers cannot be handed): when set, the run writes
+    #: ``{label}.trace.json`` / ``.obs.json`` there, and each partition of
+    #: a windowed run its own ``{label}-p{pid}.trace.json``.
     trace_dir: str | None = None
     obs_dir: str | None = None
     #: Attach a wall-clock attribution profiler per partition
@@ -225,13 +223,13 @@ def build_system(
 
     ``geo`` places a Basil deployment on a WAN topology; ``partition``
     (a :class:`~repro.parallel.partition.PlanSlice`) builds one slice of
-    it.  Only Basil has either.
+    a plain one.  Only Basil has either.
     """
     if kind == "basil":
         if geo is not None:
             from repro.geo.runner import build_geo_system
 
-            return build_geo_system(config, geo, partition=partition)
+            return build_geo_system(config, geo)
         from repro.core.system import BasilSystem
 
         return BasilSystem(config, partition=partition)
@@ -253,19 +251,6 @@ def _artifact_path(spec: ModelSpec, suffix: str, partition_id: int | None) -> st
     if path:
         os.makedirs(os.path.dirname(path), exist_ok=True)
     return path
-
-
-def write_obs_artifact(
-    spec: ModelSpec, report: dict[str, Any], partition_id: int | None = None
-) -> None:
-    """The one writer of a pipeline run's ``.obs.json`` (into ``spec.obs_dir``):
-    a sequential run's or one partition's from ``_summarize``, the merged
-    view from ``ParallelRunner._merge``."""
-    path = _artifact_path(spec, "obs", partition_id)
-    if path:
-        from repro.obs.report import RunReport, write_report
-
-        write_report(path, RunReport.from_dict(report))
 
 
 @contextmanager
@@ -314,11 +299,8 @@ class _Run:
 
             install_profiler(sim, system)
 
-    def _start_runner(self, regions: Any = None) -> None:
-        """Build the run's driver and schedule its initial work.
-
-        ``regions`` restricts a geo serving tier to one partition's share.
-        """
+    def _start_runner(self) -> None:
+        """Build the run's workload runner and schedule its initial work."""
         spec = self.spec
         common = dict(
             duration=spec.duration,
@@ -330,15 +312,7 @@ class _Run:
         if spec.geo is not None:
             from repro.geo.runner import GeoRunner
 
-            self.runner = GeoRunner(
-                self.system,
-                spec.geo,
-                regions=regions,
-                # a partition keeps its raw samples so the merge can
-                # recompute exact percentiles across regions
-                keep_samples=regions is not None,
-                **common,
-            )
+            self.runner = GeoRunner(self.system, spec.geo, **common)
             self.runner.setup()
         elif spec.arrivals is not None:
             # Imported here so a closed-loop run never loads repro.load.
@@ -414,11 +388,16 @@ class _Run:
             if path:
                 write_chrome_trace(self.tracer, path)
         report = None
-        if self.recorder is not None:
-            report = self.recorder.finish(
-                spec.run_name(partition_id), bench=bench, trace_digest=digest or None
-            ).to_dict()
-            write_obs_artifact(spec, report, partition_id)
+        if self.recorder is not None:  # sequential runs only
+            run_report = self.recorder.finish(
+                spec.run_name(), bench=bench, trace_digest=digest or None
+            )
+            report = run_report.to_dict()
+            path = _artifact_path(spec, "obs", None)
+            if path:
+                from repro.obs.report import write_report
+
+                write_report(path, run_report)
         network = getattr(system, "network", None)
         if profiler.enabled:
             extra = {**(extra or {}), "prof": profiler.table()}

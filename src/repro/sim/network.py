@@ -39,9 +39,6 @@ class LatencyModel(Protocol):
     def sample(self, rng: Any, src: str, dst: str) -> float:
         """One sampled one-way delay for a ``src -> dst`` message."""
 
-    def floor(self) -> float:
-        """A lower bound no sampled delay can undercut (lookahead basis)."""
-
     def describe(self, src: str, dst: str) -> str:
         """Human-readable name of the link class serving this pair."""
 
@@ -65,9 +62,6 @@ class UniformLatency:
         if self.jitter:
             base += rng.uniform(0.0, self.jitter)
         return base
-
-    def floor(self) -> float:
-        return self.one_way
 
     def describe(self, src: str, dst: str) -> str:
         return f"uniform link ({self.one_way:g}s base)"
@@ -250,8 +244,12 @@ class Network:
                     dst=dst, msg=type(message).__name__, reason="adversary",
                 )
             return
-        if remote:
-            self._check_lookahead(src.name, dst, delay, "delay")
+        if remote and delay < self._lookahead:
+            raise SimulationError(
+                f"cross-partition delay {delay} violates lookahead "
+                f"{self._lookahead} ({src.name} -> {dst} over "
+                f"{self.latency.describe(src.name, dst)})"
+            )
         if tracer.enabled:
             tracer.instant(
                 src.name, "net", "send",
@@ -267,14 +265,6 @@ class Network:
         sim = self.sim
         now = sim.now
         sim._schedule(now + delay if delay > 0.0 else now, self._deliver, src, dst, message)
-
-    def _check_lookahead(self, src: str, dst: str, delay: float, what: str) -> None:
-        if delay < self._lookahead:
-            raise SimulationError(
-                f"cross-partition {what} {delay} violates lookahead "
-                f"{self._lookahead} ({src} -> {dst} over "
-                f"{self.latency.describe(src, dst)})"
-            )
 
     def deliver_remote(self, src: str, dst: str, message: Any) -> None:
         """Deliver an envelope that arrived from another partition.
@@ -295,20 +285,9 @@ class Network:
 
         Used by fault injection (message duplication): the copy is
         delivered as-is after ``delay``, subject only to the destination
-        still being registered at delivery time.  In a space-parallel run
-        a copy addressed to a remote node leaves as an exchange envelope
-        (it must: a local delivery event would silently drop it in
-        ``_deliver``), and the lookahead bound applies to it like any
-        other cross-partition delivery.
+        still being registered at delivery time.  Fault schedules run
+        sequentially, so every destination is local.
         """
-        if dst in self._remote:
-            if self._remote_send is None:
-                raise SimulationError(
-                    f"{dst!r} is remote but no partition exchange is bound"
-                )
-            self._check_lookahead(src, dst, delay, "inject delay")
-            self._remote_send(src, dst, message, delay)
-            return
         self._deliver_after(delay, src, dst, message)
 
     def _deliver(self, src: str, dst: str, message: Any) -> None:

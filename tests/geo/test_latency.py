@@ -1,4 +1,5 @@
-"""Placement + matrix latency model, and the uniform-default contract."""
+"""Placement + matrix latency model, the uniform-default contract, and
+the region-correlated faults built from a placement."""
 
 from __future__ import annotations
 
@@ -6,6 +7,13 @@ import pytest
 
 from repro.config import NetworkConfig, SystemConfig
 from repro.errors import SimulationError
+from repro.faults.spec import FaultSchedule
+from repro.geo.faults import (
+    region_blackout,
+    region_fault_schedule,
+    region_isolation,
+    region_slowdown,
+)
 from repro.geo.latency import GeoPlacement, RegionLatencyModel, proxy_name, user_name
 from repro.geo.topology import GeoTopology, RegionLink, wan3
 from repro.sim.loop import Simulator
@@ -53,7 +61,7 @@ def test_serving_tier_is_sticky_and_mode_aware():
     assert edge.region_of(proxy_name("ap-south")) == "ap-south"
     assert edge.region_of(user_name("ap-south", 1)) == "ap-south"
     direct = _placement(mode="direct")
-    assert proxy_name("ap-south") not in direct.roster()
+    assert proxy_name("ap-south") not in direct.nodes_in("ap-south")
 
 
 def test_unplaced_node_is_an_error():
@@ -71,7 +79,6 @@ def test_model_samples_pair_latency_one_draw_per_message():
     delay = model.sample(rng, "s0/r0", "s0/r1")  # us-east -> eu-west
     assert delay == pytest.approx(0.040 + 0.003)
     assert rng.draws == 1
-    assert model.floor() == 75e-6  # the intra-region base is the matrix min
     assert "us-east <-> eu-west" in model.describe("s0/r0", "s0/r1")
 
 
@@ -98,9 +105,38 @@ def test_uniform_default_reproduces_network_config():
     network = Network(Simulator(seed=3), config)
     model = network.latency
     assert isinstance(model, UniformLatency)
-    assert model.floor() == config.one_way_latency
     rng = _CountingRng()
     assert model.sample(rng, "x", "y") == pytest.approx(
         config.one_way_latency + config.jitter
     )
     assert rng.draws == (1 if config.jitter else 0)
+
+
+# ---------------------------------------------------------------------------
+# Region-correlated faults
+# ---------------------------------------------------------------------------
+def test_region_blackout_groups_every_hosted_node():
+    placement = _placement()
+    fault = region_blackout(placement, "eu-west", start=0.2, end=0.35)
+    schedule = region_fault_schedule("eu-blackout", (fault,))
+    assert fault.groups[0] == (
+        "s0/r1", "s0/r4", "edge/eu-west", "user/eu-west/0", "user/eu-west/1"
+    )
+    assert fault.groups[1] == ("*",)
+    # the schedule serializes and replays like any other
+    assert FaultSchedule.from_json(schedule.to_json()) == schedule
+
+
+def test_region_isolation_and_slowdown_shapes():
+    placement = _placement()
+    cuts = region_isolation(placement, "us-east", "eu-west", 0.1, 0.2)
+    east = set(placement.nodes_in("us-east"))
+    west = set(placement.nodes_in("eu-west"))
+    assert len(cuts) == 2 * len(east) * len(west)  # both directions
+    assert all(f.drop_rate == 1.0 for f in cuts)
+    assert {(f.src in east, f.dst in west) for f in cuts} == {
+        (True, True), (False, False)
+    }
+    slow = region_slowdown(placement, "ap-south", 0.1, None, extra_delay=0.05)
+    assert {f.src for f in slow} == set(placement.nodes_in("ap-south"))
+    assert all(f.dst == "*" and f.extra_delay == 0.05 for f in slow)

@@ -1,4 +1,5 @@
-"""Per-region telemetry: rule expansion, edge probes, merged RunReports."""
+"""Per-region telemetry: rule expansion, edge probes, one RunReport per
+run carrying every region's series and verdicts."""
 
 from __future__ import annotations
 
@@ -9,8 +10,7 @@ from repro.geo.obs import edge_probe, geo_base_rules, geo_health_rules
 from repro.geo.plan import GeoSpec
 from repro.geo.topology import wan3
 from repro.obs.health import HealthRule, expand_rule_per_label
-from repro.parallel import ParallelRunner
-from repro.run import ModelSpec
+from repro.run import ModelSpec, SequentialRun
 
 pytestmark = pytest.mark.geo_smoke
 
@@ -65,7 +65,7 @@ def test_merged_report_carries_per_region_series_and_verdicts():
         label="geo-obs",
         obs=True,
     )
-    result = ParallelRunner(spec, workers=2).run()
+    result = SequentialRun(spec).run()
     report = result.report
     assert report is not None
 

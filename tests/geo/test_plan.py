@@ -1,14 +1,15 @@
-"""GeoSpec validation and the region-per-partition plan."""
+"""GeoSpec validation, alone and inside a ModelSpec."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.config import SystemConfig
+from repro.config import ArrivalConfig
 from repro.errors import SimulationError
-from repro.geo.plan import GeoSpec, geo_plan
+from repro.faults.spec import ByzantineClientFault, FaultSchedule
+from repro.geo.plan import GeoSpec
 from repro.geo.topology import GeoTopology, RegionLink, wan3
-from repro.parallel.partition import PartitionPlan
+from repro.run import ModelSpec
 
 
 def test_geospec_validation():
@@ -22,45 +23,25 @@ def test_geospec_validation():
         GeoSpec(topology=wan3(), read_fraction=1.5)
 
 
-def test_geo_plan_region_per_partition():
-    config = SystemConfig(num_shards=1)
-    geo = GeoSpec(topology=wan3(), users_per_region=2)
-    plan = geo_plan(config, geo)
-    assert plan.num_partitions == 3
-    assert plan.lookahead == 0.040
-    assert plan.partition_labels == ("us-east", "eu-west", "ap-south")
-    assert plan.label == "geo/wan3/edge"
-    # a region's replicas, proxy, and users share its partition
-    assert plan.partition_of("s0/r1") == 1
-    assert plan.partition_of("s0/r4") == 1
-    assert plan.partition_of("edge/eu-west") == 1
-    assert plan.partition_of("user/ap-south/0") == 2
-    # roster covers the whole deployment: 6 replicas + 3 proxies + 6 users
-    assert len(plan.roster()) == 15
-
-
-def test_pair_floors_follow_the_matrix():
-    plan = geo_plan(SystemConfig(), GeoSpec(topology=wan3()))
-    assert plan.pair_floor(0, 1) == 0.040  # us-east <-> eu-west
-    assert plan.pair_floor(1, 0) == 0.040  # symmetric
-    assert plan.pair_floor(0, 2) == 0.090  # us-east <-> ap-south
-    assert plan.pair_floor(1, 2) == 0.060  # eu-west <-> ap-south
-    assert plan.partition_label(2) == "ap-south"
-
-
-def test_plan_rejects_floor_below_lookahead():
-    with pytest.raises(SimulationError, match="us-east <-> eu-west"):
-        PartitionPlan(
-            num_partitions=2,
-            lookahead=0.040,
-            partition_labels=("us-east", "eu-west"),
-            pair_floors=((0, 1, 0.010),),
-        )
-
-
 def test_single_region_topology_has_no_plan():
     solo = GeoTopology(
         name="solo", regions=("only",), links=(RegionLink("only", "only", 1e-5),)
     )
     with pytest.raises(SimulationError, match="single region"):
-        geo_plan(SystemConfig(), GeoSpec(topology=solo))
+        GeoSpec(topology=solo)
+
+
+def test_geo_spec_rejects_non_basil_and_byz():
+    geo = GeoSpec(topology=wan3(), mode="edge", users_per_region=2, keys=16)
+    with pytest.raises(SimulationError, match="basil"):
+        ModelSpec(kind="microbench", geo=geo)
+    with pytest.raises(SimulationError, match="byzantine"):
+        ModelSpec(kind="basil", geo=geo, byz_client_count=1)
+    # the schedule's byz-client faults are the same mix: same refusal
+    byz = FaultSchedule(faults=(ByzantineClientFault(count=1),))
+    with pytest.raises(SimulationError, match="byz-client faults"):
+        ModelSpec(kind="basil", geo=geo, fault_schedule=byz)
+    with pytest.raises(SimulationError, match="open-loop arrivals"):
+        ModelSpec(kind="basil", geo=geo, arrivals=ArrivalConfig())
+    with pytest.raises(SimulationError, match="byzantine client mix"):
+        ModelSpec(kind="basil", arrivals=ArrivalConfig(), fault_schedule=byz)

@@ -1,11 +1,10 @@
-"""WAN topologies: preset matrices, validation, serialization, lookahead."""
+"""WAN topologies: preset matrices, validation, serialization."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.geo.plan import derive_lookahead
 from repro.geo.topology import (
     TOPOLOGIES,
     GeoTopology,
@@ -41,22 +40,8 @@ def test_min_cross_region_and_lookahead():
     topo = wan3()
     fastest = topo.min_cross_region()
     assert {fastest.a, fastest.b} == {"us-east", "eu-west"}
-    assert derive_lookahead(topo) == 0.040
-    assert derive_lookahead(wan5()) == 0.030  # us-east <-> us-west
-
-
-def test_zero_base_pair_cannot_bound_a_window():
-    topo = GeoTopology(
-        name="bad",
-        regions=("a", "b"),
-        links=(
-            RegionLink("a", "a", base=1e-5),
-            RegionLink("b", "b", base=1e-5),
-            RegionLink("a", "b", base=0.0, jitter=1e-3),
-        ),
-    )
-    with pytest.raises(SimulationError, match="a <-> b"):
-        derive_lookahead(topo)
+    assert fastest.base == 0.040
+    assert wan5().min_cross_region().base == 0.030  # us-east <-> us-west
 
 
 def test_json_round_trip(tmp_path):

@@ -74,18 +74,27 @@ def test_sequential_only_kinds_reject_partitioned_runs():
 
 
 def test_sequential_only_fields_reject_partitioned_runs():
-    """A drain or an arrival stream on one partition would never reach the
-    others: refused by name, not ignored."""
+    """The windowed kernel runs plain closed-loop Basil and the
+    microbench; a drain, an arrival stream, a geo tier, a fault schedule
+    or an obs report is refused by name, not ignored."""
     from repro.config import ArrivalConfig
+    from repro.faults.spec import FaultSchedule
+    from repro.geo.plan import GeoSpec
+    from repro.geo.topology import wan3
 
-    drained = ModelSpec(kind="basil", drain=0.1)
-    with pytest.raises(SimulationError, match=r"ModelSpec\.drain only supports workers=1"):
-        ParallelRunner(drained, workers=2)
-    open_loop = ModelSpec(kind="basil", arrivals=ArrivalConfig(rate=500.0))
-    with pytest.raises(SimulationError, match=r"ModelSpec\.arrivals only supports workers=1"):
-        ParallelRunner(open_loop, workers=2)
-    ParallelRunner(drained, workers=1)  # both are fine sequentially
-    ParallelRunner(open_loop, workers=1)
+    specs = {
+        "drain": ModelSpec(kind="basil", drain=0.1),
+        "arrivals": ModelSpec(kind="basil", arrivals=ArrivalConfig(rate=500.0)),
+        "geo": ModelSpec(kind="basil", geo=GeoSpec(topology=wan3())),
+        "fault_schedule": ModelSpec(kind="basil", fault_schedule=FaultSchedule()),
+        "obs": ModelSpec(kind="basil", obs=True),
+    }
+    for name, spec in specs.items():
+        with pytest.raises(
+            SimulationError, match=rf"ModelSpec\.{name} only supports workers=1"
+        ):
+            ParallelRunner(spec, workers=2)
+        ParallelRunner(spec, workers=1)  # every one is fine sequentially
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,7 @@
 
 from __future__ import annotations
 
-import pytest
-
-from repro.parallel.merge import (
-    combine_digests,
-    merge_event_streams,
-    merge_partition_reports,
-)
+from repro.parallel.merge import combine_digests
 
 
 def test_combine_digests_is_order_independent():
@@ -22,56 +16,3 @@ def test_combine_digests_sensitive_to_content_and_placement():
     assert combine_digests({0: "aaa", 1: "xxx"}) != base
     # the same digests on different partitions is a different run
     assert combine_digests({0: "bbb", 1: "aaa"}) != base
-
-
-def test_merge_event_streams_total_order():
-    streams = {
-        1: [(0.5, 0, "b0"), (1.0, 1, "b1")],
-        0: [(0.5, 0, "a0"), (2.0, 1, "a1")],
-    }
-    merged = list(merge_event_streams(streams))
-    assert merged == [
-        (0.5, 0, 0, "a0"),  # tie on time -> lower partition first
-        (0.5, 1, 0, "b0"),
-        (1.0, 1, 1, "b1"),
-        (2.0, 0, 1, "a1"),
-    ]
-
-
-def _report(pid: int, health: str = "ok") -> dict:
-    return {
-        "schema": "repro.obs.run/v1",
-        "name": f"parallel/p{pid}",
-        "sim_seconds": 0.1 * (pid + 1),
-        "health": health,
-        "verdicts": [{"check": "liveness", "status": health}],
-        "series": [{"metric": "tput", "labels": {"shard": str(pid)}, "points": []}],
-        "histograms": {"latency": {"count": pid}},
-        "meta": {},
-    }
-
-
-def test_merge_partition_reports():
-    merged = merge_partition_reports(
-        {0: _report(0), 1: _report(1, health="warn")},
-        name="parallel/basil",
-        bench={"throughput": 10.0},
-        trace_digest="d" * 64,
-        meta={"workers": 2},
-    )
-    assert merged["name"] == "parallel/basil"
-    assert merged["health"] == "warn"  # worst across partitions
-    assert merged["sim_seconds"] == pytest.approx(0.2)
-    assert [v["partition"] for v in merged["verdicts"]] == [0, 1]
-    labels = [s["labels"]["partition"] for s in merged["series"]]
-    assert labels == ["p0", "p1"]
-    assert set(merged["histograms"]) == {"p0/latency", "p1/latency"}
-    assert merged["bench"] == {"throughput": 10.0}
-    assert merged["trace_digest"] == "d" * 64
-    assert merged["meta"]["partitions"] == [0, 1]
-    assert merged["meta"]["workers"] == 2
-
-
-def test_merge_partition_reports_requires_input():
-    with pytest.raises(ValueError):
-        merge_partition_reports({}, name="x")
