@@ -1,6 +1,6 @@
 # Convenience targets for the Basil reproduction.
 
-.PHONY: install test loc bench quick-bench trace-smoke fault-smoke fault-sweep perf-smoke paper-smoke prof-smoke load-smoke load-sweep obs-smoke obs-check parallel-smoke parallel-ladder geo-smoke geo-sweep examples figures clean
+.PHONY: install test loc bench quick-bench trace-smoke fault-smoke fault-sweep perf-smoke paper-smoke prof-smoke load-smoke load-sweep obs-smoke obs-check parallel-smoke parallel-ladder geo-smoke geo-sweep examples clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -12,11 +12,13 @@ test:
 loc:
 	@for d in src/repro/*/ src/repro; do printf '%7d %s\n' "$$(find $$d -name '*.py' | xargs cat | wc -l)" $$d; done
 
+# Every figure and both ablations at the default scale, each paper claim
+# judged; FIGURES.json is what EXPERIMENTS.md's tables are rendered from.
 bench:
-	pytest benchmarks/ --benchmark-only -s 2>&1 | tee bench_output.txt
+	python -m repro.bench report --out FIGURES.json
 
 quick-bench:
-	REPRO_QUICK=1 pytest benchmarks/ --benchmark-only -q -s
+	python -m repro.bench --quick report
 
 trace-smoke:
 	pytest tests -m trace_smoke -q
@@ -90,9 +92,6 @@ examples:
 	python examples/byzantine_recovery.py
 	python examples/multi_shard_tpcc.py
 
-figures:
-	python -m repro.bench all
-
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} +
-	rm -rf .pytest_cache src/repro.egg-info .benchmarks
+	rm -rf .pytest_cache src/repro.egg-info

@@ -4,9 +4,10 @@
   (Basil, TAPIR, TxSMR) with closed-loop clients, warm-up exclusion and
   abort/retry handling, yielding throughput/latency/commit-rate results.
 * :mod:`repro.bench.experiments` — one entry point per paper figure
-  (4a/4b, 5a/5b/5c, 6a/6b, 7a/7b), with scaled-down default parameters.
-* :mod:`repro.bench.report` — renders the same rows/series the paper
-  reports, including ratios between systems.
+  (4a/4b, 5a/5b/5c, 6a/6b, 7a/7b) and ablation, scaled down by default.
+* :mod:`repro.bench.report` — renders rows and ratios between systems.
+* :mod:`repro.bench.claims` — every shape the paper claims, as a named
+  check judged by ``python -m repro.bench report``.
 """
 
 from repro.bench.runner import BenchResult, ExperimentRunner

@@ -1,4 +1,5 @@
-"""One entry point per figure of the paper's evaluation (Sec 6).
+"""One entry point per figure of the paper's evaluation (Sec 6), plus
+two ablations.
 
 Every function builds fresh systems, runs closed-loop clients on the
 paper's workload for that figure, and returns a dict of
@@ -16,6 +17,7 @@ clients to reach its knee.
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass
 from typing import Any
 
@@ -104,8 +106,6 @@ def set_trace_dir(path: str | None) -> None:
     """
     global _TRACE_DIR
     if path is not None:
-        import os
-
         os.makedirs(path, exist_ok=True)
     _TRACE_DIR = path
 
@@ -120,8 +120,6 @@ def set_obs_dir(path: str | None) -> None:
     """Enable (or disable with ``None``) telemetry for every benchmark run."""
     global _OBS_DIR
     if path is not None:
-        import os
-
         os.makedirs(path, exist_ok=True)
     _OBS_DIR = path
 
@@ -170,6 +168,7 @@ def _run_point(
     )
     run = SequentialRun(spec).run()
     result = _bench_from_dict(run.bench)
+    result.extra["events"] = run.events
     if run.fault_stats is not None:
         result.extra.setdefault("fault_stats", dict(run.fault_stats))
     if _TRACE_DIR is not None:
@@ -205,13 +204,6 @@ def app_workload_desc(app: str, scale: Scale = DEFAULT_SCALE) -> WorkloadDesc:
         return WorkloadDesc("retwis", scale.retwis_users)
     raise KeyError(f"unknown fig4 app {app!r}")
 
-
-#: Zero-arg-callable factories kept for compatibility (scripts/tests build
-#: app workloads directly); populations come from the Scale now.
-APP_WORKLOADS = {
-    app: (lambda app=app, scale=DEFAULT_SCALE: app_workload_desc(app, scale).build())
-    for app in ("tpcc", "smallbank", "retwis")
-}
 
 #: Per-app tuned batch sizes (paper Sec 6.1: Basil 4 on TPC-C / 16
 #: elsewhere; TxHotStuff 4; TxBFT-SMaRt 16 on TPC-C, 64 elsewhere).
@@ -399,7 +391,8 @@ def fig7_failures(
     faulty-transaction percentage; with faulty_fraction=1 these
     coincide at the client granularity).  ``fault_schedule`` overlays
     replica faults (see :func:`fig7_crash_schedule`) on every point; its
-    injector stats end up in each row's ``extra["fault_stats"]``.
+    injector stats end up in each row's ``extra["fault_stats"]``.  Every
+    row carries the paper's metric, ``extra["correct_tps_per_client"]``.
     """
     results: dict[str, dict[float, BenchResult]] = {}
     for behaviour in behaviours:
@@ -426,6 +419,9 @@ def fig7_failures(
                 # the paper: equivocation succeeds ~0.048% of the time at
                 # 40% faulty transactions on RW-Z
                 result.extra["equiv_success_rate"] = successes / attempts
+            result.extra["correct_tps_per_client"] = correct_tps_per_client(
+                result, scale.clients
+            )
             series[fraction] = result
         results[behaviour] = series
     return results
@@ -436,3 +432,38 @@ def correct_tps_per_client(result: BenchResult, total_clients: int) -> float:
     if "correct_tps_per_client" in result.extra:
         return result.extra["correct_tps_per_client"]
     return result.throughput / max(1, total_clients)
+
+
+# ---------------------------------------------------------------------------
+# Ablations
+# ---------------------------------------------------------------------------
+def ablation_aggregation(scale: Scale = DEFAULT_SCALE) -> dict[str, BenchResult]:
+    """Sec 4.4's signature aggregation on the crypto-bound RW-U workload.
+
+    The paper describes aggregating matching ST1R/ST2R signatures but its
+    prototype does not implement it; this measures what it would buy.
+    """
+    wdesc = WorkloadDesc("ycsb-u", scale.ycsb_keys)
+    results = {}
+    for name, aggregate in (("per-signature", False), ("aggregated", True)):
+        config = SystemConfig(
+            f=1, batch_size=4, crypto=CryptoConfig(signature_aggregation=aggregate)
+        )
+        results[name] = _run_point(config, wdesc, scale.clients, scale, name)
+    return results
+
+
+def ablation_dependency_timeout(scale: Scale = DEFAULT_SCALE) -> dict[str, BenchResult]:
+    """How aggressively correct clients chase stalled dependencies (the
+    paper's "aggressively finish"): a timeout sweep on RW-Z with 30 %
+    stall-early Byzantine clients."""
+    wdesc = WorkloadDesc("ycsb-u", scale.ycsb_keys, (("distribution", "zipfian"),))
+    results = {}
+    for timeout in (0.002, 0.005, 0.02, 0.05):
+        name = f"dep-timeout={timeout * 1000:.0f}ms"
+        results[name] = _run_point(
+            SystemConfig(f=1, batch_size=4, dependency_timeout=timeout),
+            wdesc, scale.clients, scale, name,
+            byz_behaviour="stall-early", byz_count=round(0.3 * scale.clients),
+        )
+    return results

@@ -53,7 +53,7 @@ class CryptoConfig:
     #: matching votes costs one signature verification plus a hash per
     #: vote (BLS-style aggregate), instead of one verification per vote.
     #: The paper describes this optimization but leaves it unimplemented;
-    #: benchmarks/test_ablation_aggregation.py measures what it buys.
+    #: repro.bench.experiments.ablation_aggregation measures what it buys.
     signature_aggregation: bool = False
     #: Memoize (signer, digest) -> verdict per verifying node: a signature
     #: a node has already verified is not re-charged.  Models the

@@ -24,7 +24,7 @@ from repro.run import (
 )
 
 # The byte-frozen basilbench/ imports ModelSpec and SequentialRun from here:
-# this line goes with ROADMAP item 9's benchmark-only PR.
+# this line goes with ROADMAP item 9's PR, which edits only basilbench/.
 from repro.run import SequentialRun  # noqa: F401
 from repro.sim.loop import Simulator
 

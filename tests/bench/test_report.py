@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.bench.experiments import APP_BATCHES, APP_WORKLOADS, Scale
-from repro.bench.report import (
-    latency_ratio,
-    render_ratio,
-    render_series,
-    render_table,
-    throughput_ratio,
-)
+from repro.bench.experiments import APP_BATCHES, Scale, app_workload_desc
+from repro.bench.report import latency_ratio, render_table, throughput_ratio
 from repro.bench.runner import BenchResult
 
 
@@ -31,7 +25,6 @@ def test_ratios():
     results = {"a": result("a", 100, lat=0.010), "b": result("b", 50, lat=0.002)}
     assert throughput_ratio(results, "a", "b") == pytest.approx(2.0)
     assert latency_ratio(results, "a", "b") == pytest.approx(5.0)
-    assert "2.00x" in render_ratio("x", results, "a", "b")
 
 
 def test_ratio_zero_denominator_is_inf():
@@ -39,10 +32,12 @@ def test_ratio_zero_denominator_is_inf():
     assert throughput_ratio(results, "a", "z") == float("inf")
 
 
-def test_render_series():
-    series = {0.0: result("x@0", 100), 0.3: result("x@30", 80)}
-    text = render_series("sweep", series, metric="missing-metric")
-    assert "x=" in text and "sweep" in text
+def test_render_table_shows_correct_throughput():
+    byz = result("x@30", 80)
+    byz.extra["correct_throughput"] = 56.0
+    text = render_table("sweep", {"x@0": result("x@0", 100), "x@30": byz})
+    assert "sweep" in text and text.count("correct") == 1
+    assert "correct 56.0 tx/s" in text
 
 
 def test_scale_quick_is_smaller():
@@ -53,11 +48,25 @@ def test_scale_quick_is_smaller():
 
 
 def test_app_tables_consistent():
-    assert set(APP_BATCHES) == set(APP_WORKLOADS)
+    assert set(APP_BATCHES) == {"tpcc", "smallbank", "retwis"}
     for app, batches in APP_BATCHES.items():
         assert {"basil", "pbft", "hotstuff"} <= set(batches)
-        workload = APP_WORKLOADS[app]()
+        workload = app_workload_desc(app, Scale.quick()).build()
         assert hasattr(workload, "genesis")
+
+
+@pytest.mark.parametrize("fast", [True, False])
+def test_fast_path_switch_reaches_the_client(fast):
+    from repro.bench.experiments import WorkloadDesc, _run_point
+    from repro.config import SystemConfig
+
+    scale = Scale(duration=0.02, warmup=0.01, clients=4, ycsb_keys=200)
+    row = _run_point(
+        SystemConfig(f=1, batch_size=4, fast_path_enabled=fast),
+        WorkloadDesc("ycsb-u", scale.ycsb_keys), scale.clients, scale, "fp",
+    )
+    assert row.commits > 0
+    assert (row.fast_path_rate > 0.9) if fast else (row.fast_path_rate == 0.0)
 
 
 def test_correct_tps_per_client_fallbacks():
