@@ -1,5 +1,6 @@
 """Tests for client-chosen timestamps."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -28,6 +29,34 @@ def test_genesis_below_all_client_timestamps():
 def test_order_is_antisymmetric_and_total(t1, c1, t2, c2):
     a, b = Timestamp(t1, c1), Timestamp(t2, c2)
     assert (a < b) + (b < a) + (a == b) == 1
+
+
+_stamps = st.builds(Timestamp, st.integers(-(2**65), 2**65), st.integers(-5, 10**6))
+
+
+@given(_stamps, _stamps)
+def test_comparisons_and_hash_agree_with_the_pair(a, b):
+    pa, pb = (a.time, a.client_id), (b.time, b.client_id)
+    assert (a < b) == (pa < pb)
+    assert (a <= b) == (pa <= pb)
+    assert (a > b) == (pa > pb)
+    assert (a >= b) == (pa >= pb)
+    assert (a == b) == (pa == pb)
+    assert (a != b) == (pa != pb)
+    assert hash(a) == hash(pa)
+
+
+@given(_stamps)
+def test_comparing_with_another_type_raises(ts):
+    pair = (ts.time, ts.client_id)
+    for other in (pair, ts.time, None):
+        for compare in (
+            lambda: ts < other, lambda: ts <= other,
+            lambda: ts > other, lambda: ts >= other,
+        ):
+            with pytest.raises(TypeError):
+                compare()
+        assert ts != other and not ts == other
 
 
 def test_distinct_clients_never_tie():
