@@ -18,7 +18,7 @@ not re-verified.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Union
+from typing import Any, Awaitable, Sequence, Union
 
 from repro.crypto.cost_model import CryptoContext
 from repro.crypto.digest import Digest, digest_of
@@ -86,41 +86,96 @@ class AttestationVerifier:
         self._verified_roots: set[tuple[str, Digest]] = set()
         self.cache_hits = 0
 
-    async def verify(self, att: Attestation) -> bool:
-        if isinstance(att, SignedMessage):
-            digest = payload_digest_of(att)
-            verdict = self.ctx.probe_verify(att.signature, digest)
-            if verdict is None:
-                verdict = await self.ctx.verify_digest(att.signature, digest)
-            return verdict
-        return await self._verify_batched(att)
+    def verify(self, att: Attestation) -> Awaitable[bool]:
+        """Awaitable: verify one attestation (a quorum of one)."""
+        return self._verify_each((att,))
 
-    async def verify_quorum(self, atts: list[Attestation]) -> bool:
-        """Verify a set of matching votes, aggregated if enabled.
+    def verify_quorum(self, atts: Sequence[Attestation]) -> Awaitable[bool]:
+        """Awaitable: verify a set of matching votes, aggregated if enabled.
 
-        Without aggregation this is simply one verification per member.
-        With aggregation, the structural checks still run individually
-        (they are what guarantees soundness in the simulation) but the
-        *charged* cost is one signature verification plus one hash per
-        member — the cost profile of an aggregate signature.
+        Without aggregation every member is verified in turn
+        (:meth:`_verify_each`), or as one ed25519-style batch under
+        ``batch_verify``.  With aggregation, the structural checks still
+        run individually (they are what guarantees soundness in the
+        simulation) but the *charged* cost is one signature verification
+        plus one hash per member — the cost profile of an aggregate
+        signature.  An empty set never verifies.
+
+        Both entry points hand back the coroutine of the loop instead of
+        awaiting it, so no frame of theirs sits between a charge and the
+        task that awaits it.
+        """
+        if self.aggregate:
+            return self._verify_aggregate(atts)
+        cfg = self.ctx.config
+        if cfg.enabled and cfg.batch_verify:
+            return self._verify_quorum_batched(atts)
+        return self._verify_each(atts)
+
+    async def _verify_each(self, atts: Sequence[Attestation]) -> bool:
+        """The one verification loop: each member's charges, in order.
+
+        A :class:`SignedMessage` costs one signature verification.  A
+        :class:`BatchAttestation` costs one hash for its payload plus one
+        per Merkle level, then its root signature's verification unless
+        this node already verified that (signer, root).  A verification
+        the node's memo already holds is counted and not charged.  Charges
+        go straight to the CPU unless an instrument is attached, in which
+        case they take :meth:`CryptoContext._traced_spend` for its span
+        or frame.  The first member that fails ends the loop.
         """
         if not atts:
             return False
-        if not self.aggregate:
-            cfg = self.ctx.config
-            if cfg.enabled and cfg.batch_verify:
-                return await self._verify_quorum_batched(atts)
-            for att in atts:
-                if isinstance(att, SignedMessage):
-                    digest = payload_digest_of(att)
-                    verdict = self.ctx.probe_verify(att.signature, digest)
-                    if verdict is None:
-                        verdict = await self.ctx.verify_digest(att.signature, digest)
-                    if not verdict:
-                        return False
-                elif not await self._verify_batched(att):
+        ctx = self.ctx
+        cpu = ctx.cpu
+        sim = cpu.sim
+        direct = not (sim.tracer.enabled or sim.profiler.enabled)
+        charged = ctx.config.enabled
+        memo = ctx._verify_memo
+        verified_roots = self._verified_roots
+        for att in atts:
+            if isinstance(att, SignedMessage):
+                signature = att.signature
+                digest = payload_digest_of(att)
+                root = None
+            else:
+                hashes = 1 + len(att.proof.path)
+                ctx.hashes_computed += hashes
+                if charged:
+                    cost = ctx._hash64_cost * hashes
+                    await (cpu.spend(cost) if direct else ctx._traced_spend("hash", cost))
+                # The Merkle walk itself is memoised on the attestation.
+                if not _inclusion_ok(att):
                     return False
-            return True
+                signature = att.root_signature
+                digest = att.root
+                root = (signature.signer, digest)
+                if root in verified_roots:
+                    self.cache_hits += 1
+                    continue
+            ctx.signatures_verified += 1
+            verdict = None
+            if memo is not None:
+                key = (signature.signer, digest, signature.token)
+                verdict = memo.get(key)
+            if verdict is not None:
+                ctx.verify_memo_hits += 1
+            else:
+                if charged:
+                    cost = ctx.config.verify_cost
+                    await (cpu.spend(cost) if direct else ctx._traced_spend("verify", cost))
+                verdict = ctx._check_digest(signature, digest)
+                if memo is not None:
+                    memo[key] = verdict
+            if not verdict:
+                return False
+            if root is not None:
+                verified_roots.add(root)
+        return True
+
+    async def _verify_aggregate(self, atts: Sequence[Attestation]) -> bool:
+        if not atts:
+            return False
         ok = True
         for att in atts:
             if isinstance(att, SignedMessage):
@@ -137,11 +192,11 @@ class AttestationVerifier:
         await self.ctx.charge_verify()
         return ok
 
-    async def _verify_quorum_batched(self, atts: list[Attestation]) -> bool:
+    async def _verify_quorum_batched(self, atts: Sequence[Attestation]) -> bool:
         """One ed25519-style batch verification for a whole quorum.
 
         Every member is still structurally verified (and the Merkle /
-        root-cache bookkeeping of :meth:`_verify_batched` still applies);
+        root-cache bookkeeping of :meth:`_verify_each` still applies);
         only the *charged* cost changes: hashes are charged as before, and
         the signatures that were neither memoized nor root-cached are
         charged as a single batch via
@@ -149,6 +204,8 @@ class AttestationVerifier:
         Unlike the aggregate path this is sound per-member, so it fails as
         soon as any member is bad — matching the sequential path's verdict.
         """
+        if not atts:
+            return False
         ok = True
         fresh = 0
         hash_count = 0
@@ -182,22 +239,4 @@ class AttestationVerifier:
             await self.ctx.charge_hash(64, count=hash_count)
         if fresh:
             await self.ctx.charge_verify_batch(fresh)
-        return ok
-
-    async def _verify_batched(self, att: BatchAttestation) -> bool:
-        # The payload digest and Merkle path walk are charged as one hash
-        # per level plus one for the leaf; the structural result itself is
-        # memoized on the attestation (it is content-determined).
-        await self.ctx.charge_hash(64, count=1 + len(att.proof.path))
-        if not _inclusion_ok(att):
-            return False
-        cache_key = (att.root_signature.signer, att.root)
-        if cache_key in self._verified_roots:
-            self.cache_hits += 1
-            return True
-        ok = self.ctx.probe_verify(att.root_signature, att.root)
-        if ok is None:
-            ok = await self.ctx.verify_digest(att.root_signature, att.root)
-        if ok:
-            self._verified_roots.add(cache_key)
         return ok

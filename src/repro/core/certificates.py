@@ -155,7 +155,8 @@ class CertValidator:
         if cert.kind == "fast":
             ok = await self._validate_fast_commit(cert, tx)
         elif cert.kind == "slow":
-            ok = await self._validate_log_cert(cert.log, tx, Decision.COMMIT)
+            chosen = self._log_quorum(cert.log, tx, Decision.COMMIT)
+            ok = chosen is not None and await self.verifier.verify_quorum(chosen)
         else:
             ok = False
         if ok:
@@ -170,7 +171,8 @@ class CertValidator:
         if cert.kind == "fast":
             ok = cert.tally is not None and await self._validate_abort_tally(cert.tally, tx)
         elif cert.kind == "slow":
-            ok = await self._validate_log_cert(cert.log, tx, Decision.ABORT)
+            chosen = self._log_quorum(cert.log, tx, Decision.ABORT)
+            ok = chosen is not None and await self.verifier.verify_quorum(chosen)
         else:
             ok = False
         if ok:
@@ -188,9 +190,8 @@ class CertValidator:
         for tally in cert.tallies:
             if tally.decision is not Decision.COMMIT or tally.txid != tx.txid:
                 return False
-            if not await self._check_votes(
-                tally, Vote.COMMIT, self.config.commit_fast_quorum
-            ):
+            chosen = self._tally_quorum(tally, Vote.COMMIT, self.config.commit_fast_quorum)
+            if chosen is None or not await self.verifier.verify_quorum(chosen):
                 return False
         return True
 
@@ -204,11 +205,13 @@ class CertValidator:
             vote: PrepareVote = attestation_payload(tally.votes[0])
             if vote.conflict is None:
                 return False
-            if not await self._check_votes(tally, Vote.ABORT, 1):
+            chosen = self._tally_quorum(tally, Vote.ABORT, 1)
+            if chosen is None or not await self.verifier.verify_quorum(chosen):
                 return False
             return await self.validate_conflict(vote.conflict, tx)
         # Case 4: 3f+1 abort votes.
-        return await self._check_votes(tally, Vote.ABORT, self.config.abort_fast_quorum)
+        chosen = self._tally_quorum(tally, Vote.ABORT, self.config.abort_fast_quorum)
+        return chosen is not None and await self.verifier.verify_quorum(chosen)
 
     async def validate_conflict(self, proof: ConflictProof, target: TxRecord) -> bool:
         """Check the conflict proof really dooms ``target``.
@@ -234,47 +237,54 @@ class CertValidator:
         expected = Vote.COMMIT if tally.decision is Decision.COMMIT else Vote.ABORT
         if tally.decision is Decision.ABORT and len(tally.votes) == 1:
             return await self._validate_abort_tally(tally, tx)
-        return await self._check_votes(tally, expected, quorum)
+        chosen = self._tally_quorum(tally, expected, quorum)
+        return chosen is not None and await self.verifier.verify_quorum(chosen)
 
-    async def _check_votes(self, tally: VoteTally, expected: Vote, quorum: int) -> bool:
+    # ------------------------------------------------------------------
+    # Quorum shapes: what the verifier's loop then checks and charges
+    # ------------------------------------------------------------------
+    def _tally_quorum(
+        self, tally: VoteTally, expected: Vote, quorum: int
+    ) -> list[Attestation] | None:
+        """One attestation per distinct member voting ``expected``, or None
+        if any vote is malformed or fewer than ``quorum`` members voted.
+        Nothing is charged: only a well-formed quorum reaches the CPU."""
         members = self.sharder.member_set(tally.shard)
-        chosen: dict[str, object] = {}
+        chosen: dict[str, Attestation] = {}
         for att in tally.votes:
             vote: PrepareVote = attestation_payload(att)
             if not isinstance(vote, PrepareVote):
-                return False
+                return None
             if vote.txid != tally.txid or vote.vote is not expected:
-                return False
+                return None
             if vote.replica != att.signer or vote.replica not in members:
-                return False
+                return None
             chosen.setdefault(vote.replica, att)
         if len(chosen) < quorum:
-            return False
-        return await self.verifier.verify_quorum(list(chosen.values()))
+            return None
+        return list(chosen.values())
 
-    # ------------------------------------------------------------------
-    # Logging-shard certificates (slow path)
-    # ------------------------------------------------------------------
-    async def _validate_log_cert(
+    def _log_quorum(
         self, log: ShardLogCert | None, tx: TxRecord, expected: Decision
-    ) -> bool:
+    ) -> list[Attestation] | None:
+        """The S_log V-CERT's counterpart of :meth:`_tally_quorum`."""
         if log is None or log.txid != tx.txid or log.decision is not expected:
-            return False
+            return None
         if log.shard != self.sharder.s_log(tx):
-            return False
+            return None
         members = self.sharder.member_set(log.shard)
-        chosen: dict[str, object] = {}
+        chosen: dict[str, Attestation] = {}
         for att in log.st2rs:
             result: DecisionLogResult = attestation_payload(att)
             if not isinstance(result, DecisionLogResult):
-                return False
+                return None
             if result.txid != tx.txid or result.decision is not expected:
-                return False
+                return None
             if result.view_decision != log.view:
-                return False
+                return None
             if result.replica != att.signer or result.replica not in members:
-                return False
+                return None
             chosen.setdefault(result.replica, att)
         if len(chosen) < self.config.st2_quorum:
-            return False
-        return await self.verifier.verify_quorum(list(chosen.values()))
+            return None
+        return list(chosen.values())

@@ -15,17 +15,52 @@ from dataclasses import dataclass
 _US_PER_SECOND = 1_000_000
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, eq=False)
 class Timestamp:
     """A totally ordered (time, client_id) pair.
 
     ``time`` is in integer microseconds so that equality and ordering are
     exact; ``client_id`` breaks ties, making timestamps from distinct
-    clients always distinct.
+    clients always distinct.  Comparisons and the hash agree with the
+    ``(time, client_id)`` tuple, but compare the two ints directly (MVTSO
+    compares timestamps on every read and prepare); comparing with
+    another type is an error, equality with one is False.
     """
 
     time: int
     client_id: int
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.time == other.time and self.client_id == other.client_id
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.time, self.client_id))
+
+    def __lt__(self, other: "Timestamp") -> bool:
+        if other.__class__ is self.__class__:
+            time = self.time
+            return time < other.time or (time == other.time and self.client_id < other.client_id)
+        return NotImplemented
+
+    def __le__(self, other: "Timestamp") -> bool:
+        if other.__class__ is self.__class__:
+            time = self.time
+            return time < other.time or (time == other.time and self.client_id <= other.client_id)
+        return NotImplemented
+
+    def __gt__(self, other: "Timestamp") -> bool:
+        if other.__class__ is self.__class__:
+            time = self.time
+            return time > other.time or (time == other.time and self.client_id > other.client_id)
+        return NotImplemented
+
+    def __ge__(self, other: "Timestamp") -> bool:
+        if other.__class__ is self.__class__:
+            time = self.time
+            return time > other.time or (time == other.time and self.client_id >= other.client_id)
+        return NotImplemented
 
     @classmethod
     def from_clock(cls, seconds: float, client_id: int) -> "Timestamp":

@@ -14,7 +14,7 @@ hide behind the no-crypto mode — but no CPU time is charged.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Awaitable
 
 from repro.config import CryptoConfig
 from repro.crypto.digest import Digest, digest_of
@@ -25,7 +25,7 @@ from repro.crypto.signatures import (
     SigningKey,
     payload_digest_of,
 )
-from repro.sim.loop import DONE, Future
+from repro.sim.loop import DONE
 from repro.sim.node import Cpu
 
 
@@ -92,7 +92,7 @@ class CryptoContext:
                 profiler.end()
         return self.key.sign_digest(digest)
 
-    def charge_sign(self) -> Future:
+    def charge_sign(self) -> Awaitable[None]:
         self.signatures_generated += 1
         if self.config.enabled:
             return self._traced_spend("sign", self.config.sign_cost)
@@ -113,42 +113,25 @@ class CryptoContext:
                 self.verify_memo_hits += 1
                 return verdict
         await self.charge_verify()
-        profiler = self.cpu.sim.profiler
-        if profiler.enabled:
-            profiler.begin("crypto.verify")
-            try:
-                verdict = self._check_digest(signature, digest)
-            finally:
-                profiler.end()
-        else:
-            verdict = self._check_digest(signature, digest)
+        verdict = self._check_digest(signature, digest)
         if memo is not None:
             memo[key] = verdict
         return verdict
 
     def _check_digest(self, signature: Signature, digest: Digest) -> bool:
+        """The structural check, in a ``crypto.verify`` frame when profiled."""
+        profiler = self.cpu.sim.profiler
+        framed = profiler.enabled
+        if framed:
+            profiler.begin("crypto.verify")
         try:
             self.registry.verify_digest(signature, digest)
             return True
         except Exception:  # CryptoError subclasses
             return False
-
-    def probe_verify(self, signature: Signature, digest: Digest) -> bool | None:
-        """Memo-only fast path: the cached verdict, or ``None`` on a miss.
-
-        A hit is indistinguishable from :meth:`verify_digest`'s memo-hit
-        branch (same counters, no CPU charge, no simulated events), but
-        costs the caller no coroutine or await.  Callers fall back to
-        ``await verify_digest(...)`` on ``None``.
-        """
-        memo = self._verify_memo
-        if memo is None:
-            return None
-        verdict = memo.get((signature.signer, digest, signature.token))
-        if verdict is not None:
-            self.signatures_verified += 1
-            self.verify_memo_hits += 1
-        return verdict
+        finally:
+            if framed:
+                profiler.end()
 
     def peek_verify(self, signature: Signature, digest: Digest) -> tuple[bool, bool]:
         """Structurally verify without charging CPU time.
@@ -167,26 +150,18 @@ class CryptoContext:
                 self.signatures_verified += 1
                 self.verify_memo_hits += 1
                 return verdict, True
-        profiler = self.cpu.sim.profiler
-        if profiler.enabled:
-            profiler.begin("crypto.verify")
-            try:
-                verdict = self._check_digest(signature, digest)
-            finally:
-                profiler.end()
-        else:
-            verdict = self._check_digest(signature, digest)
+        verdict = self._check_digest(signature, digest)
         if memo is not None:
             memo[key] = verdict
         return verdict, False
 
-    def charge_verify(self) -> Future:
+    def charge_verify(self) -> Awaitable[None]:
         self.signatures_verified += 1
         if self.config.enabled:
             return self._traced_spend("verify", self.config.verify_cost)
         return DONE
 
-    def charge_verify_batch(self, count: int) -> Future:
+    def charge_verify_batch(self, count: int) -> Awaitable[None]:
         """Charge ``count`` verifications at the batched (ed25519) rate."""
         if count <= 0:
             return DONE
@@ -221,7 +196,7 @@ class CryptoContext:
         await self.charge_hash(size_hint if size_hint is not None else 64)
         return digest
 
-    def charge_hash(self, nbytes: int, count: int = 1) -> Future:
+    def charge_hash(self, nbytes: int, count: int = 1) -> Awaitable[None]:
         self.hashes_computed += count
         if self.config.enabled:
             cost = (
@@ -230,20 +205,20 @@ class CryptoContext:
             return self._traced_spend("hash", cost * count)
         return DONE
 
-    def _traced_spend(self, op: str, cost: float):
+    def _traced_spend(self, op: str, cost: float) -> Awaitable[None]:
         """Charge ``cost`` to the CPU, wrapped in a crypto span if tracing.
 
         Untraced (the common case for benchmarks): returns the CPU charge
-        future directly — no coroutine frame.  Traced: a coroutine holding
-        a ``with`` span, so cancellation mid-charge still records the
+        itself — no coroutine frame.  Traced: a coroutine holding a
+        ``with`` span, so cancellation mid-charge still records the
         truncated span, exactly as before.
         """
         sim = self.cpu.sim
         profiler = sim.profiler
         if not sim.tracer.enabled:
             if profiler.enabled:
-                # Attribution for the charge plumbing itself; the core
-                # occupancy scheduling nests as cpu.spend/heap_push.
+                # Attribution for the charge plumbing itself; the charge
+                # starts when the awaiting task takes it (cpu.spend).
                 profiler.begin("crypto.charge")
                 try:
                     return self.cpu.spend(cost)

@@ -39,7 +39,49 @@ def canonical_encode(obj: Any) -> bytes:
     return bytes(out)
 
 
+#: Message class -> ``(header, field names)``: its tagged class name (plus
+#: the list tag of its dataclass fields) and the names of those fields, or
+#: None when it encodes its ``canonical_fields()``.  Filled as classes are
+#: first encoded; a class is a message class for good once it is here.
+_LAYOUTS: dict[type, tuple[bytes, tuple[str, ...] | None]] = {}
+
+#: Classes whose instances are never cached as message classes: those the
+#: tagged-atom rules claim first in :func:`_encode_tagged`, and classes.
+_NOT_MESSAGES = (int, float, str, bytes, list, tuple, dict, set, frozenset, type)
+
+
 def _encode_into(obj: Any, out: bytearray) -> None:
+    # Exact types first, most frequent first; everything else (subclasses,
+    # dicts, sets, unseen classes) takes the tagged rules in their order.
+    cls = type(obj)
+    if cls is bytes:
+        out += b"b%d:" % len(obj)
+        out += obj
+    elif cls is str:
+        body = obj.encode()
+        out += b"s%d:" % len(body)
+        out += body
+    elif cls is tuple or cls is list:
+        out += b"l%d:" % len(obj)
+        for item in obj:
+            _encode_into(item, out)
+    elif cls is int:
+        body = b"%d" % obj
+        out += b"i%d:" % len(body)
+        out += body
+    else:
+        layout = _LAYOUTS.get(cls)
+        if layout is None:
+            _encode_tagged(obj, out)
+            return
+        memo = getattr(obj, "_digest_memo", None)
+        out += b"h"
+        out += memo if memo is not None else _object_digest(obj, layout)
+
+
+def _encode_tagged(obj: Any, out: bytearray) -> None:
+    """The encoding rules in full: what :func:`_encode_into` does not
+    short-cut, with the same bytes for what it does."""
     if obj is None:
         out += b"N"
     elif obj is True:
@@ -86,32 +128,46 @@ def _encode_into(obj: Any, out: bytearray) -> None:
         if memo is not None:
             out += b"h"
             out += memo
-        elif hasattr(obj, "canonical_fields") or (
-            dataclasses.is_dataclass(obj) and not isinstance(obj, type)
-        ):
+        elif _is_message(obj):
             out += b"h"
-            out += _object_digest(obj)
+            out += _object_digest(obj, _layout_of(type(obj)))
         else:
             raise TypeError(f"cannot canonically encode {type(obj).__name__}: {obj!r}")
 
 
-def _object_digest(obj: Any) -> Digest:
-    """Memoized content digest of a message object (hash-tree node)."""
-    memo = getattr(obj, "_digest_memo", None)
-    if memo is not None:
-        return memo
-    out = bytearray()
-    name = type(obj).__name__.encode()
-    out += b"c%d:" % len(name)
-    out += name
-    if hasattr(obj, "canonical_fields"):
+def _is_message(obj: Any) -> bool:
+    return hasattr(obj, "canonical_fields") or (
+        dataclasses.is_dataclass(obj) and not isinstance(obj, type)
+    )
+
+
+def _layout_of(cls: type) -> tuple[bytes, tuple[str, ...] | None]:
+    """A message class's layout (see ``_LAYOUTS``), cached unless the
+    class is one the tagged-atom rules encode by value."""
+    layout = _LAYOUTS.get(cls)
+    if layout is None:
+        name = cls.__name__.encode()
+        header = b"c%d:" % len(name) + name
+        if hasattr(cls, "canonical_fields"):
+            layout = (header, None)
+        else:
+            names = tuple(field.name for field in dataclasses.fields(cls))
+            layout = (header + b"l%d:" % len(names), names)
+        if not issubclass(cls, _NOT_MESSAGES):
+            _LAYOUTS[cls] = layout
+    return layout
+
+
+def _object_digest(obj: Any, layout: tuple[bytes, tuple[str, ...] | None]) -> Digest:
+    """Content digest of a message object (hash-tree node), memoized on it."""
+    header, names = layout
+    out = bytearray(header)
+    if names is None:
         _encode_into(obj.canonical_fields(), out)
     else:
-        fields = dataclasses.fields(obj)
-        out += b"l%d:" % len(fields)
-        for field in fields:
-            _encode_into(getattr(obj, field.name), out)
-    digest = hashlib.sha256(bytes(out)).digest()
+        for name in names:
+            _encode_into(getattr(obj, name), out)
+    digest = hashlib.sha256(out).digest()
     try:
         object.__setattr__(obj, "_digest_memo", digest)
     except (AttributeError, TypeError):
@@ -124,10 +180,11 @@ def digest_of(obj: Any) -> Digest:
     memo = getattr(obj, "_digest_memo", None)
     if memo is not None:
         return memo
-    if hasattr(obj, "canonical_fields") or (
-        dataclasses.is_dataclass(obj) and not isinstance(obj, type)
-    ):
-        return _object_digest(obj)
+    layout = _LAYOUTS.get(type(obj))
+    if layout is not None:
+        return _object_digest(obj, layout)
+    if _is_message(obj):
+        return _object_digest(obj, _layout_of(type(obj)))
     return hashlib.sha256(canonical_encode(obj)).digest()
 
 

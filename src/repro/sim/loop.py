@@ -23,6 +23,9 @@ Execution model (see docs/simulation.md for the full contract):
 * Within one task, ``Task._advance`` is an iterative loop: a coroutine that
   awaits an already-completed future resumes in the same frame instead of
   re-entering ``_advance`` through the callback chain.
+* A CPU charge is no future: awaiting ``Cpu.spend`` hands ``(cpu, cost)``
+  to the task, which starts it on the CPU at once, and the charge's
+  completion record wakes the task directly.
 * Public timers are ``(when, seq, handle)`` heap records; events nobody
   can cancel (CPU charges, sleeps, deliveries) are bare ``(when, seq, fn,
   args)`` records.  Timer cancellation is O(1): the entry is tombstoned
@@ -172,9 +175,9 @@ class Future:
         return removed
 
     def _resolve(self, value: Any) -> None:
-        """Complete a pending kernel-owned future (a sleep, a CPU charge)
-        from the event that dispatched it: no cascade is under that event,
-        so the waiters run directly, without the depth accounting."""
+        """Complete a pending kernel-owned future (a sleep) from the event
+        that dispatched it: no cascade is under that event, so the waiters
+        run directly, without the depth accounting."""
         self._result = value
         callbacks = self._callbacks
         if callbacks is not None:
@@ -233,7 +236,7 @@ class Future:
 
 #: A pre-completed future: ``await DONE`` resumes immediately without
 #: yielding to the loop.  Shared safely — a done future never registers
-#: callbacks.  Used for zero-cost charges (e.g. crypto disabled).
+#: callbacks.  Used for charges that cost nothing (crypto disabled).
 DONE = Future()
 DONE.set_result(None)
 
@@ -244,7 +247,7 @@ class Task(Future):
     The task completes with the coroutine's return value (or exception).
     """
 
-    __slots__ = ("_coro", "_sim", "_wake", "_awaiting", "name")
+    __slots__ = ("_coro", "_sim", "_wake", "_awaiting", "_owner", "name")
 
     def __init__(self, sim: "Simulator", coro: Coroutine[Any, Any, Any], name: str = "") -> None:
         super().__init__()
@@ -255,6 +258,9 @@ class Task(Future):
         self._wake = self._advance_profiled if sim.profiler.enabled else self._advance
         #: The future this task is suspended on (stale while it runs).
         self._awaiting: Future | None = None
+        #: The live-task registry (``Node._tasks``) that owns this task,
+        #: which the task leaves on every way it ends; set by ``Node.spawn``.
+        self._owner: dict[Task, None] | None = None
         self.name = name or getattr(coro, "__name__", "task")
         sim._live_tasks += 1
         self._wake()
@@ -277,11 +283,13 @@ class Task(Future):
             pass
         self._wake = self._awaiting = None
         self._sim._live_tasks -= 1
+        if self._owner is not None:
+            self._owner.pop(self, None)
         if not self.done():
             self.set_exception(CancelledError())
         return True
 
-    def _advance_profiled(self, _awaited: Future | None = None) -> None:
+    def _advance_profiled(self, woke: Any = None) -> None:
         if self._wake is None:
             return
         # The protocol-logic bucket: a coroutine's segments between suspends,
@@ -289,33 +297,38 @@ class Task(Future):
         profiler = self._sim.profiler
         profiler.begin("task.step")
         try:
-            self._advance()
+            self._advance(woke)
         finally:
             profiler.end()
 
-    def _advance(self, _awaited: Future | None = None) -> None:
-        # Also the done-callback of the awaited future (``_wake``), whose
-        # outcome Future.__await__ reads for itself: the argument is unused.
+    def _advance(self, woke: Any = None) -> None:
+        # ``_wake``: the done-callback of an awaited future, or what a CPU
+        # charge's completion record calls.  ``woke`` is what woke the task
+        # and is sent into the coroutine: a future, which Future.__await__
+        # ignores (it re-reads the outcome itself, so an exception surfaces
+        # at the await site without being thrown in), or the charge's Cpu,
+        # which Cpu.spend checks.
         if self._wake is None:  # finished or cancelled: a stale wake-up
             return
         coro = self._coro
-        # Resuming is always a plain send(None): Future.__await__ re-reads
-        # the awaited future's result or exception after its yield, so an
-        # exception surfaces at the await site without being thrown in.
         # Iterative trampoline: an awaited future that is already complete
         # resumes the coroutine in this same frame instead of recursing
         # through the callback chain.
         while True:
             try:
-                awaited = coro.send(None)
+                awaited = coro.send(woke)
             except StopIteration as stop:
                 self._wake = self._awaiting = None
                 self._sim._live_tasks -= 1
+                if self._owner is not None:
+                    self._owner.pop(self, None)
                 self.set_result(stop.value)
                 return
             except BaseException as err:  # noqa: BLE001 - surfaced via the task
                 self._wake = self._awaiting = None
                 self._sim._live_tasks -= 1
+                if self._owner is not None:
+                    self._owner.pop(self, None)
                 if isinstance(err, CancelledError):
                     self._cancelled = True
                 self.set_exception(err)
@@ -324,8 +337,15 @@ class Task(Future):
                 del self
                 return
             if not isinstance(awaited, Future):
+                if type(awaited) is tuple:
+                    # A CPU charge, ``(cpu, cost)``, started here: nothing
+                    # has run since Cpu.spend was called, so its completion
+                    # record takes the seq a push from inside spend would.
+                    awaited[0]._start(self._wake, awaited[1])
+                    return
                 raise SimulationError(
-                    f"sim coroutines may only await sim futures, got {awaited!r}"
+                    f"sim coroutines may only await sim futures and CPU "
+                    f"charges, got {awaited!r}"
                 )
             if awaited._result is _PENDING and awaited._exception is None:
                 # add_done_callback, inlined: one registration per suspend.
@@ -339,6 +359,7 @@ class Task(Future):
                 else:
                     awaited._callbacks = [callbacks, wake]
                 return
+            woke = awaited
 
 
 class EventHandle:

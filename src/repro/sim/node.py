@@ -9,13 +9,14 @@ so a node's throughput ceiling emerges naturally from its offered load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Coroutine
-
+import types
 from collections import deque
+from dataclasses import dataclass
+from typing import Any, Callable, Coroutine, Generator
 
 from repro.config import NodeConfig
-from repro.sim.loop import DONE, Future, Simulator, Task
+from repro.errors import SimulationError
+from repro.sim.loop import Simulator, Task
 
 
 @dataclass(frozen=True)
@@ -54,51 +55,57 @@ class Cpu:
         self.cores = cores
         self.owner = owner
         self._free = cores
-        #: FIFO of (future, cost, enqueued) work items waiting for a core.
-        self._pending: deque[tuple[Future, float, float]] = deque()
+        #: FIFO of (wake, cost, enqueued) work items waiting for a core.
+        self._pending: deque[tuple[Callable[["Cpu"], None], float, float]] = deque()
         self.busy_time = 0.0
 
-    def spend(self, cost: float) -> Future:
+    @types.coroutine
+    def spend(self, cost: float) -> Generator[tuple["Cpu", float], "Cpu", None]:
         """Awaitable: occupy one core for ``cost`` simulated seconds (FIFO).
 
         This is the hottest call in the simulation (every crypto charge and
-        message overhead lands here), so it is a plain callback chain — no
-        coroutine frame, no semaphore handshake.  The completion order
-        matches the old coroutine implementation exactly: when the
-        core-occupancy timer fires, the next queued work item is started
-        (its timer scheduled) *before* the finished caller's future
-        resolves.
+        message overhead lands here), so a charge is no future: awaiting
+        it hands ``(cpu, cost)`` to the task that awaits it, which starts
+        it at once (:meth:`_start`), and the completion record wakes that
+        task directly, sending this Cpu in.  A charge is awaited inside a
+        sim task; resumed by anything but its completion, it raises
+        :class:`SimulationError`.  When the core-occupancy record fires,
+        the next queued work item is started (its record scheduled)
+        *before* the finished task resumes.
         """
-        if cost <= 0.0:
-            return DONE
+        if cost > 0.0:
+            if (yield self, cost) is not self:
+                raise SimulationError(
+                    "a CPU charge must be awaited inside a sim task: this one "
+                    "was resumed without having run"
+                )
+
+    def _start(self, wake: Callable[["Cpu"], None], cost: float) -> None:
+        """Take a core for a charge the awaiting task handed over, or queue."""
         sim = self.sim
         profiler = sim.profiler
-        if profiler.enabled:
+        framed = profiler.enabled
+        if framed:
             profiler.begin("cpu.spend")
-            try:
-                return self._spend(sim, cost)
-            finally:
+        try:
+            enqueued = sim.now if sim.tracer.enabled else 0.0
+            if self._free > 0 and not self._pending:
+                self._free -= 1
+                self.busy_time += cost
+                sim._schedule(sim.now + cost, self._finish, wake, cost, enqueued)
+            else:
+                self._pending.append((wake, cost, enqueued))
+        finally:
+            if framed:
                 profiler.end()
-        return self._spend(sim, cost)
 
-    def _spend(self, sim: Simulator, cost: float) -> Future:
-        enqueued = sim.now if sim.tracer.enabled else 0.0
-        fut = Future()
-        if self._free > 0 and not self._pending:
-            self._free -= 1
-            self.busy_time += cost
-            sim._schedule(sim.now + cost, self._finish, fut, cost, enqueued)
-        else:
-            self._pending.append((fut, cost, enqueued))
-        return fut
-
-    def _finish(self, fut: Future, cost: float, enqueued: float) -> None:
+    def _finish(self, wake: Callable[["Cpu"], None], cost: float, enqueued: float) -> None:
         sim = self.sim
         pending = self._pending
         if pending:
-            nfut, ncost, nenq = pending.popleft()
+            nwake, ncost, nenq = pending.popleft()
             self.busy_time += ncost
-            sim._schedule(sim.now + ncost, self._finish, nfut, ncost, nenq)
+            sim._schedule(sim.now + ncost, self._finish, nwake, ncost, nenq)
         else:
             self._free += 1
         tracer = sim.tracer
@@ -108,7 +115,8 @@ class Cpu:
                 self.owner, "cpu", "work", enqueued, end,
                 cost=cost, queued=end - cost - enqueued,
             )
-        fut._resolve(None)
+        # A task cancelled meanwhile has ended: its wake-up returns at once.
+        wake(self)
 
     def utilization(self, elapsed: float) -> float:
         """Fraction of aggregate core-time spent busy over ``elapsed``."""
@@ -206,11 +214,8 @@ class Node:
         task = self.sim.create_task(coro, name=name or self.name)
         if not task.done():
             self._tasks[task] = None
-            task.add_done_callback(self._forget_task)
+            task._owner = self._tasks  # the task leaves it when it ends
         return task
-
-    def _forget_task(self, task: Task) -> None:
-        self._tasks.pop(task, None)
 
     # -- crash / restart -------------------------------------------------
     def crash(self) -> None:

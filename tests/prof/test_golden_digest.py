@@ -129,3 +129,34 @@ def test_instruments_off_and_on_push_and_dispatch_the_same_events():
     assert traced.digest and traced.digest == both.digest
     table = both.extra["prof"]
     assert table["kernel.heap_push"]["calls"] == both_sim._seq
+
+
+def test_profiled_cpu_spend_rows_count_every_charge():
+    """A charge starts inside a ``cpu.spend`` frame (basilbench's
+    ``sim.cpu_calls``): one per charge started, whether it has finished
+    (a ``cpu.finish`` dispatch), still holds a core (its record is in the
+    heap) or waits in a CPU's queue at the end of the run."""
+    from repro.run import ModelSpec, SequentialRun
+    from repro.sim.node import Cpu
+
+    run = SequentialRun(ModelSpec(
+        kind="basil",
+        config=SystemConfig(f=1, num_shards=2, batch_size=4, seed=3),
+        workload_keys=300,
+        num_clients=6,
+        duration=0.02,
+        warmup=0.005,
+        trace=False,
+        prof=True,
+    ))
+    table = run.run().extra["prof"]
+    running = sum(
+        1 for entry in run.sim._queue
+        if len(entry) == 4 and getattr(entry[2], "__func__", None) is Cpu._finish
+    )
+    queued = sum(
+        node.cpu.queue_depth for node in run.system.network._nodes.values()
+    )
+    finished = table["cpu.finish"]["calls"]
+    assert finished > 1_000
+    assert table["cpu.spend"]["calls"] == finished + running + queued

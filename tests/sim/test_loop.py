@@ -540,11 +540,17 @@ def test_sleep_and_charges_push_bare_records_timers_handles():
     from repro.sim.node import Cpu
 
     sim = Simulator()
+    cpu = Cpu(sim, cores=1)
     handle = sim.call_later(1.0, lambda: None)
     sim.sleep(0.5)
-    Cpu(sim, cores=1).spend(0.25)
+
+    async def charge():
+        await cpu.spend(0.25)
+
+    task = sim.create_task(charge())  # its first step starts the charge
     by_time = {entry[0]: entry for entry in sim._queue}
     assert len(by_time[0.25]) == len(by_time[0.5]) == 4  # (when, seq, fn, args)
+    assert by_time[0.25] == (0.25, 2, cpu._finish, (task._wake, 0.25, 0.0))
     assert by_time[1.0][2] is handle  # (when, seq, handle)
 
 

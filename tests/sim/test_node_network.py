@@ -121,9 +121,11 @@ def test_cpu_zero_cost_is_free():
 
     async def main():
         await cpu.spend(0.0)
+        await cpu.spend(-1.0)
         return sim.now
 
     assert sim.run_until_complete(main()) == 0.0
+    assert sim.events_processed == 0 and sim._seq == 0  # never suspended
 
 
 def test_cpu_utilization():
