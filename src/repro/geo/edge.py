@@ -349,7 +349,7 @@ class _SessionDriver:
         if metrics.enabled:
             metrics.histogram(
                 "geo_user_latency_seconds", region=self.region, op=op
-            ).observe(latency)
+            ).record(latency)
         tracer = sim.tracer
         if tracer.enabled:
             tracer.complete(
