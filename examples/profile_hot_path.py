@@ -21,7 +21,7 @@ from repro import BasilSystem, SystemConfig
 from repro.bench.runner import ExperimentRunner
 from repro.prof.deep import DeepProfiler, render_top, top_functions
 from repro.prof.flame import write_flame_html
-from repro.prof.profiler import install_profiler, render_table
+from repro.prof.profiler import Profiler, render_table
 from repro.workloads.ycsb import YCSBWorkload
 import time
 
@@ -39,7 +39,7 @@ def build_runner():
 def main() -> None:
     # -- 1. subsystem attribution ---------------------------------------
     system, runner = build_runner()
-    profiler = install_profiler(system.sim, system)
+    profiler = system.sim.attach_profiler(Profiler())
     t0 = time.perf_counter()
     result = runner.run()
     wall = time.perf_counter() - t0

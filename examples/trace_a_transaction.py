@@ -23,7 +23,7 @@ from repro.trace.export import write_chrome_trace
 
 def main() -> None:
     system = BasilSystem(SystemConfig(f=1, num_shards=1))
-    tracer = Tracer(system.sim)  # attaches; sim.tracer is now recording
+    tracer = system.sim.attach_tracer(Tracer())  # recording from here on
     system.load({"balance": 100})
 
     async def pay(session: TransactionSession):

@@ -130,7 +130,7 @@ class HotStuffReplica(Node):
     async def handle_message(self, sender: str, message: Any) -> None:
         if isinstance(message, SMRRequest):
             if (message.client, message.op_id) not in self._mempool:
-                await self.crypto.charge_request_verify()
+                await self.crypto.charge_verify()
             self._mempool[(message.client, message.op_id)] = message
             await self._maybe_propose()
         elif isinstance(message, SignedMessage):

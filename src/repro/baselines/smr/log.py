@@ -125,7 +125,7 @@ class SMRClient(Node):
         queue = self._pending[op_id] = Queue(self.sim)
         request = SMRRequest(op_id=op_id, client=self.name, op=op)
         try:
-            await self.crypto.charge_request_sign()
+            await self.crypto.charge_sign()
             if self.broadcast_requests:
                 self.network.broadcast(self, group, request)
             else:

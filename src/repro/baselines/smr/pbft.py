@@ -183,7 +183,7 @@ class PBFTReplica(Node):
                 self._backup_queue.append(request)
                 self._arm_suspicion()
             return
-        await self.crypto.charge_request_verify()
+        await self.crypto.charge_verify()
         self._queue.append(request)
         if len(self._queue) >= self.config.smr_batch_size:
             await self._flush()
@@ -230,7 +230,7 @@ class PBFTReplica(Node):
         if not self.is_leader:
             # backups verify each client request signature in the batch
             for _op in preprepare.ops:
-                await self.crypto.charge_request_verify()
+                await self.crypto.charge_verify()
         slot.digest = digest_of(preprepare.canonical_fields())
         vote = PhaseVote("prepare", self.view, preprepare.seq, slot.digest, self.name)
         signed_vote = await self.crypto.sign(vote)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Any
 
 from repro.core.timestamps import Timestamp
 from repro.core.transaction import TxRecord
@@ -33,8 +34,8 @@ class TapirTxState:
 class TapirStore:
     """One TAPIR replica's state: versions + prepared transactions."""
 
-    def __init__(self) -> None:
-        self.versions: VersionStore = VersionStore()
+    def __init__(self, sim: Any = None) -> None:
+        self.versions: VersionStore = VersionStore(sim)
         self.prepared: dict[Digest, TapirTxState] = {}
 
     def read(self, key, ts: Timestamp):

@@ -90,7 +90,7 @@ class TapirReplica(Node):
         self.config = config
         self.sharder = sharder
         self.shard = sharder.shard_of_replica(name)
-        self.store = TapirStore()
+        self.store = TapirStore(sim)
 
     async def handle_message(self, sender: str, message: Any) -> None:
         if isinstance(message, TRead):
@@ -194,7 +194,6 @@ class TapirClient(Node):
         votes: dict[int, dict[str, TapirVote]] = {shard: {} for shard in involved}
         outcome: dict[int, TapirVote] = {}
         fast = True
-        tracer = self.sim.tracer
         st1_begin = self.sim.now
         try:
             for shard in involved:
@@ -222,9 +221,9 @@ class TapirClient(Node):
                     outcome[shard] = decided
         finally:
             self._pending.pop(req_id, None)
-            if tracer.enabled:
-                tracer.complete(
-                    self.name, "txn", "st1", st1_begin, self.sim.now,
+            if self.sim.instruments is not None:
+                self.sim.instruments.txn_phase(
+                    self.name, "st1", st1_begin,
                     txid=tx.txid.hex(), shards=len(involved),
                 )
 
@@ -240,18 +239,18 @@ class TapirClient(Node):
         if not fast:
             st2_begin = self.sim.now
             await self._confirm_round(tx, involved)
-            if tracer.enabled:
-                tracer.complete(
-                    self.name, "txn", "st2", st2_begin, self.sim.now,
+            if self.sim.instruments is not None:
+                self.sim.instruments.txn_phase(
+                    self.name, "st2", st2_begin,
                     txid=tx.txid.hex(), proposed="CONFIRM",
                 )
         wb_begin = self.sim.now
         decision = TDecision(tx=tx, commit=commit)
         for shard in involved:
             self.network.broadcast(self, self.sharder.members(shard), decision)
-        if tracer.enabled:
-            tracer.complete(
-                self.name, "txn", "writeback", wb_begin, self.sim.now,
+        if self.sim.instruments is not None:
+            self.sim.instruments.txn_phase(
+                self.name, "writeback", wb_begin,
                 txid=tx.txid.hex(),
                 decision="COMMIT" if commit else "ABORT", fast_path=fast,
             )
@@ -329,11 +328,10 @@ class TapirSession:
         if not self.builder.reads and not self.builder.writes:
             return TapirResult(committed=True, fast_path=True, timestamp=self.builder.timestamp)
         tx = self.builder.freeze()
-        tracer = self.client.sim.tracer
-        if tracer.enabled:
-            tracer.complete(
-                self.client.name, "txn", "execute",
-                self._began_at, self.client.sim.now,
+        instruments = self.client.sim.instruments
+        if instruments is not None:
+            instruments.txn_phase(
+                self.client.name, "execute", self._began_at,
                 txid=tx.txid.hex(),
                 reads=len(self.builder.reads), writes=len(self.builder.writes),
             )

@@ -86,7 +86,6 @@ class ExperimentRunner:
         client_factories: list[Callable[[], Any]] | None = None,
         tag_transactions: bool = False,
         verify_history: bool = False,
-        tracer: Any = None,
         injector: Any = None,
         recorder: Any = None,
         drain: float = 0.2,
@@ -106,9 +105,6 @@ class ExperimentRunner:
         #: Run the Byz-serializability oracle over the final state
         #: (Basil systems only; see repro.verify.history).
         self.verify_history = verify_history
-        #: Optional repro.trace.Tracer; attached to the system's simulator
-        #: at run() so the whole benchmark is recorded.
-        self.tracer = tracer
         #: Optional repro.faults.FaultInjector; armed against the system
         #: at run() so its schedule unfolds during the benchmark.
         self.injector = injector
@@ -141,8 +137,6 @@ class ExperimentRunner:
         windows between the two halves.
         """
         sim = self.system.sim
-        if self.tracer is not None:
-            sim.attach_tracer(self.tracer)
         if self.injector is not None:
             self.injector.attach(self.system)
         self.system.load(self.workload.genesis())

@@ -63,10 +63,8 @@ class ByzantineClient(BasilClient):
         if self._byz_rng.random() >= self.faulty_fraction:
             return await super().commit(tx, dep_records)
         self.faulty_txns += 1
-        if self.sim.metrics.enabled:
-            self.sim.metrics.counter(
-                "byz_faulty_txns_total", behaviour=self.behaviour
-            ).add()
+        if self.sim.instruments is not None:
+            self.sim.instruments.byz_faulty_txn(self.behaviour)
         if self.behaviour == "stall-early":
             return await self._stall_early(tx)
         if self.behaviour == "stall-late":
@@ -77,7 +75,7 @@ class ByzantineClient(BasilClient):
     async def _stall_early(self, tx: TxRecord) -> PrepareOutcome:
         """Send ST1 everywhere, then walk away without tallying votes."""
         request = PrepareRequest(req_id=self._next_req(), tx=tx, client=self.name)
-        await self.crypto.charge_request_sign()
+        await self.crypto.charge_sign()
         for shard in self.sharder.shards_of_tx(tx):
             self.network.broadcast(self, self.sharder.members(shard), request)
         # Report "committed" so the driver moves on; correct clients will
@@ -112,14 +110,14 @@ class ByzantineClient(BasilClient):
         self.equiv_attempts += 1
         if (can_commit and abort_tally is not None) or forced:
             self.equiv_successes += 1
-            if self.sim.metrics.enabled:
-                self.sim.metrics.counter("byz_equivocations_total").add()
+            if self.sim.instruments is not None:
+                self.sim.instruments.byz_equivocation()
             members = self.sharder.members(self.sharder.s_log(tx))
             half = len(members) // 2
             commit_votes = tuple(t for t in commit_tallies.values() if t is not None)
             abort_votes = (abort_tally,) if abort_tally is not None else ()
-            await self.crypto.charge_request_sign()
-            await self.crypto.charge_request_sign()
+            await self.crypto.charge_sign()
+            await self.crypto.charge_sign()
             self.network.broadcast(
                 self,
                 members[:half],
@@ -156,7 +154,7 @@ class ByzantineClient(BasilClient):
             for shard in involved
         }
         try:
-            await self.crypto.charge_request_sign()
+            await self.crypto.charge_sign()
             for shard in involved:
                 self.network.broadcast(self, self.sharder.members(shard), request)
             expected = len(involved) * self.config.n

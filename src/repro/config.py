@@ -45,10 +45,6 @@ class CryptoConfig:
     verify_cost: float = 130 * US
     hash_cost_per_block: float = 0.4 * US
     hash_block_bytes: int = 256
-    #: Whether clients sign state-changing requests (ST1/ST2/writeback,
-    #: and the SMR baselines' ordered ops) and replicas verify them.
-    #: Reads are session-MAC'd (negligible) in every system.
-    authenticate_requests: bool = True
     #: Sec 4.4 "Signature Aggregation": when on, verifying a quorum of
     #: matching votes costs one signature verification plus a hash per
     #: vote (BLS-style aggregate), instead of one verification per vote.
@@ -61,28 +57,6 @@ class CryptoConfig:
     #: certificate crosses a node twice (e.g. cross-shard writeback after
     #: ST2), which otherwise saturates simulated clients (Figure 5c).
     verify_memo: bool = True
-    #: Charge quorum verification as one ed25519 batch verification
-    #: (Basil batch-verifies certificate signatures) instead of k
-    #: sequential verifications.  Structural checks still run per member.
-    #: Off by default: the ~40% discount on every quorum lifts Basil above
-    #: TAPIR and flattens the reply-batching curve, breaking the paper's
-    #: Figure 4/6b shapes — our verify_cost is calibrated for sequential
-    #: verification.  Enable per-experiment to study the optimization.
-    batch_verify: bool = False
-    #: Throughput multiple of batch verification over one-at-a-time
-    #: verification; ~2x is the ed25519-donna batch figure for the small
-    #: batches (3-6 signatures) quorum certificates produce.
-    batch_verify_speedup: float = 2.0
-
-    def batch_verify_cost(self, count: int) -> float:
-        """Simulated CPU time to batch-verify ``count`` signatures.
-
-        First signature at full cost, the rest at ``1/speedup`` — the
-        amortization profile of ed25519 batch verification.
-        """
-        if not self.enabled or count <= 0:
-            return 0.0
-        return self.verify_cost * (1.0 + (count - 1) / self.batch_verify_speedup)
 
     def hash_cost(self, nbytes: int) -> float:
         """Simulated CPU time to hash ``nbytes`` bytes."""

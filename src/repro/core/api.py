@@ -88,25 +88,18 @@ class TransactionSession:
                 committed=True, fast_path=True, timestamp=self.builder.timestamp
             )
         tx = self.builder.freeze()
-        tracer = self.client.sim.tracer
-        if tracer.enabled:
-            tracer.complete(
-                self.client.name, "txn", "execute",
-                self._began_at, self.client.sim.now,
+        sim = self.client.sim
+        if sim.instruments is not None:
+            sim.instruments.txn_phase(
+                self.client.name, "execute", self._began_at,
                 txid=tx.txid.hex(),
                 reads=len(self.builder.reads), writes=len(self.builder.writes),
             )
         outcome = await self.client.commit(tx, self.dep_records)
-        metrics = self.client.sim.metrics
-        if metrics.enabled:
-            if outcome.decision is Decision.COMMIT:
-                metrics.counter("basil_txn_commits_total").add()
-                if outcome.fast_path:
-                    metrics.counter("basil_txn_fast_commits_total").add()
-            else:
-                metrics.counter(
-                    "basil_txn_aborts_total", taxonomy="prepare-abort"
-                ).add()
+        if sim.instruments is not None:
+            sim.instruments.txn_decided(
+                outcome.decision is Decision.COMMIT, outcome.fast_path
+            )
         return TransactionResult(
             committed=outcome.decision is Decision.COMMIT,
             fast_path=outcome.fast_path,

@@ -94,8 +94,7 @@ class AttestationVerifier:
         """Awaitable: verify a set of matching votes, aggregated if enabled.
 
         Without aggregation every member is verified in turn
-        (:meth:`_verify_each`), or as one ed25519-style batch under
-        ``batch_verify``.  With aggregation, the structural checks still
+        (:meth:`_verify_each`).  With aggregation, the structural checks still
         run individually (they are what guarantees soundness in the
         simulation) but the *charged* cost is one signature verification
         plus one hash per member — the cost profile of an aggregate
@@ -107,9 +106,6 @@ class AttestationVerifier:
         """
         if self.aggregate:
             return self._verify_aggregate(atts)
-        cfg = self.ctx.config
-        if cfg.enabled and cfg.batch_verify:
-            return self._verify_quorum_batched(atts)
         return self._verify_each(atts)
 
     async def _verify_each(self, atts: Sequence[Attestation]) -> bool:
@@ -120,16 +116,15 @@ class AttestationVerifier:
         per Merkle level, then its root signature's verification unless
         this node already verified that (signer, root).  A verification
         the node's memo already holds is counted and not charged.  Charges
-        go straight to the CPU unless an instrument is attached, in which
-        case they take :meth:`CryptoContext._traced_spend` for its span
-        or frame.  The first member that fails ends the loop.
+        go straight to the CPU unless instruments are attached, which then
+        make each one a span or a frame.  The first member that fails ends
+        the loop.
         """
         if not atts:
             return False
         ctx = self.ctx
         cpu = ctx.cpu
-        sim = cpu.sim
-        direct = not (sim.tracer.enabled or sim.profiler.enabled)
+        instruments = cpu.sim.instruments
         charged = ctx.config.enabled
         memo = ctx._verify_memo
         verified_roots = self._verified_roots
@@ -143,7 +138,10 @@ class AttestationVerifier:
                 ctx.hashes_computed += hashes
                 if charged:
                     cost = ctx._hash64_cost * hashes
-                    await (cpu.spend(cost) if direct else ctx._traced_spend("hash", cost))
+                    await (
+                        cpu.spend(cost) if instruments is None
+                        else instruments.charge(cpu, "hash", cost)
+                    )
                 # The Merkle walk itself is memoised on the attestation.
                 if not _inclusion_ok(att):
                     return False
@@ -163,7 +161,10 @@ class AttestationVerifier:
             else:
                 if charged:
                     cost = ctx.config.verify_cost
-                    await (cpu.spend(cost) if direct else ctx._traced_spend("verify", cost))
+                    await (
+                        cpu.spend(cost) if instruments is None
+                        else instruments.charge(cpu, "verify", cost)
+                    )
                 verdict = ctx._check_digest(signature, digest)
                 if memo is not None:
                     memo[key] = verdict
@@ -190,53 +191,4 @@ class AttestationVerifier:
                     ok = False
         await self.ctx.charge_hash(64, count=len(atts))
         await self.ctx.charge_verify()
-        return ok
-
-    async def _verify_quorum_batched(self, atts: Sequence[Attestation]) -> bool:
-        """One ed25519-style batch verification for a whole quorum.
-
-        Every member is still structurally verified (and the Merkle /
-        root-cache bookkeeping of :meth:`_verify_each` still applies);
-        only the *charged* cost changes: hashes are charged as before, and
-        the signatures that were neither memoized nor root-cached are
-        charged as a single batch via
-        :meth:`~repro.crypto.cost_model.CryptoContext.charge_verify_batch`.
-        Unlike the aggregate path this is sound per-member, so it fails as
-        soon as any member is bad — matching the sequential path's verdict.
-        """
-        if not atts:
-            return False
-        ok = True
-        fresh = 0
-        hash_count = 0
-        for att in atts:
-            if isinstance(att, SignedMessage):
-                verdict, memoized = self.ctx.peek_verify(
-                    att.signature, payload_digest_of(att)
-                )
-                if not memoized:
-                    fresh += 1
-                if not verdict:
-                    ok = False
-                    break
-                continue
-            hash_count += 1 + len(att.proof.path)
-            if not _inclusion_ok(att):
-                ok = False
-                break
-            cache_key = (att.root_signature.signer, att.root)
-            if cache_key in self._verified_roots:
-                self.cache_hits += 1
-                continue
-            verdict, memoized = self.ctx.peek_verify(att.root_signature, att.root)
-            if not memoized:
-                fresh += 1
-            if not verdict:
-                ok = False
-                break
-            self._verified_roots.add(cache_key)
-        if hash_count:
-            await self.ctx.charge_hash(64, count=hash_count)
-        if fresh:
-            await self.ctx.charge_verify_batch(fresh)
         return ok

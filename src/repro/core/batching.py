@@ -87,21 +87,14 @@ class ReplyBatcher:
             self._timer = None
         batch, self._pending = self._pending, []
         self.batches_flushed += 1
-        metrics = self.sim.metrics
-        if metrics.enabled:
-            metrics.counter("basil_batches_flushed_total").add()
-            metrics.histogram("basil_batch_size").record(len(batch))
-        self._spawn(self._sign_batch(batch), name="batch-sign")
+        signing = self._sign_batch(batch)
+        instruments = self.sim.instruments
+        if instruments is not None:
+            instruments.batch_flushed(len(batch))
+            signing = instruments.batch_signing(self.ctx.cpu.owner, len(batch), signing)
+        self._spawn(signing, name="batch-sign")
 
     async def _sign_batch(self, batch: list[tuple[Any, Future]]) -> None:
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            with tracer.span(self.ctx.cpu.owner, "replica", "batch", size=len(batch)):
-                await self._sign_batch_inner(batch)
-        else:
-            await self._sign_batch_inner(batch)
-
-    async def _sign_batch_inner(self, batch: list[tuple[Any, Future]]) -> None:
         if len(batch) == 1:
             payload, fut = batch[0]
             signed = await self.ctx.sign(payload)

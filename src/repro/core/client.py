@@ -334,14 +334,13 @@ class BasilClient(Node):
     async def commit(self, tx: TxRecord, dep_records: dict[Digest, TxRecord] | None = None) -> PrepareOutcome:
         """Run the full Prepare/Writeback pipeline for ``tx``."""
         outcome = await self.prepare(tx, dep_records or {})
-        tracer = self.sim.tracer
         wb_begin = self.sim.now
         self.writeback(tx, outcome.cert)
-        if tracer.enabled:
+        if self.sim.instruments is not None:
             # The client-perceived writeback phase: fire-and-forget, so
             # its span closes the execute/st1/st2 tiling at zero width.
-            tracer.complete(
-                self.name, "txn", "writeback", wb_begin, self.sim.now,
+            self.sim.instruments.txn_phase(
+                self.name, "writeback", wb_begin,
                 txid=tx.txid.hex(), decision=outcome.decision.name,
                 fast_path=outcome.fast_path,
             )
@@ -371,10 +370,9 @@ class BasilClient(Node):
         req_id = self._next_req()
         queue = self._register(req_id)
         request = PrepareRequest(req_id=req_id, tx=tx, client=self.name)
-        tracer = self.sim.tracer
         st1_begin = self.sim.now
         try:
-            await self.crypto.charge_request_sign()
+            await self.crypto.charge_sign()
             for shard in involved:
                 self.network.broadcast(self, self.sharder.members(shard), request)
             outcomes, tallies, conflicts = await self._collect_votes(
@@ -382,9 +380,9 @@ class BasilClient(Node):
             )
         finally:
             self._unregister(req_id)
-            if tracer.enabled:
-                tracer.complete(
-                    self.name, "txn", "st1", st1_begin, self.sim.now,
+            if self.sim.instruments is not None:
+                self.sim.instruments.txn_phase(
+                    self.name, "st1", st1_begin,
                     txid=tx.txid.hex(), shards=len(involved),
                 )
         outcome = await self._decide(tx, outcomes, tallies)
@@ -407,7 +405,6 @@ class BasilClient(Node):
         tallies: dict[int, VoteTally] = {}
         conflicts: dict[Digest, Any] = {}
         stall_rounds = 0
-        metrics = self.sim.metrics
         quorum_begin = self.sim.now
         while len(outcomes) < len(involved):
             try:
@@ -423,10 +420,10 @@ class BasilClient(Node):
                     classified = collector.classify(complete=True)
                     if classified is not None:
                         outcomes[shard], tallies[shard] = classified
-                        if metrics.enabled:
-                            metrics.histogram(
-                                "basil_quorum_latency_seconds", shard=str(shard)
-                            ).record(self.sim.now - quorum_begin)
+                        if self.sim.instruments is not None:
+                            self.sim.instruments.quorum_formed(
+                                shard, self.sim.now - quorum_begin
+                            )
                 if len(outcomes) == len(involved):
                     break
                 stall_rounds += 1
@@ -454,10 +451,8 @@ class BasilClient(Node):
             classified = collector.classify(complete=collector.replies >= self.config.n)
             if classified is not None:
                 outcomes[shard], tallies[shard] = classified
-                if metrics.enabled:
-                    metrics.histogram(
-                        "basil_quorum_latency_seconds", shard=str(shard)
-                    ).record(self.sim.now - quorum_begin)
+                if self.sim.instruments is not None:
+                    self.sim.instruments.quorum_formed(shard, self.sim.now - quorum_begin)
         return outcomes, tallies, conflicts
 
     async def _validated_vote(
@@ -541,10 +536,9 @@ class BasilClient(Node):
             view=view,
             client=self.name,
         )
-        tracer = self.sim.tracer
         st2_begin = self.sim.now
         try:
-            await self.crypto.charge_request_sign()
+            await self.crypto.charge_sign()
             self.network.broadcast(self, members, request)
             groups: dict[tuple[Decision, int], dict[str, Attestation]] = {}
             attempts = 0
@@ -578,9 +572,9 @@ class BasilClient(Node):
                     return payload.decision, cert
         finally:
             self._unregister(req_id)
-            if tracer.enabled:
-                tracer.complete(
-                    self.name, "txn", "st2", st2_begin, self.sim.now,
+            if self.sim.instruments is not None:
+                self.sim.instruments.txn_phase(
+                    self.name, "st2", st2_begin,
                     txid=tx.txid.hex(), proposed=decision.name,
                 )
 
@@ -603,11 +597,13 @@ class BasilClient(Node):
 
     def writeback(self, tx: TxRecord, cert: DecisionCert) -> None:
         """Sec 4.3: asynchronously broadcast the decision certificate."""
-        if self.crypto.config.authenticate_requests:
-            self.spawn(self.crypto.charge_request_sign(), name="wb-sign")
+        self.spawn(self._sign_writeback(), name="wb-sign")
         message = WritebackRequest(cert=cert, tx=tx)
         for shard in self.sharder.shards_of_tx(tx):
             self.network.broadcast(self, self.sharder.members(shard), message)
+
+    async def _sign_writeback(self) -> None:
+        await self.crypto.charge_sign()
 
     # ------------------------------------------------------------------
     # Record fetch (dependency chains)
@@ -651,38 +647,23 @@ class BasilClient(Node):
             return await existing
         from repro.core.fallback import RecoveryCoordinator
 
-        tracer = self.sim.tracer
-        metrics = self.sim.metrics
+        instruments = self.sim.instruments
         fb_begin = self.sim.now
-        if metrics.enabled:
-            if self.region:
-                metrics.counter(
-                    "basil_fallback_invocations_total", region=self.region
-                ).add()
-            else:
-                metrics.counter("basil_fallback_invocations_total").add()
+        if instruments is not None:
+            instruments.fallback_started(self.region)
         task = self.sim.create_task(
             RecoveryCoordinator(self, tx).run(), name=f"{self.name}/finish"
         )
         self._finishing[tx.txid] = task
         try:
             decision, cert = await task
-            if metrics.enabled and decision is Decision.ABORT:
-                metrics.counter(
-                    "basil_txn_aborts_total", taxonomy="fallback-abort"
-                ).add()
+            if instruments is not None and decision is Decision.ABORT:
+                instruments.fallback_aborted()
             return decision, cert
         finally:
             self._finishing.pop(tx.txid, None)
-            if metrics.enabled:
-                metrics.histogram("basil_fallback_seconds").record(
-                    self.sim.now - fb_begin
-                )
-            if tracer.enabled:
-                tracer.complete(
-                    self.name, "txn", "fallback", fb_begin, self.sim.now,
-                    txid=tx.txid.hex(),
-                )
+            if instruments is not None:
+                instruments.fallback_finished(self.name, fb_begin, tx.txid.hex())
 
     def watch_finish(self, txid: Digest, queue: Queue) -> None:
         self._finish_watch.setdefault(txid, []).append(queue)

@@ -97,10 +97,10 @@ class RecoveryCoordinator:
 
     async def run(self) -> tuple[Decision, DecisionCert | None]:
         self.client.recoveries_started += 1
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.instant(
-                self.client.name, "fallback", "recovery_start",
+        instruments = self.sim.instruments
+        if instruments is not None:
+            instruments.recovery(
+                self.client.name, "recovery_start",
                 txid=self.tx.txid.hex(), shards=len(self.involved),
             )
         req_id = self.client._next_req()
@@ -119,9 +119,9 @@ class RecoveryCoordinator:
             if done is None:
                 done = await self._divergent_case(req_id, queue, state)
             self.client.recoveries_finished += 1
-            if tracer.enabled:
-                tracer.instant(
-                    self.client.name, "fallback", "recovery_done",
+            if instruments is not None:
+                instruments.recovery(
+                    self.client.name, "recovery_done",
                     txid=self.tx.txid.hex(), decision=done[0].value,
                 )
             return done
@@ -136,7 +136,7 @@ class RecoveryCoordinator:
         self, req_id: int, queue, state: _RecoveryState
     ) -> tuple[Decision, DecisionCert] | None:
         request = PrepareRequest(req_id=req_id, tx=self.tx, client=self.client.name, recovery=True)
-        await self.client.crypto.charge_request_sign()
+        await self.client.crypto.charge_sign()
         self._broadcast_all(request)
         attempts = 0
         while True:
@@ -278,14 +278,13 @@ class RecoveryCoordinator:
                 view=0,
                 client=self.client.name,
             )
-            await self.client.crypto.charge_request_sign()
+            await self.client.crypto.charge_sign()
             self.network.broadcast(self.client, self.log_members, request)
 
         for round_num in range(self.config.f + 3):
-            tracer = self.sim.tracer
-            if tracer.enabled:
-                tracer.instant(
-                    self.client.name, "fallback", "invoke_fb",
+            if self.sim.instruments is not None:
+                self.sim.instruments.recovery(
+                    self.client.name, "invoke_fb",
                     txid=self.tx.txid.hex(), round=round_num,
                 )
             evidence = tuple(state.st2r.values())
@@ -296,7 +295,7 @@ class RecoveryCoordinator:
                 view_evidence=evidence,
                 client=self.client.name,
             )
-            await self.client.crypto.charge_request_sign()
+            await self.client.crypto.charge_sign()
             self.network.broadcast(self.client, self.log_members, invoke)
             deadline = self.config.fallback_view_timeout * (round_num + 1)
             result = await self._collect_st2r_round(req_id, queue, state, deadline)

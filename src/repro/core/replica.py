@@ -102,7 +102,7 @@ class BasilReplica(Node):
         )
         from repro.storage.versionstore import VersionStore
 
-        self.store: VersionStore = VersionStore()
+        self.store: VersionStore = VersionStore(sim)
         self.tx_states: dict[Digest, TxState] = {}
         #: Prepare requests parked on undecided dependencies (stats only).
         self.prepares_waiting = 0
@@ -253,7 +253,7 @@ class BasilReplica(Node):
     # Prepare stage 1 (Sec 4.2)
     # ------------------------------------------------------------------
     async def on_prepare(self, sender: str, req: PrepareRequest) -> None:
-        await self.crypto.charge_request_verify()
+        await self.crypto.charge_verify()
         tx = req.tx
         state = self.state_of(tx.txid)
         if state.tx is None:
@@ -288,23 +288,12 @@ class BasilReplica(Node):
         if result.status is not CheckStatus.PREPARED:
             reason = result.reason or "unknown"
             self.abort_reasons[reason] = self.abort_reasons.get(reason, 0) + 1
-        metrics = self.sim.metrics
-        if metrics.enabled:
-            metrics.counter(
-                "basil_mvtso_checks_total", status=result.status.value
-            ).add()
-            if result.status is not CheckStatus.PREPARED:
-                metrics.counter(
-                    "basil_mvtso_aborts_total",
-                    reason=result.reason or "unknown",
-                    taxonomy=classify_abort(result.reason),
-                ).add()
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.instant(
-                self.name, "replica", "mvtso_check",
-                txid=tx.txid.hex(), status=result.status.name,
-                pending_deps=len(result.pending_deps),
+        if self.sim.instruments is not None:
+            prepared = result.status is CheckStatus.PREPARED
+            self.sim.instruments.mvtso_check(
+                self.name, tx.txid.hex(), result.status, len(result.pending_deps),
+                None if prepared
+                else (result.reason or "unknown", classify_abort(result.reason)),
             )
         return result
 
@@ -317,11 +306,8 @@ class BasilReplica(Node):
             decisions = await self.sim.gather(waits)
         finally:
             self.prepares_waiting -= 1
-            metrics = self.sim.metrics
-            if metrics.enabled:
-                metrics.histogram("basil_dependency_wait_seconds").record(
-                    self.sim.now - wait_begin
-                )
+            if self.sim.instruments is not None:
+                self.sim.instruments.dependency_waited(self.sim.now - wait_begin)
         if state.vote is not None or state.decided:
             return
         if all(d is Decision.COMMIT for d in decisions):
@@ -383,7 +369,7 @@ class BasilReplica(Node):
         tx = req.tx
         if self.sharder.s_log(tx) != self.shard:
             return
-        await self.crypto.charge_request_verify()
+        await self.crypto.charge_verify()
         state = self.state_of(tx.txid)
         if state.tx is None:
             state.tx = tx
@@ -441,7 +427,7 @@ class BasilReplica(Node):
         state = self.state_of(tx.txid)
         if state.decided:
             return
-        await self.crypto.charge_request_verify()
+        await self.crypto.charge_verify()
         cert = req.cert
         if isinstance(cert, CommitCert):
             if not await self.validator.validate_commit(cert, tx):
@@ -498,7 +484,7 @@ class BasilReplica(Node):
         if state.tx is None:
             state.tx = req.tx
         state.interested.add(sender)
-        await self.crypto.charge_request_verify()
+        await self.crypto.charge_verify()
         if state.decided or state.logged_decision is None:
             # Nothing to reconcile here (or nothing logged yet: the client
             # must first drive an ST2 so that Lemma 5's precondition —
@@ -569,14 +555,8 @@ class BasilReplica(Node):
             return
         state.view_current = view
         state.view_adopted_at = self.sim.now
-        metrics = self.sim.metrics
-        if metrics.enabled:
-            if self.region:
-                metrics.counter(
-                    "basil_view_changes_total", node=self.name, region=self.region
-                ).add()
-            else:
-                metrics.counter("basil_view_changes_total", node=self.name).add()
+        if self.sim.instruments is not None:
+            self.sim.instruments.view_changed(self.name, self.region)
 
     async def on_elect_fb(self, sender: str, msg: ElectFBMessage) -> None:
         payload: ElectFBPayload = attestation_payload(msg.attestation)

@@ -67,35 +67,25 @@ class CryptoContext:
     async def sign(self, payload: Any) -> SignedMessage:
         """Sign a payload, charging one signature generation."""
         await self.charge_sign()
-        # Profiler frames bracket synchronous segments only — never an
-        # await — so the frame stack cannot interleave across tasks.
-        profiler = self.cpu.sim.profiler
-        if profiler.enabled:
-            profiler.begin("crypto.sign")
-            try:
-                signature = self.key.sign(payload)
-            finally:
-                profiler.end()
-        else:
+        instruments = self.cpu.sim.instruments
+        if instruments is None:
             signature = self.key.sign(payload)
+        else:
+            signature = instruments.frame("crypto.sign", self.key.sign, payload)
         return SignedMessage(payload=payload, signature=signature)
 
     async def sign_digest(self, digest: Digest) -> Signature:
         """Sign a precomputed digest (used for Merkle batch roots)."""
         await self.charge_sign()
-        profiler = self.cpu.sim.profiler
-        if profiler.enabled:
-            profiler.begin("crypto.sign")
-            try:
-                return self.key.sign_digest(digest)
-            finally:
-                profiler.end()
-        return self.key.sign_digest(digest)
+        instruments = self.cpu.sim.instruments
+        if instruments is None:
+            return self.key.sign_digest(digest)
+        return instruments.frame("crypto.sign", self.key.sign_digest, digest)
 
     def charge_sign(self) -> Awaitable[None]:
         self.signatures_generated += 1
         if self.config.enabled:
-            return self._traced_spend("sign", self.config.sign_cost)
+            return self._spend("sign", self.config.sign_cost)
         return DONE
 
     # -- verification -------------------------------------------------------
@@ -120,79 +110,32 @@ class CryptoContext:
 
     def _check_digest(self, signature: Signature, digest: Digest) -> bool:
         """The structural check, in a ``crypto.verify`` frame when profiled."""
-        profiler = self.cpu.sim.profiler
-        framed = profiler.enabled
-        if framed:
-            profiler.begin("crypto.verify")
+        instruments = self.cpu.sim.instruments
+        if instruments is None:
+            return self._verdict(signature, digest)
+        return instruments.frame("crypto.verify", self._verdict, signature, digest)
+
+    def _verdict(self, signature: Signature, digest: Digest) -> bool:
         try:
             self.registry.verify_digest(signature, digest)
             return True
         except Exception:  # CryptoError subclasses
             return False
-        finally:
-            if framed:
-                profiler.end()
-
-    def peek_verify(self, signature: Signature, digest: Digest) -> tuple[bool, bool]:
-        """Structurally verify without charging CPU time.
-
-        Returns ``(verdict, was_memoized)``.  The caller is responsible
-        for charging the non-memoized checks — typically one
-        :meth:`charge_verify_batch` for a whole quorum.  Memo hits are
-        counted here; fresh checks are counted when charged.
-        """
-        memo = self._verify_memo
-        key = None
-        if memo is not None:
-            key = (signature.signer, digest, signature.token)
-            verdict = memo.get(key)
-            if verdict is not None:
-                self.signatures_verified += 1
-                self.verify_memo_hits += 1
-                return verdict, True
-        verdict = self._check_digest(signature, digest)
-        if memo is not None:
-            memo[key] = verdict
-        return verdict, False
 
     def charge_verify(self) -> Awaitable[None]:
         self.signatures_verified += 1
         if self.config.enabled:
-            return self._traced_spend("verify", self.config.verify_cost)
+            return self._spend("verify", self.config.verify_cost)
         return DONE
-
-    def charge_verify_batch(self, count: int) -> Awaitable[None]:
-        """Charge ``count`` verifications at the batched (ed25519) rate."""
-        if count <= 0:
-            return DONE
-        self.signatures_verified += count
-        if self.config.enabled:
-            return self._traced_spend("verify", self.config.batch_verify_cost(count))
-        return DONE
-
-    # -- request authentication ----------------------------------------------
-    async def charge_request_sign(self) -> None:
-        """Client-side signature on a state-changing request."""
-        if self.config.authenticate_requests:
-            await self.charge_sign()
-
-    async def charge_request_verify(self) -> None:
-        """Replica-side verification of a client request signature."""
-        if self.config.authenticate_requests:
-            await self.charge_verify()
 
     # -- hashing ------------------------------------------------------------
     async def hash(self, payload: Any, size_hint: int | None = None) -> Digest:
         """Digest a payload, charging modeled hash time."""
-        profiler = self.cpu.sim.profiler
-        if profiler.enabled:
-            profiler.begin("crypto.hash")
-            try:
-                digest = digest_of(payload)
-            finally:
-                profiler.end()
-        else:
+        instruments = self.cpu.sim.instruments
+        if instruments is None:
             digest = digest_of(payload)
+        else:
+            digest = instruments.frame("crypto.hash", digest_of, payload)
         await self.charge_hash(size_hint if size_hint is not None else 64)
         return digest
 
@@ -202,32 +145,15 @@ class CryptoContext:
             cost = (
                 self._hash64_cost if nbytes == 64 else self.config.hash_cost(nbytes)
             )
-            return self._traced_spend("hash", cost * count)
+            return self._spend("hash", cost * count)
         return DONE
 
-    def _traced_spend(self, op: str, cost: float) -> Awaitable[None]:
-        """Charge ``cost`` to the CPU, wrapped in a crypto span if tracing.
-
-        Untraced (the common case for benchmarks): returns the CPU charge
-        itself — no coroutine frame.  Traced: a coroutine holding a
-        ``with`` span, so cancellation mid-charge still records the
-        truncated span, exactly as before.
-        """
-        sim = self.cpu.sim
-        profiler = sim.profiler
-        if not sim.tracer.enabled:
-            if profiler.enabled:
-                # Attribution for the charge plumbing itself; the charge
-                # starts when the awaiting task takes it (cpu.spend).
-                profiler.begin("crypto.charge")
-                try:
-                    return self.cpu.spend(cost)
-                finally:
-                    profiler.end()
-            return self.cpu.spend(cost)
-        return self._traced_spend_span(op, cost)
-
-    async def _traced_spend_span(self, op: str, cost: float) -> None:
-        tracer = self.cpu.sim.tracer
-        with tracer.span(self.cpu.owner, "crypto", op, cost=cost):
-            await self.cpu.spend(cost)
+    def _spend(self, op: str, cost: float) -> Awaitable[None]:
+        """Charge ``cost`` to the CPU: the charge itself when nothing is
+        attached (no coroutine frame), else what the instruments make of
+        it (a ``crypto`` span, or a ``crypto.charge`` frame)."""
+        cpu = self.cpu
+        instruments = cpu.sim.instruments
+        if instruments is None:
+            return cpu.spend(cost)
+        return instruments.charge(cpu, op, cost)

@@ -151,8 +151,7 @@ class KeyRegistry:
         verdicts.  Unlike real batch verification (which only yields a
         single accept/reject and needs a fallback pass to attribute
         failures), the structural scheme identifies the failing member
-        directly, so the returned list is exact.  Cost is charged
-        separately by :meth:`repro.crypto.cost_model.CryptoContext.charge_verify_batch`.
+        directly, so the returned list is exact.  Charges no cost.
         """
         verdicts: list[bool] = []
         for signature, digest in pairs:

@@ -149,9 +149,8 @@ class FaultInjector:
         node.crash()
         self._crashed[name] = node
         self.stats["crashes"] += 1
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.instant(name, "fault", "crash")
+        if self.sim.instruments is not None:
+            self.sim.instruments.fault(name, "crash")
 
     def _restart(self, name: str) -> None:
         node = self._crashed.pop(name, None)
@@ -160,9 +159,8 @@ class FaultInjector:
         node.restart()
         self.network.register(node)
         self.stats["restarts"] += 1
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.instant(name, "fault", "restart")
+        if self.sim.instruments is not None:
+            self.sim.instruments.fault(name, "restart")
 
     # ------------------------------------------------------------------
     def faults_applied(self) -> int:

@@ -189,15 +189,13 @@ class EdgeProxy(BasilClient):
         lease = self._leases.get(key)
         if lease is not None and lease[1] > self.sim.now:
             self.lease_hits += 1
-            metrics = self.sim.metrics
-            if metrics.enabled:
-                metrics.counter("geo_lease_hits_total", region=self.region).add()
+            if self.sim.instruments is not None:
+                self.sim.instruments.lease_lookup(self.region, hit=True)
             self._reply_read(sender, msg, lease[0], "lease")
             return
         self.lease_misses += 1
-        metrics = self.sim.metrics
-        if metrics.enabled:
-            metrics.counter("geo_lease_misses_total", region=self.region).add()
+        if self.sim.instruments is not None:
+            self.sim.instruments.lease_lookup(self.region, hit=False)
         waiters = self._read_waiters.get(key)
         if waiters is not None:  # single-flight: join the in-flight fill
             waiters.append((sender, msg))
@@ -214,9 +212,8 @@ class EdgeProxy(BasilClient):
             value, ok = result.value, True
         except (ProtocolError, SimTimeoutError):
             self.read_failures += 1
-            metrics = self.sim.metrics
-            if metrics.enabled:
-                metrics.counter("geo_read_failures_total", region=self.region).add()
+            if self.sim.instruments is not None:
+                self.sim.instruments.geo_read_failed(self.region)
             lease = self._leases.get(key)
             if lease is not None:
                 value = lease[0]  # serve the stale lease rather than nothing
@@ -224,21 +221,14 @@ class EdgeProxy(BasilClient):
             self.abort_execution(builder)  # release RTS marks immediately
         if ok:
             self._leases[key] = (value, self.sim.now + self.lease_ttl)
-        tracer = self.sim.tracer
-        if tracer.enabled:
-            tracer.complete(
-                self.name, "geo", "lease-fill", t0, self.sim.now,
-                key=str(key), ok=ok,
-            )
+        if self.sim.instruments is not None:
+            self.sim.instruments.lease_filled(self.name, t0, key, ok)
         for sender, msg in self._read_waiters.pop(key, ()):
             self._reply_read(sender, msg, value, "core" if ok else "stale")
 
     def _reply_read(self, sender: str, msg: EdgeRead, value: Any, source: str) -> None:
-        metrics = self.sim.metrics
-        if metrics.enabled:
-            metrics.counter(
-                "geo_reads_total", region=self.region, source=source
-            ).add()
+        if self.sim.instruments is not None:
+            self.sim.instruments.geo_read_served(self.region, source)
         self.network.send(
             self, sender, EdgeReadReply(msg.req_id, msg.key, value, source)
         )
@@ -247,9 +237,8 @@ class EdgeProxy(BasilClient):
     def _on_write(self, sender: str, msg: EdgeWrite) -> None:
         self._pending_writes[msg.key] = msg.value
         self._ack_waiters.append((sender, msg))
-        metrics = self.sim.metrics
-        if metrics.enabled:
-            metrics.counter("geo_writes_total", region=self.region).add()
+        if self.sim.instruments is not None:
+            self.sim.instruments.geo_write(self.region)
         if len(self._pending_writes) >= self.flush_max and not self._flushing:
             self.spawn(self._flush_once(), name=f"{self.name}/flush-now")
 
@@ -290,27 +279,16 @@ class EdgeProxy(BasilClient):
                     break
                 self.core_aborts += 1
                 self.writeback_aborts += 1
-                metrics = self.sim.metrics
-                if metrics.enabled:
-                    metrics.counter(
-                        "geo_writeback_aborts_total", region=self.region
-                    ).add()
+                if self.sim.instruments is not None:
+                    self.sim.instruments.writeback_aborted(self.region)
             if committed:
                 self.writeback_commits += 1
                 expiry = self.sim.now + self.lease_ttl
                 for key, value in batch.items():
                     self._leases[key] = (value, expiry)
-            metrics = self.sim.metrics
-            if metrics.enabled:
-                metrics.counter(
-                    "geo_writebacks_total", region=self.region,
-                    outcome="commit" if committed else "abort",
-                ).add()
-            tracer = self.sim.tracer
-            if tracer.enabled:
-                tracer.complete(
-                    self.name, "geo", "writeback", t0, self.sim.now,
-                    keys=len(batch), committed=committed,
+            if self.sim.instruments is not None:
+                self.sim.instruments.writeback_done(
+                    self.name, self.region, t0, len(batch), committed
                 )
             for sender, msg in waiters:
                 self.network.send(
@@ -343,18 +321,9 @@ class _SessionDriver:
 
     def _record_op(self, op: str, t0: float, ok: bool, source: str = "") -> None:
         sim = self.sim
-        latency = sim.now - t0
-        self._stats.record(op, latency, sim.now, ok=ok)
-        metrics = sim.metrics
-        if metrics.enabled:
-            metrics.histogram(
-                "geo_user_latency_seconds", region=self.region, op=op
-            ).record(latency)
-        tracer = sim.tracer
-        if tracer.enabled:
-            tracer.complete(
-                self.name, "geo", op, t0, sim.now, ok=ok, source=source
-            )
+        self._stats.record(op, sim.now - t0, sim.now, ok=ok)
+        if sim.instruments is not None:
+            sim.instruments.user_op(self.name, self.region, op, t0, ok, source)
 
 
 class EdgeUser(Node, _SessionDriver):
@@ -487,9 +456,8 @@ class DirectUser(BasilClient, _SessionDriver):
             return True
         except (ProtocolError, SimTimeoutError):
             self.read_failures += 1
-            metrics = self.sim.metrics
-            if metrics.enabled:
-                metrics.counter("geo_read_failures_total", region=self.region).add()
+            if self.sim.instruments is not None:
+                self.sim.instruments.geo_read_failed(self.region)
             return False
         finally:
             self.abort_execution(builder)

@@ -53,7 +53,6 @@ class OpenLoopGenerator:
         backoff_base: float = 0.002,
         backoff_max: float = 0.05,
         name: str = "",
-        tracer: Any = None,
         injector: Any = None,
         recorder: Any = None,
     ) -> None:
@@ -74,7 +73,6 @@ class OpenLoopGenerator:
         self.backoff_base = backoff_base
         self.backoff_max = backoff_max
         self.name = name or f"{getattr(workload, 'name', 'load')}@{self.arrivals.rate:.0f}"
-        self.tracer = tracer
         self.injector = injector
         #: Optional repro.obs.ObsRecorder; attached at run() so open-loop
         #: runs sample the same telemetry as closed-loop benchmarks.
@@ -98,8 +96,6 @@ class OpenLoopGenerator:
         pipeline (:mod:`repro.run`) can drive either.
         """
         sim = self.system.sim
-        if self.tracer is not None:
-            sim.attach_tracer(self.tracer)
         if self.injector is not None:
             self.injector.attach(self.system)
         self.system.load(self.workload.genesis())
@@ -149,11 +145,9 @@ class OpenLoopGenerator:
 
     def _shed(self, now: float) -> None:
         self.monitor.record_shed(now)
-        sim = self.system.sim
-        if sim.metrics.enabled:
-            sim.metrics.counter("admission_shed_total").add()
-        if sim.tracer.enabled:
-            sim.tracer.instant("load-gen", "load", "shed", in_flight=self.in_flight)
+        instruments = self.system.sim.instruments
+        if instruments is not None:
+            instruments.load_shed(self.in_flight)
 
     async def _parked(self, task: Any, arrived: float) -> None:
         """Delay-mode parking: re-check until a slot frees or we time out."""
@@ -166,10 +160,8 @@ class OpenLoopGenerator:
                 return
             decision = self.policy.decide(sim.now, self.in_flight, self.system)
             if decision == ADMIT:
-                if sim.tracer.enabled:
-                    sim.tracer.complete(
-                        "load-gen", "load", "queued", arrived, sim.now
-                    )
+                if sim.instruments is not None:
+                    sim.instruments.load_queued(arrived)
                 self._admit(task, arrived)
                 return
             if decision == SHED:
@@ -179,8 +171,8 @@ class OpenLoopGenerator:
     def _admit(self, task: Any, arrived: float) -> None:
         sim = self.system.sim
         self.monitor.record_admitted(sim.now)
-        if sim.metrics.enabled:
-            sim.metrics.counter("admission_admitted_total").add()
+        if sim.instruments is not None:
+            sim.instruments.load_admitted()
         self.policy.on_admit(sim.now)
         self.in_flight += 1
         client = self._clients[self._next_proxy]
@@ -221,12 +213,8 @@ class OpenLoopGenerator:
         finally:
             self.in_flight -= 1
             self.policy.on_done(sim.now, committed)
-            tracer = sim.tracer
-            if tracer.enabled:
-                tracer.complete(
-                    "load-gen", "load", "inflight", started, sim.now,
-                    committed=committed, wait=started - arrived,
-                )
+            if sim.instruments is not None:
+                sim.instruments.load_inflight(started, committed, started - arrived)
 
     # ------------------------------------------------------------------
     def _result(self, result_cls) -> "BenchResult":

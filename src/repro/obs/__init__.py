@@ -4,8 +4,8 @@ The fourth observability layer of the reproduction (after tracing,
 fault campaigns, and wall-clock profiling):
 
 * :mod:`repro.obs.registry` — labeled Counter/Gauge/Histogram registry,
-  zero-cost when unregistered (``Simulator.metrics`` defaults to
-  ``NULL_METRICS``), with Prometheus-text and JSONL exporters.
+  zero-cost when not attached (``Simulator.attach_metrics``), with
+  Prometheus-text and JSONL exporters.
 * :mod:`repro.obs.ticker` — samples the registry (plus node/store
   probes) on a simulated-time ticker into in-memory time series.
 * :mod:`repro.obs.health` — declarative health rules ("fallback rate >
@@ -41,7 +41,6 @@ from repro.obs.registry import (
 )
 from repro.obs.report import RunReport, config_digest, load_report, write_report
 from repro.obs.ticker import MetricsTicker, TimeSeries
-from repro.sim.monitor import NULL_METRICS
 
 __all__ = [
     "CompareResult",
@@ -49,7 +48,6 @@ __all__ = [
     "HealthVerdict",
     "MetricsRegistry",
     "MetricsTicker",
-    "NULL_METRICS",
     "ObsRecorder",
     "RunReport",
     "TimeSeries",

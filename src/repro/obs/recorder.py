@@ -105,8 +105,9 @@ class ObsRecorder:
         series = self.ticker.series()
         verdicts = evaluate_rules(self.rules, series)
         sim = getattr(self.system, "sim", None)
-        profiler = getattr(sim, "profiler", None)
-        if profiler is not None and getattr(profiler, "enabled", False):
+        instruments = getattr(sim, "instruments", None)
+        profiler = instruments.profiler if instruments is not None else None
+        if profiler is not None:
             # A wall-clock profiler rode this run: surface its top-3
             # attribution shares so report diffs can flag subsystem
             # shifts alongside telemetry regressions.

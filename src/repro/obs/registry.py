@@ -1,7 +1,7 @@
 """The labeled metrics registry: the sim-wide sink for telemetry.
 
-A :class:`MetricsRegistry` is the "enabled" counterpart of
-``repro.sim.monitor.NULL_METRICS`` (the default on every simulator).
+A :class:`MetricsRegistry` is what ``Simulator.attach_metrics``
+installs; instrumented sites reach it through ``sim.instruments``.
 It reuses the :class:`~repro.sim.monitor.Counter`/
 :class:`~repro.sim.monitor.Gauge`/:class:`~repro.sim.monitor.Histogram`
 primitives and adds:
@@ -29,9 +29,7 @@ Metric = Union[Counter, Gauge, Histogram]
 
 
 class MetricsRegistry:
-    """Holds every registered metric; ``enabled`` flags guarded call sites."""
-
-    enabled = True
+    """Holds every registered metric, in registration order."""
 
     def __init__(self) -> None:
         self._metrics: dict[str, Metric] = {}

@@ -105,19 +105,17 @@ class BasilPartitionHost(PartitionHost):
         system.network.bind_partition(self._remote_send, plan.lookahead)
 
     def _remote_send(self, src: str, dst: str, message: Any, delay: float) -> None:
-        profiler = self.sim.profiler
-        if profiler.enabled:
+        instruments = self.sim.instruments
+        if instruments is None:
+            self._build_envelope(src, dst, message, delay)
+        else:
             # The serialization seam of the parallel envelope path: the
             # pickling itself happens in the worker's pipe send
             # (exchange.pipe), but envelope construction and routing are
             # per-message and attributable here.
-            profiler.begin("exchange.envelope")
-            try:
-                self._build_envelope(src, dst, message, delay)
-            finally:
-                profiler.end()
-        else:
-            self._build_envelope(src, dst, message, delay)
+            instruments.frame(
+                "exchange.envelope", self._build_envelope, src, dst, message, delay
+            )
 
     def _build_envelope(self, src: str, dst: str, message: Any, delay: float) -> None:
         # The network has already held the delay to the plan's lookahead.

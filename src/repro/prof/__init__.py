@@ -13,26 +13,19 @@ Two pillars:
 
 CLI: ``python -m repro.prof {run,report}``.
 
-Only the dependency-free profiler core is imported eagerly so the sim
-kernel can use ``from repro.prof.profiler import NULL_PROFILER`` without
-cycles; runners/CLI live in their own modules.
+Only the dependency-free profiler core is imported eagerly; runners and
+the CLI live in their own modules.
 """
 
 from repro.prof.profiler import (
-    NULL_PROFILER,
-    NullProfiler,
     Profiler,
-    install_profiler,
     merge_tables,
     render_table,
     top_shares,
 )
 
 __all__ = [
-    "NULL_PROFILER",
-    "NullProfiler",
     "Profiler",
-    "install_profiler",
     "merge_tables",
     "render_table",
     "top_shares",

@@ -1,23 +1,24 @@
 """Wall-clock subsystem attribution: the core accounting engine.
 
 A :class:`Profiler` attaches to one :class:`~repro.sim.loop.Simulator`
-(``sim.attach_profiler``) and accumulates *exclusive* wall-clock time
-per kernel subsystem.  Instrumented seams — event dispatch, the task
-trampoline, ``Cpu.spend``, network send, crypto charging/verification,
-``VersionStore`` probes, the parallel envelope path — bracket their work
-with :meth:`begin`/:meth:`end`; nested frames subtract from their
-parent, so summing the table never double-counts and the total is the
-wall time actually attributed.
+(``sim.attach_profiler(Profiler())``) and accumulates *exclusive*
+wall-clock time per kernel subsystem.  Instrumented seams — event
+dispatch, the task trampoline, ``Cpu.spend``, network send, crypto
+charging/verification, ``VersionStore`` probes, the parallel envelope
+path — bracket their work with :meth:`begin`/:meth:`end` (the kernel
+directly, every other site through ``sim.instruments``); nested frames
+subtract from their parent, so summing the table never double-counts
+and the total is the wall time actually attributed.
 
-Two properties mirror ``repro.trace.NULL_TRACER``:
+Two properties:
 
-* **Zero impact when disabled.**  Every simulator carries
-  :data:`NULL_PROFILER` by default; instrumented sites guard on
-  ``profiler.enabled`` (one attribute read).  The profiler reads
-  ``time.perf_counter`` and mutates plain Python floats — it never
-  schedules events, draws RNG, or charges CPU, so enabling it cannot
-  perturb a schedule either: profiled runs are byte-identical (trace
-  digest) to unprofiled runs, pinned by tests/prof/test_golden_digest.
+* **Zero impact when absent.**  A simulator without a profiler has no
+  frames to open: its sites find ``sim.instruments`` empty.  The
+  profiler reads ``time.perf_counter`` and mutates plain Python floats
+  — it never schedules events, draws RNG, or charges CPU, so attaching
+  it cannot perturb a schedule either: profiled runs are byte-identical
+  (trace digest) to unprofiled runs, pinned by
+  tests/prof/test_golden_digest.
 
 * **Frames never span awaits.**  A frame opened inside a coroutine must
   close before the coroutine suspends, or the stack would interleave
@@ -51,34 +52,6 @@ def _classify_callback(fn: Callable[..., Any]) -> str:
     return "dispatch." + qual.replace(".<locals>", "")
 
 
-class NullProfiler:
-    """Disabled profiler: every operation is a no-op.
-
-    Hooks check ``profiler.enabled`` before doing any work, so these
-    methods exist only as a safety net for unguarded calls.
-    """
-
-    enabled = False
-
-    def begin(self, subsystem: str) -> None:
-        pass
-
-    def end(self) -> None:
-        pass
-
-    def add(self, subsystem: str, wall_s: float, calls: int = 1) -> None:
-        pass
-
-    def classify(self, fn: Callable[..., Any]) -> str:
-        return _classify_callback(fn)
-
-    def table(self) -> dict[str, dict[str, float]]:
-        return {}
-
-
-NULL_PROFILER = NullProfiler()
-
-
 class Profiler:
     """Exclusive wall-time accumulator over named subsystems.
 
@@ -88,8 +61,6 @@ class Profiler:
     the outermost frames — the attribution table is a partition, not an
     inclusive-time soup.
     """
-
-    enabled = True
 
     __slots__ = ("_wall", "_calls", "_stack", "_classes")
 
@@ -146,28 +117,6 @@ class Profiler:
 
     def total(self) -> float:
         return sum(self._wall.values())
-
-
-def install_profiler(sim: Any, system: Any = None) -> Profiler:
-    """Attach a fresh :class:`Profiler` to ``sim`` (and ``system``'s stores).
-
-    ``VersionStore`` has no simulator reference, so its probe hooks read
-    a ``profiler`` attribute of their own; this walks ``system.replicas``
-    duck-typed (Basil ``replica.store`` is a VersionStore; TAPIR wraps
-    one as ``replica.store.versions``) and points every store at the
-    same profiler.
-    """
-    profiler = Profiler()
-    sim.attach_profiler(profiler)
-    if system is not None:
-        for replica in getattr(system, "replicas", {}).values():
-            store = getattr(replica, "store", None)
-            if store is None:
-                continue
-            target = getattr(store, "versions", store)
-            if hasattr(type(target), "profiler"):
-                target.profiler = profiler
-    return profiler
 
 
 # ---------------------------------------------------------------------------

@@ -29,9 +29,8 @@ from __future__ import annotations
 import hashlib
 import os
 import random
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 from repro.errors import SimulationError
 from repro.sim.loop import Simulator
@@ -253,16 +252,6 @@ def _artifact_path(spec: ModelSpec, suffix: str, partition_id: int | None) -> st
     return path
 
 
-@contextmanager
-def _frame(profiler: Any, subsystem: str) -> Iterator[None]:
-    """An attribution frame around post-run reporting (free on NULL_PROFILER)."""
-    profiler.begin(subsystem)
-    try:
-        yield
-    finally:
-        profiler.end()
-
-
 class _Run:
     """What every way of running a spec shares.
 
@@ -295,9 +284,11 @@ class _Run:
 
                 self.injector = FaultInjector(spec.fault_schedule)
         if spec.prof:
-            from repro.prof.profiler import install_profiler
+            # Looked up now, not at import: a caller may have swapped in a
+            # Profiler subclass.  Stores reach it through their node's sim.
+            from repro.prof.profiler import Profiler
 
-            install_profiler(sim, system)
+            sim.attach_profiler(Profiler())
 
     def _start_runner(self) -> None:
         """Build the run's workload runner and schedule its initial work."""
@@ -356,13 +347,15 @@ class _Run:
         """
         from repro.bench.runner import abort_reasons
 
-        spec, system, profiler = self.spec, self.system, self.sim.profiler
+        spec, system, instruments = self.spec, self.system, self.sim.instruments
         bench = None
         if self.runner is not None:
             from repro.obs.report import _jsonable
 
-            with _frame(profiler, "runner.finalize"):
+            if instruments is None:
                 result = self.runner.finalize()
+            else:
+                result = instruments.frame("runner.finalize", self.runner.finalize)
             if spec.byz_mix():
                 clients = getattr(system, "clients", [])
                 result.extra["equiv_attempts"] = sum(
@@ -382,8 +375,7 @@ class _Run:
 
             # sha256 over every trace event — attribute it so post-run
             # reporting can't masquerade as kernel time.
-            with _frame(profiler, "report.digest"):
-                digest = trace_digest(self.tracer)
+            digest = instruments.frame("report.digest", trace_digest, self.tracer)
             path = _artifact_path(spec, "trace", partition_id)
             if path:
                 write_chrome_trace(self.tracer, path)
@@ -399,8 +391,8 @@ class _Run:
 
                 write_report(path, run_report)
         network = getattr(system, "network", None)
-        if profiler.enabled:
-            extra = {**(extra or {}), "prof": profiler.table()}
+        if instruments is not None and instruments.profiler is not None:
+            extra = {**(extra or {}), "prof": instruments.profiler.table()}
         return PartitionResult(
             partition_id=-1 if partition_id is None else partition_id,
             digest=digest,

@@ -46,9 +46,7 @@ from heapq import heapify, heappop, heappush
 from typing import Any, Awaitable, Callable, Coroutine, Generator, Iterable, Iterator
 
 from repro.errors import SimTimeoutError, SimulationError
-from repro.prof.profiler import NULL_PROFILER
-from repro.sim.monitor import NULL_METRICS
-from repro.trace.tracer import NULL_TRACER
+from repro.sim.instruments import Instruments
 
 _PENDING = object()
 
@@ -255,7 +253,7 @@ class Task(Future):
         self._sim = sim
         #: Bound (profiled or not) once, attached on every suspend.  It makes
         #: the task a self-cycle, so every way a task ends drops it again.
-        self._wake = self._advance_profiled if sim.profiler.enabled else self._advance
+        self._wake = self._advance_profiled if sim._profiled else self._advance
         #: The future this task is suspended on (stale while it runs).
         self._awaiting: Future | None = None
         #: The live-task registry (``Node._tasks``) that owns this task,
@@ -294,7 +292,7 @@ class Task(Future):
             return
         # The protocol-logic bucket: a coroutine's segments between suspends,
         # minus nested frames (cpu.spend, network.send, crypto.*).
-        profiler = self._sim.profiler
+        profiler = self._sim.instruments.profiler
         profiler.begin("task.step")
         try:
             self._advance(woke)
@@ -415,6 +413,10 @@ class Simulator:
     has always been.
     """
 
+    #: Whether a profiler is attached (see ``attach_profiler``): fixed per
+    #: class, so a task picks its step with one attribute read.
+    _profiled = False
+
     def __init__(self, seed: int = 0, partition_id: int | None = None) -> None:
         self.now: float = 0.0
         self.seed = seed
@@ -432,26 +434,26 @@ class Simulator:
         self._tombstones = 0  # cancelled timer records still in the heap
         self._live_tasks = 0  # tasks created and not yet finished
         self._rngs: dict[str, random.Random] = {}
-        #: Observability hook; NULL_TRACER records nothing and costs one
-        #: attribute read per instrumented site (see repro.trace).
-        self.tracer = NULL_TRACER
-        #: Metrics hook; NULL_METRICS likewise records nothing (see
-        #: repro.obs).  Neither hook may schedule events or draw RNG.
-        self.metrics = NULL_METRICS
-        #: Wall-clock attribution hook; NULL_PROFILER records nothing
-        #: (see repro.prof).  A real profiler only reads perf_counter —
-        #: it can never perturb the schedule.
-        self.profiler = NULL_PROFILER
+        #: The attached sinks (tracer, metrics registry, profiler) behind
+        #: one seam, or None while nothing is attached: every instrumented
+        #: site tests this once (see repro.sim.instruments).  Instruments
+        #: never schedule events, draw RNG or charge CPU.
+        self.instruments: Instruments | None = None
+
+    def _instrumented(self) -> Instruments:
+        if self.instruments is None:
+            self.instruments = Instruments(self)
+        return self.instruments
 
     def attach_tracer(self, tracer: Any) -> Any:
         """Install a :class:`repro.trace.Tracer`; returns it for chaining."""
         tracer.sim = self
-        self.tracer = tracer
+        self._instrumented().tracer = tracer
         return tracer
 
     def attach_metrics(self, registry: Any) -> Any:
         """Install a :class:`repro.obs.MetricsRegistry`; returns it."""
-        self.metrics = registry
+        self._instrumented().metrics = registry
         return registry
 
     def attach_profiler(self, profiler: Any) -> Any:
@@ -465,8 +467,8 @@ class Simulator:
             raise SimulationError(
                 f"attach the profiler before starting tasks ({self._live_tasks} live)"
             )
-        self.profiler = profiler
-        self.__class__ = _ProfiledSimulator if profiler.enabled else Simulator
+        self._instrumented().profiler = profiler
+        self.__class__ = _ProfiledSimulator
         return profiler
 
     # ------------------------------------------------------------------
@@ -682,9 +684,9 @@ class Simulator:
         ``kernel.loop`` frame (its exclusive time is the heap-pop and
         bookkeeping overhead) and every dispatched callback in a frame
         classified by target (``cpu.finish``, ``network.deliver``,
-        ``timer.sleep``, ``dispatch.<qualname>``).  ``profiler.enabled``
-        is read once, so an unprofiled run pays one local-bool test per
-        event for sharing the loop.
+        ``timer.sleep``, ``dispatch.<qualname>``).  Whether one is
+        attached is read once, so an unprofiled run pays one local-bool
+        test per event for sharing the loop.
 
         A timer record fires through its handle (a cancelled one is popped
         and uncounted from the tombstones); a bare record fires as is.
@@ -694,14 +696,14 @@ class Simulator:
         drain finds it paused and leaves it paused); see ``COLLECT_EVERY``
         for the one collection it schedules itself.
         """
-        profiler = self.profiler
-        profiled = profiler.enabled
+        profiled = self._profiled
         queue = self._queue
         pop = heappop
         collect_every = COLLECT_EVERY
         horizon = float("inf") if until is None else until
         budget = float("inf") if max_events is None else max_events
         if profiled:
+            profiler = self.instruments.profiler
             classify = profiler.classify
             begin = profiler.begin
             end = profiler.end
@@ -760,7 +762,7 @@ def _heap_push_framed(method: Callable[..., Any]) -> Callable[..., Any]:
 
     @wraps(method)
     def framed(self: Simulator, *args: Any) -> Any:
-        profiler = self.profiler
+        profiler = self.instruments.profiler
         profiler.begin("kernel.heap_push")
         try:
             return method(self, *args)
@@ -773,6 +775,8 @@ def _heap_push_framed(method: Callable[..., Any]) -> Callable[..., Any]:
 class _ProfiledSimulator(Simulator):
     """A simulator with a profiler attached: one ``kernel.heap_push`` frame
     per push of either record shape (see ``attach_profiler``)."""
+
+    _profiled = True
 
     call_at = _heap_push_framed(Simulator.call_at)
     call_later = _heap_push_framed(Simulator.call_later)

@@ -152,59 +152,6 @@ class Histogram:
         }
 
 
-class _NullMetric:
-    """Swallows every mutation; shared by all unregistered metric lookups."""
-
-    __slots__ = ()
-
-    def add(self, amount: float = 1.0) -> None:
-        pass
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def record(self, value: float) -> None:
-        pass
-
-    def reset(self) -> None:
-        pass
-
-
-_NULL_METRIC = _NullMetric()
-
-
-class NullMetrics:
-    """Default ``Simulator.metrics``: telemetry off.
-
-    Mirrors ``repro.trace.NULL_TRACER``: instrumented sites guard on the
-    ``enabled`` attribute (one attribute read when disabled), and even an
-    unguarded call lands on a shared no-op metric.  Installing a real
-    :class:`repro.obs.MetricsRegistry` via ``Simulator.attach_metrics``
-    never schedules events, draws randomness, or charges CPU, so a run's
-    schedule — and its trace digest — is independent of telemetry.
-    """
-
-    enabled = False
-
-    def counter(self, name: str, **labels: str) -> _NullMetric:
-        return _NULL_METRIC
-
-    def gauge(self, name: str, **labels: str) -> _NullMetric:
-        return _NULL_METRIC
-
-    def histogram(self, name: str, **labels: str) -> _NullMetric:
-        return _NULL_METRIC
-
-
-NULL_METRICS = NullMetrics()
-
-
 @dataclass
 class MeasurementWindow:
     """Only events with timestamps inside [start, end) are counted."""

@@ -172,18 +172,14 @@ class Network:
     # -- sending ----------------------------------------------------------
     def send(self, src: Node, dst: str, message: Any) -> None:
         """Fire-and-forget unicast from ``src`` to the node named ``dst``."""
-        profiler = self.sim.profiler
-        if profiler.enabled:
-            # Covers the full send path — latency sampling, adversary,
-            # and the cross-partition leg; scheduling lands in the nested
-            # heap_push frame.
-            profiler.begin("network.send")
-            try:
-                self._send(src, dst, message)
-            finally:
-                profiler.end()
-        else:
+        instruments = self.sim.instruments
+        if instruments is None:
             self._send(src, dst, message)
+        else:
+            # The frame covers the full send path — latency sampling,
+            # adversary, and the cross-partition leg; scheduling lands in
+            # the nested heap_push frame.
+            instruments.frame("network.send", self._send, src, dst, message)
 
     def _send(self, src: Node, dst: str, message: Any) -> None:
         """One path for local and cross-partition sends.
@@ -194,7 +190,7 @@ class Network:
         hand-off (lookahead check + exchange envelope versus a local
         delivery event) depend on where ``dst`` lives.
         """
-        metrics = self.sim.metrics
+        instruments = self.sim.instruments
         remote = dst in self._remote
         if remote:
             if self._remote_send is None:
@@ -207,28 +203,15 @@ class Network:
             # A crashed (unregistered) peer: the message is simply lost.
             src.messages_sent += 1
             self.messages_dropped += 1
-            if metrics.enabled:
-                metrics.counter("net_drops_total", reason="crashed").add()
-            if self.sim.tracer.enabled:
-                self.sim.tracer.instant(
-                    src.name, "net", "drop",
-                    dst=dst, msg=type(message).__name__, reason="crashed",
-                )
+            if instruments is not None:
+                instruments.net_drop(src.name, dst, message, "crashed")
             return
         src.messages_sent += 1
-        tracer = self.sim.tracer
         config = self.config
-        if metrics.enabled:
-            metrics.counter("net_sends_total").add()
         if config.drop_rate and self._rng.random() < config.drop_rate:
             self.messages_dropped += 1
-            if metrics.enabled:
-                metrics.counter("net_drops_total", reason="drop_rate").add()
-            if tracer.enabled:
-                tracer.instant(
-                    src.name, "net", "drop",
-                    dst=dst, msg=type(message).__name__, reason="drop_rate",
-                )
+            if instruments is not None:
+                instruments.net_drop(src.name, dst, message, "drop_rate")
             return
         # One model call per message: the RNG draw order inside
         # ``latency.sample`` is part of the determinism contract.
@@ -236,13 +219,8 @@ class Network:
         delay = self.adversary.intercept(src.name, dst, message, base)
         if delay is None:
             self.messages_dropped += 1
-            if metrics.enabled:
-                metrics.counter("net_drops_total", reason="adversary").add()
-            if tracer.enabled:
-                tracer.instant(
-                    src.name, "net", "drop",
-                    dst=dst, msg=type(message).__name__, reason="adversary",
-                )
+            if instruments is not None:
+                instruments.net_drop(src.name, dst, message, "adversary")
             return
         if remote and delay < self._lookahead:
             raise SimulationError(
@@ -250,11 +228,8 @@ class Network:
                 f"{self._lookahead} ({src.name} -> {dst} over "
                 f"{self.latency.describe(src.name, dst)})"
             )
-        if tracer.enabled:
-            tracer.instant(
-                src.name, "net", "send",
-                dst=dst, msg=type(message).__name__, delay=delay,
-            )
+        if instruments is not None:
+            instruments.net_send(src.name, dst, message, delay)
         if remote:
             self._remote_send(src.name, dst, message, delay)
         else:
@@ -291,22 +266,14 @@ class Network:
         self._deliver_after(delay, src, dst, message)
 
     def _deliver(self, src: str, dst: str, message: Any) -> None:
-        tracer = self.sim.tracer
-        metrics = self.sim.metrics
+        instruments = self.sim.instruments
         node = self._nodes.get(dst)
         if node is None:  # node was torn down mid-flight
             self.messages_dropped += 1
-            if metrics.enabled:
-                metrics.counter("net_drops_total", reason="unregistered").add()
-            if tracer.enabled:
-                tracer.instant(
-                    src, "net", "drop",
-                    dst=dst, msg=type(message).__name__, reason="unregistered",
-                )
+            if instruments is not None:
+                instruments.net_drop(src, dst, message, "unregistered")
             return
         self.messages_delivered += 1
-        if metrics.enabled:
-            metrics.counter("net_delivers_total").add()
-        if tracer.enabled:
-            tracer.instant(dst, "net", "deliver", src=src, msg=type(message).__name__)
+        if instruments is not None:
+            instruments.net_deliver(src, dst, message)
         node.deliver(src, message)

@@ -82,22 +82,20 @@ class Cpu:
 
     def _start(self, wake: Callable[["Cpu"], None], cost: float) -> None:
         """Take a core for a charge the awaiting task handed over, or queue."""
+        instruments = self.sim.instruments
+        if instruments is None:
+            self._take(wake, cost)
+        else:
+            instruments.frame("cpu.spend", self._take, wake, cost)
+
+    def _take(self, wake: Callable[["Cpu"], None], cost: float) -> None:
         sim = self.sim
-        profiler = sim.profiler
-        framed = profiler.enabled
-        if framed:
-            profiler.begin("cpu.spend")
-        try:
-            enqueued = sim.now if sim.tracer.enabled else 0.0
-            if self._free > 0 and not self._pending:
-                self._free -= 1
-                self.busy_time += cost
-                sim._schedule(sim.now + cost, self._finish, wake, cost, enqueued)
-            else:
-                self._pending.append((wake, cost, enqueued))
-        finally:
-            if framed:
-                profiler.end()
+        if self._free > 0 and not self._pending:
+            self._free -= 1
+            self.busy_time += cost
+            sim._schedule(sim.now + cost, self._finish, wake, cost, sim.now)
+        else:
+            self._pending.append((wake, cost, sim.now))
 
     def _finish(self, wake: Callable[["Cpu"], None], cost: float, enqueued: float) -> None:
         sim = self.sim
@@ -108,13 +106,8 @@ class Cpu:
             sim._schedule(sim.now + ncost, self._finish, nwake, ncost, nenq)
         else:
             self._free += 1
-        tracer = sim.tracer
-        if tracer.enabled:
-            end = sim.now
-            tracer.complete(
-                self.owner, "cpu", "work", enqueued, end,
-                cost=cost, queued=end - cost - enqueued,
-            )
+        if sim.instruments is not None:
+            sim.instruments.cpu_work(self.owner, enqueued, cost)
         # A task cancelled meanwhile has ended: its wake-up returns at once.
         wake(self)
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Generic, Hashable, Iterable, TypeVar
 
 from repro.errors import StorageError
-from repro.prof.profiler import NULL_PROFILER
 
 TS = TypeVar("TS")
 Key = Hashable
@@ -122,16 +121,15 @@ def _genesis_state(version: Version) -> _KeyState:
 
 
 class VersionStore(Generic[TS]):
-    """Multiversion store for one replica (or one baseline shard server)."""
+    """Multiversion store for one replica (or one baseline shard server).
 
-    #: Wall-clock attribution hook (see repro.prof).  The store has no
-    #: simulator reference, so ``install_profiler`` points this class
-    #: attribute's per-instance override at the run's profiler; the
-    #: default NULL_PROFILER keeps the probe hot paths one attribute
-    #: read away from unprofiled.
-    profiler = NULL_PROFILER
+    ``sim`` is the simulator of the node that owns the store: with
+    instruments attached, every probe is a ``store.probe`` profiler frame
+    (a store built without one, as in unit tests, is never instrumented).
+    """
 
-    def __init__(self) -> None:
+    def __init__(self, sim: Any = None) -> None:
+        self._sim = sim
         self._keys: GenesisTable = GenesisTable(_genesis_state)
 
     def seed(self, genesis: Any, shard: int) -> None:
@@ -211,14 +209,10 @@ class VersionStore(Generic[TS]):
     # ------------------------------------------------------------------
     def latest_committed(self, key: Key, before: TS) -> Version | None:
         """Highest-timestamped committed version with ts < ``before``."""
-        profiler = self.profiler
-        if profiler.enabled:
-            profiler.begin("store.probe")
-            try:
-                return self._latest_committed(key, before)
-            finally:
-                profiler.end()
-        return self._latest_committed(key, before)
+        sim = self._sim
+        if sim is None or sim.instruments is None:
+            return self._latest_committed(key, before)
+        return sim.instruments.frame("store.probe", self._latest_committed, key, before)
 
     def _latest_committed(self, key: Key, before: TS) -> Version | None:
         state = self._keys[key]
@@ -231,14 +225,10 @@ class VersionStore(Generic[TS]):
 
     def latest_prepared(self, key: Key, before: TS) -> Version | None:
         """Highest-timestamped prepared version with ts < ``before``."""
-        profiler = self.profiler
-        if profiler.enabled:
-            profiler.begin("store.probe")
-            try:
-                return self._latest_prepared(key, before)
-            finally:
-                profiler.end()
-        return self._latest_prepared(key, before)
+        sim = self._sim
+        if sim is None or sim.instruments is None:
+            return self._latest_prepared(key, before)
+        return sim.instruments.frame("store.probe", self._latest_prepared, key, before)
 
     def _latest_prepared(self, key: Key, before: TS) -> Version | None:
         # ``.get``, here and in every query below that only concerns
@@ -254,15 +244,11 @@ class VersionStore(Generic[TS]):
 
     def update_rts(self, key: Key, timestamp: TS) -> None:
         """Record a read reservation at ``timestamp`` (idempotent)."""
-        profiler = self.profiler
-        if profiler.enabled:
-            profiler.begin("store.probe")
-            try:
-                self._update_rts(key, timestamp)
-            finally:
-                profiler.end()
-            return
-        self._update_rts(key, timestamp)
+        sim = self._sim
+        if sim is None or sim.instruments is None:
+            self._update_rts(key, timestamp)
+        else:
+            sim.instruments.frame("store.probe", self._update_rts, key, timestamp)
 
     def _update_rts(self, key: Key, timestamp: TS) -> None:
         state = self._state(key)
@@ -341,14 +327,10 @@ class VersionStore(Generic[TS]):
         MVTSO-Check step 3: a write in this window means transaction with
         read (key, version=low) and timestamp high missed it.
         """
-        profiler = self.profiler
-        if profiler.enabled:
-            profiler.begin("store.probe")
-            try:
-                return self._writes_between(key, low, high)
-            finally:
-                profiler.end()
-        return self._writes_between(key, low, high)
+        sim = self._sim
+        if sim is None or sim.instruments is None:
+            return self._writes_between(key, low, high)
+        return sim.instruments.frame("store.probe", self._writes_between, key, low, high)
 
     def _writes_between(self, key: Key, low: TS, high: TS) -> list[Version]:
         state = self._keys[key]
@@ -371,14 +353,10 @@ class VersionStore(Generic[TS]):
         MVTSO-Check step 4: such a reader should have observed our write
         but could not have.
         """
-        profiler = self.profiler
-        if profiler.enabled:
-            profiler.begin("store.probe")
-            try:
-                return self._reads_spanning(key, write_ts)
-            finally:
-                profiler.end()
-        return self._reads_spanning(key, write_ts)
+        sim = self._sim
+        if sim is None or sim.instruments is None:
+            return self._reads_spanning(key, write_ts)
+        return sim.instruments.frame("store.probe", self._reads_spanning, key, write_ts)
 
     def _reads_spanning(self, key: Key, write_ts: TS) -> list[tuple[Any, Any, bytes]]:
         state = self._keys.get(key)

@@ -22,6 +22,6 @@ core; the sim kernel imports it, so it must not pull in analysis/export
 (which depend on :mod:`repro.sim.monitor`).
 """
 
-from repro.trace.tracer import NULL_TRACER, NullTracer, TraceEvent, Tracer
+from repro.trace.tracer import TraceEvent, Tracer
 
-__all__ = ["NULL_TRACER", "NullTracer", "TraceEvent", "Tracer"]
+__all__ = ["TraceEvent", "Tracer"]

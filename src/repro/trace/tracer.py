@@ -3,19 +3,18 @@
 A :class:`Tracer` attaches to one :class:`~repro.sim.loop.Simulator` and
 records structured events — (simulated timestamp, node, category, name,
 optional duration, fields) — into a bounded in-memory ring buffer.
-Instrumentation hooks throughout the simulator, crypto layer, and
-protocol cores call :meth:`Tracer.instant`, :meth:`Tracer.complete`, or
-``with tracer.span(...)``.
+Instrumented sites throughout the simulator, crypto layer, and
+protocol cores reach it through ``sim.instruments``
+(:mod:`repro.sim.instruments`), which calls :meth:`Tracer.instant`,
+:meth:`Tracer.complete`, or ``with tracer.span(...)``.
 
 Two properties are load-bearing:
 
-* **Zero overhead when disabled.**  Every simulator carries the
-  module-level :data:`NULL_TRACER` by default; hooks guard on
-  ``tracer.enabled`` (a plain attribute read) before building any event,
-  and the null tracer's methods are no-ops.  Tracing never schedules
-  events, never sleeps, never charges CPU, and never draws from an RNG
-  stream — so enabling it cannot change simulated time, and disabling it
-  cannot change anything at all.
+* **Zero overhead when absent.**  A simulator without a tracer builds
+  no event: its sites find ``sim.instruments`` empty and skip the seam.
+  Tracing never schedules events, never sleeps, never charges CPU, and
+  never draws from an RNG stream — so attaching it cannot change
+  simulated time, and leaving it off cannot change anything at all.
 
 * **Determinism.**  Every recorded value derives from simulator state
   (names, types, seeded randomness, virtual time).  Two runs of the same
@@ -93,75 +92,23 @@ class _Span:
         )
 
 
-class _NullSpan:
-    """Shared no-op span handed out by the null tracer."""
-
-    __slots__ = ()
-
-    def set(self, key: str, value: Any) -> None:
-        pass
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
-class NullTracer:
-    """Disabled tracer: every operation is a no-op.
-
-    Hooks check ``tracer.enabled`` before doing any work, so the null
-    tracer's methods exist only as a safety net for unguarded calls.
-    """
-
-    enabled = False
-    events: tuple = ()
-    dropped_events = 0
-
-    def now(self) -> float:
-        return 0.0
-
-    def instant(self, node: str, category: str, name: str, **fields: Any) -> None:
-        pass
-
-    def complete(
-        self, node: str, category: str, name: str, begin: float, end: float, **fields: Any
-    ) -> None:
-        pass
-
-    def span(self, node: str, category: str, name: str, **fields: Any) -> _NullSpan:
-        return _NULL_SPAN
-
-
-#: The default tracer on every Simulator; replaced by ``attach_tracer``.
-NULL_TRACER = NullTracer()
-
-
 class Tracer:
     """A bounded in-memory flight recorder for one simulation.
 
-    Attach with ``sim.attach_tracer(tracer)`` (or pass ``sim=``); the
-    simulator then exposes it as ``sim.tracer`` and every instrumented
-    layer records through it.  When the buffer is full the *oldest*
-    events are evicted (flight-recorder semantics) and counted in
-    :attr:`dropped_events`.
+    Attach with ``sim.attach_tracer(tracer)``; every instrumented layer
+    then records through it (``sim.instruments.tracer``).  When the
+    buffer is full the *oldest* events are evicted (flight-recorder
+    semantics) and counted in :attr:`dropped_events`.
     """
 
-    enabled = True
-
-    def __init__(self, sim: Any = None, capacity: int = 200_000) -> None:
+    def __init__(self, *, capacity: int = 200_000) -> None:
         if capacity < 1:
             raise ValueError("tracer capacity must be >= 1")
         self.capacity = capacity
         self._events: Deque[TraceEvent] = deque(maxlen=capacity)
         self.dropped_events = 0
-        self.sim = sim
-        if sim is not None:
-            sim.attach_tracer(self)
+        #: The simulator whose clock stamps events; set by attach_tracer.
+        self.sim: Any = None
 
     # -- clock ----------------------------------------------------------
     def now(self) -> float:

@@ -1,4 +1,4 @@
-"""Tests for the PR 3 verification memo and batched verification costs."""
+"""Tests for the verification memo and quorum verification costs."""
 
 import pytest
 
@@ -96,49 +96,8 @@ def test_memo_also_caches_negative_verdicts():
 
 
 # ----------------------------------------------------------------------
-# Batched verification cost model
+# Structural verification
 # ----------------------------------------------------------------------
-def test_batch_verify_cost_formula():
-    cfg = CryptoConfig()
-    assert cfg.batch_verify_cost(0) == 0.0
-    assert cfg.batch_verify_cost(1) == pytest.approx(cfg.verify_cost)
-    expected = cfg.verify_cost * (1 + 4 / cfg.batch_verify_speedup)
-    assert cfg.batch_verify_cost(5) == pytest.approx(expected)
-    assert cfg.batch_verify_cost(5) < 5 * cfg.verify_cost
-
-
-def test_batch_verify_cost_disabled_is_free():
-    cfg = CryptoConfig(enabled=False)
-    assert cfg.batch_verify_cost(5) == 0.0
-
-
-def test_charge_verify_batch_spends_batched_cost():
-    sim = Simulator()
-    ctx, cfg, _ = make_ctx(sim)
-
-    async def main():
-        await ctx.charge_verify_batch(4)
-        return sim.now
-
-    assert run(sim, main()) == pytest.approx(cfg.batch_verify_cost(4))
-    assert ctx.signatures_verified == 4
-
-
-def test_peek_verify_is_free_and_memoizes():
-    sim = Simulator()
-    ctx, _, registry = make_ctx(sim)
-    key = registry.issue("r0")
-    sig = key.sign("m")
-    digest = digest_of("m")
-
-    verdict, memoized = ctx.peek_verify(sig, digest)
-    assert verdict and not memoized
-    verdict, memoized = ctx.peek_verify(sig, digest)
-    assert verdict and memoized
-    assert sim.now == 0.0  # peeking never charges
-    assert ctx.verify_memo_hits == 1
-
-
 def test_verify_many_structural_batch():
     registry = KeyRegistry(seed=1)
     key = registry.issue("r0")
@@ -169,31 +128,25 @@ def _quorum_env(sim, **cfg_overrides):
     return verifier, ctx, cfg, registry, atts
 
 
-def test_quorum_batched_costs_less_than_sequential():
-    sim_seq = Simulator()
-    verifier, _, cfg, _, atts = _quorum_env(sim_seq, batch_verify=False, verify_memo=False)
-    run(sim_seq, verifier.verify_quorum(atts))
-    sequential_time = sim_seq.now
-
-    sim_batch = Simulator()
-    verifier, ctx, cfg, _, atts = _quorum_env(sim_batch, batch_verify=True, verify_memo=False)
-    assert run(sim_batch, verifier.verify_quorum(atts))
-    assert sim_batch.now == pytest.approx(cfg.batch_verify_cost(4))
-    assert sim_batch.now < sequential_time
+def test_quorum_charges_one_verification_per_member():
+    sim = Simulator()
+    verifier, ctx, cfg, _, atts = _quorum_env(sim, verify_memo=False)
+    assert run(sim, verifier.verify_quorum(atts))
+    assert sim.now == pytest.approx(4 * cfg.verify_cost)
     assert ctx.signatures_verified == 4
 
 
-def test_quorum_batched_rejects_forged_member():
+def test_quorum_rejects_forged_member():
     sim = Simulator()
-    verifier, _, _, _, atts = _quorum_env(sim, batch_verify=True)
+    verifier, _, _, _, atts = _quorum_env(sim)
     evil = KeyRegistry(seed=99).issue("r9")
     atts.append(SignedMessage(payload="vote-9", signature=evil.sign("vote-9")))
     assert run(sim, verifier.verify_quorum(atts)) is False
 
 
-def test_quorum_batched_memo_skips_known_signatures():
+def test_quorum_memo_skips_known_signatures():
     sim = Simulator()
-    verifier, ctx, cfg, _, atts = _quorum_env(sim, batch_verify=True)
+    verifier, ctx, cfg, _, atts = _quorum_env(sim)
 
     async def main():
         assert await verifier.verify_quorum(atts)
@@ -204,6 +157,6 @@ def test_quorum_batched_memo_skips_known_signatures():
         return first, sim.now
 
     first, second = run(sim, main())
-    assert first == pytest.approx(cfg.batch_verify_cost(4))
+    assert first == pytest.approx(4 * cfg.verify_cost)
     assert second == first
     assert ctx.verify_memo_hits == 4

@@ -27,11 +27,11 @@ from repro.workloads.ycsb import YCSBWorkload
 def run_bench(schedule: FaultSchedule | None, attach_injector: bool = True):
     system = BasilSystem(SystemConfig(f=1, num_shards=1, batch_size=4))
     workload = YCSBWorkload(num_keys=200, reads=1, writes=1)
-    tracer = Tracer()
+    tracer = system.sim.attach_tracer(Tracer())
     injector = FaultInjector(schedule) if attach_injector else None
     runner = ExperimentRunner(
         system, workload, num_clients=3, duration=0.05, warmup=0.02,
-        tracer=tracer, injector=injector,
+        injector=injector,
     )
     result = runner.run()
     return result, tracer, injector, system

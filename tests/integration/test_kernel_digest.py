@@ -4,9 +4,9 @@ The PR 3 kernel overhaul (iterative trampoline, tombstoned timers,
 combinator fixes, coroutine ``Queue.get``) must not perturb a single
 event of a seeded protocol run.  The golden digest below was captured on
 the *pre-rewrite* kernel (commit 05331af) with the exact configuration
-in ``_golden_run``; the crypto changes of the same PR are switched off
-for this run (``verify_memo=False``, ``batch_verify=False``) because
-they intentionally change simulated schedules.
+in ``_golden_run``; the verification memo of the same PR is switched off
+for this run (``verify_memo=False``) because it intentionally changes
+simulated schedules.
 
 If this test fails after a kernel change, the change reordered or
 dropped events — that is a correctness bug, not an acceptable drift.
@@ -33,13 +33,13 @@ def _golden_run():
         num_shards=2,
         batch_size=4,
         seed=2024,
-        crypto=CryptoConfig(verify_memo=False, batch_verify=False),
+        crypto=CryptoConfig(verify_memo=False),
     )
     system = BasilSystem(config)
     workload = YCSBWorkload(num_keys=500, reads=2, writes=2)
-    tracer = Tracer()
+    tracer = system.sim.attach_tracer(Tracer())
     runner = ExperimentRunner(
-        system, workload, num_clients=6, duration=0.05, warmup=0.02, tracer=tracer
+        system, workload, num_clients=6, duration=0.05, warmup=0.02
     )
     result = runner.run()
     return system, result, tracer

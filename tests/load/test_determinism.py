@@ -51,9 +51,9 @@ def capture(kind: str):
     else:
         system = TxSMRSystem(config, protocol="pbft")
         workload = SmallbankWorkload(num_accounts=500, hot_accounts=50)
-    tracer = Tracer()
+    tracer = system.sim.attach_tracer(Tracer())
     runner = ExperimentRunner(
-        system, workload, num_clients=4, duration=0.05, warmup=0.02, tracer=tracer
+        system, workload, num_clients=4, duration=0.05, warmup=0.02
     )
     result = runner.run()
     return trace_digest(tracer), result, system
@@ -77,7 +77,7 @@ def test_open_loop_runs_are_seed_deterministic():
     def run():
         system = BasilSystem(SystemConfig(f=1, num_shards=1, batch_size=4, seed=7))
         workload = YCSBWorkload(num_keys=300, reads=2, writes=2)
-        tracer = Tracer()
+        tracer = system.sim.attach_tracer(Tracer())
         gen = OpenLoopGenerator(
             system,
             workload,
@@ -86,7 +86,6 @@ def test_open_loop_runs_are_seed_deterministic():
             duration=0.05,
             warmup=0.02,
             proxies=4,
-            tracer=tracer,
         )
         result = gen.run()
         return trace_digest(tracer), result

@@ -21,6 +21,8 @@ def run_open_loop(
     tracer=None,
 ):
     system = BasilSystem(SystemConfig(f=1, num_shards=1, batch_size=4, seed=seed))
+    if tracer is not None:
+        system.sim.attach_tracer(tracer)
     workload = YCSBWorkload(num_keys=400, reads=2, writes=2)
     gen = OpenLoopGenerator(
         system,
@@ -30,7 +32,6 @@ def run_open_loop(
         duration=duration,
         warmup=warmup,
         proxies=proxies,
-        tracer=tracer,
     )
     return gen, gen.run()
 
@@ -63,12 +64,13 @@ def test_same_seed_reproduces_exactly():
     from repro.trace import Tracer
     from repro.trace.export import trace_digest
 
-    gen_a, result_a = run_open_loop(seed=5, tracer=Tracer())
-    gen_b, result_b = run_open_loop(seed=5, tracer=Tracer())
+    tracer_a, tracer_b = Tracer(), Tracer()
+    gen_a, result_a = run_open_loop(seed=5, tracer=tracer_a)
+    gen_b, result_b = run_open_loop(seed=5, tracer=tracer_b)
     assert result_a.commits == result_b.commits
     assert result_a.offered_tps == result_b.offered_tps
     assert result_a.mean_latency == result_b.mean_latency
-    assert trace_digest(gen_a.tracer) == trace_digest(gen_b.tracer)
+    assert trace_digest(tracer_a) == trace_digest(tracer_b)
 
 
 def test_different_seeds_differ():
@@ -107,8 +109,9 @@ def test_generator_traces_load_category():
     from repro.trace import Tracer
 
     policy = AdmissionConfig(policy="static-cap", cap=2, mode="shed")
-    gen, _ = run_open_loop(rate=2_000.0, policy=policy, tracer=Tracer())
-    names = {(e.category, e.name) for e in gen.tracer.events}
+    tracer = Tracer()
+    gen, _ = run_open_loop(rate=2_000.0, policy=policy, tracer=tracer)
+    names = {(e.category, e.name) for e in tracer.events}
     assert ("load", "inflight") in names
     assert ("load", "shed") in names
 
@@ -129,7 +132,8 @@ def test_spec_with_arrivals_matches_hand_built_generator():
     from repro.trace.export import trace_digest
 
     policy = AdmissionConfig(policy="static-cap", cap=2, mode="shed")
-    gen, want = run_open_loop(rate=2_000.0, policy=policy, tracer=Tracer())
+    tracer = Tracer()
+    gen, want = run_open_loop(rate=2_000.0, policy=policy, tracer=tracer)
     spec = ModelSpec(
         kind="basil",
         config=SystemConfig(f=1, num_shards=1, batch_size=4, seed=11),
@@ -142,7 +146,7 @@ def test_spec_with_arrivals_matches_hand_built_generator():
         admission=policy,
     )
     result = SequentialRun(spec).run()
-    assert result.digest == trace_digest(gen.tracer)
+    assert result.digest == trace_digest(tracer)
     row = dataclasses.asdict(want)
     assert want.shed_count > 0
     assert {**result.bench, "name": row["name"]} == row

@@ -20,7 +20,7 @@ from tests.load.test_determinism import GOLDEN, capture
 def test_unconfigured_runs_keep_golden_digests(kind):
     digest, result, system = capture(kind)
     want_digest, commits, aborts, events = GOLDEN[kind]
-    assert system.sim.metrics.enabled is False
+    assert system.sim.instruments.metrics is None  # only the tracer
     assert digest == want_digest
     assert result.commits == commits
     assert result.aborts == aborts
@@ -69,8 +69,7 @@ def test_registry_without_ticker_keeps_golden_digests(kind, monkeypatch):
 
     digest, result, system = capture(kind)
     want_digest, commits, aborts, events = GOLDEN[kind]
-    assert registries and system.sim.metrics is registries[-1]
-    assert system.sim.metrics.enabled is True
+    assert registries and system.sim.instruments.metrics is registries[-1]
     # metrics actually accumulated during the run...
     assert len(registries[-1]) > 0
     # ...yet the schedule is untouched

@@ -69,7 +69,7 @@ def test_recorder_is_deterministic_across_runs():
 def test_unrecorded_run_matches_pre_obs_behavior():
     """No recorder -> no registered metrics, same bench numbers as ever."""
     bench_plain, system = small_run(recorder=None)
-    assert system.sim.metrics.enabled is False
+    assert system.sim.instruments is None
     recorder = ObsRecorder(interval=0.005)
     bench_obs, _ = small_run(recorder)
     assert bench_obs.commits == bench_plain.commits
@@ -119,11 +119,11 @@ def test_recorder_works_on_baselines():
 def test_recorder_surfaces_profiler_attribution_in_meta():
     """A run with an enabled wall-clock profiler lands its top-3 shares
     in RunReport.meta['prof']; without one, meta stays untouched."""
-    from repro.prof.profiler import install_profiler
+    from repro.prof.profiler import Profiler
 
     recorder = ObsRecorder(interval=0.01)
     system = BasilSystem(SystemConfig(f=1, num_shards=1, batch_size=4, seed=7))
-    profiler = install_profiler(system.sim, system)
+    profiler = system.sim.attach_profiler(Profiler())
     workload = YCSBWorkload(num_keys=300, reads=2, writes=2, distribution="zipfian")
     runner = ExperimentRunner(
         system, workload, num_clients=4, duration=0.05, warmup=0.02,

@@ -8,7 +8,8 @@ from repro.obs.registry import (
     series_jsonl,
 )
 from repro.obs.ticker import TimeSeries
-from repro.sim.monitor import NULL_METRICS, Counter, Gauge, Histogram, metric_key
+from repro.sim.loop import Simulator
+from repro.sim.monitor import Counter, Gauge, Histogram, metric_key
 
 
 def test_metric_key_canonicalization():
@@ -62,13 +63,14 @@ def test_registry_iterates_in_insertion_order():
     assert [key for key, _ in reg] == ["b", "a", "c"]
 
 
-def test_null_metrics_is_inert():
-    """The default sink accepts everything and registers nothing."""
-    assert NULL_METRICS.enabled is False
-    NULL_METRICS.counter("x", label="y").add()
-    NULL_METRICS.gauge("g").set(3.0)
-    NULL_METRICS.histogram("h").record(1.0)
-    NULL_METRICS.counter("x").reset()
+def test_attach_metrics_installs_registry():
+    """A simulator has no registry until one is attached."""
+    sim = Simulator()
+    assert sim.instruments is None
+    reg = MetricsRegistry()
+    assert sim.attach_metrics(reg) is reg
+    assert sim.instruments.metrics is reg
+    assert sim.instruments.tracer is None and sim.instruments.profiler is None
 
 
 def test_prometheus_text_format():

@@ -53,11 +53,10 @@ def trace_dirs(tmp_path):
 
 def _hand_built_digest(system, workload, clients: int, name: str, **kwargs) -> str:
     """The original sequential figure path: ``_run`` with a tracer, inlined."""
-    tracer = Tracer()
+    tracer = system.sim.attach_tracer(Tracer())
     ExperimentRunner(
         system, workload, num_clients=clients,
-        duration=TINY.duration, warmup=TINY.warmup, name=name,
-        tracer=tracer, **kwargs,
+        duration=TINY.duration, warmup=TINY.warmup, name=name, **kwargs,
     ).run()
     return trace_digest(tracer)
 

@@ -17,7 +17,7 @@ import pytest
 from repro.bench.runner import ExperimentRunner
 from repro.config import SystemConfig
 from repro.core.system import BasilSystem
-from repro.prof.profiler import install_profiler
+from repro.prof.profiler import Profiler
 from repro.trace import Tracer
 from repro.trace.export import trace_digest
 from repro.workloads.ycsb import YCSBWorkload
@@ -35,11 +35,10 @@ def _golden_run(profile: bool):
     config = SystemConfig(f=1, num_shards=1, batch_size=4, seed=7)
     system = BasilSystem(config)
     tracer = system.sim.attach_tracer(Tracer())
-    profiler = install_profiler(system.sim, system) if profile else None
+    profiler = system.sim.attach_profiler(Profiler()) if profile else None
     workload = YCSBWorkload(num_keys=300, reads=2, writes=2, distribution="zipfian")
     runner = ExperimentRunner(
-        system, workload, num_clients=4, duration=0.05, warmup=0.02,
-        tracer=tracer,
+        system, workload, num_clients=4, duration=0.05, warmup=0.02
     )
     result = runner.run()
     return (
@@ -160,3 +159,42 @@ def test_profiled_cpu_spend_rows_count_every_charge():
     finished = table["cpu.finish"]["calls"]
     assert finished > 1_000
     assert table["cpu.spend"]["calls"] == finished + running + queued
+
+
+def test_store_probes_of_replaced_replicas_are_profiled(monkeypatch):
+    """A byz-replica fault swaps a replica in after the profiler is
+    attached; the new replica's store still reports to it: the
+    ``store.probe`` row counts every probe made on every store."""
+    from repro.faults.spec import ByzantineReplicaFault, FaultSchedule
+    from repro.run import ModelSpec, SequentialRun
+    from repro.storage.versionstore import VersionStore
+
+    probes = {"calls": 0}
+    for name in ("latest_committed", "latest_prepared", "update_rts",
+                 "writes_between", "reads_spanning"):
+        probe = getattr(VersionStore, name)
+
+        def counted(self, *args, _probe=probe):
+            probes["calls"] += 1
+            return _probe(self, *args)
+
+        monkeypatch.setattr(VersionStore, name, counted)
+    schedule = FaultSchedule(
+        name="byz-replica",
+        faults=(ByzantineReplicaFault(node="s0/r1", behaviour="prepare-abstain"),),
+    ).validate()
+    run = SequentialRun(ModelSpec(
+        kind="basil",
+        config=SystemConfig(f=1, num_shards=1, batch_size=4, seed=3),
+        workload_keys=300,
+        num_clients=6,
+        duration=0.02,
+        warmup=0.005,
+        trace=False,
+        prof=True,
+        fault_schedule=schedule,
+    ))
+    table = run.run().extra["prof"]
+    assert type(run.system.replicas["s0/r1"]).__name__ == "PrepareAbstainingReplica"
+    assert probes["calls"] > 1_000
+    assert table["store.probe"]["calls"] == probes["calls"]

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.prof.profiler import (
-    NULL_PROFILER,
-    NullProfiler,
     Profiler,
     merge_tables,
     render_table,
@@ -13,14 +11,12 @@ from repro.prof.profiler import (
 from repro.sim.loop import Simulator
 
 
-def test_null_profiler_is_inert_and_default():
+def test_attach_profiler_installs_it():
     sim = Simulator(seed=1)
-    assert sim.profiler is NULL_PROFILER
-    assert NULL_PROFILER.enabled is False
-    NULL_PROFILER.begin("x")
-    NULL_PROFILER.end()
-    NULL_PROFILER.add("x", 1.0)
-    assert NULL_PROFILER.table() == {}
+    profiler = Profiler()
+    assert sim.attach_profiler(profiler) is profiler
+    assert sim.instruments.profiler is profiler
+    assert sim.instruments.tracer is None and sim.instruments.metrics is None
 
 
 def test_exclusive_time_partitions_wall():
@@ -92,13 +88,6 @@ def test_classify_unknown_callback_by_qualname():
     assert p.classify(on_timeout) == label
 
 
-def test_classify_matches_null_profiler():
-    def cb():
-        pass
-
-    assert Profiler().classify(cb) == NullProfiler().classify(cb)
-
-
 def test_merge_tables_sums_and_sorts():
     a = {"x": {"wall_s": 1.0, "calls": 2}, "y": {"wall_s": 0.1, "calls": 1}}
     b = {"y": {"wall_s": 3.0, "calls": 4}}
@@ -137,9 +126,7 @@ def test_render_table_coverage_footer_and_limit():
 def test_profiled_simulator_attributes_dispatch():
     """A real (tiny) sim run populates kernel subsystems."""
     sim = Simulator(seed=9)
-    from repro.prof.profiler import install_profiler
-
-    profiler = install_profiler(sim)
+    profiler = sim.attach_profiler(Profiler())
     fired = []
     sim.call_later(0.01, lambda: fired.append(1))
 

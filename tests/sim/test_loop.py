@@ -22,7 +22,8 @@ def loop_sim(request):
 
 
 def _assert_frames_closed(sim):
-    assert getattr(sim.profiler, "_stack", []) == []
+    if sim.instruments is not None:
+        assert sim.instruments.profiler._stack == []
 
 
 def test_clock_starts_at_zero():
@@ -583,7 +584,7 @@ def test_attach_profiler_with_live_tasks_is_an_error():
     sim.create_task(napper())
     with pytest.raises(SimulationError, match="before starting tasks"):
         sim.attach_profiler(Profiler())
-    assert not sim.profiler.enabled
+    assert sim.instruments is None
     sim.run()
     assert sim._live_tasks == 0
     profiler = sim.attach_profiler(Profiler())  # nothing live any more

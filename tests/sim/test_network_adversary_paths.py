@@ -49,7 +49,7 @@ def make_net(sim, adversary=None, **net_kw):
 
 def test_adversary_drop_is_counted_and_traced():
     sim = Simulator(seed=3)
-    tracer = Tracer(sim)
+    tracer = sim.attach_tracer(Tracer())
     net, a, b = make_net(sim, adversary=SelectiveAdversary())
     net.send(a, "b", "drop-this")
     net.send(a, "b", "keep-this")
@@ -66,7 +66,7 @@ def test_adversary_drop_is_counted_and_traced():
 
 def test_adversary_delay_shifts_delivery_time():
     sim = Simulator(seed=3)
-    tracer = Tracer(sim)
+    tracer = sim.attach_tracer(Tracer())
     adversary = SelectiveAdversary(extra=0.25)
     net, a, b = make_net(sim, adversary=adversary)
     net.send(a, "b", "slow")
@@ -80,7 +80,7 @@ def test_adversary_delay_shifts_delivery_time():
 
 def test_drop_rate_loss_is_counted_and_traced():
     sim = Simulator(seed=7)
-    tracer = Tracer(sim)
+    tracer = sim.attach_tracer(Tracer())
     net, a, b = make_net(sim, drop_rate=1.0)
     net.send(a, "b", "x")
     sim.run()
@@ -93,7 +93,7 @@ def test_drop_rate_loss_is_counted_and_traced():
 
 def test_unregistered_destination_drop_is_traced():
     sim = Simulator(seed=1)
-    tracer = Tracer(sim)
+    tracer = sim.attach_tracer(Tracer())
     net, a, b = make_net(sim)
     net.send(a, "b", "mid-flight")
     net._nodes.pop("b")  # node torn down while the message is in flight
@@ -116,7 +116,7 @@ def test_passive_adversary_drops_nothing():
 def test_mixed_loss_accounting_matches_trace():
     """messages_dropped == number of traced drop events, under both causes."""
     sim = Simulator(seed=11)
-    tracer = Tracer(sim)
+    tracer = sim.attach_tracer(Tracer())
     net, a, b = make_net(sim, adversary=SelectiveAdversary(), drop_rate=0.3)
     for i in range(50):
         net.send(a, "b", f"drop-{i}" if i % 5 == 0 else f"keep-{i}")

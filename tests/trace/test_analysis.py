@@ -22,7 +22,7 @@ from repro.trace.analysis import (
 def traced_commit():
     """One committed Basil transaction under tracing; returns (tracer, result)."""
     system = BasilSystem(SystemConfig(f=1, num_shards=1))
-    tracer = Tracer(system.sim)
+    tracer = system.sim.attach_tracer(Tracer())
     system.load({"k": b"v"})
 
     async def txn(session: TransactionSession):
@@ -66,7 +66,7 @@ def test_render_phase_breakdown_lists_protocol_order(traced_commit):
 
 
 def test_render_phase_breakdown_empty_tracer():
-    tracer = Tracer(Simulator())
+    tracer = Simulator().attach_tracer(Tracer())
     assert "(no txn spans recorded)" in render_phase_breakdown(tracer)
 
 
@@ -125,7 +125,7 @@ def test_render_utilization_smoke(traced_commit):
 
 
 def test_network_timeline_empty():
-    assert network_timeline(Tracer(Simulator())) == []
+    assert network_timeline(Simulator().attach_tracer(Tracer())) == []
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,7 @@ def test_network_timeline_empty():
 # ---------------------------------------------------------------------------
 def test_empty_trace_all_views():
     """Every analysis view handles a trace with no events at all."""
-    tracer = Tracer(Simulator())
+    tracer = Simulator().attach_tracer(Tracer())
     assert phase_histograms(tracer) == {}
     assert transaction_phases(tracer, "deadbeef") == []
     assert phase_durations(tracer, "deadbeef") == {}
@@ -145,7 +145,7 @@ def test_empty_trace_all_views():
 
 def test_single_event_trace():
     """One lone span still produces a one-phase, one-bucket view."""
-    tracer = Tracer(Simulator())
+    tracer = Simulator().attach_tracer(Tracer())
     tracer.complete("c0", "txn", "st1", 0.001, 0.004, txid="ab")
     hists = phase_histograms(tracer)
     assert set(hists) == {"st1"}
@@ -163,7 +163,7 @@ def test_single_event_trace():
 def test_instants_only_trace():
     """Instant events (dur=None) never feed span views, only net counts."""
     sim = Simulator()
-    tracer = Tracer(sim)
+    tracer = sim.attach_tracer(Tracer())
     tracer.instant("c0", "txn", "abort", txid="ab")
     tracer.instant("s0/r0", "cpu", "preempt")
     tracer.instant("c0", "net", "drop", reason="adversary")

@@ -22,9 +22,9 @@ from repro.workloads.ycsb import YCSBWorkload
 def run_bench(system_factory, traced: bool):
     system = system_factory()
     workload = YCSBWorkload(num_keys=200, reads=1, writes=1)
-    tracer = Tracer() if traced else None
+    tracer = system.sim.attach_tracer(Tracer()) if traced else None
     runner = ExperimentRunner(
-        system, workload, num_clients=3, duration=0.05, warmup=0.02, tracer=tracer
+        system, workload, num_clients=3, duration=0.05, warmup=0.02
     )
     result = runner.run()
     return result, tracer, system
@@ -66,11 +66,10 @@ def test_tracing_has_zero_simulated_cost(factory):
 
 
 def test_disabled_tracer_records_nothing():
-    """A default (NULL_TRACER) run leaves zero trace state behind."""
+    """A run with nothing attached leaves zero trace state behind."""
     result, tracer, system = run_bench(basil, traced=False)
     assert tracer is None
-    assert system.sim.tracer.enabled is False
-    assert system.sim.tracer.events == ()
+    assert system.sim.instruments is None
     assert result.commits > 0
 
 

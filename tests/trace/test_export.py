@@ -15,7 +15,7 @@ from repro.trace.export import (
 
 def make_tracer() -> Tracer:
     sim = Simulator()
-    tracer = Tracer(sim)
+    tracer = sim.attach_tracer(Tracer())
     tracer.instant("client-0", "net", "send", dst="r0", msg="Ping", delay=75e-6)
     tracer.complete("r0", "crypto", "verify", 0.001, 0.002, cost=0.001)
     tracer.complete("client-0", "txn", "st1", 0.0, 0.003, txid="ab12")
@@ -95,7 +95,7 @@ def test_validator_rejects_malformed_documents():
 
 def test_dropped_events_surface_in_export():
     sim = Simulator()
-    tracer = Tracer(sim, capacity=2)
+    tracer = sim.attach_tracer(Tracer(capacity=2))
     for i in range(5):
         tracer.instant("n", "test", f"e{i}")
     document = json.loads(export_chrome_json(tracer))

@@ -21,9 +21,9 @@ from repro.workloads.ycsb import YCSBWorkload
 def test_traced_ycsb_bench_exports_valid_chrome_trace(tmp_path):
     system = BasilSystem(SystemConfig(f=1, num_shards=1, batch_size=4))
     workload = YCSBWorkload(num_keys=300, reads=2, writes=1)
-    tracer = Tracer()
+    tracer = system.sim.attach_tracer(Tracer())
     result = ExperimentRunner(
-        system, workload, num_clients=4, duration=0.1, warmup=0.05, tracer=tracer
+        system, workload, num_clients=4, duration=0.1, warmup=0.05
     ).run()
 
     assert result.commits > 0, "smoke bench should commit transactions"

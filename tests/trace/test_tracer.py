@@ -3,27 +3,19 @@
 import pytest
 
 from repro.sim.loop import Simulator
-from repro.trace import NULL_TRACER, NullTracer, TraceEvent, Tracer
+from repro.trace import TraceEvent, Tracer
 
 
-def test_simulator_carries_null_tracer_by_default():
-    sim = Simulator()
-    assert sim.tracer is NULL_TRACER
-    assert sim.tracer.enabled is False
+def test_simulator_has_no_instruments_by_default():
+    assert Simulator().instruments is None
 
 
 def test_attach_tracer_wires_both_directions():
     sim = Simulator()
     tracer = Tracer()
     assert sim.attach_tracer(tracer) is tracer
-    assert sim.tracer is tracer
+    assert sim.instruments.tracer is tracer
     assert tracer.sim is sim
-
-
-def test_constructor_sim_attaches():
-    sim = Simulator()
-    tracer = Tracer(sim)
-    assert sim.tracer is tracer
     assert tracer.now() == 0.0
 
 
@@ -34,7 +26,7 @@ def test_unattached_tracer_has_no_clock():
 
 def test_instant_records_sim_time_and_fields():
     sim = Simulator()
-    tracer = Tracer(sim)
+    tracer = sim.attach_tracer(Tracer())
 
     async def main():
         await sim.sleep(0.5)
@@ -49,7 +41,7 @@ def test_instant_records_sim_time_and_fields():
 
 def test_complete_records_duration():
     sim = Simulator()
-    tracer = Tracer(sim)
+    tracer = sim.attach_tracer(Tracer())
     tracer.complete("c0", "txn", "st1", 1.0, 1.25, txid="ab")
     (event,) = tracer.events
     assert event.ts == 1.0
@@ -59,7 +51,7 @@ def test_complete_records_duration():
 
 def test_span_measures_simulated_time():
     sim = Simulator()
-    tracer = Tracer(sim)
+    tracer = sim.attach_tracer(Tracer())
 
     async def main():
         with tracer.span("r0", "crypto", "sign", cost=0.1) as span:
@@ -75,7 +67,7 @@ def test_span_measures_simulated_time():
 
 def test_bounded_capacity_evicts_oldest():
     sim = Simulator()
-    tracer = Tracer(sim, capacity=3)
+    tracer = sim.attach_tracer(Tracer(capacity=3))
     for i in range(5):
         tracer.instant("n", "test", f"e{i}")
     assert len(tracer) == 3
@@ -90,24 +82,13 @@ def test_capacity_must_be_positive():
 
 def test_clear_resets_buffer_and_drop_count():
     sim = Simulator()
-    tracer = Tracer(sim, capacity=1)
+    tracer = sim.attach_tracer(Tracer(capacity=1))
     tracer.instant("n", "a", "x")
     tracer.instant("n", "a", "y")
     assert tracer.dropped_events == 1
     tracer.clear()
     assert len(tracer) == 0
     assert tracer.dropped_events == 0
-
-
-def test_null_tracer_is_inert():
-    null = NullTracer()
-    null.instant("n", "c", "e", k=1)
-    null.complete("n", "c", "e", 0.0, 1.0)
-    with null.span("n", "c", "e") as span:
-        span.set("k", 2)
-    assert null.events == ()
-    assert null.dropped_events == 0
-    assert null.now() == 0.0
 
 
 def test_trace_event_defaults():
