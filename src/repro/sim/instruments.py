@@ -99,9 +99,15 @@ class Instruments:
             await cpu.spend(cost)
 
     # -- network -------------------------------------------------------------
+    # net_send and net_deliver run once per message: the sinks are tested
+    # in line rather than through the recording helpers.
     def net_send(self, src: str, dst: str, message: Any, delay: float) -> None:
-        self._count("net_sends_total")
-        self._instant(src, "net", "send", dst=dst, msg=type(message).__name__, delay=delay)
+        if self.metrics is not None:
+            self.metrics.counter("net_sends_total").add()
+        if self.tracer is not None:
+            self.tracer.instant(
+                src, "net", "send", dst=dst, msg=type(message).__name__, delay=delay
+            )
 
     def net_drop(self, src: str, dst: str, message: Any, reason: str) -> None:
         """A lost message.  ``drop_rate`` and ``adversary`` losses happen
@@ -114,8 +120,10 @@ class Instruments:
         self._instant(src, "net", "drop", dst=dst, msg=type(message).__name__, reason=reason)
 
     def net_deliver(self, src: str, dst: str, message: Any) -> None:
-        self._count("net_delivers_total")
-        self._instant(dst, "net", "deliver", src=src, msg=type(message).__name__)
+        if self.metrics is not None:
+            self.metrics.counter("net_delivers_total").add()
+        if self.tracer is not None:
+            self.tracer.instant(dst, "net", "deliver", src=src, msg=type(message).__name__)
 
     # -- transactions (client side) -----------------------------------------
     def txn_phase(self, node: str, name: str, begin: float, **fields: Any) -> None:

@@ -65,8 +65,8 @@ def test_only_the_seam_touches_instruments():
 
 
 def test_no_null_sinks_remain():
-    names = ("NULL_TRACER", "NULL_METRICS", "NULL_PROFILER",
-             "NullTracer", "NullMetrics", "NullProfiler")
+    sinks = ("Tracer", "Metrics", "Profiler")
+    names = [f"NULL_{sink.upper()}" for sink in sinks] + [f"Null{sink}" for sink in sinks]
     problems = [
         f"{rel} mentions {name}"
         for rel, tree in _modules()
@@ -82,13 +82,13 @@ def test_the_guard_sees_a_direct_sink_call():
     """The checker itself: each forbidden shape is reported."""
     tree = ast.parse(
         "sim.tracer.instant('n', 'c', 'e')\n"
-        "if sim.metrics.enabled:\n"
-        "    registry.counter('x').add()\n"
+        "if registry.enabled:\n"
+        "    sim.metrics.counter('x').add()\n"
         "runner.monitor.counter('commits')\n"
     )
     found = _violations("core/example.py", tree)
-    assert len(found) == 5  # .tracer, .instant(), .metrics, .enabled, .counter()
+    assert len(found) == 5  # .tracer, .instant(), .enabled, .metrics, .counter()
     assert not any("monitor" in v for v in found)
     assert _violations("trace/example.py", tree) == [
-        "trace/example.py:2 reads sim.metrics.enabled"
+        "trace/example.py:2 reads registry.enabled"
     ]
