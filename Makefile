@@ -1,6 +1,6 @@
 # Convenience targets for the Basil reproduction.
 
-.PHONY: install test loc bench quick-bench trace-smoke fault-smoke fault-sweep fault-pins perf-smoke paper-smoke prof-smoke load-smoke load-sweep obs-smoke obs-check parallel-smoke parallel-ladder geo-smoke geo-sweep examples clean
+.PHONY: install test loc bench quick-bench trace-smoke fault-smoke fault-sweep perf-smoke paper-smoke prof-smoke load-smoke load-sweep obs-smoke parallel-smoke parallel-ladder geo-smoke geo-sweep examples clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -30,12 +30,6 @@ fault-smoke:
 
 fault-sweep:
 	python -m repro.faults sweep --seeds 25
-
-# The 52-case sweep at two seeds, diffed against its committed output
-# (commits, aborts, faults and trace digest per case): a change that
-# must not move a schedule leaves this byte-identical.
-fault-pins:
-	python -m repro.faults sweep --seeds 2 | diff tests/faults/sweep_seeds2.golden -
 
 # The one perf ledger: all six BENCHMARK.json workloads at small sizes,
 # every gate (twin equality, HistoryChecker, kernel-mix counts, ...).
@@ -87,9 +81,6 @@ load-sweep:
 obs-smoke:
 	pytest tests -m obs_smoke -q
 	REPRO_QUICK=1 python examples/health_dashboard.py
-
-obs-check:
-	python -m repro.obs check --baseline OBS_BASELINE.json
 
 examples:
 	python examples/quickstart.py

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field
-from typing import Any
+from typing import Any, Iterator
 
 from repro.config import LivenessConfig, SystemConfig
 from repro.faults.scenarios import SCENARIOS, Scale, Scenario
@@ -313,27 +313,35 @@ def sweep(
 ) -> list[CaseResult]:
     """N seeds x scenario matrix x applicable systems; bundle failures."""
     scale = scale or Scale.quick()
-    names = scenario_names or tuple(SCENARIOS)
     results: list[CaseResult] = []
-    for name in names:
-        scenario = SCENARIOS[name]
-        kinds = [k for k in scenario.systems if systems is None or k in systems]
-        for kind in kinds:
-            for i in range(seeds):
-                seed = seed_base + i
-                case, schedule = run_case(
-                    scenario, kind, seed, scale, with_trace=with_trace,
-                    obs_dir=obs_dir,
-                )
-                if not case.ok:
-                    case.bundle = write_bundle(
-                        case, schedule, scale, scenario.liveness,
-                        scenario.config_overrides, out_dir,
-                    )
-                results.append(case)
-                if verbose:
-                    print(case.row(), flush=True)
+    for scenario, kind, seed in matrix(seeds, seed_base, scenario_names, systems):
+        case, schedule = run_case(
+            scenario, kind, seed, scale, with_trace=with_trace, obs_dir=obs_dir,
+        )
+        if not case.ok:
+            case.bundle = write_bundle(
+                case, schedule, scale, scenario.liveness,
+                scenario.config_overrides, out_dir,
+            )
+        results.append(case)
+        if verbose:
+            print(case.row(), flush=True)
     return results
+
+
+def matrix(
+    seeds: int,
+    seed_base: int = 1,
+    scenario_names: tuple[str, ...] | None = None,
+    systems: tuple[str, ...] | None = None,
+) -> Iterator[tuple[Scenario, str, int]]:
+    """The (scenario, system, seed) cases a sweep runs, in its order."""
+    for name in scenario_names or tuple(SCENARIOS):
+        scenario = SCENARIOS[name]
+        for kind in scenario.systems:
+            if systems is None or kind in systems:
+                for seed in range(seed_base, seed_base + seeds):
+                    yield scenario, kind, seed
 
 
 def summarize(results: list[CaseResult]) -> str:

@@ -12,8 +12,9 @@ health verdicts of two runs, and flags:
 Two runs of the same config + seed produce byte-identical metrics, so
 the comparison reports "no differences" — that property is itself a
 determinism check, and is pinned in tests.  ``python -m repro.obs
-compare A B [--html out.html]`` is the CLI face; ``make obs-check``
-gates on a committed baseline.
+compare A B [--html out.html]`` is the CLI face.  It is for runs that
+differ on purpose; a run that must not move is pinned exactly in the
+tests (the default ``repro.obs run`` report is hashed whole).
 """
 
 from __future__ import annotations

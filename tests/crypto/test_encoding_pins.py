@@ -4,11 +4,11 @@ Transaction ids, signatures and Merkle roots are all digests of
 ``canonical_encode``, and trace digests follow from them, so an encoder
 change that alters one byte of one class's encoding moves every
 schedule.  These pins fix the ``digest_of`` hex of one instance of every
-message class that reaches the encoder, and the exact encoding of the
-atoms whose tags keep types apart.  A faster encoder must reproduce
+message class that reaches the encoder (ledger entries
+``encoding/<class>`` in ``tests/pins.json``), and the exact encoding of
+the atoms whose tags keep types apart (written out below: a format
+specification, not a recorded value).  A faster encoder must reproduce
 them all.
-
-Run this file as a script to print the tables for the current tree.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ from repro.core.votes import VoteTally
 from repro.crypto.digest import canonical_encode, digest_of
 from repro.crypto.merkle import MerkleTree
 from repro.crypto.signatures import KeyRegistry, SignedMessage
+from tests.conftest import pinned_names
 
 
 def messages() -> dict[str, Any]:
@@ -160,34 +161,6 @@ def atoms() -> dict[str, Any]:
     }
 
 
-#: name -> digest_of(instance).hex()
-MESSAGE_DIGESTS: dict[str, str] = {
-    'AbortCert/fast': 'ada757e38ff67ad44e2c43d06c01d26c5bf3d74362acfc4ac41b087659691bd0',
-    'AbortCert/slow': 'aaed5c0eb56a8654a7d550f9ddd6914db3634b1d7977e188f36d7a35e53e916b',
-    'BatchAttestation': '99a8d243c7db0b716a547834351f03bea1d6e7af4922efed42a792600ef7d48c',
-    'CommitCert/fast': '2affadf03a372e583c4c65fe7c2672f319a8f842c6d9cb2914fd756ba33408c5',
-    'CommitCert/genesis': '9b6cedcc46f5116e8b8b27f4743a5691ff4aa8ee623871a0649e48b28a3fe02c',
-    'CommitCert/slow': '0f13b14038e965a0c75dfe8b0633d4f8e98685608bfb627360e58f9e1102eb23',
-    'ConflictProof': 'e6f8bce2fce72cd0c443ee0f7222e2334ba2f4988df9b316f724e6f2c51075c4',
-    'DecFBPayload': 'b110244f1f3cba2eebdb3a8e5ac05d7ed3687e2923c78bba97309d6da49c8dc7',
-    'Decision': '7083d112de543d0dca40da53a8a33c7322df145281791fbc72194d7017c6e64e',
-    'DecisionLogResult': 'c85e9a52680ddf31beb68ccdee71d1d7283083613e49e67768fadc8319a1e26e',
-    'Dep': '9296a35cd35dd57d7a0d3c459be90970749e3a8ad9950f799bd5e5085a999f5a',
-    'ElectFBPayload': 'e8be394ba98b25b27b7c17990bf010b2ad5651b02081b853e9ba36863b5d966e',
-    'InclusionProof': '90eec6924b184a0910f64f65a2b565ec628cfae65ff97fd48a92069c480f130c',
-    'PrepareVote': '16c3bdf3498502c9a983a2586a47f79a086e898c09b8940d73864080dc9a9dc6',
-    'PrepareVote+ConflictProof': '6f3305a0b2960090ae3d71955541f8b14ce1913fc4dbed349439361b492d5ee6',
-    'ReadReply': '5f06e542b36bcf73fc20683da2752eced1adb69fb1f3fe7c77fd41d5e8754d90',
-    'ShardLogCert': '0bd956fda03341c91c15b00708306ab6d87480bd936f48211cbbc0e8bcddbca6',
-    'Signature': '3c6051d69afc55166b69155d39bbc9260a58ad4fae8bf2ae5a94f7ee2a284a31',
-    'SignedMessage': 'c22dac1c655e5e26fa22c5d9d1db31837e56d11d204f58d5da929d5e0929dad4',
-    'Timestamp': 'fa91fe75e197ee68e438004e1e511a9f028739c286a2676377081c0b2ad3e40a',
-    'TxRecord': '31d86a0ebebec3067557c58583ae1f80b1e3b1850bd2665e5e7144397108e287',
-    'Vote': '524ae9b1aed746b694c7f71fe7b34b8449d0e86a5e5af17b4d1711c9b982d363',
-    'VoteTally': 'dae93a24a684da7cb3f35ad073844f66cef966a9b7ed65ccacd6930ed2efed46',
-    'tuple-of-messages': '5c4841b181ac6dec123a95658f7f823375e4f6a77cf13c87e7e3226b37e46e4d',
-}
-
 #: name -> canonical_encode(value)
 ATOM_ENCODINGS: dict[str, bytes] = {
     'False': b'F',
@@ -213,13 +186,13 @@ ATOM_ENCODINGS: dict[str, bytes] = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(MESSAGE_DIGESTS))
-def test_message_digest_is_pinned(name):
-    assert digest_of(messages()[name]).hex() == MESSAGE_DIGESTS[name]
+@pytest.mark.parametrize("name", sorted(messages()))
+def test_message_digest_is_pinned(name, pin):
+    pin(f"encoding/{name}", digest_of(messages()[name]).hex())
 
 
 def test_every_pinned_message_is_built():
-    assert sorted(messages()) == sorted(MESSAGE_DIGESTS)
+    assert pinned_names("encoding/") == sorted(f"encoding/{name}" for name in messages())
 
 
 def test_a_message_digest_does_not_depend_on_memo_state():
@@ -251,13 +224,3 @@ def test_atom_tags_keep_types_apart():
     # convention; nothing relies on telling the two apart).
     assert enc["tuple"] == enc["list"] == enc["tuple subclass"]
 
-
-if __name__ == "__main__":
-    print("MESSAGE_DIGESTS = {")
-    for case, value in sorted(messages().items()):
-        print(f"    {case!r}: {digest_of(value).hex()!r},")
-    print("}")
-    print("ATOM_ENCODINGS = {")
-    for case, value in sorted(atoms().items()):
-        print(f"    {case!r}: {canonical_encode(value)!r},")
-    print("}")

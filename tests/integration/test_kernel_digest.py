@@ -2,16 +2,17 @@
 
 The PR 3 kernel overhaul (iterative trampoline, tombstoned timers,
 combinator fixes, coroutine ``Queue.get``) must not perturb a single
-event of a seeded protocol run.  The golden digest below was captured on
-the *pre-rewrite* kernel (commit 05331af) with the exact configuration
-in ``_golden_run``; the verification memo of the same PR is switched off
+event of a seeded protocol run.  The golden digest (ledger entry
+``kernel/golden`` in ``tests/pins.json``) was captured on the
+*pre-rewrite* kernel (commit 05331af) with the exact configuration in
+``_golden_run``; the verification memo of the same PR is switched off
 for this run (``verify_memo=False``) because it intentionally changes
 simulated schedules.
 
 If this test fails after a kernel change, the change reordered or
 dropped events — that is a correctness bug, not an acceptable drift.
 If it fails after an *intentional* semantic change to the protocol or
-cost model, re-capture the digest and say so in the commit message.
+cost model, re-pin (``pytest --repin``) and say so in the commit message.
 """
 
 from repro.bench.runner import ExperimentRunner
@@ -20,12 +21,6 @@ from repro.core.system import BasilSystem
 from repro.trace import Tracer
 from repro.trace.export import trace_digest
 from repro.workloads.ycsb import YCSBWorkload
-
-GOLDEN_DIGEST = "c9b09afd543eef55d5c4a4fc8ffd606c4266c45532484a9e3836a457a53cfb6a"
-GOLDEN_COMMITS = 40
-GOLDEN_ABORTS = 9
-GOLDEN_EVENTS = 39172
-
 
 def _golden_run():
     config = SystemConfig(
@@ -45,12 +40,12 @@ def _golden_run():
     return system, result, tracer
 
 
-def test_kernel_rewrite_preserves_golden_digest():
+def test_kernel_rewrite_preserves_golden_digest(pin):
     system, result, tracer = _golden_run()
-    assert result.commits == GOLDEN_COMMITS
-    assert result.aborts == GOLDEN_ABORTS
-    assert system.sim.events_processed == GOLDEN_EVENTS
-    assert trace_digest(tracer) == GOLDEN_DIGEST
+    pin("kernel/golden", {
+        "digest": trace_digest(tracer), "commits": result.commits,
+        "aborts": result.aborts, "events": system.sim.events_processed,
+    })
 
 
 def test_golden_run_is_internally_deterministic():

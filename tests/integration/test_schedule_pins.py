@@ -6,7 +6,7 @@ crypto off, 1 shard Zipf with stall-late Byzantine clients, and Basil on
 the ``wan3`` matrix behind the edge tier.  For each, the trace digest,
 the dispatched event count, the commits and the final scheduling
 sequence number (``sim._seq``: every heap push, fired or not) are pinned
-to constants.
+in the ledger (``tests/pins.json``).
 
 A change that only makes events cheaper — the kernel, the CPU model's
 bookkeeping, certificate verification, canonical encoding — must leave
@@ -59,38 +59,17 @@ def _spec(name: str) -> ModelSpec:
     raise KeyError(name)
 
 
-#: name -> (trace digest, events, commits, final sim._seq)
-PINS = {
-    "geo-wan3-edge": (
-        "7f7250b351acdbbf02c2512cd803af298b81e31324bd79e729a7dc4e31e66d09",
-        9090, 34, 9889,
-    ),
-    "nosig-2shard": (
-        "057beec86afebe78b11f78826a8edee588f27be2a44789d8e1d8f6e99773422e",
-        4902, 21, 5852,
-    ),
-    "sig-2shard": (
-        "fe0f35a7c9e19d3e4e0e486f9aa0c72324fcb38de4c68e8dd5f70de7c73dbc86",
-        16965, 24, 17918,
-    ),
-    "zipf-byz": (
-        "42d9ca4f7ed71bb9189720d6833f91e54901724df468461ef255cba1c862daa5",
-        26596, 32, 28610,
-    ),
-}
+#: The pinned cases; each one's values are ledger entry ``schedule/<name>``.
+CASES = ("geo-wan3-edge", "nosig-2shard", "sig-2shard", "zipf-byz")
 
 
-def observe(name: str) -> tuple[str, int, int, int]:
+def observe(name: str) -> dict[str, int | str]:
     run = SequentialRun(_spec(name))
     result = run.run()
-    return result.digest, result.events, result.bench["commits"], run.sim._seq
+    return {"digest": result.digest, "events": result.events,
+            "commits": result.bench["commits"], "seq": run.sim._seq}
 
 
-@pytest.mark.parametrize("name", sorted(PINS))
-def test_schedule_is_pinned(name):
-    assert observe(name) == PINS[name]
-
-
-if __name__ == "__main__":  # prints the PINS table for this tree
-    for case in sorted(PINS):
-        print(f"    {case!r}: {observe(case)!r},")
+@pytest.mark.parametrize("name", CASES)
+def test_schedule_is_pinned(name, pin):
+    pin(f"schedule/{name}", observe(name))

@@ -2,11 +2,13 @@
 
 The contract (mirrors the fault injector's): with the load subsystem
 unconfigured, closed-loop benchmark traces are byte-identical to the
-tree before ``repro.load`` existed.  The digests below were captured on
-main immediately before the load changes landed — the client timestamp
+tree before ``repro.load`` existed.  The digests (ledger entries
+``load/<system>`` in ``tests/pins.json``) were captured on main
+immediately before the load changes landed — the client timestamp
 guard, LoadSignal plumbing, and monitor counters must not perturb a
-single event.  If an intentional protocol change shifts them, recapture
-with this file's ``capture()`` helper.
+single event.  If an intentional protocol change shifts them, re-pin
+with ``pytest --repin``.  The obs and prof golden-digest tests read the
+same entries.
 """
 
 from __future__ import annotations
@@ -23,21 +25,8 @@ from repro.trace.export import trace_digest
 from repro.workloads.smallbank import SmallbankWorkload
 from repro.workloads.ycsb import YCSBWorkload
 
-GOLDEN = {
-    # system: (digest, commits, aborts, events_processed)
-    "basil": (
-        "c8da3e42f0e29d8ed4231724e672d0d12f22b5cd37f1aae8e701881df4f6de43",
-        16, 14, 14879,
-    ),
-    "tapir": (
-        "af2dfcedc2f8f890b970094862c4ff302292649a309c1c50a57d976a2b86b1c3",
-        93, 7, 6658,
-    ),
-    "txsmr": (
-        "d3124e2a7ebe1a9aafcc281f0cead805e206f2934a366b55027b0c632c04d0bd",
-        12, 0, 2036,
-    ),
-}
+#: The pinned systems; each one's values are ledger entry ``load/<kind>``.
+KINDS = ("basil", "tapir", "txsmr")
 
 
 def capture(kind: str):
@@ -59,14 +48,15 @@ def capture(kind: str):
     return trace_digest(tracer), result, system
 
 
-@pytest.mark.parametrize("kind", sorted(GOLDEN))
-def test_closed_loop_digests_unchanged_by_load_subsystem(kind):
-    digest, result, system = capture(kind)
-    want_digest, commits, aborts, events = GOLDEN[kind]
-    assert result.commits == commits
-    assert result.aborts == aborts
-    assert system.sim.events_processed == events
-    assert digest == want_digest
+def pinned(digest, result, system) -> dict[str, int | str]:
+    """What ``load/<kind>`` pins of a :func:`capture`-shaped run."""
+    return {"digest": digest, "commits": result.commits, "aborts": result.aborts,
+            "events": system.sim.events_processed}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_closed_loop_digests_unchanged_by_load_subsystem(kind, pin):
+    pin(f"load/{kind}", pinned(*capture(kind)))
 
 
 def test_open_loop_runs_are_seed_deterministic():

@@ -4,7 +4,7 @@ Two layers of the zero-overhead contract:
 
 * With no registry attached (the default), the guarded instrumentation
   sites never run and the golden closed-loop digests of all three
-  systems match ``tests/load/test_determinism.py`` exactly.
+  systems match the ledger's ``load/<kind>`` entries exactly.
 * With a registry attached but *no ticker*, metrics are plain int
   mutations: no events are scheduled, no RNG streams are drawn, so the
   trace digest and event count still match the golden values.
@@ -13,22 +13,18 @@ Two layers of the zero-overhead contract:
 import pytest
 
 from repro.obs.registry import MetricsRegistry
-from tests.load.test_determinism import GOLDEN, capture
+from tests.load.test_determinism import KINDS, capture, pinned
 
 
-@pytest.mark.parametrize("kind", sorted(GOLDEN))
-def test_unconfigured_runs_keep_golden_digests(kind):
+@pytest.mark.parametrize("kind", KINDS)
+def test_unconfigured_runs_keep_golden_digests(kind, pin):
     digest, result, system = capture(kind)
-    want_digest, commits, aborts, events = GOLDEN[kind]
     assert system.sim.instruments.metrics is None  # only the tracer
-    assert digest == want_digest
-    assert result.commits == commits
-    assert result.aborts == aborts
-    assert system.sim.events_processed == events
+    pin(f"load/{kind}", pinned(digest, result, system))
 
 
-@pytest.mark.parametrize("kind", sorted(GOLDEN))
-def test_registry_without_ticker_keeps_golden_digests(kind, monkeypatch):
+@pytest.mark.parametrize("kind", KINDS)
+def test_registry_without_ticker_keeps_golden_digests(kind, monkeypatch, pin):
     """Counting alone must not perturb a single event or RNG draw."""
     import repro.core.system as core_system
     import repro.baselines.tapir.system as tapir_system
@@ -68,12 +64,8 @@ def test_registry_without_ticker_keeps_golden_digests(kind, monkeypatch):
     )
 
     digest, result, system = capture(kind)
-    want_digest, commits, aborts, events = GOLDEN[kind]
     assert registries and system.sim.instruments.metrics is registries[-1]
     # metrics actually accumulated during the run...
     assert len(registries[-1]) > 0
     # ...yet the schedule is untouched
-    assert digest == want_digest
-    assert result.commits == commits
-    assert result.aborts == aborts
-    assert system.sim.events_processed == events
+    pin(f"load/{kind}", pinned(digest, result, system))

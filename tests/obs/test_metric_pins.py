@@ -1,16 +1,23 @@
 """Absolute pins on what the metrics registry holds at the end of a run.
 
-``repro.obs check`` compares telemetry within a tolerance, so it cannot
-notice a counter that moved by one or a histogram whose samples shifted.
-Here each run's registry is reduced to a sha256 over its sorted contents
-(key -> counter or gauge value, or histogram ``summary()``) and pinned to
-a constant, for runs that together reach every instrumented site: the
-obs ``check`` configuration, a Zipf run with stall-late Byzantine
-clients (fallback, abort-taxonomy and byz-client counters), Basil behind
-the wan3 edge tier, two open-loop admission points (AIMD shedding, and a
-static cap that parks arrivals) and both baselines.  The open-loop
-``delay`` point also pins its trace digest: its ``load`` spans (queued,
-in flight, shed) are in no other pinned trace.
+A tolerance comparison of two runs (``repro.obs compare``) cannot notice
+a counter that moved by one or a histogram whose samples shifted.  Here
+each run's registry is reduced to a sha256 over its sorted contents
+(key -> counter or gauge value, or histogram ``summary()``) and pinned in
+the ledger (``tests/pins.json``), for runs that together reach every
+instrumented site: ``python -m repro.obs run``'s default configuration
+(``obs-check``), a Zipf run with stall-late Byzantine clients (fallback,
+abort-taxonomy and byz-client counters), Basil behind the wan3 edge
+tier, two open-loop admission points (AIMD shedding, and a static cap
+that parks arrivals) and both baselines.  The open-loop ``delay`` point
+also pins its trace digest: its ``load`` spans (queued, in flight, shed)
+are in no other pinned trace.
+
+``obs-check`` also pins a sha256 over its whole ``RunReport`` — the
+bench row, every sampled series point, histogram summaries, health
+verdicts — and the health rules that judged it, so a one-sample
+histogram shift or a changed health-rule threshold fails it exactly,
+where a tolerance check would pass.
 
 A change that only moves where instrumentation is recorded from must
 leave every value here untouched.
@@ -26,6 +33,7 @@ import pytest
 from repro.config import AdmissionConfig, ArrivalConfig, SystemConfig
 from repro.geo.plan import GeoSpec
 from repro.geo.topology import wan3
+from repro.obs.__main__ import run_instrumented
 from repro.obs.recorder import ObsRecorder
 from repro.run import ModelSpec, SequentialRun
 from repro.sim.monitor import Histogram
@@ -82,74 +90,50 @@ def _spec(name: str) -> ModelSpec:
     raise KeyError(name)
 
 
-def observe(name: str) -> tuple[str, str]:
-    """(registry digest, trace digest) of one pinned run."""
-    registries = []
+#: The pinned runs; each one's values are ledger entry ``metrics/<name>``.
+CASES = ("geo-wan3-edge", "obs-check", "open-aimd", "open-delay", "tapir",
+         "txsmr", "zipf-byz")
+#: Runs that also pin their trace digest: no other test pins that trace.
+#: geo-wan3-edge's equals the run with obs off (telemetry moves no geo
+#: event); open-delay's holds the only pinned ``load`` spans.
+TRACE_PINNED = ("geo-wan3-edge", "open-delay")
+
+
+def report_digest(report, rules) -> str:
+    """sha256 over a whole RunReport (bench row, every series point,
+    histograms, verdicts, health, config, meta) and the health rules
+    that judged it, so a threshold no verdict crossed still counts."""
+    blob = {"report": report.to_dict(), "rules": [rule.to_dict() for rule in rules]}
+    return hashlib.sha256(json.dumps(blob, sort_keys=True).encode()).hexdigest()
+
+
+def observe(name: str) -> dict[str, str]:
+    """The pinned values of one run: its registry digest, plus its trace
+    digest (``TRACE_PINNED``) or its whole report (``obs-check``)."""
+    recorders = []
     attach = ObsRecorder.attach
 
     def recording(self, system, until=None):
-        registries.append(self.registry)
+        recorders.append(self)
         return attach(self, system, until=until)
 
     ObsRecorder.attach = recording
     try:
         if name == "obs-check":
-            from repro.obs.__main__ import CHECK_ARGS, run_instrumented
-
-            trace = run_instrumented(**CHECK_ARGS).trace_digest or ""
+            report = run_instrumented()
         else:
-            trace = SequentialRun(_spec(name)).run().digest
+            result = SequentialRun(_spec(name)).run()
     finally:
         ObsRecorder.attach = attach
-    (registry,) = registries
-    return registry_digest(registry), trace
+    (recorder,) = recorders
+    observed = {"registry": registry_digest(recorder.registry)}
+    if name == "obs-check":
+        observed["report"] = report_digest(report, recorder.rules)
+    if name in TRACE_PINNED:
+        observed["trace"] = result.digest
+    return observed
 
 
-#: name -> registry digest.
-PINS = {
-    "geo-wan3-edge": (
-        "2a50fd59026f1e2ff1389f1e28df4beb3d552facbc5c23c311d4a098492084e6"
-    ),
-    "obs-check": (
-        "a89f47a305fb435fe6dc9e81b975681630758442f4ac8e62dab422c64eaf828b"
-    ),
-    "open-aimd": (
-        "d743c9b576d5e7d239d7a4ad92365dcdf5ed514833bb239bee95725868c1b568"
-    ),
-    "open-delay": (
-        "77941a0a92370f6a30b1e4def2df5231210ba79ac3cfa41b73f5e251e6e484e4"
-    ),
-    "tapir": (
-        "8d825f6565bf03c5b88413a1949436657bce883bbdf20021284e2f745436a738"
-    ),
-    "txsmr": (
-        "99ea6abd5b93ceee73f163648b88b6f37c2d83d40a703767865f6aee0575ace7"
-    ),
-    "zipf-byz": (
-        "68a4162ea352e35f9fe82917aab2dd67d46296aa98480f03da48b2674321380a"
-    ),
-}
-#: name -> trace digest, where no other test pins the trace.
-TRACE_PINS = {
-    # The same as the run with obs off: telemetry moves no geo event.
-    "geo-wan3-edge": (
-        "78c56c3d19ee768a3836e5cedeed67debc7a32ac552deb24e8cef8cad0de047c"
-    ),
-    "open-delay": (
-        "786203f32c804e4d443e483cfb8e0d65e7e059bbebf8413e6c4c59d249c26a8a"
-    ),
-}
-
-
-@pytest.mark.parametrize("name", sorted(PINS))
-def test_registry_contents_are_pinned(name):
-    registry, trace = observe(name)
-    assert registry == PINS[name]
-    if name in TRACE_PINS:
-        assert trace == TRACE_PINS[name]
-
-
-if __name__ == "__main__":  # prints the pin tables for this tree
-    for case in sorted(PINS):
-        registry, trace = observe(case)
-        print(f"    {case!r}: {registry!r},  # trace {trace!r}")
+@pytest.mark.parametrize("name", CASES)
+def test_registry_contents_are_pinned(name, pin):
+    pin(f"metrics/{name}", observe(name))

@@ -70,15 +70,3 @@ def test_cli_run_compare_and_html(tmp_path, capsys):
     doc = open(html).read()
     assert doc.lstrip().startswith("<!doctype html>") and "<svg" in doc
 
-
-def test_cli_check_creates_then_passes_baseline(tmp_path, monkeypatch):
-    """obs-check: first run writes the baseline, second run gates green."""
-    from repro.obs import __main__ as cli
-
-    monkeypatch.setitem(cli.CHECK_ARGS, "duration", 0.06)
-    monkeypatch.setitem(cli.CHECK_ARGS, "warmup", 0.02)
-    monkeypatch.setitem(cli.CHECK_ARGS, "clients", 6)
-    monkeypatch.setitem(cli.CHECK_ARGS, "keys", 300)
-    baseline = str(tmp_path / "OBS_BASELINE.json")
-    assert main(["check", "--baseline", baseline]) == 0  # creates
-    assert main(["check", "--baseline", baseline]) == 0  # deterministic rerun

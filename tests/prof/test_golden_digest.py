@@ -2,10 +2,10 @@
 
 Two pins:
 
-* the sequential golden Basil run (same constants as
-  tests/load/test_determinism.py) produces the exact committed digest
-  with a profiler attached — the attribution hooks read only the wall
-  clock, so the event schedule cannot move;
+* the sequential golden Basil run (ledger entry ``load/basil``, the
+  run of ``tests/load/test_determinism.py``) produces the exact
+  committed digest with a profiler attached — the attribution hooks
+  read only the wall clock, so the event schedule cannot move;
 * a ``workers=2`` partitioned run is digest- and bench-identical with
   ``prof`` (and worker-level seams) on vs off.
 """
@@ -21,15 +21,7 @@ from repro.prof.profiler import Profiler
 from repro.trace import Tracer
 from repro.trace.export import trace_digest
 from repro.workloads.ycsb import YCSBWorkload
-
-#: Mirrors tests/load/test_determinism.py — the committed sequential pin.
-GOLDEN_BASIL = (
-    "c8da3e42f0e29d8ed4231724e672d0d12f22b5cd37f1aae8e701881df4f6de43",
-    16,
-    14,
-    14879,
-)
-
+from tests.load.test_determinism import pinned
 
 def _golden_run(profile: bool):
     config = SystemConfig(f=1, num_shards=1, batch_size=4, seed=7)
@@ -41,16 +33,12 @@ def _golden_run(profile: bool):
         system, workload, num_clients=4, duration=0.05, warmup=0.02
     )
     result = runner.run()
-    return (
-        (trace_digest(tracer), result.commits, result.aborts,
-         system.sim.events_processed),
-        profiler,
-    )
+    return pinned(trace_digest(tracer), result, system), profiler
 
 
-def test_profiled_sequential_run_matches_golden_digest():
+def test_profiled_sequential_run_matches_golden_digest(pin):
     observed, profiler = _golden_run(profile=True)
-    assert observed == GOLDEN_BASIL
+    pin("load/basil", observed)
     table = profiler.table()
     # The hooks actually fired: kernel + protocol subsystems attributed.
     for sub in ("task.step", "kernel.loop", "cpu.spend", "network.send",

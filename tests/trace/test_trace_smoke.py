@@ -43,13 +43,13 @@ def test_traced_ycsb_bench_exports_valid_chrome_trace(tmp_path):
 
 @pytest.mark.trace_smoke
 def test_bench_cli_trace_flag(tmp_path, capsys):
-    """`python -m repro.bench fig6b --quick --trace DIR` writes trace files."""
+    """`python -m repro.bench --quick --trace DIR fig6a` writes trace files."""
     import repro.bench.experiments as exp
     from repro.bench.__main__ import main
 
     trace_dir = tmp_path / "traces"
     try:
-        assert main(["--quick", "--trace", str(trace_dir), "fig6b"]) == 0
+        assert main(["--quick", "--trace", str(trace_dir), "fig6a"]) == 0
     finally:
         exp.set_trace_dir(None)
     out = capsys.readouterr().out
