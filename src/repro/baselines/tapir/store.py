@@ -11,6 +11,7 @@ import enum
 from dataclasses import dataclass
 from typing import Any
 
+from repro.core.mvtso import apply_commit
 from repro.core.timestamps import Timestamp
 from repro.core.transaction import TxRecord
 from repro.crypto.digest import Digest
@@ -74,11 +75,7 @@ class TapirStore:
             self.versions.update_rts(key, tx.timestamp)
 
     def commit(self, tx: TxRecord) -> None:
-        for key, value in tx.write_set:
-            self.versions.promote_prepared_write(key, tx.timestamp)
-            self.versions.apply_committed_write(key, tx.timestamp, value, tx.txid)
-        for key, version in tx.read_set:
-            self.versions.add_read(key, tx.timestamp, version, tx.txid)
+        apply_commit(self.versions, tx)
         self.prepared.pop(tx.txid, None)
 
     def abort(self, tx: TxRecord) -> None:

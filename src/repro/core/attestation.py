@@ -83,7 +83,8 @@ class AttestationVerifier:
         #: Model BLS-style aggregation (Sec 4.4): quorum verification via
         #: :meth:`verify_quorum` costs one pairing check plus hashing.
         self.aggregate = aggregate
-        self._verified_roots: set[tuple[str, Digest]] = set()
+        #: Batch roots whose signature this node verified, per signer.
+        self._verified_roots: dict[str, set[Digest]] = {}
         self.cache_hits = 0
 
     def verify(self, att: Attestation) -> Awaitable[bool]:
@@ -132,7 +133,7 @@ class AttestationVerifier:
             if isinstance(att, SignedMessage):
                 signature = att.signature
                 digest = payload_digest_of(att)
-                root = None
+                roots = None
             else:
                 hashes = 1 + len(att.proof.path)
                 ctx.hashes_computed += hashes
@@ -147,8 +148,10 @@ class AttestationVerifier:
                     return False
                 signature = att.root_signature
                 digest = att.root
-                root = (signature.signer, digest)
-                if root in verified_roots:
+                roots = verified_roots.get(signature.signer)
+                if roots is None:
+                    roots = verified_roots[signature.signer] = set()
+                elif digest in roots:
                     self.cache_hits += 1
                     continue
             ctx.signatures_verified += 1
@@ -170,8 +173,8 @@ class AttestationVerifier:
                     memo[key] = verdict
             if not verdict:
                 return False
-            if root is not None:
-                verified_roots.add(root)
+            if roots is not None:
+                roots.add(digest)
         return True
 
     async def _verify_aggregate(self, atts: Sequence[Attestation]) -> bool:

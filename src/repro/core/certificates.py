@@ -131,7 +131,9 @@ class CertValidator:
         self.config = config
         self.sharder = sharder
         self.verifier = verifier
-        self._cache: set[tuple[Digest, Decision]] = set()
+        #: Transactions whose commit / abort certificate this node validated.
+        self._committed: set[Digest] = set()
+        self._aborted: set[Digest] = set()
 
     # ------------------------------------------------------------------
     # Entry points
@@ -150,7 +152,7 @@ class CertValidator:
             return cert.txid == GENESIS_TXID
         if tx is None or cert.txid != tx.txid:
             return False
-        if (cert.txid, Decision.COMMIT) in self._cache:
+        if cert.txid in self._committed:
             return True
         if cert.kind == "fast":
             ok = await self._validate_fast_commit(cert, tx)
@@ -160,13 +162,13 @@ class CertValidator:
         else:
             ok = False
         if ok:
-            self._cache.add((cert.txid, Decision.COMMIT))
+            self._committed.add(cert.txid)
         return ok
 
     async def validate_abort(self, cert: AbortCert, tx: TxRecord | None) -> bool:
         if not isinstance(cert, AbortCert) or tx is None or cert.txid != tx.txid:
             return False
-        if (cert.txid, Decision.ABORT) in self._cache:
+        if cert.txid in self._aborted:
             return True
         if cert.kind == "fast":
             ok = cert.tally is not None and await self._validate_abort_tally(cert.tally, tx)
@@ -176,7 +178,7 @@ class CertValidator:
         else:
             ok = False
         if ok:
-            self._cache.add((cert.txid, Decision.ABORT))
+            self._aborted.add(cert.txid)
         return ok
 
     # ------------------------------------------------------------------

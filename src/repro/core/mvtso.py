@@ -30,9 +30,15 @@ class TxPhase(enum.Enum):
     ABORTED = "aborted"
 
 
-@dataclass
+@dataclass(slots=True)
 class TxState:
-    """Everything one replica knows about one transaction."""
+    """Everything one replica knows about one transaction.
+
+    The three fallback containers stay None until the path that fills
+    them first runs (a recovery prepare or an ST2 for ``interested``,
+    the first ELECTFB for the other two): a transaction the fast path
+    decides never allocates them.
+    """
 
     tx: Optional[TxRecord] = None
     phase: TxPhase = TxPhase.UNKNOWN
@@ -50,12 +56,18 @@ class TxState:
     view_current: int = 0
     view_adopted_at: float = 0.0
     #: Names of clients to push ST2R results to after fallback decisions.
-    interested: set[str] = field(default_factory=set)
+    interested: Optional[set[str]] = None
     #: ELECTFB attestations gathered while acting as fallback leader,
     #: keyed by view then by sender replica.
-    elect_msgs: dict[int, dict[str, object]] = field(default_factory=dict)
+    elect_msgs: Optional[dict[int, dict[str, object]]] = None
     #: Views for which this replica (as leader) already proposed a DECFB.
-    proposed_views: set[int] = field(default_factory=set)
+    proposed_views: Optional[set[int]] = None
+
+    def add_interested(self, client: str) -> None:
+        if self.interested is None:
+            self.interested = {client}
+        else:
+            self.interested.add(client)
 
     @property
     def decided(self) -> bool:
@@ -199,10 +211,15 @@ def undo_prepare(store, tx: TxRecord) -> None:
 
 
 def apply_commit(store, tx: TxRecord) -> None:
-    """Apply T's writes as committed versions (promoting if prepared)."""
+    """Apply T's writes as committed versions (promoting if prepared).
+
+    A write T itself prepared is committed by its promotion; any other
+    write goes through ``apply_committed_write``, which inserts it, or
+    raises StorageError if another writer holds its timestamp.
+    """
     for key, value in tx.write_set:
-        store.promote_prepared_write(key, tx.timestamp)
-        store.apply_committed_write(key, tx.timestamp, value, tx.txid)
+        if store.promote_prepared_write(key, tx.timestamp) != tx.txid:
+            store.apply_committed_write(key, tx.timestamp, value, tx.txid)
     for key, version in tx.read_set:
         store.add_read(key, tx.timestamp, version, tx.txid)
 

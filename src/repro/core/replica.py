@@ -259,7 +259,7 @@ class BasilReplica(Node):
         if state.tx is None:
             state.tx = tx
         if req.recovery:
-            state.interested.add(sender)
+            state.add_interested(sender)
         # Charge the id_T hash on first contact with this transaction.
         await self.crypto.charge_hash(tx.size_estimate())
 
@@ -373,7 +373,7 @@ class BasilReplica(Node):
         state = self.state_of(tx.txid)
         if state.tx is None:
             state.tx = tx
-        state.interested.add(sender)
+        state.add_interested(sender)
         if state.logged_decision is None:
             if await self._justified(req):
                 state.logged_decision = req.decision
@@ -483,7 +483,7 @@ class BasilReplica(Node):
         state = self.state_of(req.txid)
         if state.tx is None:
             state.tx = req.tx
-        state.interested.add(sender)
+        state.add_interested(sender)
         await self.crypto.charge_verify()
         if state.decided or state.logged_decision is None:
             # Nothing to reconcile here (or nothing logged yet: the client
@@ -569,6 +569,8 @@ class BasilReplica(Node):
         state = self.state_of(payload.txid)
         if self.sharder.leader_of(self.shard, payload.txid, payload.view) != self.name:
             return
+        if state.elect_msgs is None:
+            state.elect_msgs, state.proposed_views = {}, set()
         bucket = state.elect_msgs.setdefault(payload.view, {})
         bucket.setdefault(payload.replica, msg.attestation)
         if (
@@ -609,7 +611,7 @@ class BasilReplica(Node):
         state.view_current = payload.view
         state.logged_decision = payload.decision
         state.view_decision = payload.view
-        for client in sorted(state.interested):
+        for client in sorted(state.interested or ()):
             await self._send_st2r(client, 0, payload.txid, state)
 
     async def _valid_elect_proof(

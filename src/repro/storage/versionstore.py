@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import bisect
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Generic, Hashable, Iterable, TypeVar
 
 from repro.errors import StorageError
@@ -38,7 +38,7 @@ class VersionStatus(enum.Enum):
     COMMITTED = "committed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Version(Generic[TS]):
     """One version of one key, created by the write of one transaction."""
 
@@ -52,17 +52,29 @@ class Version(Generic[TS]):
         return (self.key, self.timestamp, self.value, self.writer, self.status.value)
 
 
+#: Every empty chain of every :class:`_KeyState`: one shared tuple,
+#: replaced by a list of the key's own at an insert, and put back when
+#: the last entry is removed.
+_EMPTY: tuple = ()
+
+
 @dataclass(slots=True)
 class _KeyState:
-    """Per-key bookkeeping. All lists are kept sorted by timestamp."""
+    """Per-key bookkeeping. Every chain is kept sorted by timestamp.
 
-    committed: list[tuple[Any, Version]] = field(default_factory=list)
-    prepared: list[tuple[Any, Version]] = field(default_factory=list)
-    #: Read-timestamp reservations: sorted list of timestamps.
-    rts: list[Any] = field(default_factory=list)
+    An empty chain is the shared ``()``: most touched keys hold no
+    prepared version, reservation or indexed read on most replicas most
+    of the time, and an empty list per chain per key per replica would
+    be most of a store's memory.
+    """
+
+    committed: list[tuple[Any, Version]] | tuple = _EMPTY
+    prepared: list[tuple[Any, Version]] | tuple = _EMPTY
+    #: Read-timestamp reservations: sorted timestamps.
+    rts: list[Any] | tuple = _EMPTY
     #: Reads by prepared/committed transactions: sorted by reader timestamp,
     #: entries are (reader_ts, version_ts_read, reader_txid).
-    reads: list[tuple[Any, Any, bytes]] = field(default_factory=list)
+    reads: list[tuple[Any, Any, bytes]] | tuple = _EMPTY
 
 
 class GenesisTable(dict):
@@ -70,15 +82,16 @@ class GenesisTable(dict):
 
     ``table[key]`` is the touching lookup: a miss on a population key
     that the sharder places on this store's shard builds the key's state
-    from its shared genesis :class:`Version` (``make(version)``) and
-    keeps it; a miss on any other key returns None and stores nothing,
-    so such keys read as absent exactly as in a store nobody loaded.
+    from its shared genesis chain entry ``(GENESIS, version)``
+    (``make(entry)``) and keeps it; a miss on any other key returns None
+    and stores nothing, so such keys read as absent exactly as in a
+    store nobody loaded.
     ``table.get(key)`` never materialises; hits cost one subscript.
     """
 
     __slots__ = ("genesis", "shard", "materialised", "_make")
 
-    def __init__(self, make: Callable[[Version], Any]) -> None:
+    def __init__(self, make: Callable[[tuple[Any, Version]], Any]) -> None:
         super().__init__()
         #: The deployment's shared repro.core.genesis.Genesis (None until
         #: the system loads one: every key is then absent).
@@ -108,16 +121,16 @@ class GenesisTable(dict):
         genesis = self.genesis
         if genesis is None:
             return None
-        version = genesis.version(key, self.shard)
-        if version is None:
+        entry = genesis.entry(key, self.shard)
+        if entry is None:
             return None
         self.materialised += 1
-        state = self[key] = self._make(version)
+        state = self[key] = self._make(entry)
         return state
 
 
-def _genesis_state(version: Version) -> _KeyState:
-    return _KeyState(committed=[(version.timestamp, version)])
+def _genesis_state(entry: tuple[Any, Version]) -> _KeyState:
+    return _KeyState(committed=[entry])
 
 
 class VersionStore(Generic[TS]):
@@ -189,7 +202,6 @@ class VersionStore(Generic[TS]):
         the paper's proof of Lemma 1 requires.
         """
         state = self._state(key)
-        version = Version(key, timestamp, value, writer, VersionStatus.COMMITTED)
         # Chains hold (timestamp, Version) pairs; probing with the 1-tuple
         # ``(timestamp,)`` bisects on the timestamp alone (a shorter tuple
         # sorts before any equal-prefix longer one) without a per-probe
@@ -202,6 +214,9 @@ class VersionStore(Generic[TS]):
                     f"two committed writers at the same timestamp on {key!r}"
                 )
             return  # duplicate writeback delivery: idempotent
+        version = Version(key, timestamp, value, writer, VersionStatus.COMMITTED)
+        if not state.committed:
+            state.committed = []
         state.committed.insert(idx, (timestamp, version))
 
     # ------------------------------------------------------------------
@@ -255,6 +270,8 @@ class VersionStore(Generic[TS]):
         idx = bisect.bisect_left(state.rts, timestamp)
         if idx < len(state.rts) and state.rts[idx] == timestamp:
             return
+        if not state.rts:
+            state.rts = []
         state.rts.insert(idx, timestamp)
 
     def remove_rts(self, key: Key, timestamp: TS) -> None:
@@ -265,6 +282,8 @@ class VersionStore(Generic[TS]):
         idx = bisect.bisect_left(state.rts, timestamp)
         if idx < len(state.rts) and state.rts[idx] == timestamp:
             state.rts.pop(idx)
+            if not state.rts:
+                state.rts = _EMPTY
 
     def max_rts(self, key: Key) -> TS | None:
         state = self._keys.get(key)
@@ -277,10 +296,12 @@ class VersionStore(Generic[TS]):
     # ------------------------------------------------------------------
     def add_prepared_write(self, key: Key, timestamp: TS, value: Any, writer: bytes) -> None:
         state = self._state(key)
-        version = Version(key, timestamp, value, writer, VersionStatus.PREPARED)
         idx = bisect.bisect_left(state.prepared, (timestamp,))
         if idx < len(state.prepared) and state.prepared[idx][0] == timestamp:
             return  # duplicate prepare: idempotent
+        version = Version(key, timestamp, value, writer, VersionStatus.PREPARED)
+        if not state.prepared:
+            state.prepared = []
         state.prepared.insert(idx, (timestamp, version))
 
     def add_read(self, key: Key, reader_ts: TS, version_read: TS, reader: bytes) -> None:
@@ -290,6 +311,8 @@ class VersionStore(Generic[TS]):
         idx = bisect.bisect_left(state.reads, entry)
         if idx < len(state.reads) and state.reads[idx] == entry:
             return
+        if not state.reads:
+            state.reads = []
         state.reads.insert(idx, entry)
 
     def remove_prepared_write(self, key: Key, timestamp: TS) -> None:
@@ -299,6 +322,8 @@ class VersionStore(Generic[TS]):
         idx = bisect.bisect_left(state.prepared, (timestamp,))
         if idx < len(state.prepared) and state.prepared[idx][0] == timestamp:
             state.prepared.pop(idx)
+            if not state.prepared:
+                state.prepared = _EMPTY
 
     def remove_read(self, key: Key, reader_ts: TS, version_read: TS, reader: bytes) -> None:
         state = self._keys.get(key)
@@ -308,15 +333,21 @@ class VersionStore(Generic[TS]):
         idx = bisect.bisect_left(state.reads, entry)
         if idx < len(state.reads) and state.reads[idx] == entry:
             state.reads.pop(idx)
+            if not state.reads:
+                state.reads = _EMPTY
 
-    def promote_prepared_write(self, key: Key, timestamp: TS) -> None:
-        """Move a prepared version into the committed chain."""
+    def promote_prepared_write(self, key: Key, timestamp: TS) -> bytes | None:
+        """Move a prepared version into the committed chain; return its
+        writer, or None if nothing was prepared at ``timestamp``."""
         state = self._state(key)
         idx = bisect.bisect_left(state.prepared, (timestamp,))
         if idx >= len(state.prepared) or state.prepared[idx][0] != timestamp:
-            return  # already promoted (duplicate writeback) or never prepared here
+            return None  # already promoted (duplicate writeback) or never prepared here
         _, version = state.prepared.pop(idx)
+        if not state.prepared:
+            state.prepared = _EMPTY
         self.apply_committed_write(key, timestamp, version.value, version.writer)
+        return version.writer
 
     # ------------------------------------------------------------------
     # Conflict queries used by MVTSO-Check
@@ -396,5 +427,5 @@ class VersionStore(Generic[TS]):
                     raise StorageError(f"unsorted version chain for {key!r}")
                 if len(set(stamps)) != len(stamps):
                     raise StorageError(f"duplicate version timestamp for {key!r}")
-            if state.rts != sorted(state.rts):
+            if list(state.rts) != sorted(state.rts):
                 raise StorageError(f"unsorted RTS list for {key!r}")

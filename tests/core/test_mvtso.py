@@ -12,6 +12,7 @@ from repro.core.mvtso import (
 )
 from repro.core.timestamps import GENESIS, Timestamp
 from repro.core.transaction import Dep, TxBuilder
+from repro.errors import StorageError
 from repro.storage.versionstore import VersionStore
 
 DELTA = 0.05
@@ -190,6 +191,51 @@ def test_apply_commit_promotes(store, states):
     apply_commit(store, tx)
     assert store.latest_prepared("k", ts(11)) is None
     assert store.latest_committed("k", ts(11)).value == b"v"
+
+
+class CountingStore(VersionStore):
+    """Counts committed-version inserts attempted (promotions included)."""
+
+    def __init__(self):
+        super().__init__()
+        self.applied = 0
+
+    def apply_committed_write(self, key, timestamp, value, writer):
+        self.applied += 1
+        super().apply_committed_write(key, timestamp, value, writer)
+
+
+def test_apply_commit_of_own_prepared_write_inserts_once(states):
+    store = CountingStore()
+    tx = make_tx(ts(10), writes=[("k", b"v")])
+    check(store, states, tx)
+    apply_commit(store, tx)
+    assert store.applied == 1  # the promotion; no second insert attempt
+    [version] = store.committed_versions("k")
+    assert (version.value, version.writer) == (b"v", tx.txid)
+
+
+def test_apply_commit_with_nothing_prepared_inserts(states):
+    store = CountingStore()
+    tx = make_tx(ts(10), writes=[("k", b"v")])
+    apply_commit(store, tx)
+    assert store.applied == 1
+    [version] = store.committed_versions("k")
+    assert (version.value, version.writer) == (b"v", tx.txid)
+    apply_commit(store, tx)  # a duplicate writeback stays idempotent
+    assert len(store.committed_versions("k")) == 1
+
+
+def test_apply_commit_over_another_writers_prepare_raises(store, states):
+    other = b"o" * 32
+    store.add_prepared_write("k", ts(10), b"theirs", other)
+    tx = make_tx(ts(10), writes=[("k", b"mine")])
+    with pytest.raises(StorageError):
+        apply_commit(store, tx)
+    # the other writer's version was promoted before the clash surfaced
+    [version] = store.committed_versions("k")
+    assert (version.value, version.writer) == (b"theirs", other)
+    assert store.prepared_versions("k") == []
 
 
 def test_serializable_interleaving_accepted(store, states):

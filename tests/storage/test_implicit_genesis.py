@@ -21,7 +21,7 @@ from repro.core.genesis import Genesis
 from repro.core.sharding import Sharder
 from repro.core.timestamps import GENESIS, Timestamp
 from repro.errors import StorageError
-from repro.storage.versionstore import VersionStore
+from repro.storage.versionstore import _EMPTY, VersionStore
 
 SHARDER = Sharder(SystemConfig(num_shards=2))
 POPULATION = {f"p{i}": f"v{i}" for i in range(12)}
@@ -87,6 +87,10 @@ def test_version_store_matches_eager_reference(ops):
         assert lazy.stats() == eager.stats()
     lazy.check_invariants()
     eager.check_invariants()
+    for store in (lazy, eager):  # an emptied chain is the shared () again
+        for state in store._keys.values():
+            for chain in (state.committed, state.prepared, state.rts, state.reads):
+                assert chain or chain is _EMPTY
     for key in KEYS:
         assert (key in lazy) == (key in eager)
         assert lazy.committed_versions(key) == eager.committed_versions(key)
