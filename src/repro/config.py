@@ -51,11 +51,15 @@ class CryptoConfig:
     #: The paper describes this optimization but leaves it unimplemented;
     #: repro.bench.experiments.ablation_aggregation measures what it buys.
     signature_aggregation: bool = False
-    #: Memoize (signer, digest) -> verdict per verifying node: a signature
-    #: a node has already verified is not re-charged.  Models the
-    #: verification caching Basil's implementation performs when the same
-    #: certificate crosses a node twice (e.g. cross-shard writeback after
-    #: ST2), which otherwise saturates simulated clients (Figure 5c).
+    #: Memoize verdicts per verifying node: a signature a node has already
+    #: verified is not re-charged.  Valid signatures go into the node's
+    #: one table of verified signatures (``CryptoContext.verified``,
+    #: signer -> {digest: token}), which holds batch roots whatever this
+    #: flag says; invalid ones into a set of (signer, digest, token).
+    #: Models the verification caching Basil's implementation performs
+    #: when the same certificate crosses a node twice (e.g. cross-shard
+    #: writeback after ST2), which otherwise saturates simulated clients
+    #: (Figure 5c).  Off, only batch roots are remembered.
     verify_memo: bool = True
 
     def hash_cost(self, nbytes: int) -> float:

@@ -10,9 +10,11 @@ Basil replies come in two signed forms:
 
 Both are *transferable*: a client can embed them in vote tallies and
 certificates, and any third party (replica or client) can re-verify them.
-:class:`AttestationVerifier` performs verification with the paper's
-signature cache: a (signer, root) pair whose signature verified once is
-not re-verified.
+:class:`AttestationVerifier` performs verification against its node's
+one table of verified signatures (``CryptoContext.verified``): a
+(signer, root) pair whose signature verified once is not re-verified —
+the paper's signature cache — and, with the verification memo on, a
+signature verdict the node already holds is not re-charged.
 """
 
 from __future__ import annotations
@@ -75,7 +77,12 @@ class AttestationVerifier:
 
     The cache models Basil's verification-amortization: once a node has
     verified a replica's signature over a batch root, further replies
-    from the same batch cost only hashing (Sec 4.4).
+    from the same batch cost only hashing (Sec 4.4).  The verifier keeps
+    no table of its own: roots and memoized verdicts live once, in the
+    context's :attr:`~repro.crypto.cost_model.CryptoContext.verified`,
+    which the context's own :meth:`~repro.crypto.cost_model.CryptoContext.verify`
+    reads too.  A root is looked up by digest alone; any other signature
+    by its token (:meth:`~repro.crypto.cost_model.CryptoContext.recall`).
     """
 
     def __init__(self, ctx: CryptoContext, aggregate: bool = False) -> None:
@@ -83,8 +90,6 @@ class AttestationVerifier:
         #: Model BLS-style aggregation (Sec 4.4): quorum verification via
         #: :meth:`verify_quorum` costs one pairing check plus hashing.
         self.aggregate = aggregate
-        #: Batch roots whose signature this node verified, per signer.
-        self._verified_roots: dict[str, set[Digest]] = {}
         self.cache_hits = 0
 
     def verify(self, att: Attestation) -> Awaitable[bool]:
@@ -115,8 +120,9 @@ class AttestationVerifier:
         A :class:`SignedMessage` costs one signature verification.  A
         :class:`BatchAttestation` costs one hash for its payload plus one
         per Merkle level, then its root signature's verification unless
-        this node already verified that (signer, root).  A verification
-        the node's memo already holds is counted and not charged.  Charges
+        this node already verified that (signer, root) (a ``cache_hits``).
+        A verdict the node's memo already holds is counted in
+        ``verify_memo_hits`` and not charged.  Charges
         go straight to the CPU unless instruments are attached, which then
         make each one a span or a frame.  The first member that fails ends
         the loop.
@@ -127,13 +133,13 @@ class AttestationVerifier:
         cpu = ctx.cpu
         instruments = cpu.sim.instruments
         charged = ctx.config.enabled
-        memo = ctx._verify_memo
-        verified_roots = self._verified_roots
+        verified = ctx.verified
+        memo = ctx.invalid is not None
         for att in atts:
             if isinstance(att, SignedMessage):
                 signature = att.signature
                 digest = payload_digest_of(att)
-                roots = None
+                root = False
             else:
                 hashes = 1 + len(att.proof.path)
                 ctx.hashes_computed += hashes
@@ -148,17 +154,13 @@ class AttestationVerifier:
                     return False
                 signature = att.root_signature
                 digest = att.root
-                roots = verified_roots.get(signature.signer)
-                if roots is None:
-                    roots = verified_roots[signature.signer] = set()
-                elif digest in roots:
+                known = verified.get(signature.signer)
+                if known is not None and digest in known:
                     self.cache_hits += 1
                     continue
+                root = True
             ctx.signatures_verified += 1
-            verdict = None
-            if memo is not None:
-                key = (signature.signer, digest, signature.token)
-                verdict = memo.get(key)
+            verdict = ctx.recall(signature, digest) if memo else None
             if verdict is not None:
                 ctx.verify_memo_hits += 1
             else:
@@ -169,12 +171,9 @@ class AttestationVerifier:
                         else instruments.charge(cpu, "verify", cost)
                     )
                 verdict = ctx._check_digest(signature, digest)
-                if memo is not None:
-                    memo[key] = verdict
+                ctx.record(signature, digest, verdict, root)
             if not verdict:
                 return False
-            if roots is not None:
-                roots.add(digest)
         return True
 
     async def _verify_aggregate(self, atts: Sequence[Attestation]) -> bool:

@@ -55,8 +55,9 @@ class TxState:
     view_decision: int = 0
     view_current: int = 0
     view_adopted_at: float = 0.0
-    #: Names of clients to push ST2R results to after fallback decisions.
-    interested: Optional[set[str]] = None
+    #: Names of clients to push ST2R results to after fallback decisions,
+    #: each once, in arrival order.
+    interested: Optional[tuple[str, ...]] = None
     #: ELECTFB attestations gathered while acting as fallback leader,
     #: keyed by view then by sender replica.
     elect_msgs: Optional[dict[int, dict[str, object]]] = None
@@ -64,10 +65,11 @@ class TxState:
     proposed_views: Optional[set[int]] = None
 
     def add_interested(self, client: str) -> None:
-        if self.interested is None:
-            self.interested = {client}
-        else:
-            self.interested.add(client)
+        interested = self.interested
+        if interested is None:
+            self.interested = (client,)
+        elif client not in interested:
+            self.interested = interested + (client,)
 
     @property
     def decided(self) -> bool:

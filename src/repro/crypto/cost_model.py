@@ -47,13 +47,18 @@ class CryptoContext:
         self.signatures_verified = 0
         self.hashes_computed = 0
         self.verify_memo_hits = 0
-        #: (signer, digest, token) -> verdict.  A signature this node has
-        #: already checked is not re-charged (models Basil's verification
-        #: cache for certificates that cross a node more than once).  The
-        #: token is part of the key so a forgery can never alias a real
-        #: signature's verdict.  None when memoization is off.
-        self._verify_memo: dict[tuple, bool] | None = (
-            {} if (config.enabled and config.verify_memo) else None
+        #: The node's one table of verified signatures: signer ->
+        #: {digest: token} for every signature it found valid.  A valid
+        #: signature has exactly one token per (signer, digest), so the
+        #: token is the whole verdict.  Batch roots are recorded always
+        #: (Basil's verification cache, Sec 4.4); any other signature only
+        #: with the memo on (:attr:`CryptoConfig.verify_memo`).
+        self.verified: dict[str, dict[Digest, int]] = {}
+        #: (signer, digest, token) of signatures found invalid, so a
+        #: forgery never aliases a real signature's entry.  None when the
+        #: memo is off.
+        self.invalid: set[tuple[str, Digest, int]] | None = (
+            set() if (config.enabled and config.verify_memo) else None
         )
         #: Pre-resolved cost of the overwhelmingly common 64-byte hash
         #: charge (cost config is frozen, so this can never go stale).
@@ -94,19 +99,48 @@ class CryptoContext:
         return await self.verify_digest(signed.signature, payload_digest_of(signed))
 
     async def verify_digest(self, signature: Signature, digest: Digest) -> bool:
-        memo = self._verify_memo
-        if memo is not None:
-            key = (signature.signer, digest, signature.token)
-            verdict = memo.get(key)
+        if self.invalid is not None:
+            verdict = self.recall(signature, digest)
             if verdict is not None:
                 self.signatures_verified += 1
                 self.verify_memo_hits += 1
                 return verdict
         await self.charge_verify()
         verdict = self._check_digest(signature, digest)
-        if memo is not None:
-            memo[key] = verdict
+        self.record(signature, digest, verdict)
         return verdict
+
+    def recall(self, signature: Signature, digest: Digest) -> bool | None:
+        """The memo's verdict on a signature, or None if it holds none.
+
+        Valid if its token is the one recorded for (signer, digest),
+        invalid if the invalid set holds it.  Only meaningful with the
+        memo on; batch roots are looked up by digest alone
+        (:meth:`AttestationVerifier._verify_each`).
+        """
+        known = self.verified.get(signature.signer)
+        if known is not None and known.get(digest) == signature.token:
+            return True
+        invalid = self.invalid
+        if invalid and (signature.signer, digest, signature.token) in invalid:
+            return False
+        return None
+
+    def record(
+        self, signature: Signature, digest: Digest, verdict: bool, root: bool = False
+    ) -> None:
+        """Remember a checked signature: a valid batch root always, any
+        other verdict only with the memo on."""
+        invalid = self.invalid
+        if not verdict:
+            if invalid is not None:
+                invalid.add((signature.signer, digest, signature.token))
+        elif root or invalid is not None:
+            known = self.verified.get(signature.signer)
+            if known is None:
+                self.verified[signature.signer] = {digest: signature.token}
+            else:
+                known[digest] = signature.token
 
     def _check_digest(self, signature: Signature, digest: Digest) -> bool:
         """The structural check, in a ``crypto.verify`` frame when profiled."""

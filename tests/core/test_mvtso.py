@@ -252,3 +252,11 @@ def test_write_write_same_key_allowed_multiversion(store, states):
     t2 = make_tx(ts(11), writes=[("a", b"2")])
     assert check(store, states, t1).status is CheckStatus.PREPARED
     assert check(store, states, t2).status is CheckStatus.PREPARED
+
+
+def test_interested_clients_are_a_tuple_without_duplicates():
+    state = TxState()
+    assert state.interested is None
+    for client in ("c2", "c1", "c2", "c1", "c3"):
+        state.add_interested(client)
+    assert state.interested == ("c2", "c1", "c3")

@@ -8,7 +8,8 @@ fast path leaves, on every replica:
 * one genesis chain entry per key, shared by all 5f+1 replicas of its
   shard;
 * slotted records (no per-instance ``__dict__``) and verification
-  caches keyed without per-entry tuples.
+  caches keyed without per-entry tuples: one table of verified
+  signatures per node, on its crypto context.
 """
 
 from __future__ import annotations
@@ -95,15 +96,32 @@ def test_records_have_no_instance_dict(run):
     assert TxState().decision_signal._waiters is None
 
 
+def _containers(obj):
+    return [v for v in vars(obj).values() if isinstance(v, (dict, set))]
+
+
 def test_verification_caches_hold_no_tuples(run):
-    roots = certs = 0
+    verified = certs = 0
+    tables = set()
     for node in [*run.replicas.values(), *run.clients]:
-        for signer, digests in node.verifier._verified_roots.items():
-            assert type(signer) is str and type(digests) is set
+        ctx = node.crypto
+        # one table per node, read by the node's own verifier
+        assert node.verifier.ctx is ctx
+        tables.add(id(ctx.verified))
+        for signer, digests in ctx.verified.items():
+            assert type(signer) is str and type(digests) is dict
             assert all(type(d) is bytes for d in digests)
-            roots += len(digests)
+            assert all(type(t) is int for t in digests.values())
+            verified += len(digests)
+        # no (signer, digest) is both valid and invalid
+        for signer, digest, _token in ctx.invalid:
+            assert digest not in ctx.verified.get(signer, ()), signer
+        # and no other cache shadows the table with per-entry tuples
+        for container in [*_containers(ctx), *_containers(node.verifier)]:
+            assert not any(type(k) is tuple for k in container)
         validator = node.validator
         for txids in (validator._committed, validator._aborted):
             assert all(type(txid) is bytes for txid in txids)
             certs += len(txids)
-    assert roots and certs
+    assert len(tables) == len(run.replicas) + len(run.clients)
+    assert verified and certs
