@@ -24,8 +24,9 @@ Then open health_dashboard.html in a browser.
 
 import os
 
-from repro.obs import render_html, write_html, write_report
 from repro.obs.__main__ import run_instrumented
+from repro.obs.html import render_html, write_html
+from repro.obs.report import write_report
 
 QUICK = bool(os.environ.get("REPRO_QUICK"))
 

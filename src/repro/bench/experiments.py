@@ -111,8 +111,8 @@ def set_trace_dir(path: str | None) -> None:
 
 
 #: When set (see :func:`set_obs_dir`), every figure point attaches a
-#: fresh :class:`repro.obs.ObsRecorder` and writes a RunReport JSON into
-#: the dir.
+#: fresh :class:`repro.obs.recorder.ObsRecorder` and writes a RunReport
+#: JSON into the dir.
 _OBS_DIR: str | None = None
 
 

@@ -108,8 +108,8 @@ class ExperimentRunner:
         #: Optional repro.faults.FaultInjector; armed against the system
         #: at run() so its schedule unfolds during the benchmark.
         self.injector = injector
-        #: Optional repro.obs.ObsRecorder; attached to the system at run()
-        #: so telemetry is sampled for the whole benchmark.
+        #: Optional repro.obs.recorder.ObsRecorder; attached to the system
+        #: at run() so telemetry is sampled for the whole benchmark.
         self.recorder = recorder
         #: Fault-free time simulated after the run before verify_history
         #: (drains in-flight writebacks and recoveries).

@@ -17,24 +17,8 @@ Everything the single-datacenter reproduction lacked to tell the
 
 CLI: ``python -m repro.geo sweep`` compares edge-decoupled vs
 direct-to-core serving across topologies.
+
+This package imports nothing: import each name from the module that
+defines it (``from repro.geo.plan import GeoSpec``), so a run loads only
+the parts of the geo tier it uses.
 """
-
-from repro.geo.edge import EdgeProxy, EdgeUser
-from repro.geo.latency import GeoPlacement, RegionLatencyModel
-from repro.geo.plan import GeoSpec
-from repro.geo.runner import GeoRunner, build_geo_system
-from repro.geo.topology import GeoTopology, get_topology, wan3, wan5
-
-__all__ = [
-    "EdgeProxy",
-    "EdgeUser",
-    "GeoPlacement",
-    "GeoRunner",
-    "GeoSpec",
-    "GeoTopology",
-    "RegionLatencyModel",
-    "build_geo_system",
-    "get_topology",
-    "wan3",
-    "wan5",
-]

@@ -82,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.workloads import WORKLOADS
 
         print("systems:  " + " ".join(SYSTEM_KINDS))
-        print("workloads: " + " ".join(sorted([*WORKLOADS, "tpcc"])))
+        print("workloads: " + " ".join(sorted(WORKLOADS)))
         print("processes: " + " ".join(PROCESSES))
         print("policies:  " + " ".join(sorted(POLICIES)))
         return 0

@@ -74,8 +74,8 @@ class OpenLoopGenerator:
         self.backoff_max = backoff_max
         self.name = name or f"{getattr(workload, 'name', 'load')}@{self.arrivals.rate:.0f}"
         self.injector = injector
-        #: Optional repro.obs.ObsRecorder; attached at run() so open-loop
-        #: runs sample the same telemetry as closed-loop benchmarks.
+        #: Optional repro.obs.recorder.ObsRecorder; attached at run() so
+        #: open-loop runs sample the same telemetry as closed-loop benchmarks.
         self.recorder = recorder
         self.monitor = Monitor(
             window=MeasurementWindow(start=warmup, end=warmup + duration)

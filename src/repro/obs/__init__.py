@@ -20,48 +20,9 @@ Telemetry is **off by default**: with no registry attached and no
 ticker configured, a run's schedule and trace digest are byte-identical
 to a build without this package (pinned by golden-digest tests).
 
-CLI: ``python -m repro.obs run|compare|check`` (see docs/observability.md).
+CLI: ``python -m repro.obs run|compare|rules`` (see docs/observability.md).
+
+This package imports nothing: import each name from the module that
+defines it (``from repro.obs.recorder import ObsRecorder``), so a run
+loads only the telemetry it records.
 """
-
-from repro.obs.compare import CompareResult, compare_reports, render_compare
-from repro.obs.health import (
-    HealthRule,
-    HealthVerdict,
-    default_basil_rules,
-    evaluate_rules,
-    overall_health,
-)
-from repro.obs.html import render_html, write_html
-from repro.obs.recorder import ObsRecorder
-from repro.obs.registry import (
-    MetricsRegistry,
-    prometheus_text,
-    series_jsonl,
-    write_series_jsonl,
-)
-from repro.obs.report import RunReport, config_digest, load_report, write_report
-from repro.obs.ticker import MetricsTicker, TimeSeries
-
-__all__ = [
-    "CompareResult",
-    "HealthRule",
-    "HealthVerdict",
-    "MetricsRegistry",
-    "MetricsTicker",
-    "ObsRecorder",
-    "RunReport",
-    "TimeSeries",
-    "compare_reports",
-    "config_digest",
-    "default_basil_rules",
-    "evaluate_rules",
-    "load_report",
-    "overall_health",
-    "prometheus_text",
-    "render_compare",
-    "render_html",
-    "series_jsonl",
-    "write_html",
-    "write_report",
-    "write_series_jsonl",
-]

@@ -23,10 +23,12 @@ installed, tick events interleave with protocol events deterministically
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.obs.registry import MetricsRegistry
 from repro.sim.monitor import Histogram, metric_key
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.obs.registry import MetricsRegistry
 
 Probe = Callable[[], Iterable[tuple[str, dict[str, str], float]]]
 

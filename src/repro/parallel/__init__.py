@@ -29,25 +29,8 @@ Determinism contract (see docs/parallel.md):
 * Every named RNG stream is derived from ``(seed, partition_id,
   stream)``; :func:`~repro.parallel.partition.audit_rng_streams`
   asserts no two partitions ever share a stream.
+
+This package imports nothing: import each name from the module that
+defines it (``from repro.parallel.runtime import ParallelRunner``), so
+a sequential run never loads the worker machinery.
 """
-
-from repro.parallel.exchange import Envelope, envelope_order, window_count
-from repro.parallel.merge import combine_digests
-from repro.parallel.models import make_plan
-from repro.parallel.partition import PartitionPlan, PlanSlice, audit_rng_streams
-from repro.parallel.runtime import ParallelResult, ParallelRunner
-from repro.run import ModelSpec
-
-__all__ = [
-    "Envelope",
-    "ModelSpec",
-    "ParallelResult",
-    "ParallelRunner",
-    "PartitionPlan",
-    "PlanSlice",
-    "audit_rng_streams",
-    "combine_digests",
-    "envelope_order",
-    "make_plan",
-    "window_count",
-]

@@ -9,7 +9,6 @@ the windowed exchange of :mod:`repro.parallel.exchange` to completion.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -144,9 +143,11 @@ class ParallelRunner:
         end_time = spec.end_time()
         windows = window_count(end_time, plan.lookahead)
 
+        import multiprocessing
+
         from repro.parallel.worker import worker_main
 
-        ctx = mp.get_context("fork")
+        ctx = multiprocessing.get_context("fork")
         links: list[_WorkerLink] = []
         try:
             for worker_id, owned in enumerate(ownership):

@@ -6,7 +6,7 @@ instruments).  Every entry point builds one and runs it as
 ``SequentialRun(spec)``: the whole system on one plain simulator,
 byte-identical to a hand-built sequential run.  The figures, geo runs,
 the fault campaign, ``obs run`` and the open-loop planner all run this
-way.  ``repro.parallel.ParallelRunner`` can also run a plain
+way.  ``repro.parallel.runtime.ParallelRunner`` can also run a plain
 closed-loop ``basil`` spec or the ``microbench`` as one partition host
 per plan slice (:mod:`repro.parallel.models`); it refuses every other
 kind and every spec with ``drain``, ``arrivals``, ``geo``,

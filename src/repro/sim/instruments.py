@@ -4,7 +4,8 @@ A simulator's ``instruments`` is ``None`` until the first
 ``Simulator.attach_tracer`` / ``attach_metrics`` / ``attach_profiler``
 call, and from then on an :class:`Instruments` holding exactly the sinks
 attached: a :class:`repro.trace.Tracer`, a
-:class:`repro.obs.MetricsRegistry`, a :class:`repro.prof.Profiler`.
+:class:`repro.obs.registry.MetricsRegistry`, a
+:class:`repro.prof.Profiler`.
 Every instrumented site tests ``sim.instruments is None`` once and
 otherwise makes one call here; what that call records — the metric name
 and labels, the trace category, name and fields, the profiler row — is

@@ -364,22 +364,16 @@ class EventHandle:
     """A cancellable scheduled callback (a slotted heap record).
 
     The handle *is* the event record: the heap stores ``(when, seq,
-    handle)`` and the callback and its arguments live in slots here.
+    handle)`` and the callback and its arguments live in slots here (the
+    time only in the heap entry, so a pending timer costs 64 bytes).
     Cancellation tombstones the record in O(1) — the callback reference is
     dropped immediately and the entry is skipped when it reaches the top
     of the heap (or removed wholesale by compaction).
     """
 
-    __slots__ = ("when", "_fn", "_args", "_cancelled", "_sim")
+    __slots__ = ("_fn", "_args", "_cancelled", "_sim")
 
-    def __init__(
-        self,
-        sim: "Simulator",
-        when: float,
-        fn: Callable[..., None],
-        args: tuple,
-    ) -> None:
-        self.when = when
+    def __init__(self, sim: "Simulator", fn: Callable[..., None], args: tuple) -> None:
         self._fn: Callable[..., None] | None = fn
         self._args: tuple | None = args
         self._cancelled = False
@@ -452,7 +446,7 @@ class Simulator:
         return tracer
 
     def attach_metrics(self, registry: Any) -> Any:
-        """Install a :class:`repro.obs.MetricsRegistry`; returns it."""
+        """Install a :class:`repro.obs.registry.MetricsRegistry`; returns it."""
         self._instrumented().metrics = registry
         return registry
 
@@ -503,7 +497,7 @@ class Simulator:
         """Schedule ``fn(*args)`` at absolute simulated time ``when``."""
         if when < self.now:
             raise SimulationError(f"cannot schedule into the past ({when} < {self.now})")
-        handle = EventHandle(self, when, fn, args)
+        handle = EventHandle(self, fn, args)
         heappush(self._queue, (when, self._seq, handle))
         self._seq += 1
         return handle
@@ -514,7 +508,7 @@ class Simulator:
         # never be in the past).
         now = self.now
         when = now + delay if delay > 0.0 else now
-        handle = EventHandle(self, when, fn, args)
+        handle = EventHandle(self, fn, args)
         heappush(self._queue, (when, self._seq, handle))
         self._seq += 1
         return handle

@@ -5,7 +5,8 @@ import pytest
 from repro.bench.runner import ExperimentRunner
 from repro.config import SystemConfig
 from repro.core.system import BasilSystem
-from repro.obs import ObsRecorder, load_report, write_report
+from repro.obs.recorder import ObsRecorder
+from repro.obs.report import load_report, write_report
 from repro.workloads.ycsb import YCSBWorkload
 
 

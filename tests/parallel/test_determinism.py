@@ -14,7 +14,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.errors import SimulationError
-from repro.parallel import ParallelRunner
+from repro.parallel.runtime import ParallelRunner
 from repro.run import ModelSpec
 
 pytestmark = pytest.mark.parallel_smoke

@@ -16,7 +16,7 @@ import pytest
 from repro.bench.runner import ExperimentRunner
 from repro.byzantine.clients import ByzantineClient
 from repro.config import SystemConfig
-from repro.parallel import ParallelRunner
+from repro.parallel.runtime import ParallelRunner
 from repro.run import ModelSpec
 from repro.trace.export import trace_digest
 from repro.trace.tracer import Tracer

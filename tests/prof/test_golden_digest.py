@@ -48,7 +48,7 @@ def test_profiled_sequential_run_matches_golden_digest(pin):
 
 
 def _parallel_digest(prof: bool, workers: int = 2):
-    from repro.parallel import ParallelRunner
+    from repro.parallel.runtime import ParallelRunner
     from repro.run import ModelSpec
 
     spec = ModelSpec(

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulator kernel."""
 
+import sys
+
 import pytest
 
 from repro.errors import SimTimeoutError, SimulationError
@@ -467,6 +469,15 @@ def test_cancelled_timers_are_compacted():
     sim.run()
     assert survivors == ["live"]
     assert all(h.cancelled for h in handles)
+
+
+def test_pending_timer_is_a_64_byte_record():
+    """A handle holds only the callback, its arguments, the cancel flag
+    and the simulator; the time lives in the heap entry alone."""
+    sim = Simulator()
+    handle = sim.call_later(0.1, (lambda: None))
+    assert not hasattr(handle, "__dict__")
+    assert sys.getsizeof(handle) <= 64
 
 
 def test_cancel_after_fire_is_noop():
