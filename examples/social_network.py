@@ -10,7 +10,7 @@ Run:  python examples/social_network.py
 
 from repro import BasilSystem, SystemConfig
 from repro.bench.runner import ExperimentRunner
-from repro.workloads.retwis import RetwisWorkload
+from repro.workloads.retwis import MIX, RetwisWorkload
 
 
 def main() -> None:
@@ -21,7 +21,7 @@ def main() -> None:
 
     runner = ExperimentRunner(
         system, workload, num_clients=20, duration=0.5, warmup=0.15,
-        name="basil/retwis", tag_transactions=True,
+        name="basil/retwis",
     )
     result = runner.run()
 
@@ -29,9 +29,9 @@ def main() -> None:
     print(result.row())
     print(f"  committed: {result.commits}, aborted attempts: {result.aborts}")
     print("  per transaction type:")
-    for name, counter in sorted(runner.monitor.counters.items()):
-        if name.startswith("commits/retwis/"):
-            print(f"    {name.removeprefix('commits/'):<24} {counter.value}")
+    for kind, _ in MIX:
+        committed = runner.monitor.counter("commits", txn=f"retwis/{kind}").value
+        print(f"    {kind:<24} {committed}")
     print(f"  fast-path rate: {result.fast_path_rate * 100:.1f}% "
           "(paper: ~99% for Retwis-class workloads)")
 

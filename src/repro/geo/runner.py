@@ -12,17 +12,17 @@ statistics.  That separation is the point of the experiment: the edge
 tier's lease/write-back decoupling keeps the end-user path regional
 while consensus still pays WAN quorum latency underneath.
 
-``GeoRunner`` mirrors :class:`repro.bench.runner.ExperimentRunner`'s
-lifecycle (``setup()`` schedules everything without executing an event;
-``finalize()`` summarizes) so the run pipeline (:mod:`repro.run`) drives
-either the same way.  Geo runs are sequential.
+``GeoRunner`` is a :class:`repro.bench.runner.Driver`: ``setup()``
+schedules everything without executing an event, ``finalize()``
+summarizes, so the run pipeline (:mod:`repro.run`) drives it like the
+other drivers.  Geo runs are sequential.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from repro.bench.runner import BenchResult
+from repro.bench.runner import BenchResult, Driver
 from repro.geo.edge import DirectUser, EdgeProxy, EdgeUser, RegionStats, histogram
 from repro.geo.latency import RegionLatencyModel, user_name
 from repro.geo.obs import edge_probe, geo_health_rules
@@ -47,7 +47,6 @@ def wan_timeouts(config: Any, topology: Any) -> Any:
         request_timeout=max(config.request_timeout, 2.5 * rtt),
         dependency_timeout=max(config.dependency_timeout, 1.5 * rtt),
         fallback_view_timeout=max(config.fallback_view_timeout, 2.0 * rtt),
-        retry_backoff_max=max(config.retry_backoff_max, rtt),
     )
 
 
@@ -76,7 +75,7 @@ def build_geo_system(config: Any, geo: GeoSpec) -> Any:
 _REGION_ID_BLOCK = 1000
 
 
-class GeoRunner:
+class GeoRunner(Driver):
     """Closed-loop geo serving experiment over one system."""
 
     def __init__(
@@ -89,39 +88,24 @@ class GeoRunner:
         recorder: Any = None,
         injector: Any = None,
     ) -> None:
-        self.system = system
-        self.geo = geo
-        topology = geo.topology
-        self.regions = topology.regions
-        self.duration = duration
-        self.warmup = warmup
-        self.name = name or f"geo-{topology.name}-{geo.mode}"
-        self.recorder = recorder
-        self.injector = injector
-        self.workload = GeoSessionWorkload(
-            num_keys=geo.keys, read_fraction=geo.read_fraction
+        super().__init__(
+            system,
+            GeoSessionWorkload(num_keys=geo.keys, read_fraction=geo.read_fraction),
+            duration, warmup,
+            name or f"geo-{geo.topology.name}-{geo.mode}", injector, recorder,
         )
-        self.end_time = warmup + duration + warmup  # + cool-down
+        self.geo = geo
+        self.regions = geo.topology.regions
         self.proxies: dict[str, EdgeProxy] = {}
         self.users: dict[str, list[Any]] = {}
         self.stats: dict[str, RegionStats] = {}
 
-    # ------------------------------------------------------------------
-    # Setup
-    # ------------------------------------------------------------------
-    def setup(self) -> float:
-        """Wire faults, genesis data, serving tier, telemetry; no events run.
-
-        Same relative order as ``ExperimentRunner.setup``: injector before
-        genesis load, recorder last.  Returns the run's end time.
-        """
+    def _start(self, end_time: float) -> None:
+        """Stand up the serving tier, then attach the recorder."""
         from repro.core.system import CLOCK_EPOCH
 
         system, geo = self.system, self.geo
         sim, config = system.sim, system.config
-        if self.injector is not None:
-            self.injector.attach(system)
-        system.load(self.workload.genesis())
         window_end = self.warmup + self.duration
         skew_rng = sim.rng("clock-skew")
         for region in self.regions:
@@ -145,7 +129,7 @@ class GeoRunner:
                         sim, user_name(region, i), system.network, config,
                         region=region, proxy=proxy.name, workload=self.workload,
                         rng=sim.rng(f"geo-user/{region}/{i}"), stats=stats,
-                        stop_issuing=window_end, end_time=self.end_time,
+                        stop_issuing=window_end, end_time=end_time,
                         think_time=geo.think_time,
                     )
                     system.network.register(user)
@@ -158,7 +142,7 @@ class GeoRunner:
                         system.sharder, system.registry, region=region,
                         index=i, workload=self.workload,
                         rng=sim.rng(f"geo-user/{region}/{i}"), stats=stats,
-                        stop_issuing=window_end, end_time=self.end_time,
+                        stop_issuing=window_end, end_time=end_time,
                         think_time=geo.think_time,
                     )
                     user.clock_offset = CLOCK_EPOCH + skew_rng.uniform(
@@ -174,19 +158,9 @@ class GeoRunner:
             )
             if self.proxies:
                 self.recorder.ticker.add_probe(edge_probe(self.proxies))
-            self.recorder.attach(system, until=self.end_time)
-        return self.end_time
+            self.recorder.attach(system, until=end_time)
 
-    # ------------------------------------------------------------------
-    # Execution + results
-    # ------------------------------------------------------------------
-    def run(self) -> BenchResult:
-        """Sequential convenience: setup, advance to the end, summarize."""
-        end = self.setup()
-        self.system.sim.run(until=end)
-        return self.finalize()
-
-    def finalize(self) -> BenchResult:
+    def _result(self) -> BenchResult:
         geo, topology = self.geo, self.geo.topology
         per_region: dict[str, dict[str, Any]] = {}
         read_samples: list[float] = []
@@ -234,8 +208,7 @@ class GeoRunner:
             "write_p99": writes.percentile(99),
         }
         attempts = commits + aborts
-        return BenchResult(
-            name=self.name,
+        return self._row(
             throughput=ops / self.duration if self.duration else 0.0,
             mean_latency=sum(all_samples) / ops if ops else 0.0,
             p99_latency=histogram(all_samples).percentile(99),
@@ -243,8 +216,5 @@ class GeoRunner:
             fast_path_rate=fast / commits if commits else 0.0,
             commits=commits,
             aborts=aborts,
-            duration=self.duration,
-            dropped=getattr(self.system.network, "messages_dropped", 0),
             extra={"geo": extra_geo},
         )
-

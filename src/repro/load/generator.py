@@ -9,7 +9,8 @@ latency–throughput curve past the knee.
 
 Structure: one *driver* task samples inter-arrival gaps from the
 dedicated ``"load"`` RNG stream; each admitted arrival becomes its own
-simulator task running the usual session/retry loop against a pool of
+simulator task running the drivers' one retry loop
+(:meth:`repro.bench.runner.Driver._issue`) against a pool of
 ``proxies`` protocol clients (round-robin).  Clients issue monotonic
 begin timestamps, so concurrent sessions on one proxy are safe.
 
@@ -24,14 +25,13 @@ from __future__ import annotations
 
 from typing import Any
 
+from repro.bench.runner import BenchResult, Driver
 from repro.config import AdmissionConfig, ArrivalConfig
-from repro.errors import ProtocolError
 from repro.load.admission import ADMIT, DELAY, SHED, AdmissionPolicy, make_policy
 from repro.load.arrivals import ArrivalProcess, from_config
-from repro.sim.monitor import MeasurementWindow, Monitor
 
 
-class OpenLoopGenerator:
+class OpenLoopGenerator(Driver):
     """Open-loop counterpart of :class:`repro.bench.runner.ExperimentRunner`.
 
     ``system`` must expose ``sim``, ``replicas``, ``create_client()`` and
@@ -49,74 +49,35 @@ class OpenLoopGenerator:
         duration: float = 1.0,
         warmup: float = 0.25,
         proxies: int = 8,
-        max_retries: int = 50,
-        backoff_base: float = 0.002,
-        backoff_max: float = 0.05,
         name: str = "",
         injector: Any = None,
         recorder: Any = None,
     ) -> None:
-        self.system = system
-        self.workload = workload
         self.arrivals = (
             from_config(arrivals) if isinstance(arrivals, ArrivalConfig) else arrivals
+        )
+        super().__init__(
+            system, workload, duration, warmup,
+            name or f"{getattr(workload, 'name', 'load')}@{self.arrivals.rate:.0f}",
+            injector, recorder,
         )
         if admission is None:
             admission = AdmissionConfig()
         self.policy = (
             make_policy(admission) if isinstance(admission, AdmissionConfig) else admission
         )
-        self.duration = duration
-        self.warmup = warmup
         self.proxies = proxies
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
-        self.name = name or f"{getattr(workload, 'name', 'load')}@{self.arrivals.rate:.0f}"
-        self.injector = injector
-        #: Optional repro.obs.recorder.ObsRecorder; attached at run() so
-        #: open-loop runs sample the same telemetry as closed-loop benchmarks.
-        self.recorder = recorder
-        self.monitor = Monitor(
-            window=MeasurementWindow(start=warmup, end=warmup + duration)
-        )
         #: Admitted-but-unfinished transactions (the policy's input).
         self.in_flight = 0
 
-    # ------------------------------------------------------------------
-    def run(self) -> "BenchResult":
-        self.system.sim.run(until=self.setup())
-        return self.finalize()
-
-    def setup(self) -> float:
-        """Wire up the load without advancing time; returns end_time.
-
-        The same ``setup()`` / ``finalize()`` split as
-        :class:`~repro.bench.runner.ExperimentRunner`, so the run
-        pipeline (:mod:`repro.run`) can drive either.
-        """
+    def _start(self, end_time: float) -> None:
         sim = self.system.sim
-        if self.injector is not None:
-            self.injector.attach(self.system)
-        self.system.load(self.workload.genesis())
         self._clients = [self.system.create_client() for _ in range(self.proxies)]
         self._next_proxy = 0
-        self._tasks: list[Any] = []
-        end_time = self.warmup + self.duration + self.warmup  # + cool-down
-        self._end_time = end_time
         if self.recorder is not None:
             self.recorder.attach(self.system, until=end_time)
-        self._driver = sim.create_task(self._drive(end_time), name="load-driver")
-        return end_time
-
-    def finalize(self) -> "BenchResult":
-        """Stop the load once time has reached ``end_time``; returns results."""
-        from repro.bench.runner import BenchResult
-
-        self._driver.cancel()
-        for task in self._tasks:
-            task.cancel()
-        return self._result(BenchResult)
+        # First in _tasks: finalize() cancels the driver before the arrivals.
+        self._tasks.append(sim.create_task(self._drive(end_time), name="load-driver"))
 
     # ------------------------------------------------------------------
     async def _drive(self, end_time: float) -> None:
@@ -183,33 +144,11 @@ class OpenLoopGenerator:
 
     async def _execute(self, client: Any, task: Any, arrived: float) -> None:
         sim = self.system.sim
-        monitor = self.monitor
         rng = sim.rng("load-backoff")
         started = sim.now
         committed = False
         try:
-            retries = 0
-            while True:
-                session = self.system.new_session(client)
-                try:
-                    await task.body(session)
-                    result = await session.commit()
-                except ProtocolError:
-                    monitor.record_event(sim.now, "protocol_errors")
-                    break
-                if result.committed:
-                    committed = True
-                    monitor.record_commit(
-                        sim.now, sim.now - arrived, result.fast_path, tag="open"
-                    )
-                    break
-                monitor.record_abort(sim.now, tag="open")
-                retries += 1
-                if retries > self.max_retries or sim.now >= self._end_time:
-                    monitor.record_event(sim.now, "gave_up")
-                    break
-                backoff = min(self.backoff_max, self.backoff_base * (2 ** (retries - 1)))
-                await sim.sleep(rng.uniform(0, backoff))
+            committed = await self._issue(client, task, rng, arrived, "open")
         finally:
             self.in_flight -= 1
             self.policy.on_done(sim.now, committed)
@@ -217,19 +156,10 @@ class OpenLoopGenerator:
                 sim.instruments.load_inflight(started, committed, started - arrived)
 
     # ------------------------------------------------------------------
-    def _result(self, result_cls) -> "BenchResult":
+    def _result(self) -> BenchResult:
         monitor = self.monitor
-        return result_cls(
-            name=self.name,
-            throughput=monitor.throughput(),
-            mean_latency=monitor.mean_latency(),
-            p99_latency=monitor.p99_latency(),
-            commit_rate=monitor.commit_rate(),
-            fast_path_rate=monitor.fast_path_rate(),
-            commits=monitor.counter("commits").value,
-            aborts=monitor.counter("aborts").value,
-            duration=self.duration,
-            dropped=getattr(getattr(self.system, "network", None), "messages_dropped", 0),
+        return self._row(
+            **self._monitor_fields(),
             offered_tps=monitor.offered_tps(),
             goodput_tps=monitor.goodput_tps(),
             shed_count=monitor.shed_count(),

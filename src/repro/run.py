@@ -304,7 +304,6 @@ class _Run:
             from repro.geo.runner import GeoRunner
 
             self.runner = GeoRunner(self.system, spec.geo, **common)
-            self.runner.setup()
         elif spec.arrivals is not None:
             # Imported here so a closed-loop run never loads repro.load.
             from repro.load.generator import OpenLoopGenerator
@@ -317,7 +316,6 @@ class _Run:
                 proxies=spec.num_clients,
                 **common,
             )
-            self.runner.setup()
         else:
             from repro.bench.runner import ExperimentRunner
 
@@ -329,7 +327,7 @@ class _Run:
                 cancel_at_end=spec.drain is None,
                 **common,
             )
-            self.runner.setup()
+        self.runner.setup()
 
     def _summarize(
         self,

@@ -214,7 +214,11 @@ class Monitor:
             hist.reset()
 
     # -- transaction-level recording --------------------------------------
-    def record_commit(self, now: float, latency: float, fast_path: bool, tag: str = "") -> None:
+    def record_commit(
+        self, now: float, latency: float, fast_path: bool, tag: str = "", txn: str = ""
+    ) -> None:
+        """One commit; also counted under ``tag`` (the client group) and
+        under ``txn`` (the transaction's name) when given."""
         if not self.window.contains(now):
             return
         self.counter("commits").add()
@@ -223,6 +227,8 @@ class Monitor:
             self.counter("fast_path_commits").add()
         if tag:
             self.counter("commits", tag=tag).add()
+        if txn:
+            self.counter("commits", txn=txn).add()
 
     def record_abort(self, now: float, tag: str = "") -> None:
         if not self.window.contains(now):

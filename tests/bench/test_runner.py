@@ -5,6 +5,8 @@ import pytest
 from repro.bench.runner import ExperimentRunner
 from repro.config import SystemConfig
 from repro.core.system import BasilSystem
+from repro.run import ModelSpec, SequentialRun
+from repro.verify.history import HistoryChecker
 from repro.workloads.ycsb import YCSBWorkload
 
 
@@ -61,22 +63,25 @@ def test_runner_deterministic_given_seed():
 def test_tagged_transactions_counted():
     system = BasilSystem(SystemConfig(f=1, num_shards=1, batch_size=4))
     wl = YCSBWorkload(num_keys=500, reads=1, writes=1)
-    runner = ExperimentRunner(
-        system, wl, num_clients=2, duration=0.1, warmup=0.02, tag_transactions=True
-    )
+    runner = ExperimentRunner(system, wl, num_clients=2, duration=0.1, warmup=0.02)
     result = runner.run()
-    tagged = runner.monitor.counter("commits", tag="ycsb-u").value
-    assert tagged == result.commits
+    named = runner.monitor.counter("commits", txn="ycsb-u").value
+    assert named == result.commits
+    # The client-group label is counted alongside, not instead.
+    assert runner.monitor.counter("commits", tag="correct").value == result.commits
 
 
 def test_runner_history_verification_clean():
-    system = BasilSystem(SystemConfig(f=1, num_shards=1, batch_size=4))
-    wl = YCSBWorkload(num_keys=500, reads=1, writes=1)
-    runner = ExperimentRunner(
-        system, wl, num_clients=4, duration=0.1, warmup=0.03, verify_history=True
+    spec = ModelSpec(
+        kind="basil", config=SystemConfig(f=1, num_shards=1, batch_size=4),
+        workload="ycsb-t", workload_keys=500,
+        workload_kwargs=(("reads", 1), ("writes", 1)),
+        num_clients=4, duration=0.1, warmup=0.03, trace=False, drain=0.2,
     )
-    result = runner.run()  # raises if the history is not Byz-serializable
-    assert result.commits > 0
+    run = SequentialRun(spec)
+    result = run.run()
+    HistoryChecker(run.system).assert_ok()
+    assert result.bench["commits"] > 0
 
 
 def test_cli_smoke():

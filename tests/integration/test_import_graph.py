@@ -90,8 +90,10 @@ def test_sequential_basil_run_loads_no_other_subsystem():
         modules,
         "multiprocessing",
         "repro.obs",
-        "repro.geo.edge",
-        "repro.geo.runner",
+        "repro.geo",
+        "repro.load",
+        "repro.faults",
+        "repro.verify",
         "repro.workloads.tpcc",
         "repro.baselines",
         "repro.trace",

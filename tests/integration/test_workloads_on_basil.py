@@ -15,8 +15,7 @@ def run_workload(workload, clients=8, duration=0.15, **config_overrides):
     config = SystemConfig(f=1, num_shards=1, batch_size=4, **config_overrides)
     system = BasilSystem(config)
     runner = ExperimentRunner(
-        system, workload, num_clients=clients, duration=duration, warmup=0.05,
-        tag_transactions=True,
+        system, workload, num_clients=clients, duration=duration, warmup=0.05
     )
     result = runner.run()
     system.run()  # drain writebacks so stores converge
@@ -76,8 +75,8 @@ def test_retwis_runs_and_timeline_reads_dominate():
     wl = RetwisWorkload(num_users=2000)
     system, runner, result = run_workload(wl)
     assert result.commits > 100
-    timeline = runner.monitor.counter("commits", tag="retwis/load_timeline").value
-    posts = runner.monitor.counter("commits", tag="retwis/post_tweet").value
+    timeline = runner.monitor.counter("commits", txn="retwis/load_timeline").value
+    posts = runner.monitor.counter("commits", txn="retwis/post_tweet").value
     assert timeline > posts
 
 
@@ -86,7 +85,7 @@ def test_tpcc_runs_and_orders_accumulate():
     system, runner, result = run_workload(wl, clients=6)
     assert result.commits > 20
     # committed new_orders must have bumped district counters
-    new_orders = runner.monitor.counter("commits", tag="tpcc/new_order").value
+    new_orders = runner.monitor.counter("commits", txn="tpcc/new_order").value
     if new_orders:
         total_advance = 0
         replica = system.shard_replicas(0)[0]
