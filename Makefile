@@ -8,17 +8,20 @@ install:
 test:
 	pytest tests/ 2>&1 | tee test_output.txt
 
-# Source lines per src/repro package and in total (ROADMAP item 4's budget).
+# Source lines per src/repro package, in the top-level modules (the run
+# pipeline, the config, the CLI) and in total.
 loc:
-	@for d in src/repro/*/ src/repro; do printf '%7d %s\n' "$$(find $$d -name '*.py' | xargs cat | wc -l)" $$d; done
+	@for d in $$(ls -d src/repro/*/ | grep -v __pycache__); do printf '%7d %s\n' "$$(find $$d -name '*.py' | xargs cat | wc -l)" $$d; done
+	@printf '%7d %s\n' "$$(cat src/repro/*.py | wc -l)" 'src/repro/*.py'
+	@printf '%7d %s\n' "$$(find src/repro -name '*.py' | xargs cat | wc -l)" src/repro
 
 # Every figure and both ablations at the default scale, each paper claim
 # judged; FIGURES.json is what EXPERIMENTS.md's tables are rendered from.
 bench:
-	python -m repro.bench report --out FIGURES.json
+	python -m repro sweep figures --out FIGURES.json
 
 quick-bench:
-	python -m repro.bench --quick report
+	python -m repro sweep figures --scale quick
 
 trace-smoke:
 	pytest tests -m trace_smoke -q
@@ -29,7 +32,7 @@ fault-smoke:
 	python examples/partition_during_prepare.py
 
 fault-sweep:
-	python -m repro.faults sweep --seeds 25
+	python -m repro sweep faults --seeds 25
 
 # The one perf ledger: all six BENCHMARK.json workloads at small sizes,
 # every gate (twin equality, HistoryChecker, kernel-mix counts, ...).
@@ -41,42 +44,44 @@ perf-smoke:
 # deployment for a short window: genesis is implicit, so this builds in
 # milliseconds and holds state only for the keys the window touches.
 paper-smoke:
-	python -m repro.parallel run --kind basil --workload ycsb-t --keys 10000000 \
-		--shards 2 --clients 8 --duration 0.05 --warmup 0.01
+	python -m repro run --kind basil --workload ycsb-t --workload-keys 10000000 \
+		--num-shards 2 --num-clients 8 --duration 0.05 --warmup 0.01
 
 prof-smoke:
 	pytest tests/prof -m prof_smoke -q
 	python examples/profile_hot_path.py
-	python -m repro.prof run --bench microbench-quick --no-deep --min-coverage 0.8
-	python -m repro.prof run --bench fig4-basil-quick --no-deep --min-coverage 0.8
-	python -m repro.prof run --bench fig4-basil-quick --no-deep --min-coverage 0.8 --workers 2
+	python -m repro run --kind microbench --timers 500 --duration 0.05 --prof --min-coverage 0.8
+	python -m repro run --workload ycsb-u --workload-keys 2000 --num-clients 12 --num-shards 2 \
+		--duration 0.1 --warmup 0.05 --prof --min-coverage 0.8
+	python -m repro run --workload ycsb-u --workload-keys 2000 --num-clients 12 --num-shards 2 \
+		--duration 0.1 --warmup 0.05 --prof --min-coverage 0.8 --workers 2
 
 parallel-smoke:
 	pytest tests/parallel -m parallel_smoke -q
-	python -m repro.parallel run --kind basil --workers 2 --shards 3 --duration 0.02 --warmup 0.005 --clients 4 --keys 300
-	python -m repro.parallel ladder --quick
+	python -m repro run --kind basil --workers 2 --num-shards 3 --duration 0.02 --warmup 0.005 --num-clients 4 --workload-keys 300
+	python -m repro sweep ladder --scale quick
 
 parallel-ladder:
-	python -m repro.parallel ladder
-	python -m repro.parallel ladder --quick
+	python -m repro sweep ladder
+	python -m repro sweep ladder --scale quick
 
 geo-smoke:
 	pytest tests/geo -m geo_smoke -q
 	python examples/edge_sessions.py
-	python -m repro.geo sweep --topologies wan3 \
-		--duration 0.5 --warmup 0.15 --keys 16
+	python -m repro sweep geo --topologies wan3 \
+		--duration 0.5 --warmup 0.15 --workload-keys 16
 
 geo-sweep:
-	python -m repro.geo sweep --topologies wan3 wan5 --obs runs/geo
+	python -m repro sweep geo --topologies wan3 wan5 --obs runs/geo
 
 load-smoke:
 	pytest tests -m load_smoke -q
 	python examples/overload_recovery.py
-	python -m repro.load sweep --quick --clients 8 --proxies 8 \
+	python -m repro sweep load --scale quick --num-clients 8 --proxies 8 \
 		--loads 800 1600 2400 --no-closed-loop --no-overload
 
 load-sweep:
-	python -m repro.load sweep --system basil --workload ycsb-t
+	python -m repro sweep load --kind basil --workload ycsb-t
 
 obs-smoke:
 	pytest tests -m obs_smoke -q

@@ -24,9 +24,8 @@ Then open health_dashboard.html in a browser.
 
 import os
 
-from repro.obs.__main__ import run_instrumented
 from repro.obs.html import render_html, write_html
-from repro.obs.report import write_report
+from repro.obs.report import run_instrumented, write_report
 
 QUICK = bool(os.environ.get("REPRO_QUICK"))
 

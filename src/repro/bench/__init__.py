@@ -7,7 +7,7 @@
   (4a/4b, 5a/5b/5c, 6a/6b, 7a/7b) and ablation, scaled down by default.
 * :mod:`repro.bench.report` — renders rows and ratios between systems.
 * :mod:`repro.bench.claims` — every shape the paper claims, as a named
-  check judged by ``python -m repro.bench report``.
+  check judged by ``python -m repro sweep figures``.
 """
 
 from repro.bench.runner import BenchResult, ExperimentRunner

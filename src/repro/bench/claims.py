@@ -14,7 +14,7 @@ against what the paper reports:
 ``expected_fail`` is the reason a claim is known to fail at the default
 scale.  Such a claim judges ``expected-fail`` while it fails and
 ``unexpected pass`` once it holds, so a fixed deviation asks for its
-record to change.  ``python -m repro.bench report`` judges every claim;
+record to change.  ``python -m repro sweep figures`` judges every claim;
 EXPERIMENTS.md's tables are :func:`render_tables` of the committed
 ``FIGURES.json``.
 """

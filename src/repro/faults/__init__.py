@@ -1,7 +1,8 @@
 """Deterministic fault injection and seed-sweep campaigns.
 
 See ``docs/simulation.md`` ("Fault injection & simulation testing") and
-``python -m repro.faults list`` for the scenario matrix.
+``python -m repro list`` for the scenario matrix; ``python -m repro sweep
+faults`` runs it and ``python -m repro replay BUNDLE`` re-runs a failure.
 """
 
 from repro.faults.campaign import (

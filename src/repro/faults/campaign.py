@@ -14,7 +14,7 @@ through the one pipeline; the campaign then checks:
 
 A failing case emits a self-contained JSON *repro bundle* (seed, built
 schedule, scale, liveness bounds, trace digest) that ``python -m
-repro.faults replay bundle.json`` re-executes exactly — no scenario
+repro replay bundle.json`` re-executes exactly — no scenario
 code runs during replay, only the recorded schedule.
 """
 

@@ -15,8 +15,9 @@ Everything the single-datacenter reproduction lacked to tell the
   the :mod:`repro.faults` schedule format.
 * :mod:`repro.geo.runner` — build + drive a geo deployment.
 
-CLI: ``python -m repro.geo sweep`` compares edge-decoupled vs
-direct-to-core serving across topologies.
+CLI: ``python -m repro sweep geo`` compares edge-decoupled vs
+direct-to-core serving across topologies; ``python -m repro list``
+prints each preset's latency matrix.
 
 This package imports nothing: import each name from the module that
 defines it (``from repro.geo.plan import GeoSpec``), so a run loads only

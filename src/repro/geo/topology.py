@@ -14,7 +14,8 @@ Presets (rounded from public inter-region RTT tables, halved to one-way):
 
 Arbitrary matrices load from JSON via :meth:`GeoTopology.from_dict`, so
 a topology is addressable as plain data from the CLI
-(``python -m repro.geo sweep --topology my_matrix.json``).
+(``python -m repro list wan3 > my_matrix.json`` writes a template to edit,
+``python -m repro sweep geo --topologies my_matrix.json`` runs it).
 """
 
 from __future__ import annotations

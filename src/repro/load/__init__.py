@@ -13,7 +13,7 @@ methodology:
   :class:`~repro.sim.node.LoadSignal` readings.
 * :mod:`repro.load.generator` — the open-loop generator itself.
 * :mod:`repro.load.planner` — offered-load sweeps, knee detection, and
-  overload probes (``python -m repro.load sweep``).
+  overload probes (``python -m repro sweep load``).
 
 Determinism contract: with the load subsystem unconfigured, protocol
 RNG streams and trace digests are byte-identical to a tree where this

@@ -57,7 +57,7 @@ class SweepPoint:
 
 @dataclass
 class SweepReport:
-    """Everything one ``repro.load sweep`` run learned."""
+    """Everything one ``repro sweep load`` run learned."""
 
     system: str
     workload: str

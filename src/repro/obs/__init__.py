@@ -20,7 +20,9 @@ Telemetry is **off by default**: with no registry attached and no
 ticker configured, a run's schedule and trace digest are byte-identical
 to a build without this package (pinned by golden-digest tests).
 
-CLI: ``python -m repro.obs run|compare|rules`` (see docs/observability.md).
+CLI: ``python -m repro run --obs DIR`` writes a report, ``python -m repro
+compare A B`` diffs two and ``python -m repro list`` prints the health
+rules (see docs/observability.md).
 
 This package imports nothing: import each name from the module that
 defines it (``from repro.obs.recorder import ObsRecorder``), so a run

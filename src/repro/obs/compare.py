@@ -11,10 +11,10 @@ health verdicts of two runs, and flags:
 
 Two runs of the same config + seed produce byte-identical metrics, so
 the comparison reports "no differences" — that property is itself a
-determinism check, and is pinned in tests.  ``python -m repro.obs
+determinism check, and is pinned in tests.  ``python -m repro
 compare A B [--html out.html]`` is the CLI face.  It is for runs that
 differ on purpose; a run that must not move is pinned exactly in the
-tests (the default ``repro.obs run`` report is hashed whole).
+tests (the default ``run_instrumented()`` report is hashed whole).
 """
 
 from __future__ import annotations

@@ -8,10 +8,11 @@ summaries, the benchmark row, and the evaluated health verdicts.
 
 Reports are plain JSON (``schema`` field versions the layout, the same
 convention as ``repro.load.sweep/v1``).  The run pipeline
-(:mod:`repro.run`) writes one per run into ``ModelSpec.obs_dir`` — for
-the bench, load, faults and geo CLIs' ``--obs`` alike — and ``python -m
-repro.obs run --out`` writes the one it is handed back.  ``python -m
-repro.obs compare A B`` diffs two of them.
+(:mod:`repro.run`) writes one per run into ``ModelSpec.obs_dir`` — the
+``--obs DIR`` of ``python -m repro run`` and of the figures, faults,
+load and geo sweeps —
+and :func:`run_instrumented` returns one for a library caller.
+``python -m repro compare A B`` diffs two of them.
 """
 
 from __future__ import annotations
@@ -127,3 +128,72 @@ def write_report(path: str, report: RunReport) -> None:
 def load_report(path: str) -> RunReport:
     with open(path) as fh:
         return RunReport.from_dict(json.load(fh))
+
+
+def run_instrumented(
+    system: str = "basil",
+    seed: int = 11,
+    clients: int = 8,
+    shards: int = 1,
+    workload: str = "ycsb-t",
+    keys: int = 500,
+    duration: float = 0.12,
+    warmup: float = 0.03,
+    interval: float = 0.005,
+    verify_cost_scale: float = 1.0,
+    partition: tuple[float, float] | None = None,
+    name: str | None = None,
+) -> RunReport:
+    """One telemetry-instrumented closed-loop run -> RunReport.
+
+    ``partition`` = (start, duration) isolates one replica per shard for
+    that window, forcing dependency stalls and fallback churn.
+    ``verify_cost_scale`` multiplies the signature-verification cost —
+    the cheapest way to fake a crypto performance regression.  The
+    default run's whole report is pinned by the tests.
+    """
+    from repro.faults.campaign import make_config
+    from repro.run import ModelSpec, SequentialRun
+
+    config = make_config(seed, {"num_shards": shards})
+    meta: dict[str, Any] = {"clients": clients, "workload": workload}
+    if verify_cost_scale != 1.0:
+        crypto = dataclasses.replace(
+            config.crypto, verify_cost=config.crypto.verify_cost * verify_cost_scale
+        )
+        config = config.with_overrides(crypto=crypto)
+        meta["verify_cost_scale"] = verify_cost_scale
+    schedule = None
+    if partition is not None:
+        from repro.faults.spec import FaultSchedule, PartitionFault
+
+        # A 3/3 split: with n = 5f+1 = 6 neither side has a commit
+        # quorum, so commits stall and dependency fallbacks churn until
+        # the partition heals — the canonical "degraded" run.
+        start, length = partition
+        fault = PartitionFault(
+            groups=(("s*/r0", "s*/r1", "s*/r2"), ("*",)),
+            start=start, end=start + length,
+        )
+        schedule = FaultSchedule(name="obs-run", faults=(fault,)).validate()
+        meta["partition"] = list(partition)
+    spec = ModelSpec(
+        kind=system,
+        config=config,
+        workload=workload,
+        workload_keys=keys,
+        num_clients=clients,
+        duration=duration,
+        warmup=warmup,
+        label=name or f"obs-{system}-{workload}-seed{seed}",
+        trace=False,
+        obs=True,
+        obs_interval=interval,
+        fault_schedule=schedule,
+        # Clients are left running, not cancelled: a cancel runs their
+        # ``finally`` blocks, which record basil_fallback_seconds.
+        drain=0.0,
+    )
+    report = RunReport.from_dict(SequentialRun(spec).run().report)
+    report.meta.update(meta)
+    return report

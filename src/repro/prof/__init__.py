@@ -11,10 +11,10 @@ Two pillars:
   deep mode with collapsed-stack (flamegraph) and top-N hot-function
   export, runnable per parallel worker and merged like digests.
 
-CLI: ``python -m repro.prof {run,report}``.
+CLI: ``python -m repro run --prof [--deep]``.
 
-Only the dependency-free profiler core is imported eagerly; runners and
-the CLI live in their own modules.
+Only the dependency-free profiler core is imported eagerly; the runners
+live in their own module.
 """
 
 from repro.prof.profiler import (

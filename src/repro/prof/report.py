@@ -11,8 +11,9 @@ A :class:`ProfileReport` combines, for one bench target:
 * optionally the merged collapsed stacks and top-N hot functions of a
   deep run.
 
-Schema ``repro.prof.run/v1``; ``python -m repro.prof report`` re-renders
-a saved document without re-running anything.
+Schema ``repro.prof.run/v1``; ``python -m repro run --prof`` writes one
+as ``PROF_<run name>.json``, and ``load_profile(path).render()``
+re-renders it without re-running anything.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """Drive a profiled run end to end and merge what comes back.
 
-:func:`profile_run` is the programmatic face of ``python -m repro.prof
-run``: resolve a named target (or take a prepared
-:class:`~repro.run.ModelSpec`), switch attribution (and
-optionally deep sampling) on, execute through
+:func:`profile_run` is what ``python -m repro run --prof`` calls: take a
+:class:`~repro.run.ModelSpec`, switch attribution (and optionally deep
+sampling) on, execute through
 :class:`~repro.parallel.runtime.ParallelRunner`, and fold the pieces —
 per-partition attribution tables, worker-level exchange seams, per-worker
 collapsed stacks — into one :class:`~repro.prof.report.ProfileReport`.
@@ -23,32 +22,19 @@ from repro.parallel.runtime import ParallelResult, ParallelRunner
 from repro.prof.deep import merge_collapsed
 from repro.prof.profiler import merge_tables
 from repro.prof.report import ProfileReport
-from repro.prof.targets import resolve_target
 from repro.run import ModelSpec
 
 
-def profile_run(
-    target: str | ModelSpec,
-    workers: int = 1,
-    deep: bool = False,
-) -> ProfileReport:
-    """Run ``target`` with attribution on and return the merged report.
+def profile_run(spec: ModelSpec, workers: int = 1, deep: bool = False) -> ProfileReport:
+    """Run ``spec`` with attribution on and return the merged report.
 
-    ``target`` is a name from :data:`repro.prof.targets.TARGETS` or a
-    ready :class:`ModelSpec` (copied — the caller's spec is untouched).
-    ``deep=True`` additionally samples Python-level stacks per worker
-    via :class:`~repro.prof.deep.DeepProfiler` and merges the collapsed
+    The spec is copied — the caller's is untouched.  ``deep=True``
+    additionally samples Python-level stacks per worker via
+    :class:`~repro.prof.deep.DeepProfiler` and merges the collapsed
     stacks into the report.
     """
-    if isinstance(target, str):
-        name = target
-        spec = resolve_target(target)
-    else:
-        spec = target
-        name = spec.label or spec.kind
-    spec = replace(spec, prof=True, prof_deep=deep)
-    result = ParallelRunner(spec, workers=workers).run()
-    return merge_result(name, result)
+    result = ParallelRunner(replace(spec, prof=True, prof_deep=deep), workers=workers).run()
+    return merge_result(spec.run_name(), result)
 
 
 def merge_result(name: str, result: ParallelResult) -> ProfileReport:

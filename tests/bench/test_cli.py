@@ -1,8 +1,8 @@
-"""Every ``python -m repro.bench`` sub-command parses and dispatches.
+"""Every figure of ``python -m repro sweep figures`` parses and dispatches.
 
 The simulation is stubbed out: ``_run_point``, the one seam every figure
 point goes through, returns a canned row named after the point.  Each
-sub-command then runs its real figure functions, prints rows and claim
+figure then runs its real figure functions, prints rows and claim
 tables and sets its exit status in milliseconds.
 """
 
@@ -12,7 +12,7 @@ import re
 import pytest
 
 import repro.bench.experiments as exp
-from repro.bench.__main__ import main
+from repro.__main__ import main
 from repro.bench.runner import BenchResult
 
 
@@ -36,27 +36,32 @@ def canned(empty: str = ""):
     return run_point
 
 
+def figures(*args: str) -> int:
+    return main(["sweep", "figures", *args])
+
+
 def subcommands(capsys) -> list[str]:
+    """The figure choices ``--help`` lists, plus "" for all of them."""
     with pytest.raises(SystemExit):
-        main(["--help"])
+        figures("--help")
     usage = capsys.readouterr().out
-    return re.search(r"\{([\w,-]+)\}", usage).group(1).split(",")
+    return [*re.search(r"\{(fig4[\w,-]*)\}", usage).group(1).split(","), ""]
 
 
 def test_every_subcommand_dispatches(monkeypatch, capsys):
     monkeypatch.setattr(exp, "_run_point", canned())
     outputs = {}
     for command in subcommands(capsys):
-        assert main(["--quick", command]) == 0, command
+        assert figures(*filter(None, [command]), "--scale", "quick") == 0, command
         outputs[command] = capsys.readouterr().out
-    assert "report" in outputs
+    assert "" in outputs
     for command, out in outputs.items():
         assert "tx/s" in out, command
         assert "| Result | Paper | Measured | Verdict |" in out, command
-    assert main(["--quick", "fig4", "--app", "smallbank"]) == 0
+    assert figures("fig4", "--scale", "quick", "--app", "smallbank") == 0
     out = capsys.readouterr().out
     assert "(Smallbank)" in out and "(TPC-C)" not in out
-    assert main(["--quick", "fig7", "--dist", "uniform", "--crashes", "1"]) == 0
+    assert figures("fig7", "--scale", "quick", "--dist", "uniform", "--crashes", "1") == 0
     out = capsys.readouterr().out
     assert "Fig 7a claims" in out and "Fig 7b claims" not in out
 
@@ -66,7 +71,7 @@ def test_report_writes_rows_and_verdicts(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(exp, "_run_point", canned())
     path = tmp_path / "F.json"
-    assert main(["--quick", "report", "--out", str(path)]) == 0
+    assert figures("--scale", "quick", "--out", str(path)) == 0
     doc = json.loads(path.read_text())
     assert list(doc) == ["commit", "seed", "scale", "rows", "verdicts"]
     assert doc["scale"]["clients"] == exp.Scale.quick().clients
@@ -85,15 +90,15 @@ def test_report_writes_rows_and_verdicts(monkeypatch, tmp_path, capsys):
 
 def test_a_row_that_committed_nothing_exits_1_at_quick_scale(monkeypatch, capsys):
     monkeypatch.setattr(exp, "_run_point", canned(empty="rw-u-b8"))
-    assert main(["--quick", "fig6b"]) == 1
+    assert figures("fig6b", "--scale", "quick") == 1
     assert "FAILED fig6b: rw-u-b8 committed nothing" in capsys.readouterr().out
 
 
 def test_failing_claims_exit_1_at_the_default_scale_only(monkeypatch, capsys):
     # canned throughput grows with the label's length: q=1 < q=f+1 < q=2f+1
     monkeypatch.setattr(exp, "_run_point", canned())
-    assert main(["--quick", "fig5b"]) == 0
-    assert main(["fig5b"]) == 1
+    assert figures("fig5b", "--scale", "quick") == 0
+    assert figures("fig5b") == 1
     out = capsys.readouterr().out
     assert "FAILED Fig 5b: larger read quorums cost throughput: fail" in out
 
@@ -106,6 +111,6 @@ def test_a_crash_overlay_is_not_judged_against_the_claims(monkeypatch, capsys):
         claims.Claim("Fig 7a", "never holds", "fig7/uniform", lambda rows: 1.0, 10.0),
     ])
     # a failing claim exits 1 at the default scale ...
-    assert main(["fig7", "--dist", "uniform"]) == 1
+    assert figures("fig7", "--dist", "uniform") == 1
     # ... which are about crash-free runs, so an overlay only checks progress
-    assert main(["fig7", "--dist", "uniform", "--crashes", "1"]) == 0
+    assert figures("fig7", "--dist", "uniform", "--crashes", "1") == 0

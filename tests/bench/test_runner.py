@@ -87,9 +87,9 @@ def test_runner_history_verification_clean():
 def test_cli_smoke():
     import pytest as _pytest
 
-    from repro.bench.__main__ import main
+    from repro.__main__ import main
 
     with _pytest.raises(SystemExit):
-        main([])  # missing subcommand
+        main(["sweep"])  # missing grid
     with _pytest.raises(SystemExit):
-        main(["not-a-figure"])
+        main(["sweep", "figures", "not-a-figure"])

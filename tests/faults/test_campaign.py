@@ -91,14 +91,14 @@ def test_sweep_runs_matrix_and_reports(tmp_path):
 
 
 def test_cli_list_and_sweep(capsys, tmp_path):
-    from repro.faults.__main__ import main
+    from repro.__main__ import main
 
     assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "partition-minority" in out and "byz-clients-stall-early" in out
 
     code = main([
-        "sweep", "--seeds", "1", "--scenarios", "no-faults",
+        "sweep", "faults", "--seeds", "1", "--scenarios", "no-faults",
         "--systems", "basil", "--no-trace", "--out", str(tmp_path),
     ])
     assert code == 0

@@ -1,6 +1,6 @@
 """The fault sweep at two seeds, one pinned case per row.
 
-``python -m repro.faults sweep --seeds 2`` runs 52 cases (every scenario
+``python -m repro sweep faults --seeds 2`` runs 52 cases (every scenario
 x each system it applies to x seeds 1 and 2) at quick scale.  Each case
 here is one of those rows, run through the same campaign code
 (``matrix`` enumerates the cases, ``run_case`` runs one), and pins the

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from repro.load.__main__ import main as load_main
+from repro.__main__ import main
 from repro.load.planner import sweep
 
 pytestmark = pytest.mark.load_smoke
@@ -41,13 +41,15 @@ def test_mini_sweep_end_to_end(tmp_path):
 
 
 def test_cli_list_and_point(capsys):
-    assert load_main(["list"]) == 0
+    assert main(["list"]) == 0
     out = capsys.readouterr().out
     assert "basil" in out and "aimd" in out and "ycsb-t" in out
 
-    rc = load_main([
-        "point", "800", "--duration", "0.04", "--warmup", "0.01",
-        "--keys", "300", "--proxies", "4",
+    # One offered-load point is a one-element sweep.
+    rc = main([
+        "sweep", "load", "--loads", "800", "--no-closed-loop", "--no-overload",
+        "--duration", "0.04", "--warmup", "0.01",
+        "--workload-keys", "300", "--proxies", "4",
     ])
     assert rc == 0
     assert "goodput" in capsys.readouterr().out
@@ -55,12 +57,20 @@ def test_cli_list_and_point(capsys):
 
 def test_cli_sweep_writes_reports(tmp_path, capsys):
     out = tmp_path / "sweep.json"
-    rc = load_main([
-        "sweep", "--quick", "--loads", "600", "1200",
+    rc = main([
+        "sweep", "load", "--scale", "quick", "--loads", "600", "1200",
         "--no-closed-loop", "--no-overload",
-        "--duration", "0.04", "--warmup", "0.01", "--keys", "300",
+        "--duration", "0.04", "--warmup", "0.01", "--workload-keys", "300",
         "--proxies", "4", "--out", str(out),
     ])
     assert rc == 0
     report = json.loads(out.read_text())
     assert len(report["points"]) == 2
+
+
+def test_cli_rejects_abbreviated_flags(capsys):
+    """``--no-over`` is not ``--no-overload``: only listed flags parse."""
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "load", "--no-over", "--loads", "600"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-over" in capsys.readouterr().err

@@ -1,11 +1,11 @@
 """Absolute pins on what the metrics registry holds at the end of a run.
 
-A tolerance comparison of two runs (``repro.obs compare``) cannot notice
+A tolerance comparison of two runs (``repro compare``) cannot notice
 a counter that moved by one or a histogram whose samples shifted.  Here
 each run's registry is reduced to a sha256 over its sorted contents
 (key -> counter or gauge value, or histogram ``summary()``) and pinned in
 the ledger (``tests/pins.json``), for runs that together reach every
-instrumented site: ``python -m repro.obs run``'s default configuration
+instrumented site: ``run_instrumented()``'s default configuration
 (``obs-check``), a Zipf run with stall-late Byzantine clients (fallback,
 abort-taxonomy and byz-client counters), Basil behind the wan3 edge
 tier, two open-loop admission points (AIMD shedding, and a static cap
@@ -33,8 +33,8 @@ import pytest
 from repro.config import AdmissionConfig, ArrivalConfig, SystemConfig
 from repro.geo.plan import GeoSpec
 from repro.geo.topology import wan3
-from repro.obs.__main__ import run_instrumented
 from repro.obs.recorder import ObsRecorder
+from repro.obs.report import run_instrumented
 from repro.run import ModelSpec, SequentialRun
 from repro.sim.monitor import Histogram
 

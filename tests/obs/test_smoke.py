@@ -10,9 +10,10 @@ import json
 
 import pytest
 
-from repro.obs.__main__ import main, run_instrumented
+from repro.__main__ import main
+from repro.faults.spec import FaultSchedule, PartitionFault
 from repro.obs.compare import compare_reports
-from repro.obs.report import load_report
+from repro.obs.report import load_report, run_instrumented
 
 pytestmark = pytest.mark.obs_smoke
 
@@ -50,13 +51,19 @@ def test_verify_cost_regression_is_flagged(baseline_report):
 
 
 def test_cli_run_compare_and_html(tmp_path, capsys):
-    a = str(tmp_path / "a.obs.json")
-    b = str(tmp_path / "b.obs.json")
+    a = str(tmp_path / "a" / "basil.obs.json")
+    b = str(tmp_path / "b" / "basil.obs.json")
     html = str(tmp_path / "diff.html")
-    args = ["--duration", "0.06", "--warmup", "0.02", "--clients", "6",
-            "--keys", "300"]
-    assert main(["run", *args, "--out", a]) == 0
-    assert main(["run", *args, "--partition", "0.03", "0.06", "--out", b]) == 0
+    # The 3/3 split of each shard from 0.03 s for 0.06 s: no commit quorum.
+    split = FaultSchedule(name="split", faults=(PartitionFault(
+        groups=(("s*/r0", "s*/r1", "s*/r2"), ("*",)), start=0.03, end=0.09,
+    ),)).validate()
+    schedule = tmp_path / "split.json"
+    schedule.write_text(split.to_json())
+    args = ["--seed", "11", "--duration", "0.06", "--warmup", "0.02",
+            "--num-clients", "6", "--workload-keys", "300"]
+    assert main(["run", *args, "--obs", str(tmp_path / "a")]) == 0
+    assert main(["run", *args, "--faults", str(schedule), "--obs", str(tmp_path / "b")]) == 0
     report = load_report(a)
     assert report.series and report.verdicts
     with open(a) as fh:

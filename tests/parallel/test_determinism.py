@@ -2,7 +2,7 @@
 of how partitions are packed onto processes.
 
 These tests fork real worker processes (multiprocessing) — the same
-machinery ``python -m repro.parallel`` uses — and pin the headline
+machinery ``python -m repro run --workers N`` uses — and pin the headline
 guarantee of docs/parallel.md: w2 and w4 runs of the same spec produce
 identical combined digests, and the microbench windowed digest equals
 its sequential (one-heap) execution exactly.
@@ -203,9 +203,9 @@ def test_dead_worker_is_a_named_error(monkeypatch):
 def test_ladder_compares_the_sequential_row_too(monkeypatch, capsys):
     """A windowed run that diverged from the one-heap execution fails the
     ladder: the digest check covers w1, not only the windowed rows."""
-    from repro.parallel import __main__ as cli
+    from repro import __main__ as cli
 
-    args = ["ladder", "--workers", "1", "2", "--timers", "20", "--duration", "0.0006"]
+    args = ["sweep", "ladder", "--workers", "1", "2", "--timers", "20", "--duration", "0.0006"]
     assert cli.main(args) == 0
 
     real = cli.measure

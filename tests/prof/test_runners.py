@@ -9,7 +9,6 @@ import pytest
 from repro.config import SystemConfig
 from repro.prof.report import ProfileReport, load_profile, write_profile
 from repro.prof.runners import profile_run
-from repro.prof.targets import TARGETS, describe_targets, resolve_target
 from repro.run import ModelSpec
 
 
@@ -91,24 +90,18 @@ def test_profile_report_rejects_foreign_schema():
         ProfileReport.from_dict({"schema": "something/else"})
 
 
-def test_targets_registry_resolves():
-    assert "fig4-basil-quick" in TARGETS
-    spec = resolve_target("fig4-basil-quick")
-    assert spec.kind == "basil"
-    assert spec.label == "fig4-basil-quick"
-    listing = describe_targets()
-    for name in TARGETS:
-        assert name in listing
-    with pytest.raises(SystemExit):
-        resolve_target("no-such-bench")
+def test_cli_run_prof(tmp_path, monkeypatch, capsys):
+    from repro.__main__ import main
 
-
-def test_cli_report(tmp_path, capsys):
-    from repro.prof.__main__ import main
-
-    # report re-renders a saved profile
-    report = profile_run(_tiny_spec(), workers=1)
-    path = tmp_path / "prof.json"
-    write_profile(str(path), report)
-    assert main(["report", str(path)]) == 0
-    assert "prof-tiny" in capsys.readouterr().out
+    monkeypatch.chdir(tmp_path)
+    args = ["run", "--num-shards", "2", "--num-clients", "4", "--workload-keys", "300",
+            "--duration", "0.02", "--warmup", "0.005", "--prof"]
+    assert main([*args, "--deep"]) == 0
+    out = capsys.readouterr().out
+    assert "attributed" in out and "flamegraph -> PROF_basil.flame.html" in out
+    report = load_profile("PROF_basil.json")
+    assert report.name == "basil" and report.collapsed
+    assert (tmp_path / "PROF_basil.collapsed.txt").exists()
+    # the coverage gate: no run attributes twice its wall time
+    assert main([*args, "--min-coverage", "2"]) == 1
+    assert "below --min-coverage" in capsys.readouterr().err

@@ -2,7 +2,7 @@
 
 Runs a small YCSB-T benchmark with tracing enabled, exports the Chrome
 ``trace_event`` JSON, and validates the file against the schema — the
-end-to-end path a user exercises with ``python -m repro.bench ... --trace``.
+end-to-end path a user exercises with ``python -m repro sweep figures ... --trace DIR``.
 """
 
 import json
@@ -43,13 +43,14 @@ def test_traced_ycsb_bench_exports_valid_chrome_trace(tmp_path):
 
 @pytest.mark.trace_smoke
 def test_bench_cli_trace_flag(tmp_path, capsys):
-    """`python -m repro.bench --quick --trace DIR fig6a` writes trace files."""
+    """`python -m repro sweep figures fig6a --trace DIR` writes trace files."""
     import repro.bench.experiments as exp
-    from repro.bench.__main__ import main
+    from repro.__main__ import main
 
     trace_dir = tmp_path / "traces"
     try:
-        assert main(["--quick", "--trace", str(trace_dir), "fig6a"]) == 0
+        assert main(["sweep", "figures", "fig6a", "--scale", "quick",
+                     "--trace", str(trace_dir)]) == 0
     finally:
         exp.set_trace_dir(None)
     out = capsys.readouterr().out
