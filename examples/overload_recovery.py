@@ -19,7 +19,7 @@ Run:  python examples/overload_recovery.py
 
 from repro.config import AdmissionConfig, ArrivalConfig, SystemConfig
 from repro.core.system import BasilSystem
-from repro.load import OpenLoopGenerator
+from repro.load.generator import OpenLoopGenerator
 from repro.workloads.ycsb import YCSBWorkload
 
 KNEE_TPS = 4_000.0  # sustainable goodput at this scale (see docs/load.md)

@@ -8,7 +8,9 @@
 * ``sweep figures|faults|load|geo|ladder`` runs one grid of specs: every
   paper figure with its claims judged, the fault campaign, the open-loop
   capacity planner, edge vs direct serving per topology, and the kernel
-  scale ladder.
+  scale ladder.  The first four hand their specs to
+  :func:`~repro.run.run_specs` (one forked child per point, on the
+  usable cores) and print in spec order.
 * ``compare A B`` diffs two RunReports (exit 1 on a regression);
   ``replay BUNDLE`` re-executes a fault-campaign failure bundle.
 * ``list`` prints what the names on the other sub-commands may be.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import importlib
 import json
 import os
@@ -38,7 +41,7 @@ import subprocess
 import sys
 
 from repro.config import SystemConfig
-from repro.run import SEQUENTIAL_KINDS, SYSTEM_KINDS, ModelSpec
+from repro.run import SEQUENTIAL_KINDS, SYSTEM_KINDS, ModelSpec, in_children, run_specs
 
 FIGURES = ("fig4", "fig5a", "fig5b", "fig5c", "fig6a", "fig6b", "fig7", "ablations")
 PROCESSES = ("poisson", "uniform", "bursty")
@@ -102,6 +105,17 @@ def _schedule(path: str | None):
         return FaultSchedule.from_json(fh.read())
 
 
+def _instrument(spec: ModelSpec, args) -> ModelSpec:
+    """The one place ``--trace DIR``, ``--obs DIR`` and ``--no-trace``
+    reach a spec: every spec a sub-command runs passes through here."""
+    trace_dir, obs_dir = getattr(args, "trace", None), getattr(args, "obs", None)
+    return dataclasses.replace(
+        spec,
+        trace=(spec.trace or trace_dir is not None) and not getattr(args, "no_trace", False),
+        trace_dir=trace_dir, obs=obs_dir is not None, obs_dir=obs_dir,
+    )
+
+
 # -- run --------------------------------------------------------------------
 def cmd_run(args) -> int:
     spec = ModelSpec(
@@ -113,11 +127,9 @@ def cmd_run(args) -> int:
         duration=args.duration,
         warmup=args.warmup,
         timers=args.timers,
-        trace_dir=args.trace,
-        obs=args.obs is not None,
-        obs_dir=args.obs,
         fault_schedule=_schedule(args.faults),
     )
+    spec = _instrument(spec, args)
     if args.prof or args.deep:
         return _profile(spec, args)
     import resource
@@ -189,24 +201,16 @@ def _profile(spec: ModelSpec, args) -> int:
 
 
 # -- sweep figures ------------------------------------------------------------
-def _figure_groups(args) -> list[list[tuple]]:
-    """The runs ``args.figure`` (every figure when None) makes, grouped by
-    figure: each run is ``(rows key, title, run(scale) -> rows)``."""
-    import functools
-
+def _figure_groups(args, scale) -> list[list[tuple]]:
+    """The points ``args.figure`` (every figure when None) runs, grouped by
+    figure: each entry is ``(rows key, title, {row name: ModelSpec})``."""
     from repro.bench import experiments as exp
 
-    def fig7(dist):
-        def run(scale):
-            schedule = None
-            if args.crashes:
-                schedule = exp.fig7_crash_schedule(
-                    exp.SystemConfig(f=1, batch_size=4), scale, num_crashes=args.crashes
-                )
-            series = exp.fig7_failures(dist, scale=scale, fault_schedule=schedule)
-            return {row.name: row for rows in series.values() for row in rows.values()}
-        return run
-
+    schedule = None
+    if args.crashes:
+        schedule = exp.fig7_crash_schedule(
+            exp.SystemConfig(f=1, batch_size=4), scale, num_crashes=args.crashes
+        )
     apps = [args.app] if args.app else list(exp.APP_BATCHES)
     dists = [args.dist] if args.dist else ["uniform", "zipfian"]
     table = {
@@ -217,7 +221,9 @@ def _figure_groups(args) -> list[list[tuple]]:
         "fig5c": [("fig5c", "Fig 5c — shard scaling", exp.fig5c_shard_scaling)],
         "fig6a": [("fig6a", "Fig 6a — fast path", exp.fig6a_fast_path)],
         "fig6b": [("fig6b", "Fig 6b — batching", exp.fig6b_batching)],
-        "fig7": [(f"fig7/{dist}", f"Fig 7 — {dist}", fig7(dist)) for dist in dists],
+        "fig7": [(f"fig7/{dist}", f"Fig 7 — {dist}",
+                  functools.partial(exp.fig7_failures, dist, fault_schedule=schedule))
+                 for dist in dists],
         "ablations": [
             ("ablation/aggregation", "Ablation — signature aggregation (RW-U)",
              exp.ablation_aggregation),
@@ -226,7 +232,8 @@ def _figure_groups(args) -> list[list[tuple]]:
              exp.ablation_dependency_timeout),
         ],
     }
-    return [table[args.figure]] if args.figure else list(table.values())
+    chosen = [table[args.figure]] if args.figure else list(table.values())
+    return [[(key, title, make(scale=scale)) for key, title, make in group] for group in chosen]
 
 
 def _commit() -> str:
@@ -246,15 +253,24 @@ def sweep_figures(args) -> int:
     from repro.bench import experiments as exp
     from repro.bench.report import render_table
 
-    exp.set_trace_dir(args.trace)
-    exp.set_obs_dir(args.obs)
     scale = {"quick": exp.Scale.quick(), "default": exp.DEFAULT_SCALE,
              "paper": exp.Scale.paper()}[args.scale]
-    rows: dict[str, dict] = {}
+    groups = _figure_groups(args, scale)
+    rows = exp.run_figures({
+        key: {name: _instrument(spec, args) for name, spec in points.items()}
+        for group in groups for key, _, points in group
+    })
     verdicts = []
-    for group in _figure_groups(args):
-        for key, title, run in group:
-            rows[key] = run(scale)
+    for group in groups:
+        for key, title, _ in group:
+            for row in rows[key].values():
+                if key.startswith("fig7/"):
+                    exp.fig7_metrics(row, scale.clients)
+                if "trace_path" in row.extra:
+                    print(f"  trace: {row.extra['trace_path']} "
+                          f"(digest {row.extra['trace_digest'][:12]})")
+                if "obs_path" in row.extra:
+                    print(f"  obs: {row.extra['obs_path']} (health {row.extra['health']})")
             print(render_table(title, rows[key]))
         judged = claims.judge_all({key: rows[key] for key, _, _ in group})
         for table in claims.render_tables(judged).values():
@@ -285,21 +301,20 @@ def sweep_figures(args) -> int:
 
 # -- sweep faults / load ------------------------------------------------------
 def sweep_faults(args) -> int:
-    from repro.faults.campaign import summarize, sweep
+    from repro.faults.campaign import summarize, sweep, sweep_specs
     from repro.faults.scenarios import Scale
 
-    results = sweep(
+    scale = Scale.quick() if args.scale == "quick" else Scale()
+    specs = sweep_specs(
         seeds=args.seeds,
         seed_base=args.seed_base,
         scenario_names=tuple(args.scenarios) if args.scenarios else None,
         systems=tuple(args.systems) if args.systems else None,
-        scale=Scale.quick() if args.scale == "quick" else Scale(),
-        out_dir=args.out,
-        with_trace=not args.no_trace,
-        obs_dir=args.obs,
+        scale=scale,
     )
-    if not results:
+    if not specs:
         return _error("no selected scenario runs on the selected systems")
+    results = sweep([_instrument(spec, args) for spec in specs], scale, out_dir=args.out)
     print(summarize(results))
     return 1 if any(not r.ok for r in results) else 0
 
@@ -330,7 +345,7 @@ def sweep_load(args) -> int:
         with_closed_loop=not args.no_closed_loop,
         with_overload=not args.no_overload,
         overload_policy=args.policy,
-        obs_dir=args.obs,
+        run=lambda specs: run_specs([_instrument(spec, args) for spec in specs]),
     )
     if args.out:
         write_report(args.out, report)
@@ -352,12 +367,10 @@ def _print_regions(geo_extra: dict) -> None:
         )
 
 
-def _geo_point(args, topology, mode: str) -> dict:
-    """Run one topology x mode point, print its row and region table."""
+def _geo_spec(args, topology, mode: str) -> ModelSpec:
     from repro.geo.plan import GeoSpec
-    from repro.run import SequentialRun
 
-    spec = ModelSpec(
+    return ModelSpec(
         kind="basil",
         config=SystemConfig(num_shards=args.num_shards, seed=args.seed),
         geo=GeoSpec(
@@ -371,35 +384,36 @@ def _geo_point(args, topology, mode: str) -> dict:
         duration=args.duration,
         warmup=args.warmup,
         label=f"geo-{topology.name}-{mode}",
-        obs=bool(args.obs),
-        obs_dir=args.obs,
         fault_schedule=_schedule(args.faults),
     )
-    bench = SequentialRun(spec).run().bench
-    g = bench["extra"]["geo"]
-    print(
-        f"  {bench['name']:<22} ops {g['ops']:>5}  "
-        f"read p50 {g['read_p50'] * 1000:7.2f} ms  "
-        f"write p50 {g['write_p50'] * 1000:7.2f} ms  "
-        f"commits {bench['commits']:>4}  "
-        f"(min cross RTT {g['cross_region_rtt'] * 1000:.0f} ms)"
-    )
-    _print_regions(g)
-    if spec.obs_dir:  # the pipeline wrote it
-        print(f"    wrote obs report to {spec.artifact_path('obs')}")
-    return g
 
 
 def sweep_geo(args) -> int:
+    """One spec per topology x mode; per topology, each mode's row and
+    region table, then edge against direct."""
     from repro.geo.topology import get_topology
 
-    for name in args.topologies:
-        topology = get_topology(name)
-        print(
-            f"{topology.name}: {len(topology.regions)} regions, min cross RTT "
-            f"{2 * topology.min_cross_region().base * 1000:.0f} ms"
-        )
-        per_mode = {mode: _geo_point(args, topology, mode) for mode in args.modes}
+    topologies = [get_topology(name) for name in args.topologies]
+    specs = [_instrument(_geo_spec(args, topology, mode), args)
+             for topology in topologies for mode in args.modes]
+    benches = iter(zip(specs, run_specs(specs)))
+    for topology in topologies:
+        _print_topology(topology, matrix=False)
+        per_mode = {}
+        for mode in args.modes:
+            spec, result = next(benches)
+            bench = result.bench
+            g = per_mode[mode] = bench["extra"]["geo"]
+            print(
+                f"  {bench['name']:<22} ops {g['ops']:>5}  "
+                f"read p50 {g['read_p50'] * 1000:7.2f} ms  "
+                f"write p50 {g['write_p50'] * 1000:7.2f} ms  "
+                f"commits {bench['commits']:>4}  "
+                f"(min cross RTT {g['cross_region_rtt'] * 1000:.0f} ms)"
+            )
+            _print_regions(g)
+            if spec.obs_dir:  # the pipeline wrote it
+                print(f"    wrote obs report to {spec.artifact_path('obs')}")
         if "edge" in per_mode and "direct" in per_mode:
             edge, direct = per_mode["edge"], per_mode["direct"]
             speedup = (
@@ -439,37 +453,20 @@ def ladder_spec(quick: bool, timers: int | None = None, duration: float | None =
     )
 
 
-def _measure_child(conn, spec: ModelSpec, workers: int) -> None:
+def _ladder_row(spec: ModelSpec, workers: int) -> dict:
+    """One ladder point; :func:`sweep_ladder` runs each in a fresh child
+    (clean heap and allocator, so earlier measurements cannot pollute
+    later ones)."""
     from repro.parallel.runtime import ParallelRunner
 
     result = ParallelRunner(spec, workers=workers).run()
-    conn.send({
+    return {
         "workers": workers,
         "events": result.events,
         "wall_s": result.wall_s,
         "events_per_s": result.events_per_s,
         "digest": result.digest,
-    })
-    conn.close()
-
-
-def measure(spec: ModelSpec, workers: int) -> dict:
-    """One ladder point in a fresh process (clean heap and allocator, so
-    earlier measurements cannot pollute later ones)."""
-    import multiprocessing as mp
-
-    ctx = mp.get_context("fork")
-    parent, child = ctx.Pipe()
-    proc = ctx.Process(target=_measure_child, args=(child, spec, workers))
-    proc.start()
-    child.close()
-    try:
-        row = parent.recv()
-    except EOFError:
-        proc.join()
-        raise RuntimeError(f"ladder measurement (workers={workers}) died") from None
-    proc.join()
-    return row
+    }
 
 
 def sweep_ladder(args) -> int:
@@ -484,7 +481,7 @@ def sweep_ladder(args) -> int:
     )
     rows = []
     for workers in args.workers:
-        row = measure(spec, workers)
+        [row] = in_children([(f"{tag}-w{workers}", functools.partial(_ladder_row, spec, workers))])
         rows.append(row)
         print(
             f"{f'{tag}-w{workers}':<26} wall {row['wall_s']:7.3f}s  "
@@ -536,9 +533,11 @@ def cmd_replay(args) -> int:
     return 0 if case.ok else 1
 
 
-def _print_topology(topology) -> None:
+def _print_topology(topology, matrix: bool = True) -> None:
     print(f"{topology.name}: {len(topology.regions)} regions, "
           f"min cross RTT {2 * topology.min_cross_region().base * 1000:.0f} ms")
+    if not matrix:
+        return
     width = max(len(r) for r in topology.regions) + 2
     print(" " * width + "".join(f"{r:>{width}}" for r in topology.regions))
     for a in topology.regions:

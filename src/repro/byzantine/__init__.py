@@ -12,7 +12,7 @@ only their own keys, so anything they fabricate still fails signature
 validation at correct participants — exactly the paper's threat model.
 """
 
-from repro.byzantine.clients import BEHAVIOURS, ByzantineClient, byzantine_client_factory
+from repro.byzantine.clients import BEHAVIOURS, ByzantineClient
 from repro.byzantine.replicas import (
     REPLICA_BEHAVIOURS,
     EquivocatingVoteReplica,
@@ -31,5 +31,4 @@ __all__ = [
     "PrepareAbstainingReplica",
     "SilentReplica",
     "StaleReadReplica",
-    "byzantine_client_factory",
 ]

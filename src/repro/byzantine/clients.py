@@ -21,8 +21,6 @@ transactions that abort because of contention are not retried").
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.core.client import BasilClient, PrepareOutcome
 from repro.core.certificates import CommitCert
 from repro.core.messages import Decision, DecisionLogRequest, PrepareReply, PrepareRequest
@@ -183,19 +181,3 @@ def _fake_cert(tx: TxRecord) -> CommitCert:
     """Placeholder cert for the driver; never shown to honest validators."""
     return CommitCert(txid=tx.txid, kind="byz-unfinished")
 
-
-def byzantine_client_factory(
-    system,
-    behaviour: str,
-    faulty_fraction: float = 1.0,
-) -> Callable[[], ByzantineClient]:
-    """A factory suitable for ``ExperimentRunner.client_factories``."""
-
-    def make() -> ByzantineClient:
-        return system.create_client(
-            client_class=ByzantineClient,
-            behaviour=behaviour,
-            faulty_fraction=faulty_fraction,
-        )
-
-    return make

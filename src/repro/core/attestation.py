@@ -68,10 +68,6 @@ def attestation_payload(att: Attestation) -> Any:
     return att.payload
 
 
-def attestation_signer(att: Attestation) -> str:
-    return att.signer
-
-
 class AttestationVerifier:
     """Verifies attestations on behalf of one node, with root caching.
 

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.core.attestation import Attestation, BatchAttestation
+from repro.core.attestation import BatchAttestation
 from repro.crypto.cost_model import CryptoContext
 from repro.crypto.digest import digest_of
 from repro.crypto.merkle import MerkleTree
-from repro.crypto.signatures import SignedMessage
 from repro.sim.loop import Future, Simulator
 
 
@@ -115,9 +114,3 @@ class ReplyBatcher:
             )
             if not fut.done():
                 fut.set_result(att)
-
-
-async def attest_single(ctx: CryptoContext, payload: Any) -> Attestation:
-    """Sign one payload outside any batch (fallback-path messages)."""
-    signed: SignedMessage = await ctx.sign(payload)
-    return signed

@@ -29,17 +29,9 @@ class ProtocolError(ReproError):
     """A protocol participant received an ill-formed or invalid message."""
 
 
-class CertificateInvalid(ProtocolError):
-    """A V-CERT / C-CERT / A-CERT failed validation."""
-
-
 class TransactionAborted(ReproError):
     """Raised inside a transaction body when the system aborts it."""
 
     def __init__(self, reason: str = "aborted"):
         super().__init__(reason)
         self.reason = reason
-
-
-class WorkloadError(ReproError):
-    """A workload generator or schema was misconfigured."""

@@ -3,15 +3,10 @@
 See ``docs/simulation.md`` ("Fault injection & simulation testing") and
 ``python -m repro list`` for the scenario matrix; ``python -m repro sweep
 faults`` runs it and ``python -m repro replay BUNDLE`` re-runs a failure.
+:mod:`repro.faults.campaign` is not re-exported, so a run that only
+applies a schedule does not load the campaign and its oracles.
 """
 
-from repro.faults.campaign import (
-    CaseResult,
-    execute_case,
-    replay_bundle,
-    run_case,
-    sweep,
-)
 from repro.faults.injector import FaultInjector
 from repro.faults.scenarios import SCENARIOS, SMOKE_SCENARIOS, Scale, Scenario
 from repro.faults.spec import (
@@ -28,7 +23,6 @@ from repro.faults.spec import (
 __all__ = [
     "ByzantineClientFault",
     "ByzantineReplicaFault",
-    "CaseResult",
     "CrashFault",
     "Fault",
     "FaultInjector",
@@ -40,8 +34,4 @@ __all__ = [
     "SMOKE_SCENARIOS",
     "Scale",
     "Scenario",
-    "execute_case",
-    "replay_bundle",
-    "run_case",
-    "sweep",
 ]

@@ -3,7 +3,9 @@
 One *case* = (scenario, system kind, seed).  A case is one
 :class:`~repro.run.ModelSpec` — the scenario's seed-derived
 schedule, closed-loop clients left to finish, a fault-free drain — run
-through the one pipeline; the campaign then checks:
+through the one pipeline, in a forked child of its own during a sweep
+(:func:`~repro.run.run_specs`); :func:`judge_case` then checks, in that
+child on the live system:
 
 * **Safety**, unconditionally: the Byz-serializability
   :class:`~repro.verify.history.HistoryChecker` for Basil; store
@@ -22,13 +24,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Iterator
 
 from repro.config import LivenessConfig, SystemConfig
 from repro.faults.scenarios import SCENARIOS, Scale, Scenario
 from repro.faults.spec import FaultSchedule
-from repro.run import ModelSpec, SequentialRun
+from repro.run import ModelSpec, PartitionResult, SequentialRun, run_specs
 from repro.verify.history import HistoryChecker
 
 
@@ -154,7 +156,7 @@ def _txsmr_convergence(system: Any) -> list[str]:
 # ---------------------------------------------------------------------------
 # Case execution
 # ---------------------------------------------------------------------------
-def execute_case(
+def case_spec(
     scenario_name: str,
     system_kind: str,
     seed: int,
@@ -162,11 +164,9 @@ def execute_case(
     scale: Scale,
     liveness: LivenessConfig,
     config_overrides: dict[str, Any] | None = None,
-    with_trace: bool = True,
-    obs_dir: str | None = None,
-) -> CaseResult:
-    """Run one fully specified case (the replay entry point)."""
-    spec = ModelSpec(
+) -> ModelSpec:
+    """One fully specified case as a spec, named ``{scenario}/{kind}/seed{seed}``."""
+    return ModelSpec(
         kind=system_kind,
         config=make_config(seed, config_overrides),
         workload="ycsb-z",
@@ -175,29 +175,33 @@ def execute_case(
         duration=scale.duration,
         warmup=scale.warmup,
         label=f"{scenario_name}/{system_kind}/seed{seed}",
-        trace=with_trace,
-        obs=obs_dir is not None,
-        obs_dir=obs_dir,
         fault_schedule=schedule,
         # Transient faults have ended by construction (see scenarios), so
         # retries/recoveries/writebacks settle before the oracles look.
         drain=liveness.drain,
     )
-    run = SequentialRun(spec)
-    result = run.run()
 
+
+def judge_case(
+    run: SequentialRun, result: PartitionResult, liveness: LivenessConfig | None = None
+) -> CaseResult:
+    """The safety and liveness oracles, on a finished case's live system;
+    ``liveness`` None judges by the case's scenario's own bounds."""
+    spec = run.spec
+    scenario = spec.label.split("/")[0]
+    liveness = liveness or SCENARIOS[scenario].liveness
     case = CaseResult(
-        scenario=scenario_name,
-        system=system_kind,
-        seed=seed,
+        scenario=scenario,
+        system=spec.kind,
+        seed=spec.config.seed,
         commits=result.bench["commits"],
         aborts=result.bench["aborts"],
         protocol_errors=run.runner.monitor.counter("protocol_errors").value,
         faults_applied=sum(result.fault_stats.values()),
         digest=result.digest or None,
-        safety_violations=check_safety(system_kind, run.system),
+        safety_violations=check_safety(spec.kind, run.system),
     )
-    if system_kind == "basil":
+    if spec.kind == "basil":
         case.undecided = len(HistoryChecker(run.system).undecided_prepared())
 
     if case.commits < liveness.min_commits:
@@ -205,7 +209,7 @@ def execute_case(
             f"commits {case.commits} < min {liveness.min_commits}"
         )
     if (
-        system_kind == "basil"
+        spec.kind == "basil"
         and liveness.max_undecided is not None
         and case.undecided > liveness.max_undecided
     ):
@@ -219,27 +223,25 @@ def execute_case(
     return case
 
 
+def execute_case(spec: ModelSpec, liveness: LivenessConfig) -> CaseResult:
+    """Run one case in this process and judge it (the replay entry point)."""
+    run = SequentialRun(spec)
+    return judge_case(run, run.run(), liveness)
+
+
 def run_case(
-    scenario: Scenario,
-    system_kind: str,
-    seed: int,
-    scale: Scale,
-    with_trace: bool = True,
-    obs_dir: str | None = None,
+    scenario: Scenario, system_kind: str, seed: int, scale: Scale
 ) -> tuple[CaseResult, FaultSchedule]:
-    schedule = scenario.schedule(seed, scale)
-    case = execute_case(
-        scenario.name,
-        system_kind,
-        seed,
-        schedule,
-        scale,
-        scenario.liveness,
-        scenario.config_overrides,
-        with_trace=with_trace,
-        obs_dir=obs_dir,
+    """One sweep case in this process: the reference a forked sweep matches."""
+    spec = _scenario_spec(scenario, system_kind, seed, scale)
+    return execute_case(spec, scenario.liveness), spec.fault_schedule
+
+
+def _scenario_spec(scenario: Scenario, system_kind: str, seed: int, scale: Scale) -> ModelSpec:
+    return case_spec(
+        scenario.name, system_kind, seed, scenario.schedule(seed, scale), scale,
+        scenario.liveness, scenario.config_overrides,
     )
-    return case, schedule
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +281,17 @@ def replay_bundle(path: str, with_trace: bool = True) -> CaseResult:
     """Re-execute a recorded failure exactly from its bundle."""
     with open(path) as fh:
         bundle = json.load(fh)
-    case = execute_case(
+    liveness = LivenessConfig(**bundle["liveness"])
+    spec = case_spec(
         bundle["scenario"],
         bundle["system"],
         bundle["seed"],
         FaultSchedule.from_dict(bundle["schedule"]),
         Scale(**bundle["scale"]),
-        LivenessConfig(**bundle["liveness"]),
+        liveness,
         bundle.get("config_overrides") or None,
-        with_trace=with_trace,
     )
+    case = execute_case(replace(spec, trace=with_trace), liveness)
     recorded = bundle.get("trace_digest")
     if with_trace and recorded and case.digest != recorded:
         case.liveness_violations.append(
@@ -300,30 +303,37 @@ def replay_bundle(path: str, with_trace: bool = True) -> CaseResult:
 # ---------------------------------------------------------------------------
 # The sweep
 # ---------------------------------------------------------------------------
-def sweep(
+def sweep_specs(
     seeds: int = 10,
     seed_base: int = 1,
     scenario_names: tuple[str, ...] | None = None,
     systems: tuple[str, ...] | None = None,
     scale: Scale | None = None,
+) -> list[ModelSpec]:
+    """N seeds x scenario matrix x applicable systems, one spec per case."""
+    return [
+        _scenario_spec(scenario, kind, seed, scale or Scale.quick())
+        for scenario, kind, seed in matrix(seeds, seed_base, scenario_names, systems)
+    ]
+
+
+def sweep(
+    specs: list[ModelSpec],
+    scale: Scale | None = None,
     out_dir: str = "fault-failures",
-    with_trace: bool = True,
-    obs_dir: str | None = None,
     verbose: bool = True,
 ) -> list[CaseResult]:
-    """N seeds x scenario matrix x applicable systems; bundle failures."""
+    """Run :func:`sweep_specs`' cases, one forked child each, judge each
+    in its child and bundle the failures; rows print in spec order."""
     scale = scale or Scale.quick()
-    results: list[CaseResult] = []
-    for scenario, kind, seed in matrix(seeds, seed_base, scenario_names, systems):
-        case, schedule = run_case(
-            scenario, kind, seed, scale, with_trace=with_trace, obs_dir=obs_dir,
-        )
+    results = run_specs(specs, then=judge_case)
+    for spec, case in zip(specs, results):
         if not case.ok:
+            scenario = SCENARIOS[case.scenario]
             case.bundle = write_bundle(
-                case, schedule, scale, scenario.liveness,
+                case, spec.fault_schedule, scale, scenario.liveness,
                 scenario.config_overrides, out_dir,
             )
-        results.append(case)
         if verbose:
             print(case.row(), flush=True)
     return results

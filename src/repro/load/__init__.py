@@ -17,41 +17,8 @@ methodology:
 
 Determinism contract: with the load subsystem unconfigured, protocol
 RNG streams and trace digests are byte-identical to a tree where this
-package does not exist (``tests/load/test_determinism.py``).
+package does not exist (``tests/load/test_determinism.py``).  The
+package re-exports nothing, so an open-loop run loads the generator
+without the planner (and the fault campaign the planner builds its
+configs from): import from the defining module.
 """
-
-from repro.load.admission import (
-    AdditiveIncreaseShedding,
-    AdmissionPolicy,
-    NoAdmission,
-    StaticCapPolicy,
-    make_policy,
-)
-from repro.load.arrivals import (
-    ArrivalProcess,
-    BurstyArrivals,
-    PoissonArrivals,
-    UniformArrivals,
-    from_config,
-)
-from repro.load.generator import OpenLoopGenerator
-from repro.load.planner import SweepPoint, SweepReport, detect_knee, run_point, sweep
-
-__all__ = [
-    "AdditiveIncreaseShedding",
-    "AdmissionPolicy",
-    "ArrivalProcess",
-    "BurstyArrivals",
-    "NoAdmission",
-    "OpenLoopGenerator",
-    "PoissonArrivals",
-    "StaticCapPolicy",
-    "SweepPoint",
-    "SweepReport",
-    "UniformArrivals",
-    "detect_knee",
-    "from_config",
-    "make_policy",
-    "run_point",
-    "sweep",
-]

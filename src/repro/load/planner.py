@@ -17,11 +17,11 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from repro.config import AdmissionConfig, ArrivalConfig
 from repro.faults.campaign import make_config
-from repro.run import ModelSpec, SequentialRun
+from repro.run import ModelSpec, PartitionResult, run_specs
 
 #: Knee heuristics: saturated when one more unit of offered load yields
 #: less than this much goodput...
@@ -138,90 +138,78 @@ def detect_knee(
 
 
 # ---------------------------------------------------------------------------
-# Point execution
+# Points
 # ---------------------------------------------------------------------------
-def run_point(
+def point_spec(
     system_kind: str,
     workload_name: str,
     rate: float,
     *,
-    seed: int = 1,
     process: str = "poisson",
     policy: str = "none",
-    duration: float = 0.3,
-    warmup: float = 0.1,
-    keys: int = 2_000,
     proxies: int = 40,
-    num_shards: int = 1,
-    admission: AdmissionConfig | None = None,
-    obs_dir: str | None = None,
-) -> SweepPoint:
-    """Run one offered-load point against a *fresh* system."""
-    if admission is None:
-        admission = AdmissionConfig(policy=policy)
-    spec = ModelSpec(
+    **common: Any,
+) -> ModelSpec:
+    """One offered-load point against a *fresh* system (``common``: the
+    ``seed``, ``duration``, ``warmup``, ``keys`` and ``num_shards``)."""
+    return _spec(
+        system_kind, workload_name, f"load-{system_kind}-{workload_name}-{rate:.0f}-{policy}",
+        proxies, arrivals=ArrivalConfig(process=process, rate=rate),
+        admission=AdmissionConfig(policy=policy), **common,
+    )
+
+
+def sweep_point(spec: ModelSpec, result: PartitionResult) -> SweepPoint:
+    """What one offered-load point measured."""
+    bench = result.bench
+    return SweepPoint(
+        offered=spec.arrivals.rate,
+        offered_tps=bench["offered_tps"],
+        goodput_tps=bench["goodput_tps"],
+        mean_latency=bench["mean_latency"],
+        p99_latency=bench["p99_latency"],
+        commit_rate=bench["commit_rate"],
+        shed=bench["shed_count"],
+        gave_up=bench["extra"].get("gave_up", 0),
+        policy=spec.admission.policy,
+    )
+
+
+def peak_specs(
+    system_kind: str, workload_name: str, *, clients: int = 40, **common: Any
+) -> list[ModelSpec]:
+    """The closed-loop runs whose best throughput is the Fig 4a-style anchor.
+
+    Figure 4a's "peak" is the best point on the throughput-vs-clients
+    curve, not one arbitrary client count: too few clients under-drive
+    the system, too many collapse it with contention aborts.  So this is
+    a small client ladder around ``clients``; its max is the capacity
+    bound the open-loop knee must land near.
+    """
+    return [
+        _spec(system_kind, workload_name, f"closed-{system_kind}-{workload_name}-{count}",
+              count, **common)
+        for count in sorted({max(2, clients // 2), clients, clients * 2})
+    ]
+
+
+def _spec(
+    system_kind: str, workload_name: str, label: str, clients: int, *, seed: int = 1,
+    duration: float = 0.3, warmup: float = 0.1, keys: int = 2_000, num_shards: int = 1,
+    **fields: Any,
+) -> ModelSpec:
+    return ModelSpec(
         kind=system_kind,
         config=make_config(seed, {"num_shards": num_shards}),
         workload=workload_name,
         workload_keys=keys,
-        num_clients=proxies,
+        num_clients=clients,
         duration=duration,
         warmup=warmup,
-        label=f"load-{system_kind}-{workload_name}-{rate:.0f}-{admission.policy}",
+        label=label,
         trace=False,
-        obs=obs_dir is not None,
-        obs_dir=obs_dir,
-        arrivals=ArrivalConfig(process=process, rate=rate),
-        admission=admission,
+        **fields,
     )
-    result = SequentialRun(spec).run().bench
-    return SweepPoint(
-        offered=rate,
-        offered_tps=result["offered_tps"],
-        goodput_tps=result["goodput_tps"],
-        mean_latency=result["mean_latency"],
-        p99_latency=result["p99_latency"],
-        commit_rate=result["commit_rate"],
-        shed=result["shed_count"],
-        gave_up=result["extra"].get("gave_up", 0),
-        policy=admission.policy,
-    )
-
-
-def closed_loop_peak(
-    system_kind: str,
-    workload_name: str,
-    *,
-    seed: int = 1,
-    clients: int = 40,
-    duration: float = 0.3,
-    warmup: float = 0.1,
-    keys: int = 2_000,
-    num_shards: int = 1,
-) -> float:
-    """Peak closed-loop throughput — the Fig 4a-style anchor.
-
-    Figure 4a's "peak" is the best point on the throughput-vs-clients
-    curve, not one arbitrary client count: too few clients under-drive
-    the system, too many collapse it with contention aborts.  So this
-    walks a small client ladder around ``clients`` and keeps the max —
-    the capacity bound the open-loop knee must land near.
-    """
-    best = 0.0
-    for count in sorted({max(2, clients // 2), clients, clients * 2}):
-        spec = ModelSpec(
-            kind=system_kind,
-            config=make_config(seed, {"num_shards": num_shards}),
-            workload=workload_name,
-            workload_keys=keys,
-            num_clients=count,
-            duration=duration,
-            warmup=warmup,
-            label=f"closed-{system_kind}-{workload_name}-{count}",
-            trace=False,
-        )
-        best = max(best, SequentialRun(spec).run().bench["throughput"])
-    return best
 
 
 #: Offered-load ladder as multiples of the anchor throughput: below the
@@ -246,10 +234,14 @@ def sweep(
     with_closed_loop: bool = True,
     with_overload: bool = True,
     overload_policy: str = "aimd",
-    obs_dir: str | None = None,
+    run: Callable[[list[ModelSpec]], list[PartitionResult]] = run_specs,
     verbose: bool = True,
 ) -> SweepReport:
     """Walk offered load, find the knee, probe 2x-knee overload.
+
+    Each stage depends on the one before, so each is one ``run`` call
+    (:func:`~repro.run.run_specs` unless the caller wraps it): the
+    closed-loop peak ladder, the offered-load ladder, the overload pair.
 
     ``proxies`` defaults to the closed-loop client count: the proxy pool
     must match the concurrency the anchor run had, or the pool's own
@@ -260,29 +252,29 @@ def sweep(
     if proxies is None:
         proxies = clients
     say = print if verbose else (lambda *a, **k: None)
+    common = dict(seed=seed, duration=duration, warmup=warmup, keys=keys,
+                  num_shards=num_shards)
+
+    def points(rates: list[float], policies: tuple[str, ...] = ("none",)) -> list[SweepPoint]:
+        specs = [point_spec(system_kind, workload_name, rate, process=process, policy=policy,
+                            proxies=proxies, **common)
+                 for rate in rates for policy in policies]
+        found = [sweep_point(spec, result) for spec, result in zip(specs, run(specs))]
+        for point in found:
+            say(point.row())
+        return found
 
     peak: float | None = None
     if with_closed_loop or (anchor is None and loads is None):
-        peak = closed_loop_peak(
-            system_kind, workload_name, seed=seed, clients=clients,
-            duration=duration, warmup=warmup, keys=keys, num_shards=num_shards,
-        )
+        closed = peak_specs(system_kind, workload_name, clients=clients, **common)
+        peak = max(result.bench["throughput"] for result in run(closed))
         say(f"closed-loop peak: {peak:.0f} tx/s")
     base = anchor if anchor is not None else peak
     if loads is None:
         loads = [round(base * m) for m in DEFAULT_LADDER]
 
-    points: list[SweepPoint] = []
-    for rate in loads:
-        point = run_point(
-            system_kind, workload_name, rate, seed=seed, process=process,
-            duration=duration, warmup=warmup, keys=keys, proxies=proxies,
-            num_shards=num_shards, obs_dir=obs_dir,
-        )
-        points.append(point)
-        say(point.row())
-
-    knee = detect_knee(points)
+    ladder = points(loads)
+    knee = detect_knee(ladder)
     say(f"knee: offered {knee.offered:.0f} tx/s, goodput {knee.goodput_tps:.0f} tx/s")
 
     report = SweepReport(
@@ -290,7 +282,7 @@ def sweep(
         workload=workload_name,
         seed=seed,
         process=process,
-        points=sorted(points, key=lambda p: p.offered),
+        points=sorted(ladder, key=lambda p: p.offered),
         knee_offered=knee.offered,
         knee_goodput=knee.goodput_tps,
         closed_loop_peak=peak,
@@ -304,16 +296,7 @@ def sweep(
         )
 
     if with_overload:
-        overload_rate = 2.0 * knee.offered
-        for pol in ("none", overload_policy):
-            point = run_point(
-                system_kind, workload_name, overload_rate, seed=seed,
-                process=process, policy=pol, duration=duration, warmup=warmup,
-                keys=keys, proxies=proxies, num_shards=num_shards,
-                obs_dir=obs_dir,
-            )
-            report.overload.append(point)
-            say(point.row())
+        report.overload = points([2.0 * knee.offered], ("none", overload_policy))
 
     report.wall_s = time.perf_counter() - t0
     return report

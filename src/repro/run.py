@@ -6,7 +6,9 @@ instruments).  Every entry point builds one and runs it as
 ``SequentialRun(spec)``: the whole system on one plain simulator,
 byte-identical to a hand-built sequential run.  The figures, geo runs,
 the fault campaign, ``obs run`` and the open-loop planner all run this
-way.  ``repro.parallel.runtime.ParallelRunner`` can also run a plain
+way; a sweep hands its list of specs to :func:`run_specs`, which runs
+each one in its own forked child, as many at once as there are usable
+cores.  ``repro.parallel.runtime.ParallelRunner`` can also run a plain
 closed-loop ``basil`` spec or the ``microbench`` as one partition host
 per plan slice (:mod:`repro.parallel.models`); it refuses every other
 kind and every spec with ``drain``, ``arrivals``, ``geo``,
@@ -30,7 +32,7 @@ import hashlib
 import os
 import random
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable, Sequence
 
 from repro.errors import SimulationError
 from repro.sim.loop import Simulator
@@ -529,3 +531,85 @@ def _combine_micro(states: list[_MicrobenchState]) -> str:
     from repro.parallel.merge import combine_digests
 
     return combine_digests({pid: s.digest() for pid, s in enumerate(states)})
+
+
+# ---------------------------------------------------------------------------
+# Sweeps: one forked child per spec
+# ---------------------------------------------------------------------------
+def run_specs(
+    specs: Sequence[ModelSpec],
+    then: Callable[[SequentialRun, PartitionResult], Any] | None = None,
+) -> list[Any]:
+    """``SequentialRun(spec).run()`` for every spec, each in a forked
+    child of its own, as many at once as this process may use cores
+    (``os.sched_getaffinity``: ``taskset -c 0`` runs a sweep serially);
+    the results in spec order.
+
+    ``then(run, result)``, when given, runs in the child on the finished
+    run, its live system still there; its picklable return value comes
+    back instead of the result.
+    """
+
+    def point(spec: ModelSpec) -> Any:
+        run = SequentialRun(spec)
+        result = run.run()
+        return result if then is None else then(run, result)
+
+    calls = [(spec.run_name(), lambda spec=spec: point(spec)) for spec in specs]
+    return in_children(calls, slots=len(os.sched_getaffinity(0)))
+
+
+def in_children(calls: Sequence[tuple[str, Callable[[], Any]]], slots: int = 1) -> list[Any]:
+    """Each ``(name, fn)``'s ``fn()`` in a fresh forked child (a clean heap
+    and allocator per call), at most ``slots`` at once; what they
+    returned, in order.  The first child that raises, or exits without a
+    result, stops the others and raises :class:`SimulationError` with its
+    name and its exception text or exit code."""
+    import multiprocessing as mp
+    from multiprocessing.connection import wait
+
+    # Fork, not spawn: the simulator runs no threads, and a call may be a
+    # closure over live objects (a sweep's ``then`` hook), which spawn
+    # would have to pickle.
+    ctx = mp.get_context("fork")
+    results: list[Any] = [None] * len(calls)
+    queued = list(enumerate(calls))[::-1]
+    running: dict[Any, tuple[int, str, Any]] = {}  #: pipe -> (index, name, process)
+    try:
+        while queued or running:
+            while queued and len(running) < max(1, slots):
+                index, (name, fn) = queued.pop()
+                receiver, sender = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=_child, args=(sender, fn))
+                proc.start()
+                sender.close()
+                running[receiver] = (index, name, proc)
+            for receiver in wait(list(running)):
+                index, name, proc = running.pop(receiver)
+                with receiver:
+                    try:
+                        ok, value = receiver.recv()
+                    except EOFError:
+                        proc.join()
+                        ok, value = False, f"exited with code {proc.exitcode} before sending"
+                proc.join()
+                if not ok:
+                    raise SimulationError(f"{name}: child {value}")
+                results[index] = value
+    finally:
+        for receiver, (_, _, proc) in running.items():
+            proc.kill()
+            proc.join()
+            receiver.close()
+    return results
+
+
+def _child(sender: Any, fn: Callable[[], Any]) -> None:
+    """A forked child's body: send ``(True, fn())`` or ``(False, why)``."""
+    import traceback
+
+    with sender:
+        try:
+            sender.send((True, fn()))
+        except Exception:  # the parent reports it; an exit shows there as EOF
+            sender.send((False, f"raised\n{traceback.format_exc()}"))

@@ -165,10 +165,6 @@ class Network:
         self._remote_send = remote_send
         self._lookahead = lookahead
 
-    # -- latency model ----------------------------------------------------
-    def sample_latency(self, src: str = "", dst: str = "") -> float:
-        return self.latency.sample(self._rng, src, dst)
-
     # -- sending ----------------------------------------------------------
     def send(self, src: Node, dst: str, message: Any) -> None:
         """Fire-and-forget unicast from ``src`` to the node named ``dst``."""

@@ -14,7 +14,7 @@ provide genesis data and generate transaction bodies that run against
 the system-agnostic session API.
 """
 
-from repro.workloads.base import TxOutcome, Workload
+from repro.workloads.base import Workload
 from repro.workloads.geo import GeoSessionWorkload
 from repro.workloads.retwis import RetwisWorkload
 from repro.workloads.smallbank import SmallbankWorkload
@@ -77,7 +77,6 @@ def make_workload(name: str, keys: int = 10_000, **kwargs) -> Workload:
 __all__ = [
     "RetwisWorkload",
     "SmallbankWorkload",
-    "TxOutcome",
     "WORKLOADS",
     "Workload",
     "YCSBWorkload",

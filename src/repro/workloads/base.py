@@ -18,14 +18,6 @@ from typing import Any, Awaitable, Callable, Iterator
 TxBody = Callable[[Any], Awaitable[Any]]
 
 
-@dataclass
-class TxOutcome:
-    """What a transaction body asks the harness to do next."""
-
-    #: Bodies normally return None; USER_ABORT asks for session.abort().
-    USER_ABORT = "user-abort"
-
-
 @dataclass(frozen=True)
 class TxTask:
     """One generated transaction: a tagged body."""

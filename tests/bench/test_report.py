@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.bench.experiments import APP_BATCHES, Scale, app_workload_desc
+from repro.bench.experiments import APP_BATCHES, Scale, app_workload
 from repro.bench.report import latency_ratio, render_table, throughput_ratio
 from repro.bench.runner import BenchResult
+from repro.run import ModelSpec, SequentialRun
 
 
 def result(name, tput, lat=0.005):
@@ -51,20 +52,18 @@ def test_app_tables_consistent():
     assert set(APP_BATCHES) == {"tpcc", "smallbank", "retwis"}
     for app, batches in APP_BATCHES.items():
         assert {"basil", "pbft", "hotstuff"} <= set(batches)
-        workload = app_workload_desc(app, Scale.quick()).build()
+        workload = ModelSpec(**app_workload(app, Scale.quick())).make_workload()
         assert hasattr(workload, "genesis")
 
 
 @pytest.mark.parametrize("fast", [True, False])
 def test_fast_path_switch_reaches_the_client(fast):
-    from repro.bench.experiments import WorkloadDesc, _run_point
+    from repro.bench.experiments import bench_row, point
     from repro.config import SystemConfig
 
     scale = Scale(duration=0.02, warmup=0.01, clients=4, ycsb_keys=200)
-    row = _run_point(
-        SystemConfig(f=1, batch_size=4, fast_path_enabled=fast),
-        WorkloadDesc("ycsb-u", scale.ycsb_keys), scale.clients, scale, "fp",
-    )
+    spec = point(scale, "fp", SystemConfig(f=1, batch_size=4, fast_path_enabled=fast))
+    row = bench_row(spec, SequentialRun(spec).run())
     assert row.commits > 0
     assert (row.fast_path_rate > 0.9) if fast else (row.fast_path_rate == 0.0)
 

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.config import LivenessConfig
 from repro.faults.campaign import (
+    case_spec,
     execute_case,
     replay_bundle,
     run_case,
     summarize,
     sweep,
+    sweep_specs,
     write_bundle,
 )
 from repro.faults.scenarios import SCENARIOS, SMOKE_SCENARIOS, Scale
@@ -47,9 +50,9 @@ def test_failing_case_writes_replayable_bundle(tmp_path):
     scenario = SCENARIOS["partition-minority"]
     schedule = scenario.schedule(2, TINY)
     impossible = LivenessConfig(min_commits=10**9, max_undecided=None)
+    spec = case_spec(scenario.name, "basil", 2, schedule, TINY, impossible)
     case = execute_case(
-        scenario.name, "basil", 2, schedule, TINY, impossible,
-        obs_dir=str(tmp_path / "obs"),
+        dataclasses.replace(spec, obs=True, obs_dir=str(tmp_path / "obs")), impossible
     )
     assert not case.ok
     assert any("min" in v for v in case.liveness_violations)
@@ -76,18 +79,35 @@ def test_failing_case_writes_replayable_bundle(tmp_path):
 
 
 def test_sweep_runs_matrix_and_reports(tmp_path):
-    results = sweep(
+    specs = sweep_specs(
         seeds=1,
         scenario_names=("no-faults", "crash-restart"),
         systems=("basil",),
         scale=TINY,
+    )
+    results = sweep(
+        [dataclasses.replace(spec, trace=False) for spec in specs],
+        TINY,
         out_dir=str(tmp_path),
-        with_trace=False,
         verbose=False,
     )
     assert len(results) == 2
     assert all(case.ok for case in results)
     assert "2 cases: 2 ok, 0 failed" in summarize(results)
+
+
+def test_sweep_bundles_a_case_its_child_judged_failing(tmp_path, monkeypatch):
+    """The oracles run in the case's child; the parent writes the bundle,
+    which replays to the same verdict."""
+    impossible = LivenessConfig(min_commits=10**9, max_undecided=None)
+    scenario = dataclasses.replace(SCENARIOS["no-faults"], liveness=impossible)
+    monkeypatch.setitem(SCENARIOS, "no-faults", scenario)
+    specs = sweep_specs(seeds=1, scenario_names=("no-faults",), systems=("basil",), scale=TINY)
+    [case] = sweep(specs, TINY, out_dir=str(tmp_path), verbose=False)
+    assert not case.ok and case.bundle
+    replayed = replay_bundle(case.bundle)
+    assert replayed.digest == case.digest
+    assert replayed.liveness_violations == case.liveness_violations
 
 
 def test_cli_list_and_sweep(capsys, tmp_path):

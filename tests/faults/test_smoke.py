@@ -7,22 +7,27 @@ Marked ``fault_smoke`` so it can be selected on its own::
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.faults.campaign import sweep
+from repro.faults.campaign import sweep, sweep_specs
 from repro.faults.scenarios import SMOKE_SCENARIOS, Scale
 
 
 @pytest.mark.fault_smoke
 @pytest.mark.parametrize("scenario", SMOKE_SCENARIOS)
 def test_fault_smoke(scenario, tmp_path):
-    results = sweep(
+    specs = sweep_specs(
         seeds=3,
         scenario_names=(scenario,),
         systems=("basil",),
         scale=Scale.quick(),
+    )
+    results = sweep(
+        [dataclasses.replace(spec, trace=False) for spec in specs],
+        Scale.quick(),
         out_dir=str(tmp_path),
-        with_trace=False,
         verbose=False,
     )
     assert len(results) == 3

@@ -1,15 +1,18 @@
-"""The docs name only commands that exist.
+"""The docs name only commands and code that exist.
 
 README.md, EXPERIMENTS.md and ``docs/*.md`` quote ``make`` targets and
 ``python -m repro`` command lines; so do the Makefile's recipes and the
 docstrings of ``src/repro`` and ``examples``.  A deleted target, module,
 sub-command, flag or option would otherwise go stale silently, so every
 quoted one is checked against the Makefile and the CLI's own ``--help``,
-down to the second sub-command level (``sweep <grid>``).
+down to the second sub-command level (``sweep <grid>``).  Every
+backticked dotted name (``repro.run.run_specs``) in those docs and
+DESIGN.md must import, or resolve as an attribute of what does.
 """
 
 import ast
 import functools
+import importlib
 import re
 import subprocess
 import sys
@@ -30,6 +33,9 @@ WORD = re.compile(r"[a-z][\w-]*")
 #: An argparse usage line's sub-command choices (``{run,sweep,...} ...``,
 #: where ``[{a,b} ...]`` is a list option's).
 SUBCOMMANDS = re.compile(r"(?<!\[)\{([\w,-]+)\}\s+\.\.\.")
+#: A dotted name at the start of an inline code span; one followed by
+#: ``/`` is a schema id (``repro.obs.run/v1``), not code.
+DOTTED = re.compile(r"(repro(?:\.\w+)+)(?![\w/])")
 
 
 def _fragments(text: str) -> list[str]:
@@ -164,3 +170,43 @@ def test_cli_modules_and_flags_exist():
 ])
 def test_checker_flags_stale_commands(stale):
     assert _cli_problems([("X.md", stale)])
+
+
+def _resolves(name: str) -> bool:
+    """``name`` is a module, or an attribute path below the longest
+    importable module prefix of it."""
+    parts = name.split(".")
+    for split in range(len(parts), 0, -1):
+        try:
+            target = importlib.import_module(".".join(parts[:split]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[split:]:
+            if not hasattr(target, attr):
+                return False
+            target = getattr(target, attr)
+        return True
+    return False
+
+
+def _dotted_names(text: str) -> list[str]:
+    spans = (" ".join(span.split()) for span in INLINE.findall(FENCE.sub("", text)))
+    return [m.group(1) for span in spans if (m := DOTTED.match(span))]
+
+
+def test_dotted_names_resolve():
+    docs = [ROOT / "DESIGN.md", *DOCS]
+    named = [(doc.name, name) for doc in docs for name in _dotted_names(doc.read_text())]
+    assert len({name for _, name in named}) > 40
+    stale = [f"{doc}: {name}" for doc, name in named if not _resolves(name)]
+    assert not stale, stale
+
+
+@pytest.mark.parametrize("text, stale", [
+    ("`repro.bench.experiments.set_trace_dir`", ["repro.bench.experiments.set_trace_dir"]),
+    ("`repro.nosuchpkg.thing`", ["repro.nosuchpkg.thing"]),
+    ("`repro.run.run_specs(specs, then=)`", []),
+    ("`repro.obs.run/v1`", []),
+])
+def test_checker_flags_stale_dotted_names(text, stale):
+    assert [name for name in _dotted_names(text) if not _resolves(name)] == stale

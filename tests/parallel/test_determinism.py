@@ -208,7 +208,7 @@ def test_ladder_compares_the_sequential_row_too(monkeypatch, capsys):
     args = ["sweep", "ladder", "--workers", "1", "2", "--timers", "20", "--duration", "0.0006"]
     assert cli.main(args) == 0
 
-    real = cli.measure
+    real = cli._ladder_row
 
     def forged(spec, workers):
         row = real(spec, workers)
@@ -216,7 +216,7 @@ def test_ladder_compares_the_sequential_row_too(monkeypatch, capsys):
             row["digest"] = "forged"
         return row
 
-    monkeypatch.setattr(cli, "measure", forged)
+    monkeypatch.setattr(cli, "_ladder_row", forged)
     capsys.readouterr()
     assert cli.main(args) == 1
     assert "workers=[2]" in capsys.readouterr().out

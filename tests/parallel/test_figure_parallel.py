@@ -2,8 +2,9 @@
 
 Two contracts:
 
-* **Golden digests** — every figure entry point is byte-identical
-  (trace digest) to the original sequential figure path, reconstructed
+* **Golden digests** — every figure's points, each run in a forked
+  child, are byte-identical (trace digest) to the original sequential
+  figure path, reconstructed
   hand-built here exactly as ``_run`` used to build it: fig4 across all
   four systems, fig5c, and fig7 with Byzantine clients.
 * **Fault overlays** — fig7's crash schedule names fixed victims per
@@ -12,6 +13,8 @@ Two contracts:
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -43,12 +46,13 @@ TINY = Scale(
 )
 
 
-@pytest.fixture
-def trace_dirs(tmp_path):
-    """Route figure artifacts into tmp and expose digests in extra."""
-    exp.set_trace_dir(str(tmp_path / "traces"))
-    yield tmp_path
-    exp.set_trace_dir(None)
+def traced(specs: dict[str, ModelSpec], tmp_path) -> dict:
+    """Run a figure's points as ``--trace DIR`` does, one forked child
+    each: artifacts go into tmp, digests into each row's extra."""
+    trace_dir = str(tmp_path / "traces")
+    specs = {name: dataclasses.replace(spec, trace=True, trace_dir=trace_dir)
+             for name, spec in specs.items()}
+    return exp.run_figures({"figure": specs})["figure"]
 
 
 def _hand_built_digest(system, workload, clients: int, name: str, **kwargs) -> str:
@@ -64,23 +68,23 @@ def _hand_built_digest(system, workload, clients: int, name: str, **kwargs) -> s
 # ---------------------------------------------------------------------------
 # Golden digests: the pipeline == the original sequential path
 # ---------------------------------------------------------------------------
-def test_fig4_workers1_digests_match_sequential(trace_dirs):
+def test_fig4_workers1_digests_match_sequential(tmp_path):
     from repro.baselines.tapir.system import TapirSystem
     from repro.baselines.txsmr.system import TxSMRSystem
     from repro.core.system import BasilSystem
 
     app = "smallbank"
-    results = exp.fig4_systems(app, scale=TINY)
+    results = traced(exp.fig4_systems(app, scale=TINY), tmp_path)
     batches = exp.APP_BATCHES[app]
-    wdesc = exp.app_workload_desc(app, TINY)
+    workload = ModelSpec(**exp.app_workload(app, TINY))
 
     expected = {
         "basil": _hand_built_digest(
             BasilSystem(SystemConfig(f=1, batch_size=batches["basil"])),
-            wdesc.build(), TINY.clients, f"basil/{app}",
+            workload.make_workload(), TINY.clients, f"basil/{app}",
         ),
         "tapir": _hand_built_digest(
-            TapirSystem(SystemConfig(f=1)), wdesc.build(), TINY.clients,
+            TapirSystem(SystemConfig(f=1)), workload.make_workload(), TINY.clients,
             f"tapir/{app}",
         ),
         "txbftsmart": _hand_built_digest(
@@ -89,7 +93,7 @@ def test_fig4_workers1_digests_match_sequential(trace_dirs):
                              batch_size=batches["basil"]),
                 protocol="pbft",
             ),
-            wdesc.build(), TINY.baseline_clients, f"txbftsmart/{app}",
+            workload.make_workload(), TINY.baseline_clients, f"txbftsmart/{app}",
         ),
         "txhotstuff": _hand_built_digest(
             TxSMRSystem(
@@ -97,18 +101,18 @@ def test_fig4_workers1_digests_match_sequential(trace_dirs):
                              batch_size=batches["basil"]),
                 protocol="hotstuff",
             ),
-            wdesc.build(), TINY.baseline_clients, f"txhotstuff/{app}",
+            workload.make_workload(), TINY.baseline_clients, f"txhotstuff/{app}",
         ),
     }
     for system_name, result in results.items():
         assert result.extra["trace_digest"] == expected[system_name], system_name
 
 
-def test_fig5c_workers1_digests_match_sequential(trace_dirs):
+def test_fig5c_workers1_digests_match_sequential(tmp_path):
     from repro.core.system import BasilSystem
     from repro.workloads.ycsb import YCSBWorkload
 
-    results = exp.fig5c_shard_scaling(scale=TINY)
+    results = traced(exp.fig5c_shard_scaling(scale=TINY), tmp_path)
     for crypto_on in (True, False):
         for shards in (1, 3):
             config = SystemConfig(
@@ -125,15 +129,15 @@ def test_fig5c_workers1_digests_match_sequential(trace_dirs):
             assert results[name].extra["trace_digest"] == digest, name
 
 
-def test_fig7_workers1_digest_matches_sequential(trace_dirs):
+def test_fig7_workers1_digest_matches_sequential(tmp_path):
     from repro.core.system import BasilSystem
     from repro.workloads.ycsb import YCSBWorkload
 
     behaviour, fraction = "equiv-real", 0.5  # 2 of TINY's 4 clients
-    results = exp.fig7_failures(
+    results = traced(exp.fig7_failures(
         "uniform", behaviours=(behaviour,), byz_client_fractions=(fraction,),
         scale=TINY,
-    )
+    ), tmp_path)
 
     # the original fig7 body: per-index factories, byz clients first
     system = BasilSystem(SystemConfig(f=1, batch_size=4))
@@ -155,7 +159,7 @@ def test_fig7_workers1_digest_matches_sequential(trace_dirs):
         TINY.clients, f"{behaviour}@{int(fraction * 100)}%",
         client_factories=factories,
     )
-    assert results[behaviour][fraction].extra["trace_digest"] == digest
+    assert results[f"{behaviour}@50%"].extra["trace_digest"] == digest
 
 
 # ---------------------------------------------------------------------------

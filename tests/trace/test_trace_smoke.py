@@ -44,15 +44,11 @@ def test_traced_ycsb_bench_exports_valid_chrome_trace(tmp_path):
 @pytest.mark.trace_smoke
 def test_bench_cli_trace_flag(tmp_path, capsys):
     """`python -m repro sweep figures fig6a --trace DIR` writes trace files."""
-    import repro.bench.experiments as exp
     from repro.__main__ import main
 
     trace_dir = tmp_path / "traces"
-    try:
-        assert main(["sweep", "figures", "fig6a", "--scale", "quick",
-                     "--trace", str(trace_dir)]) == 0
-    finally:
-        exp.set_trace_dir(None)
+    assert main(["sweep", "figures", "fig6a", "--scale", "quick",
+                 "--trace", str(trace_dir)]) == 0
     out = capsys.readouterr().out
     assert "phase breakdown" in out or "trace:" in out
     written = list(trace_dir.glob("*.trace.json"))
