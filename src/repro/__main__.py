@@ -2,9 +2,10 @@
 
 * ``run`` builds one :class:`~repro.run.ModelSpec` from flags named
   after its fields (and :class:`~repro.config.SystemConfig`'s), runs it
-  under :class:`~repro.parallel.runtime.ParallelRunner` and prints the
+  as a :class:`~repro.run.SequentialRun` (``--workers N``: under
+  :class:`~repro.parallel.runtime.ParallelRunner`) and prints the
   digest, events, set-up cost and bench row.  ``--prof`` profiles the
-  same spec (:func:`repro.prof.runners.profile_run`) instead.
+  same run and writes its RunReport, attribution section included.
 * ``sweep figures|faults|load|geo|ladder`` runs one grid of specs: every
   paper figure with its claims judged, the fault campaign, the open-loop
   capacity planner, edge vs direct serving per topology, and the kernel
@@ -39,9 +40,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 from repro.config import SystemConfig
-from repro.run import SEQUENTIAL_KINDS, SYSTEM_KINDS, ModelSpec, in_children, run_specs
+from repro.run import (
+    SEQUENTIAL_KINDS, SYSTEM_KINDS, ModelSpec, SequentialRun, in_children, run_specs,
+)
+from repro.sim.loop import collector_paused
 
 FIGURES = ("fig4", "fig5a", "fig5b", "fig5c", "fig6a", "fig6b", "fig7", "ablations")
 PROCESSES = ("poisson", "uniform", "bursty")
@@ -117,7 +122,41 @@ def _instrument(spec: ModelSpec, args) -> ModelSpec:
 
 
 # -- run --------------------------------------------------------------------
+def _run_timed(spec: ModelSpec, workers: int):
+    """One run of ``spec`` and its wall clock from the first event to the
+    summary: a :class:`~repro.run.SequentialRun`, or the windowed kernel
+    on ``workers >= 2`` processes (which refuses any other count)."""
+    if workers != 1:
+        from repro.parallel.runtime import ParallelRunner
+
+        result = ParallelRunner(spec, workers).run()
+        return result, result.wall_s
+    run = SequentialRun(spec)
+    run.start()
+    # One collector pause from the first event to the summary, as in a
+    # worker, so every ladder row is timed over the same thing.
+    with collector_paused():
+        t0 = time.perf_counter()
+        result = run.run_prepared()
+        return result, time.perf_counter() - t0
+
+
+def _windowed_report(spec: ModelSpec, result):
+    """A profiled windowed run's RunReport, its attribution merged over
+    partitions and workers."""
+    from repro.obs.report import RunReport
+    from repro.prof.runners import merge_result
+
+    config = spec.system_config()
+    return RunReport.of(
+        spec.run_name(), config, config.seed, result.sim_seconds, bench=result.bench,
+        trace_digest=result.digest, prof=merge_result(spec.run_name(), result),
+    )
+
+
 def cmd_run(args) -> int:
+    import resource
+
     spec = ModelSpec(
         kind=args.kind,
         config=SystemConfig(num_shards=args.num_shards, seed=args.seed),
@@ -128,41 +167,44 @@ def cmd_run(args) -> int:
         warmup=args.warmup,
         timers=args.timers,
         fault_schedule=_schedule(args.faults),
+        prof=args.prof or args.deep,
+        prof_deep=args.deep,
     )
     spec = _instrument(spec, args)
-    if args.prof or args.deep:
-        return _profile(spec, args)
-    import resource
-    import time
-
-    from repro.parallel.runtime import ParallelRunner
-
     started = time.perf_counter()
-    result = ParallelRunner(spec, workers=args.workers).run()
+    result, wall = _run_timed(spec, args.workers)
     # Everything but the event loop: workload and system construction,
     # genesis, forks, and the summary.
-    setup_s = time.perf_counter() - started - result.wall_s
+    setup_s = time.perf_counter() - started - wall
     peak_kb = max(
         resource.getrusage(who).ru_maxrss
         for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
     )
-    print(
-        f"{args.kind}: workers={result.workers} partitions={result.partitions} "
-        f"windows={result.windows}"
-    )
+    windowed = args.workers > 1
+    print(f"{args.kind}: workers={result.workers} partitions={result.partitions} "
+          f"windows={result.windows}" if windowed else f"{args.kind}: workers=1")
     print(
         f"  digest {result.digest[:16]}…  events {result.events:,}  "
-        f"wall {result.wall_s:.3f}s  ({result.events_per_s:,.0f} events/s)"
+        f"wall {wall:.3f}s  ({result.events / wall if wall > 0 else 0.0:,.0f} events/s)"
     )
     print(f"  setup {setup_s:.2f}s  peak rss {peak_kb / 1024:.0f} MB (largest process)")
-    if result.cross_messages:
-        print(
-            f"  cross-partition messages {result.cross_messages:,} "
-            f"(undeliverable after end: {result.undeliverable})"
-        )
-    if result.fault_stats is not None:
-        applied = {k: v for k, v in result.fault_stats.items() if v}
-        print(f"  fault stats: {applied or 'none applied'}")
+    report = None
+    if windowed:
+        if result.cross_messages:
+            print(
+                f"  cross-partition messages {result.cross_messages:,} "
+                f"(undeliverable after end: {result.undeliverable})"
+            )
+        if spec.prof:
+            report = _windowed_report(spec, result)
+    else:
+        if result.fault_stats is not None:
+            applied = {k: v for k, v in result.fault_stats.items() if v}
+            print(f"  fault stats: {applied or 'none applied'}")
+        if result.report is not None:  # recorded or profiled
+            from repro.obs.report import RunReport
+
+            report = RunReport.from_dict(result.report)
     if result.bench:
         bench = result.bench
         print(
@@ -170,31 +212,32 @@ def cmd_run(args) -> int:
             f"commit {bench.get('commit_rate', 0.0) * 100:.1f}%  "
             f"p99 {bench.get('p99_latency', 0.0) * 1000:.2f} ms"
         )
-    if result.report is not None:
-        print(f"  health {result.report['health']}")
-        for verdict in result.report["verdicts"]:
+    if spec.obs:
+        print(f"  health {report.health}")
+        for verdict in report.verdicts:
             if verdict["status"] != "ok":
                 print(f"  {verdict['status']:>9}: {verdict['rule']} ({verdict['detail']})")
         print(f"  wrote obs report to {spec.artifact_path('obs')}")
-    return 0
+    return _profile(report, args) if spec.prof else 0
 
 
-def _profile(spec: ModelSpec, args) -> int:
+def _profile(report, args) -> int:
+    """Print a profiled run's attribution; write its report (and, deep,
+    its stacks and flamegraph) next to the caller."""
+    from repro.obs.report import write_report
     from repro.prof.flame import write_collapsed, write_flame_html
-    from repro.prof.report import write_profile
-    from repro.prof.runners import profile_run
 
-    report = profile_run(spec, workers=args.workers, deep=args.deep)
-    print(report.render())
-    stem = "PROF_" + spec.run_name().replace("/", "-")
-    write_profile(f"{stem}.json", report)
+    prof = report.prof
+    print(f"\n{prof.render()}")
+    stem = "PROF_" + report.name.replace("/", "-")
+    write_report(f"{stem}.json", report)
     print(f"\nprofile -> {stem}.json")
-    if report.collapsed:
-        write_collapsed(f"{stem}.collapsed.txt", report.collapsed)
-        write_flame_html(f"{stem}.flame.html", report.collapsed, title=report.name)
+    if prof.collapsed:
+        write_collapsed(f"{stem}.collapsed.txt", prof.collapsed)
+        write_flame_html(f"{stem}.flame.html", prof.collapsed, title=report.name)
         print(f"collapsed stacks -> {stem}.collapsed.txt\nflamegraph -> {stem}.flame.html")
-    if report.coverage < args.min_coverage:
-        print(f"run: attribution coverage {report.coverage:.1%} below "
+    if prof.coverage < args.min_coverage:
+        print(f"run: attribution coverage {prof.coverage:.1%} below "
               f"--min-coverage {args.min_coverage:.1%}", file=sys.stderr)
         return 1
     return 0
@@ -457,14 +500,12 @@ def _ladder_row(spec: ModelSpec, workers: int) -> dict:
     """One ladder point; :func:`sweep_ladder` runs each in a fresh child
     (clean heap and allocator, so earlier measurements cannot pollute
     later ones)."""
-    from repro.parallel.runtime import ParallelRunner
-
-    result = ParallelRunner(spec, workers=workers).run()
+    result, wall = _run_timed(spec, workers)
     return {
         "workers": workers,
         "events": result.events,
-        "wall_s": result.wall_s,
-        "events_per_s": result.events_per_s,
+        "wall_s": wall,
+        "events_per_s": result.events / wall if wall > 0 else 0.0,
         "digest": result.digest,
     }
 

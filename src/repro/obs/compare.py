@@ -5,7 +5,8 @@ of every sampled counter/gauge series, the histogram p99s, and the
 health verdicts of two runs, and flags:
 
 * metric deltas beyond tolerance (relative, with an absolute floor so
-  a 2-count abort wiggle doesn't flag), and
+  a 2-count abort wiggle doesn't flag), among them, when both runs were
+  profiled, the shares of their largest attribution rows, and
 * health regressions — any rule whose verdict is more severe in B than
   in A (``ok`` -> ``degraded`` -> ``critical``).
 
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field
 
 from repro.obs.health import STATUS_ORDER
 from repro.obs.report import RunReport
+from repro.prof.profiler import top_shares
 
 #: Benchmark-row scalars worth diffing, with direction of "worse":
 #: +1 means larger is worse (latency), -1 means smaller is worse
@@ -108,13 +110,12 @@ def _delta(metric: str, a: float, b: float, tolerance: float, direction: int) ->
 
 
 def _prof_shares(report: RunReport) -> dict[str, float]:
-    """``subsystem -> share`` from a report's profiler meta (empty when
-    the run carried no profiler)."""
-    prof = (report.meta or {}).get("prof") or {}
+    """``subsystem -> share`` of a profiled report's three largest
+    attribution rows (empty when the run was not profiled)."""
+    if report.prof is None:
+        return {}
     return {
-        row["subsystem"]: float(row["share"])
-        for row in prof.get("top", [])
-        if "subsystem" in row
+        row["subsystem"]: row["share"] for row in top_shares(report.prof.subsystems, 3)
     }
 
 

@@ -31,7 +31,7 @@ from repro.obs.health import (
     overall_health,
 )
 from repro.obs.registry import MetricsRegistry
-from repro.obs.report import RunReport, config_digest, _jsonable
+from repro.obs.report import RunReport, _jsonable
 from repro.obs.ticker import MetricsTicker
 
 
@@ -105,31 +105,17 @@ class ObsRecorder:
         series = self.ticker.series()
         verdicts = evaluate_rules(self.rules, series)
         sim = getattr(self.system, "sim", None)
-        instruments = getattr(sim, "instruments", None)
-        profiler = instruments.profiler if instruments is not None else None
-        if profiler is not None:
-            # A wall-clock profiler rode this run: surface its top-3
-            # attribution shares so report diffs can flag subsystem
-            # shifts alongside telemetry regressions.
-            from repro.prof.profiler import top_shares
-
-            meta = dict(meta or {})
-            meta["prof"] = {"top": top_shares(profiler.table(), 3)}
-        bench_dict = None
-        if bench is not None:
-            bench_dict = _jsonable(bench)
         config = config if config is not None else getattr(self.system, "config", None)
-        return RunReport(
-            name=name,
+        return RunReport.of(
+            name,
+            config,
             seed=getattr(sim, "seed", 0),
             sim_seconds=getattr(sim, "now", 0.0),
-            config_digest=config_digest(config) if config is not None else "",
             health=overall_health(verdicts),
             verdicts=[v.to_dict() for v in verdicts],
-            bench=bench_dict,
+            bench=None if bench is None else _jsonable(bench),
             series=[s.to_dict() for s in series],
             histograms=self.registry.histogram_summaries(),
             trace_digest=trace_digest,
-            config=_jsonable(config) if config is not None else {},
             meta=dict(meta or {}),
         )

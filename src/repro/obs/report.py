@@ -6,12 +6,19 @@ ran the same setup), the trace digest when a tracer was attached (the
 determinism oracle), the sampled metric time series, histogram
 summaries, the benchmark row, and the evaluated health verdicts.
 
+A profiled run's report also carries its wall-clock attribution
+(:class:`~repro.prof.profiler.Attribution`: the subsystem table,
+coverage and, in deep mode, collapsed stacks) as its ``prof`` section;
+an unprofiled report has no such key, so its JSON is what it was before
+the section existed.
+
 Reports are plain JSON (``schema`` field versions the layout, the same
 convention as ``repro.load.sweep/v1``).  The run pipeline
-(:mod:`repro.run`) writes one per run into ``ModelSpec.obs_dir`` — the
+(:mod:`repro.run`) writes one per run into ``ModelSpec.obs_dir`` (the
 ``--obs DIR`` of ``python -m repro run`` and of the figures, faults,
-load and geo sweeps —
-and :func:`run_instrumented` returns one for a library caller.
+load and geo sweeps), ``python -m repro run --prof`` writes one as
+``PROF_<run name>.json``, and :func:`run_instrumented` returns one for
+a library caller.
 ``python -m repro compare A B`` diffs two of them.
 """
 
@@ -22,6 +29,8 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any
+
+from repro.prof.profiler import Attribution
 
 SCHEMA = "repro.obs.run/v1"
 
@@ -63,9 +72,27 @@ class RunReport:
     trace_digest: str | None = None
     config: dict[str, Any] = field(default_factory=dict)
     meta: dict[str, Any] = field(default_factory=dict)
+    #: The wall-clock attribution of a profiled run; None otherwise.
+    prof: Attribution | None = None
     schema: str = SCHEMA
 
+    @classmethod
+    def of(
+        cls, name: str, config: Any, seed: int, sim_seconds: float, **fields: Any
+    ) -> "RunReport":
+        """A report on a run of ``config`` (None: no system config), its
+        digest and canonical JSON filled in."""
+        return cls(
+            name=name,
+            seed=seed,
+            sim_seconds=sim_seconds,
+            config_digest=config_digest(config) if config is not None else "",
+            config=_jsonable(config) if config is not None else {},
+            **fields,
+        )
+
     def to_dict(self) -> dict[str, Any]:
+        prof = {} if self.prof is None else {"prof": self.prof.to_dict()}
         return {
             "schema": self.schema,
             "name": self.name,
@@ -80,6 +107,7 @@ class RunReport:
             "trace_digest": self.trace_digest,
             "config": self.config,
             "meta": self.meta,
+            **prof,
         }
 
     @classmethod
@@ -101,6 +129,7 @@ class RunReport:
             trace_digest=data.get("trace_digest"),
             config=data.get("config", {}),
             meta=data.get("meta", {}),
+            prof=Attribution.from_dict(data["prof"]) if "prof" in data else None,
         )
 
     # -- convenience lookups -------------------------------------------

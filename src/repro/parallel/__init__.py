@@ -11,9 +11,11 @@ one-way cross-partition network latency, so a message sent inside a
 window can never be due for delivery inside the same window — the
 windowed barrier exchange is always conservative.
 
-``workers >= 2`` runs plain closed-loop Basil and the kernel
-microbench; geo runs, fault schedules, obs recording, drains and
-open-loop arrivals are ``workers=1`` only.
+:class:`~repro.parallel.runtime.ParallelRunner` takes ``workers >= 2``
+and runs plain closed-loop Basil and the kernel microbench; geo runs,
+fault schedules, obs recording, drains and open-loop arrivals are
+``workers=1`` only, and every ``workers=1`` run is a
+:class:`~repro.run.SequentialRun`.
 
 Determinism contract (see docs/parallel.md):
 
@@ -21,9 +23,8 @@ Determinism contract (see docs/parallel.md):
   worker count.  Workers merely host one or more partitions, so a run
   with ``workers=2`` and one with ``workers=4`` execute byte-identical
   per-partition schedules and produce identical trace digests.
-* ``workers=1`` does not window at all: it delegates to the sequential
-  kernel and is byte-identical (same trace digest) to a plain
-  sequential run.
+* The windowed microbench digest equals the one-heap
+  :class:`~repro.run.SequentialRun` digest of the same spec.
 * Inbound cross-partition messages are merged in the stable order
   ``(deliver_time, src_partition, seq)`` before scheduling.
 * Every named RNG stream is derived from ``(seed, partition_id,

@@ -54,9 +54,8 @@ class PartitionHost(_Run):
     def __init__(
         self, spec: ModelSpec, system: Any, sim: Simulator, plan: PartitionPlan, pid: int
     ) -> None:
-        super().__init__(spec, system, sim)
+        super().__init__(spec, system, sim, partition_id=pid)
         self.plan = plan
-        self.partition_id = pid
         self._outbox: list[Envelope] = []
         self._seq = 0
 
@@ -139,7 +138,6 @@ class BasilPartitionHost(PartitionHost):
 
     def finalize(self) -> PartitionResult:
         return self._summarize(
-            self.partition_id,
             cross_sent=self._seq,
             cross_received=self._cross_received,
         )
@@ -192,7 +190,6 @@ class MicrobenchPartitionHost(PartitionHost):
     def finalize(self) -> PartitionResult:
         state = self._state
         return self._summarize(
-            self.partition_id,
             digest=state.digest(),
             cross_sent=self._seq,
             cross_received=state.cross_received,

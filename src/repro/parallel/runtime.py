@@ -1,10 +1,10 @@
 """The coordinator: fork workers, barrier windows, merge results.
 
-:class:`ParallelRunner` is the front door of :mod:`repro.parallel`.
-``workers=1`` delegates to the sequential kernel (byte-identical to a
-hand-built sequential run); ``workers >= 2`` builds the partition plan,
-forks workers (each hosting one or more logical partitions), and drives
-the windowed exchange of :mod:`repro.parallel.exchange` to completion.
+:class:`ParallelRunner` is the front door of :mod:`repro.parallel`: it
+takes ``workers >= 2``, builds the partition plan, forks workers (each
+hosting one or more logical partitions), and drives the windowed
+exchange of :mod:`repro.parallel.exchange` to completion.  A
+single-process run is :class:`~repro.run.SequentialRun`.
 """
 
 from __future__ import annotations
@@ -25,13 +25,13 @@ from repro.parallel.exchange import (
 from repro.parallel.merge import combine_digests
 from repro.parallel.models import make_plan
 from repro.parallel.partition import audit_rng_streams
-from repro.run import PARTITIONED_KINDS, ModelSpec, PartitionResult, SequentialRun
+from repro.run import PARTITIONED_KINDS, ModelSpec, PartitionResult
 from repro.sim.loop import collector_paused
 
 
 @dataclass
 class ParallelResult:
-    """The merged outcome of one (possibly partitioned) run."""
+    """The merged outcome of one windowed run."""
 
     digest: str
     events: int
@@ -42,10 +42,6 @@ class ParallelResult:
     lookahead: float
     sim_seconds: float
     bench: dict[str, Any] | None = None
-    #: The obs RunReport dict and the FaultInjector counters (workers=1
-    #: only: a windowed run carries neither).
-    report: dict[str, Any] | None = None
-    fault_stats: dict[str, int] | None = None
     cross_messages: int = 0
     undeliverable: int = 0  #: envelopes due after the end of the run
     per_partition: dict[int, dict[str, Any]] = field(default_factory=dict)
@@ -54,18 +50,17 @@ class ParallelResult:
     #: attribution tables ride ``per_partition[pid]["prof"]``.
     prof: list[dict[str, Any]] = field(default_factory=list)
 
-    @property
-    def events_per_s(self) -> float:
-        return self.events / self.wall_s if self.wall_s > 0 else 0.0
-
 
 class ParallelRunner:
-    """Run a :class:`ModelSpec` across ``workers`` processes."""
+    """Run a :class:`ModelSpec` across ``workers >= 2`` processes."""
 
-    def __init__(self, spec: ModelSpec, workers: int = 1) -> None:
-        if workers < 1:
-            raise SimulationError("need at least one worker")
-        if workers > 1 and spec.kind not in PARTITIONED_KINDS:
+    def __init__(self, spec: ModelSpec, workers: int) -> None:
+        if workers < 2:
+            raise SimulationError(
+                f"ParallelRunner runs the windowed kernel on workers >= 2, not "
+                f"{workers}: run a single-process spec with repro.run.SequentialRun"
+            )
+        if spec.kind not in PARTITIONED_KINDS:
             raise SimulationError(
                 f"model kind {spec.kind!r} only supports workers=1 "
                 f"(partitioned kinds: {', '.join(PARTITIONED_KINDS)})"
@@ -74,68 +69,12 @@ class ParallelRunner:
             # The windowed kernel runs plain closed-loop Basil and the
             # microbench, the two configurations that were measured.
             value = getattr(spec, name)
-            if workers > 1 and value is not None and value is not False:
+            if value is not None and value is not False:
                 raise SimulationError(f"ModelSpec.{name} only supports workers=1")
         self.spec = spec
         self.workers = workers
 
     def run(self) -> ParallelResult:
-        if self.workers == 1:
-            return self._run_sequential()
-        return self._run_windowed()
-
-    # ------------------------------------------------------------------
-    def _run_sequential(self) -> ParallelResult:
-        """The workers=1 path: the plain sequential kernel, no windows.
-
-        Byte-identical (trace digest) to building the same system and
-        runner by hand — pinned by the golden-digest tests.
-        """
-        spec = self.spec
-        seq = SequentialRun(spec)
-        seq.start()
-        deep = None
-        if spec.prof_deep:
-            from repro.prof.deep import DeepProfiler
-
-            deep = DeepProfiler()
-        # As in a worker: one pause from the first event to the summary,
-        # so every worker count is timed over the same thing.  This is the
-        # caller's process, so the collector is handed back afterwards.
-        with collector_paused():
-            if deep is not None:
-                deep.start()
-            t0 = time.perf_counter()
-            result = seq.run_prepared()
-            wall = time.perf_counter() - t0
-            if deep is not None:
-                deep.stop()
-        prof = []
-        if spec.prof or spec.prof_deep:
-            prof = [
-                {
-                    "attr": {},  # no exchange seams in a sequential run
-                    "deep": dict(deep.collapsed) if deep is not None else None,
-                }
-            ]
-        return ParallelResult(
-            digest=result.digest,
-            events=result.events,
-            workers=1,
-            partitions=1,
-            windows=0,
-            wall_s=wall,
-            lookahead=0.0,
-            sim_seconds=result.now,
-            bench=result.bench,
-            report=result.report,
-            fault_stats=result.fault_stats,
-            per_partition={-1: _summary(result)},
-            prof=prof,
-        )
-
-    # ------------------------------------------------------------------
-    def _run_windowed(self) -> ParallelResult:
         spec = self.spec
         plan = make_plan(spec)
         ownership = plan.assign_workers(self.workers)

@@ -11,10 +11,15 @@ Two pillars:
   deep mode with collapsed-stack (flamegraph) and top-N hot-function
   export, runnable per parallel worker and merged like digests.
 
-CLI: ``python -m repro run --prof [--deep]``.
+A profiled run's table, coverage and collapsed stacks are one section
+of its :class:`~repro.obs.report.RunReport`
+(:class:`~repro.prof.profiler.Attribution`): a single-process run builds
+it in :class:`~repro.run.SequentialRun`, a windowed one through
+:func:`~repro.prof.runners.merge_result`.  ``python -m repro run --prof
+[--deep]`` writes that report as ``PROF_<run name>.json``, which
+``python -m repro compare`` reads like any other.
 
-Only the dependency-free profiler core is imported eagerly; the runners
-live in their own module.
+Only the dependency-free profiler core is imported eagerly.
 """
 
 from repro.prof.profiler import (

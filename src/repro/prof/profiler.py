@@ -24,12 +24,17 @@ Two properties:
   close before the coroutine suspends, or the stack would interleave
   across tasks.  All shipped hooks bracket synchronous segments only.
 
-This module imports nothing from the rest of ``repro`` so the sim
-kernel can depend on it without cycles.
+:class:`Attribution` is what a profiled run keeps of it: the table, the
+measured wall it is a share of, and (deep mode) the collapsed stacks —
+the ``prof`` section of the run's ``RunReport``.
+
+This module imports nothing from the rest of ``repro`` at import time,
+so the sim kernel can depend on it without cycles.
 """
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
 from time import perf_counter
 from typing import Any, Callable, Iterable
 
@@ -186,3 +191,57 @@ def render_table(
             f"  of measured wall {wall_s:.3f}s"
         )
     return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# A profiled run's section of its RunReport
+# ---------------------------------------------------------------------------
+@dataclass
+class Attribution:
+    """Where one profiled run's wall clock went: the ``prof`` section of
+    its :class:`~repro.obs.report.RunReport`.
+
+    ``subsystems`` is the merged attribution table, ``wall_s`` the
+    measured wall of the run's simulation and summary, ``workers`` the
+    processes that accrued it at once, and ``collapsed`` the deep
+    profiler's merged stacks (None unless deep mode ran).
+    """
+
+    subsystems: dict[str, dict[str, float]]
+    wall_s: float
+    events: int
+    workers: int = 1
+    collapsed: dict[str, float] | None = None
+
+    @property
+    def coverage(self) -> float:
+        """Attributed wall over measured wall x workers: in [0, ~1]."""
+        budget = self.wall_s * max(1, self.workers)
+        attributed = sum(row["wall_s"] for row in self.subsystems.values())
+        return attributed / budget if budget > 0 else 0.0
+
+    def to_dict(self) -> dict[str, Any]:
+        # coverage is derived; it is written for readers of the JSON alone.
+        return {**asdict(self), "coverage": self.coverage}
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "Attribution":
+        return cls(
+            subsystems=data["subsystems"],
+            wall_s=float(data["wall_s"]),
+            events=int(data["events"]),
+            workers=int(data["workers"]),
+            collapsed=data["collapsed"],
+        )
+
+    def render(self, limit: int = 16, hot: int = 12) -> str:
+        """The attribution table, then (deep mode) the hottest functions."""
+        text = render_table(
+            self.subsystems, wall_s=self.wall_s * max(1, self.workers), limit=limit
+        )
+        if not self.collapsed:
+            return text
+        from repro.prof.deep import render_top, top_functions
+
+        return (f"{text}\n\nhot functions (deep mode, self time):\n"
+                f"{render_top(top_functions(self.collapsed, hot))}")

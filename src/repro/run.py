@@ -2,21 +2,24 @@
 
 A :class:`ModelSpec` is a pure description of *what* to simulate (system
 kind, config, workload, clients or arrivals, faults, durations,
-instruments).  Every entry point builds one and runs it as
-``SequentialRun(spec)``: the whole system on one plain simulator,
-byte-identical to a hand-built sequential run.  The figures, geo runs,
-the fault campaign, ``obs run`` and the open-loop planner all run this
-way; a sweep hands its list of specs to :func:`run_specs`, which runs
-each one in its own forked child, as many at once as there are usable
-cores.  ``repro.parallel.runtime.ParallelRunner`` can also run a plain
-closed-loop ``basil`` spec or the ``microbench`` as one partition host
-per plan slice (:mod:`repro.parallel.models`); it refuses every other
-kind and every spec with ``drain``, ``arrivals``, ``geo``,
-``fault_schedule`` or ``obs`` set.
+instruments).  Every single-process run is ``SequentialRun(spec)``: the
+whole system on one plain simulator, byte-identical to a hand-built
+sequential run.  ``python -m repro run`` (``--prof`` too), the figures,
+geo runs, the fault campaign, the open-loop planner and the scale
+ladder's one-process row all run this way; a sweep hands its list of
+specs to :func:`run_specs`, which runs each one in its own forked child,
+as many at once as there are usable cores.  With ``workers >= 2``,
+``repro.parallel.runtime.ParallelRunner`` runs a plain closed-loop
+``basil`` spec or the ``microbench`` as one partition host per plan
+slice (:mod:`repro.parallel.models`); it refuses every other kind and
+every spec with ``drain``, ``arrivals``, ``geo``, ``fault_schedule`` or
+``obs`` set.
 
-Both are a :class:`_Run`: the only place a runner, recorder, injector or
-tracer is constructed, the only place a fault schedule becomes a client
-mix, and the only writer of a run's ``.obs.json``.
+Both are a :class:`_Run`: the only place a runner, recorder, injector,
+tracer or profiler is constructed and the only place a fault schedule
+becomes a client mix.  A sequential run's :class:`~repro.obs.report.RunReport`
+(telemetry when recorded, wall-clock attribution when profiled) is
+built and written in one place, :meth:`SequentialRun.run_prepared`.
 :func:`build_system` is the only mapping from a system kind to a system.
 
 Supported kinds: ``basil``, ``microbench``, ``tapir``, ``txsmr``
@@ -28,10 +31,12 @@ guarantee covers the baselines too.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import random
 from dataclasses import dataclass
+from time import perf_counter
 from typing import Any, Callable, Sequence
 
 from repro.errors import SimulationError
@@ -57,8 +62,9 @@ class PartitionResult:
     messages_delivered: int = 0
     messages_dropped: int = 0
     bench: dict[str, Any] | None = None  #: client partition only
-    #: The obs RunReport dict and the FaultInjector.stats counters (None
-    #: when not recorded / no injector; always None on a partition).
+    #: The RunReport dict of a recorded (``obs``) or profiled (``prof``)
+    #: sequential run, and the FaultInjector.stats counters (None when
+    #: neither / no injector; always None on a partition).
     report: dict[str, Any] | None = None
     fault_stats: dict[str, int] | None = None
     #: Per-replica MVTSO abort-reason tallies summed over this
@@ -124,12 +130,13 @@ class ModelSpec:
     trace_dir: str | None = None
     obs_dir: str | None = None
     #: Attach a wall-clock attribution profiler per partition
-    #: (:mod:`repro.prof`); tables ride each PartitionResult's ``extra``
-    #: and merge in the profile report.  Never perturbs the schedule.
+    #: (:mod:`repro.prof`); tables ride each PartitionResult's ``extra``,
+    #: and a sequential run's RunReport carries them as its ``prof``
+    #: section.  Never perturbs the schedule.
     prof: bool = False
-    #: Additionally run the ``sys.setprofile`` deep profiler per worker
-    #: (collapsed stacks for flamegraphs; 3-10x slower, still
-    #: schedule-identical).
+    #: Additionally run the ``sys.setprofile`` deep profiler, over the
+    #: sequential run or per worker (collapsed stacks for flamegraphs;
+    #: 3-10x slower, still schedule-identical).
     prof_deep: bool = False
     # -- microbench knobs ------------------------------------------------
     partitions: int = 8
@@ -261,13 +268,16 @@ class _Run:
     for protocol kinds, one system) and walk the same lifecycle: attach
     instruments, start the driver (closed-loop clients, the geo serving
     tier or open-loop arrivals), summarise.  Each of those steps exists
-    once, here.
+    once, here.  ``partition_id`` is None for the sequential run.
     """
 
-    def __init__(self, spec: ModelSpec, system: Any, sim: Simulator) -> None:
+    def __init__(
+        self, spec: ModelSpec, system: Any, sim: Simulator, partition_id: int | None = None
+    ) -> None:
         self.spec = spec
         self.system = system  #: None for the microbench
         self.sim = sim
+        self.partition_id = partition_id
         self.runner = None
         self.tracer = None
         self.recorder = None
@@ -285,12 +295,19 @@ class _Run:
                 from repro.faults.injector import FaultInjector
 
                 self.injector = FaultInjector(spec.fault_schedule)
+        self.deep = None
         if spec.prof:
             # Looked up now, not at import: a caller may have swapped in a
             # Profiler subclass.  Stores reach it through their node's sim.
             from repro.prof.profiler import Profiler
 
             sim.attach_profiler(Profiler())
+            if spec.prof_deep and partition_id is None:
+                # A worker samples its whole loop, exchange included, so
+                # partition hosts leave deep mode to repro.parallel.worker.
+                from repro.prof.deep import DeepProfiler
+
+                self.deep = DeepProfiler()
 
     def _start_runner(self) -> None:
         """Build the run's workload runner and schedule its initial work."""
@@ -333,17 +350,16 @@ class _Run:
 
     def _summarize(
         self,
-        partition_id: int | None,
         digest: str = "",
         cross_sent: int = 0,
         cross_received: int = 0,
         extra: dict[str, Any] | None = None,
     ) -> PartitionResult:
-        """Finalize the runner and assemble the run's result and artifacts.
+        """Finalize the runner and assemble the run's result and trace.
 
-        ``partition_id`` is None for the sequential run (reported as -1).
-        A traced run's digest is its trace digest; otherwise the caller
-        passes its own (the microbench fold).
+        The sequential run is reported as partition -1.  A traced run's
+        digest is its trace digest; otherwise the caller passes its own
+        (the microbench fold).
         """
         from repro.bench.runner import abort_reasons
 
@@ -376,25 +392,14 @@ class _Run:
             # sha256 over every trace event — attribute it so post-run
             # reporting can't masquerade as kernel time.
             digest = instruments.frame("report.digest", trace_digest, self.tracer)
-            path = _artifact_path(spec, "trace", partition_id)
+            path = _artifact_path(spec, "trace", self.partition_id)
             if path:
                 write_chrome_trace(self.tracer, path)
-        report = None
-        if self.recorder is not None:  # sequential runs only
-            run_report = self.recorder.finish(
-                spec.run_name(), bench=bench, trace_digest=digest or None
-            )
-            report = run_report.to_dict()
-            path = _artifact_path(spec, "obs", None)
-            if path:
-                from repro.obs.report import write_report
-
-                write_report(path, run_report)
         network = getattr(system, "network", None)
         if instruments is not None and instruments.profiler is not None:
             extra = {**(extra or {}), "prof": instruments.profiler.table()}
         return PartitionResult(
-            partition_id=-1 if partition_id is None else partition_id,
+            partition_id=-1 if self.partition_id is None else self.partition_id,
             digest=digest,
             events=self.sim.events_processed,
             now=self.sim.now,
@@ -404,7 +409,6 @@ class _Run:
             messages_delivered=getattr(network, "messages_delivered", 0),
             messages_dropped=getattr(network, "messages_dropped", 0),
             bench=bench,
-            report=report,
             fault_stats=dict(self.injector.stats) if self.injector else None,
             abort_reasons=abort_reasons(system) or None,
             extra=extra,
@@ -456,7 +460,7 @@ def _microbench_schedule(
 
 
 # ---------------------------------------------------------------------------
-# Sequential builds (the workers=1 path)
+# The single-process run
 # ---------------------------------------------------------------------------
 class SequentialRun(_Run):
     """The whole spec on one plain simulator (no partitions, no windows).
@@ -469,6 +473,7 @@ class SequentialRun(_Run):
 
     def __init__(self, spec: ModelSpec) -> None:
         self._micro_states: list[_MicrobenchState] = []
+        self.began = 0.0  #: perf_counter() when start() returned
         if spec.kind == "microbench":
             system = None
             sim = Simulator(seed=spec.system_config().seed)
@@ -478,11 +483,18 @@ class SequentialRun(_Run):
         super().__init__(spec, system, sim)
 
     def start(self) -> None:
-        """Schedule all initial work without executing any event."""
+        """Schedule all initial work without executing any event.
+
+        The run's measured section (the wall a profile's coverage is
+        taken over, and what the deep profiler samples) begins here.
+        """
         if self.spec.kind == "microbench":
             self._start_microbench()
         else:
             self._start_runner()
+        self.began = perf_counter()
+        if self.deep is not None:
+            self.deep.start()
 
     def _start_microbench(self) -> None:
         """All P virtual partitions on one simulator, one global heap.
@@ -520,11 +532,43 @@ class SequentialRun(_Run):
         """Advance to end_time and summarize (``start()`` already called)."""
         self.sim.run(until=self.spec.end_time())
         states = self._micro_states
-        return self._summarize(
-            None,
+        result = self._summarize(
             digest=_combine_micro(states) if states else "",
             cross_received=sum(s.cross_received for s in states),
         )
+        if self.recorder is None and not self.spec.prof:
+            return result
+        return dataclasses.replace(result, report=self._report(result).to_dict())
+
+    def _report(self, result: PartitionResult) -> Any:
+        """The run's RunReport: telemetry when recorded, the ``prof``
+        section when profiled; written into ``obs_dir`` when asked for."""
+        from repro.obs.report import RunReport, write_report
+
+        spec, deep = self.spec, self.deep
+        if deep is not None:
+            deep.stop()
+        wall = perf_counter() - self.began
+        name, digest = spec.run_name(), result.digest or None
+        if self.recorder is not None:
+            report = self.recorder.finish(name, bench=result.bench, trace_digest=digest)
+        else:
+            config = spec.system_config() if self.system is None else self.system.config
+            report = RunReport.of(
+                name, config, self.sim.seed, self.sim.now,
+                bench=result.bench, trace_digest=digest,
+            )
+        if spec.prof:
+            from repro.prof.profiler import Attribution
+
+            report.prof = Attribution(
+                result.extra["prof"], wall, result.events,
+                collapsed=None if deep is None else deep.collapsed,
+            )
+        path = _artifact_path(spec, "obs", None)
+        if path:
+            write_report(path, report)
+        return report
 
 
 def _combine_micro(states: list[_MicrobenchState]) -> str:

@@ -40,6 +40,19 @@ SequentialRun(ModelSpec(
 )).start()
 """
 
+#: ``python -m repro run`` (and ``run --prof``) at their default worker
+#: count, from a scratch directory so the profile files land there.
+_CLI_RUN = """
+import contextlib, io, os, tempfile
+from repro.__main__ import main
+
+os.chdir(tempfile.mkdtemp())
+with contextlib.redirect_stdout(io.StringIO()):
+    for extra in ([], ["--prof"]):
+        assert main(["run", "--duration", "0.002", "--warmup", "0.001",
+                     "--num-clients", "2", "--workload-keys", "200", *extra]) == 0
+"""
+
 #: The benchmark's child process and the spans its traced pass installs.
 _BENCH_CHILD = """
 import basilbench.child
@@ -107,6 +120,14 @@ def test_geo_edge_run_loads_only_the_health_telemetry():
     obs = [m for m in _loaded(modules, "repro.obs") if m != "repro.obs"]
     assert obs == ["repro.obs.health", "repro.obs.ticker"]
     assert _loaded(modules, "multiprocessing", "repro.trace") == []
+
+
+def test_cli_run_and_profile_load_no_parallel_module():
+    # One worker is a SequentialRun: neither the windowed kernel nor
+    # multiprocessing is imported for it.
+    modules = _modules_after(_CLI_RUN)
+    assert "repro.prof.profiler" in modules  # the --prof run did run
+    assert _loaded(modules, "repro.parallel", "multiprocessing") == []
 
 
 def test_benchmark_child_imports_no_workers_edge_or_telemetry():

@@ -117,28 +117,29 @@ def test_recorder_works_on_baselines():
     assert report.health == "ok"
 
 
-def test_recorder_surfaces_profiler_attribution_in_meta():
-    """A run with an enabled wall-clock profiler lands its top-3 shares
-    in RunReport.meta['prof']; without one, meta stays untouched."""
-    from repro.prof.profiler import Profiler
+def test_recorded_profiled_run_carries_the_attribution_section():
+    """A recorded run with the wall-clock profiler on carries its
+    attribution as the report's ``prof`` section, from which compare
+    takes the top-3 shares; without the profiler there is no section."""
+    from repro.obs.report import RunReport
+    from repro.prof.profiler import top_shares
+    from repro.run import ModelSpec, SequentialRun
 
-    recorder = ObsRecorder(interval=0.01)
-    system = BasilSystem(SystemConfig(f=1, num_shards=1, batch_size=4, seed=7))
-    profiler = system.sim.attach_profiler(Profiler())
-    workload = YCSBWorkload(num_keys=300, reads=2, writes=2, distribution="zipfian")
-    runner = ExperimentRunner(
-        system, workload, num_clients=4, duration=0.05, warmup=0.02,
-        name="obs-prof", recorder=recorder,
+    spec = ModelSpec(
+        kind="basil", config=SystemConfig(f=1, num_shards=1, batch_size=4, seed=7),
+        workload_keys=300, num_clients=4, duration=0.05, warmup=0.02,
+        label="obs-prof", obs=True, obs_interval=0.01, prof=True,
     )
-    bench = runner.run()
-    report = recorder.finish("obs-prof", bench=bench)
-    top = report.meta["prof"]["top"]
+    result = SequentialRun(spec).run()
+    report = RunReport.from_dict(result.report)
+    assert report.series and report.prof.subsystems == result.extra["prof"]
+    top = top_shares(report.prof.subsystems, 3)
     assert len(top) == 3
-    assert {row["subsystem"] for row in top} <= set(profiler.table())
     assert all(0.0 < row["share"] <= 1.0 for row in top)
+    assert "prof" not in report.meta
 
-    # No profiler -> no prof key injected.
+    # No profiler -> no prof section.
     recorder2 = ObsRecorder(interval=0.01)
     bench2, _ = small_run(recorder2, seed=8)
     report2 = recorder2.finish("obs-plain", bench=bench2)
-    assert "prof" not in report2.meta
+    assert report2.prof is None and "prof" not in report2.to_dict()

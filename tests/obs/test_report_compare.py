@@ -159,19 +159,18 @@ def test_tolerance_is_tunable():
 
 
 def test_prof_attribution_shift_flagged():
-    """Reports carrying profiler meta diff prof.<subsystem>.share rows;
-    a large shift flags in either direction (a moved hot spot matters
-    as much as a new one)."""
-    prof_a = {"top": [
-        {"subsystem": "task.step", "wall_s": 0.5, "share": 0.5, "calls": 10},
-        {"subsystem": "crypto.sign", "wall_s": 0.1, "share": 0.1, "calls": 5},
-    ]}
-    prof_b = {"top": [
-        {"subsystem": "task.step", "wall_s": 0.3, "share": 0.3, "calls": 10},
-        {"subsystem": "crypto.sign", "wall_s": 0.4, "share": 0.4, "calls": 5},
-    ]}
-    a = make_report(meta={"prof": prof_a})
-    b = make_report(name="run-b", meta={"prof": prof_b})
+    """Profiled reports diff prof.<subsystem>.share rows of their
+    attribution sections; a large shift flags in either direction (a
+    moved hot spot matters as much as a new one)."""
+    from repro.prof.profiler import Attribution
+
+    def profiled(name, task_step, crypto_sign, loop):
+        table = {sub: {"wall_s": wall, "calls": 10} for sub, wall in (
+            ("task.step", task_step), ("crypto.sign", crypto_sign), ("kernel.loop", loop))}
+        return make_report(name=name, prof=Attribution(table, wall_s=1.0, events=100))
+
+    a = profiled("run-a", 0.5, 0.1, 0.4)
+    b = profiled("run-b", 0.3, 0.4, 0.3)
     result = compare_reports(a, b)
     flagged = {d.metric for d in result.flagged}
     assert "prof.crypto.sign.share" in flagged

@@ -15,7 +15,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.errors import SimulationError
 from repro.parallel.runtime import ParallelRunner
-from repro.run import ModelSpec
+from repro.run import ModelSpec, SequentialRun
 
 pytestmark = pytest.mark.parallel_smoke
 
@@ -30,7 +30,7 @@ MICRO = ModelSpec(
 
 
 def test_microbench_digest_invariant_across_worker_counts():
-    sequential = ParallelRunner(MICRO, workers=1).run()
+    sequential = SequentialRun(MICRO).run()
     w2 = ParallelRunner(MICRO, workers=2).run()
     w4 = ParallelRunner(MICRO, workers=4).run()
     assert sequential.digest == w2.digest == w4.digest
@@ -67,6 +67,13 @@ def test_basil_digest_invariant_across_worker_counts():
     assert w2.bench["throughput"] == pytest.approx(w4.bench["throughput"])
 
 
+def test_single_process_runs_are_refused_by_name():
+    """One worker is a SequentialRun: the windowed runner says so."""
+    for workers in (1, 0):
+        with pytest.raises(SimulationError, match="SequentialRun"):
+            ParallelRunner(MICRO, workers=workers)
+
+
 def test_sequential_only_kinds_reject_partitioned_runs():
     spec = ModelSpec(kind="tapir", duration=0.01, warmup=0.002)
     with pytest.raises(SimulationError, match="workers=1"):
@@ -94,7 +101,7 @@ def test_sequential_only_fields_reject_partitioned_runs():
             SimulationError, match=rf"ModelSpec\.{name} only supports workers=1"
         ):
             ParallelRunner(spec, workers=2)
-        ParallelRunner(spec, workers=1)  # every one is fine sequentially
+        SequentialRun(spec)  # every one is fine sequentially
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +111,6 @@ def test_sequential_only_fields_reject_partitioned_runs():
 def _run_loops():
     """Every way a caller's process enters the dispatch loop, by name;
     each returns None or raises what its loop is built to raise."""
-    from repro.run import SequentialRun
     from repro.sim.loop import Future, Simulator
 
     def forever(sim):
@@ -140,7 +146,6 @@ def _run_loops():
         "run_until_complete": until_complete,
         "nested run_until_complete": run_nested,
         "SequentialRun.run": lambda: SequentialRun(MICRO).run(),
-        "ParallelRunner workers=1": lambda: ParallelRunner(MICRO, workers=1).run(),
         "ParallelRunner workers=2": lambda: ParallelRunner(MICRO, workers=2).run(),
         "max_events": lambda: busy().run(max_events=5),
         "deadlock": lambda: Simulator().run_until_complete(Future()),

@@ -1,10 +1,10 @@
-"""Golden digests: ``workers=1`` is byte-identical to a hand-built run.
+"""Golden digests: the ``workers=1`` run is byte-identical to a hand-built run.
 
-The parallel front-end must be a pure wrapper at ``workers=1``: same
-trace digest (hence identical event schedule), same event count, same
-bench numbers as constructing the system and runner by hand.  This is
-the contract that lets every existing experiment move behind
-:class:`ParallelRunner` without re-baselining anything.
+A :class:`SequentialRun` of a spec must be a pure wrapper: same trace
+digest (hence identical event schedule), same event count, same bench
+numbers as constructing the system and runner by hand.  This is the
+contract that lets every experiment run through the one pipeline
+without re-baselining anything.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import pytest
 from repro.bench.runner import ExperimentRunner
 from repro.byzantine.clients import ByzantineClient
 from repro.config import SystemConfig
-from repro.parallel.runtime import ParallelRunner
-from repro.run import ModelSpec
+from repro.run import ModelSpec, SequentialRun
 from repro.trace.export import trace_digest
 from repro.trace.tracer import Tracer
 from repro.workloads import make_workload
@@ -75,10 +74,10 @@ def _hand_built(kind: str, config: SystemConfig):
 def test_workers1_identical_to_hand_built(kind):
     config = _config()
     digest, events, bench = _hand_built(kind, config)
-    result = ParallelRunner(_spec(kind, config), workers=1).run()
+    result = SequentialRun(_spec(kind, config)).run()
     assert result.digest == digest
     assert result.events == events
-    assert result.workers == 1 and result.windows == 0
+    assert result.partition_id == -1 and result.cross_received == 0
     assert result.bench is not None
     assert result.bench["commits"] == bench.commits
     assert result.bench["throughput"] == pytest.approx(bench.throughput)
@@ -123,18 +122,18 @@ def test_drained_faulted_run_identical_to_hand_built():
     spec = dataclasses.replace(
         _spec("basil", config), fault_schedule=schedule, drain=drain
     )
-    result = ParallelRunner(spec, workers=1).run()
+    result = SequentialRun(spec).run()
     assert result.digest == trace_digest(tracer)
     assert result.events == system.sim.events_processed
-    assert result.sim_seconds == system.sim.now
+    assert result.now == system.sim.now
     assert result.bench["commits"] == bench.commits
     assert result.bench["aborts"] == bench.aborts
     # the drain is what the digest covers beyond the undrained run
     undrained = dataclasses.replace(spec, drain=None)
-    assert ParallelRunner(undrained, workers=1).run().digest != result.digest
+    assert SequentialRun(undrained).run().digest != result.digest
 
 
 def test_workers1_run_commits_transactions():
-    result = ParallelRunner(_spec("basil", _config()), workers=1).run()
+    result = SequentialRun(_spec("basil", _config())).run()
     assert result.bench["commits"] > 0
     assert result.bench["commit_rate"] > 0.9
