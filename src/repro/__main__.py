@@ -299,13 +299,15 @@ def sweep_figures(args) -> int:
     scale = {"quick": exp.Scale.quick(), "default": exp.DEFAULT_SCALE,
              "paper": exp.Scale.paper()}[args.scale]
     groups = _figure_groups(args, scale)
-    rows = exp.run_figures({
+    stream = exp.run_figures({
         key: {name: _instrument(spec, args) for name, spec in points.items()}
         for group in groups for key, _, points in group
     })
+    rows: dict = {}
     verdicts = []
     for group in groups:
         for key, title, _ in group:
+            _, rows[key] = next(stream)
             for row in rows[key].values():
                 if key.startswith("fig7/"):
                     exp.fig7_metrics(row, scale.clients)
@@ -314,7 +316,7 @@ def sweep_figures(args) -> int:
                           f"(digest {row.extra['trace_digest'][:12]})")
                 if "obs_path" in row.extra:
                     print(f"  obs: {row.extra['obs_path']} (health {row.extra['health']})")
-            print(render_table(title, rows[key]))
+            print(render_table(title, rows[key]), flush=True)
         judged = claims.judge_all({key: rows[key] for key, _, _ in group})
         for table in claims.render_tables(judged).values():
             print(f"\n{table}\n")

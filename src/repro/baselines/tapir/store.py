@@ -2,18 +2,19 @@
 
 TAPIR validates at prepare time with timestamp-ordering checks very
 close to MVTSO's, but prepared writes are *not* visible to reads (no
-dependencies), so there is no dependency-wait step.
+dependencies), so there is no dependency-wait step.  Like Basil's
+MVTSO-Check, every method takes the part of a transaction on the
+replica's shard (``Sharder.part_of``; the record itself at one shard).
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Any
 
 from repro.core.mvtso import apply_commit
 from repro.core.timestamps import Timestamp
-from repro.core.transaction import TxRecord
+from repro.core.transaction import ShardPart, TxRecord
 from repro.crypto.digest import Digest
 from repro.storage.versionstore import VersionStore
 
@@ -26,25 +27,20 @@ class TapirVote(enum.Enum):
     ABSTAIN = "abstain"
 
 
-@dataclass
-class TapirTxState:
-    tx: TxRecord
-    decided: bool = False
-
-
 class TapirStore:
     """One TAPIR replica's state: versions + prepared transactions."""
 
     def __init__(self, sim: Any = None) -> None:
         self.versions: VersionStore = VersionStore(sim)
-        self.prepared: dict[Digest, TapirTxState] = {}
+        #: Ids of the transactions prepared here and not yet decided.
+        self.prepared: set[Digest] = set()
 
     def read(self, key, ts: Timestamp):
         """Latest committed version below ``ts`` (prepared are invisible)."""
         return self.versions.latest_committed(key, ts)
 
     # ------------------------------------------------------------------
-    def occ_check(self, tx: TxRecord) -> TapirVote:
+    def occ_check(self, tx: TxRecord | ShardPart) -> TapirVote:
         """TAPIR's prepare-time validation (simplified, same structure)."""
         if tx.txid in self.prepared:
             return TapirVote.OK  # retransmission
@@ -58,7 +54,7 @@ class TapirStore:
                 if hit.status.value == "committed":
                     return TapirVote.ABORT
                 return TapirVote.ABSTAIN
-        for key in tx.write_keys:
+        for key, _value in tx.write_set:
             if self.versions.reads_spanning(key, ts):
                 return TapirVote.ABORT
             if self.versions.has_rts_above(key, ts):
@@ -66,22 +62,22 @@ class TapirStore:
         self._prepare(tx)
         return TapirVote.OK
 
-    def _prepare(self, tx: TxRecord) -> None:
-        self.prepared[tx.txid] = TapirTxState(tx=tx)
+    def _prepare(self, tx: TxRecord | ShardPart) -> None:
+        self.prepared.add(tx.txid)
         for key, value in tx.write_set:
             self.versions.add_prepared_write(key, tx.timestamp, value, tx.txid)
         for key, version in tx.read_set:
             self.versions.add_read(key, tx.timestamp, version, tx.txid)
             self.versions.update_rts(key, tx.timestamp)
 
-    def commit(self, tx: TxRecord) -> None:
+    def commit(self, tx: TxRecord | ShardPart) -> None:
         apply_commit(self.versions, tx)
-        self.prepared.pop(tx.txid, None)
+        self.prepared.discard(tx.txid)
 
-    def abort(self, tx: TxRecord) -> None:
-        state = self.prepared.pop(tx.txid, None)
-        if state is None:
+    def abort(self, tx: TxRecord | ShardPart) -> None:
+        if tx.txid not in self.prepared:
             return
+        self.prepared.remove(tx.txid)
         for key, _value in tx.write_set:
             self.versions.remove_prepared_write(key, tx.timestamp)
         for key, version in tx.read_set:

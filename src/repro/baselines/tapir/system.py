@@ -102,17 +102,18 @@ class TapirReplica(Node):
                 reply = TReadReply(message.req_id, message.key, version.timestamp, version.value)
             self.network.send(self, sender, reply)
         elif isinstance(message, TPrepare):
-            vote = self.store.occ_check(message.tx)
+            vote = self.store.occ_check(self.sharder.part_of(message.tx, self.shard))
             self.network.send(
                 self, sender, TPrepareReply(message.req_id, self.name, vote)
             )
         elif isinstance(message, TConfirm):
             self.network.send(self, sender, TConfirmReply(message.req_id, self.name))
         elif isinstance(message, TDecision):
+            part = self.sharder.part_of(message.tx, self.shard)
             if message.commit:
-                self.store.commit(message.tx)
+                self.store.commit(part)
             else:
-                self.store.abort(message.tx)
+                self.store.abort(part)
 
 
 @dataclass

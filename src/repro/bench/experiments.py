@@ -4,8 +4,9 @@ two ablations.
 Every function returns the figure's points as a dict of
 :class:`~repro.run.ModelSpec` keyed the way the figure's series are
 labeled: closed-loop clients on the paper's workload for that figure.
-:func:`run_figures` runs them, one forked child per point, and returns
-the :class:`~repro.bench.runner.BenchResult` rows under the same keys.
+:func:`run_figures` runs them, one forked child per point, and yields
+each figure's :class:`~repro.bench.runner.BenchResult` rows under the
+same keys.
 Populations and run lengths are scaled down from the paper's testbed
 (see EXPERIMENTS.md); the ``scale`` argument shrinks them further for
 smoke testing.
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
 from repro.bench.runner import BenchResult
 from repro.config import CryptoConfig, SystemConfig
@@ -106,14 +107,15 @@ def bench_row(spec: ModelSpec, run: PartitionResult) -> BenchResult:
     return row
 
 
-def run_figures(figures: dict[str, dict[str, ModelSpec]]) -> dict[str, dict[str, BenchResult]]:
+def run_figures(
+    figures: dict[str, dict[str, ModelSpec]],
+) -> Iterator[tuple[str, dict[str, BenchResult]]]:
     """Every point of every figure through one :func:`~repro.run.run_specs`
-    call; the rows keyed like the specs."""
-    flat = [(key, name, spec) for key, specs in figures.items() for name, spec in specs.items()]
-    rows: dict[str, dict[str, BenchResult]] = {key: {} for key in figures}
-    for (key, name, spec), run in zip(flat, run_specs([spec for *_, spec in flat])):
-        rows[key][name] = bench_row(spec, run)
-    return rows
+    call; each figure's ``(key, rows)``, the rows keyed like its specs, as
+    soon as its last point is in."""
+    runs = iter(run_specs([spec for specs in figures.values() for spec in specs.values()]))
+    for key, specs in figures.items():
+        yield key, {name: bench_row(spec, next(runs)) for name, spec in specs.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -230,12 +230,6 @@ class SystemConfig:
     #: Whether the commit fast path is enabled (Fig 6a sweeps this).
     fast_path_enabled: bool = True
 
-    #: Unread: every driver backs off from repro.bench.runner's
-    #: BACKOFF_BASE / BACKOFF_MAX.  Kept until the next re-pin, because
-    #: the obs report hashes the whole config.
-    retry_backoff_base: float = 2 * MS
-    retry_backoff_max: float = 200 * MS
-
     #: Timeout after which a client considers a dependency stalled and
     #: invokes the fallback (Sec 5).  Kept aggressive: the paper notes
     #: correct clients "quickly notice stalled transactions and

@@ -16,7 +16,7 @@ from typing import Optional
 
 from repro.core.certificates import CommitCert, ConflictProof, DecisionCert
 from repro.core.messages import Decision, Vote
-from repro.core.transaction import TxRecord
+from repro.core.transaction import ShardPart, TxRecord
 from repro.crypto.digest import Digest
 from repro.sim.events import Signal
 
@@ -125,11 +125,15 @@ class CheckResult:
 def mvtso_check(
     store,
     tx_states: dict[Digest, TxState],
-    tx: TxRecord,
+    tx: TxRecord | ShardPart,
     local_time: float,
     delta: float,
 ) -> CheckResult:
     """Run Algorithm 1 for ``tx`` against one replica's state.
+
+    Here and in ``undo_prepare`` / ``apply_commit``, ``tx`` is the part
+    of T on the replica's shard (``Sharder.part_of``); the check never
+    replaces a record the caller already keeps for T in ``tx_states``.
 
     On PREPARED, the transaction's writes have been made visible as
     prepared versions and its reads indexed; the caller must roll these
@@ -170,7 +174,7 @@ def mvtso_check(
                 conflict_key=key,
             )
 
-    for key in tx.write_keys:
+    for key, _value in tx.write_set:
         # (4) our write does not invalidate reads of prepared/committed txns
         spanning = store.reads_spanning(key, ts)
         if spanning:
@@ -188,7 +192,8 @@ def mvtso_check(
 
     # (6) prepare T and make its writes visible (line 14)
     state = tx_states.setdefault(tx.txid, TxState())
-    state.tx = tx
+    if state.tx is None:
+        state.tx = tx
     state.phase = TxPhase.PREPARED
     for key, value in tx.write_set:
         store.add_prepared_write(key, ts, value, tx.txid)
@@ -204,7 +209,7 @@ def mvtso_check(
     return CheckResult(CheckStatus.PREPARED, pending_deps=pending)
 
 
-def undo_prepare(store, tx: TxRecord) -> None:
+def undo_prepare(store, tx: TxRecord | ShardPart) -> None:
     """Remove T's prepared writes and indexed reads (abort path)."""
     for key, _value in tx.write_set:
         store.remove_prepared_write(key, tx.timestamp)
@@ -212,7 +217,7 @@ def undo_prepare(store, tx: TxRecord) -> None:
         store.remove_read(key, tx.timestamp, version, tx.txid)
 
 
-def apply_commit(store, tx: TxRecord) -> None:
+def apply_commit(store, tx: TxRecord | ShardPart) -> None:
     """Apply T's writes as committed versions (promoting if prepared).
 
     A write T itself prepared is committed by its promotion; any other

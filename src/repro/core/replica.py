@@ -151,7 +151,7 @@ class BasilReplica(Node):
         )
         for state in self.tx_states.values():
             if state.phase is TxPhase.PREPARED and state.vote is None and state.tx is not None:
-                undo_prepare(self.store, state.tx)
+                undo_prepare(self.store, self.sharder.part_of(state.tx, self.shard))
                 state.phase = TxPhase.UNKNOWN
 
     # ------------------------------------------------------------------
@@ -283,7 +283,8 @@ class BasilReplica(Node):
 
     def run_check(self, tx) -> CheckResult:
         result = mvtso_check(
-            self.store, self.tx_states, tx, self.local_time, self.config.delta
+            self.store, self.tx_states, self.sharder.part_of(tx, self.shard),
+            self.local_time, self.config.delta,
         )
         if result.status is not CheckStatus.PREPARED:
             reason = result.reason or "unknown"
@@ -314,7 +315,7 @@ class BasilReplica(Node):
             state.vote = Vote.COMMIT
         else:
             if state.tx is not None and state.phase is TxPhase.PREPARED:
-                undo_prepare(self.store, state.tx)
+                undo_prepare(self.store, self.sharder.part_of(state.tx, self.shard))
                 state.phase = TxPhase.UNKNOWN
             state.vote = Vote.ABORT
 
@@ -449,11 +450,11 @@ class BasilReplica(Node):
         cid = tx.timestamp.client_id
         self.client_settled[cid] = self.client_settled.get(cid, 0) + 1
         if decision is Decision.COMMIT:
-            apply_commit(self.store, tx)
+            apply_commit(self.store, self.sharder.part_of(tx, self.shard))
             state.phase = TxPhase.COMMITTED
         else:
             if state.phase is TxPhase.PREPARED:
-                undo_prepare(self.store, tx)
+                undo_prepare(self.store, self.sharder.part_of(tx, self.shard))
             state.phase = TxPhase.ABORTED
         state.decision_signal.fire(decision)
 

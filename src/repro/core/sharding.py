@@ -17,7 +17,7 @@ import zlib
 from typing import Any, Collection, Iterable
 
 from repro.config import SystemConfig
-from repro.core.transaction import TxRecord
+from repro.core.transaction import ShardPart, TxRecord
 from repro.crypto.digest import canonical_encode
 
 
@@ -96,15 +96,46 @@ class Sharder:
 
     # -- per-transaction decisions -------------------------------------------
     def shards_of_tx(self, tx: TxRecord) -> tuple[int, ...]:
-        # Memoized on the (frozen) record, tagged with num_shards so a
-        # record shared across differently-sized topologies cannot observe
-        # a stale answer.
-        memo = getattr(tx, "_shards_memo", None)
+        return self._split(tx)[1]
+
+    def part_of(self, tx: TxRecord, shard: int) -> TxRecord | ShardPart:
+        """The part of ``tx`` that ``shard`` validates, prepares and
+        applies: the reads and writes of keys it owns and the deps on
+        them, under ``tx``'s id; ``tx`` itself when nothing of it lies
+        elsewhere (always at one shard)."""
+        parts = self._split(tx)[2]
+        part = parts[shard] if parts is not None else None
+        return tx if part is None else part
+
+    def _split(self, tx: TxRecord) -> tuple:
+        """``(num_shards, involved shards, parts)``, memoized on the record
+        and tagged with num_shards so a record shared across topologies
+        cannot observe a stale answer; ``parts[s]`` is None where the part
+        is the record (holding the record would make it a reference cycle),
+        and ``parts`` None at one shard."""
+        memo = getattr(tx, "_split_memo", None)
         if memo is not None and memo[0] == self.num_shards:
-            return memo[1]
-        involved = tuple(sorted({self.shard_of(k) for k in tx.keys}))
-        object.__setattr__(tx, "_shards_memo", (self.num_shards, involved))
-        return involved
+            return memo
+        if self.num_shards == 1:
+            memo = (1, (0,) if tx.read_set or tx.write_set else (), None)
+        else:
+            split: list[tuple[list, list, list]] = [([], [], []) for _ in range(self.num_shards)]
+            for entry in tx.read_set:
+                split[self.shard_of(entry[0])][0].append(entry)
+            for entry in tx.write_set:
+                split[self.shard_of(entry[0])][1].append(entry)
+            for dep in tx.deps:
+                split[self.shard_of(dep.key)][2].append(dep)
+            size = len(tx.read_set) + len(tx.write_set) + len(tx.deps)
+            involved = tuple(s for s, (r, w, _) in enumerate(split) if r or w)
+            parts = tuple(
+                None if len(r) + len(w) + len(d) == size
+                else ShardPart(tx.txid, tx.timestamp, tuple(r), tuple(w), tuple(d))
+                for r, w, d in split
+            )
+            memo = (self.num_shards, involved, parts)
+        object.__setattr__(tx, "_split_memo", memo)
+        return memo
 
     def s_log(self, tx: TxRecord) -> int:
         """The logging shard: deterministic in id_T among involved shards."""

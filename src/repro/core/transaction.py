@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Hashable
+from typing import Any, Hashable, NamedTuple
 
 from repro.crypto.digest import Digest, digest_of, short_hex
 from repro.core.timestamps import Timestamp
@@ -59,16 +59,8 @@ class TxRecord:
 
     # -- convenience views -------------------------------------------------
     @cached_property
-    def read_keys(self) -> tuple[Key, ...]:
-        return tuple(k for k, _ in self.read_set)
-
-    @cached_property
-    def write_keys(self) -> tuple[Key, ...]:
-        return tuple(k for k, _ in self.write_set)
-
-    @cached_property
     def keys(self) -> frozenset[Key]:
-        return frozenset(self.read_keys) | frozenset(self.write_keys)
+        return frozenset(k for k, _ in (*self.read_set, *self.write_set))
 
     def read_version(self, key: Key) -> Timestamp | None:
         for k, v in self.read_set:
@@ -99,6 +91,16 @@ class TxRecord:
             f"<Tx {short_hex(self.txid)} {self.timestamp} "
             f"r={len(self.read_set)} w={len(self.write_set)} d={len(self.deps)}>"
         )
+
+
+class ShardPart(NamedTuple):
+    """What of a :class:`TxRecord` lies on one shard (``Sharder.part_of``)."""
+
+    txid: Digest
+    timestamp: Timestamp
+    read_set: tuple[tuple[Key, Timestamp], ...]
+    write_set: tuple[tuple[Key, Any], ...]
+    deps: tuple[Dep, ...]
 
 
 def _value_size(value: Any) -> int:

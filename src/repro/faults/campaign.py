@@ -326,8 +326,9 @@ def sweep(
     """Run :func:`sweep_specs`' cases, one forked child each, judge each
     in its child and bundle the failures; rows print in spec order."""
     scale = scale or Scale.quick()
-    results = run_specs(specs, then=judge_case)
-    for spec, case in zip(specs, results):
+    results = []
+    for spec, case in zip(specs, run_specs(specs, then=judge_case)):
+        results.append(case)
         if not case.ok:
             scenario = SCENARIOS[case.scenario]
             case.bundle = write_bundle(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.config import AdmissionConfig, ArrivalConfig
 from repro.faults.campaign import make_config
@@ -234,7 +234,7 @@ def sweep(
     with_closed_loop: bool = True,
     with_overload: bool = True,
     overload_policy: str = "aimd",
-    run: Callable[[list[ModelSpec]], list[PartitionResult]] = run_specs,
+    run: Callable[[list[ModelSpec]], Iterable[PartitionResult]] = run_specs,
     verbose: bool = True,
 ) -> SweepReport:
     """Walk offered load, find the knee, probe 2x-knee overload.

@@ -35,9 +35,10 @@ import dataclasses
 import hashlib
 import os
 import random
+import sys
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import SimulationError
 from repro.sim.loop import Simulator
@@ -583,11 +584,12 @@ def _combine_micro(states: list[_MicrobenchState]) -> str:
 def run_specs(
     specs: Sequence[ModelSpec],
     then: Callable[[SequentialRun, PartitionResult], Any] | None = None,
-) -> list[Any]:
+) -> Iterator[Any]:
     """``SequentialRun(spec).run()`` for every spec, each in a forked
     child of its own, as many at once as this process may use cores
     (``os.sched_getaffinity``: ``taskset -c 0`` runs a sweep serially);
-    the results in spec order.
+    the results in spec order, each yielded as soon as it and every
+    earlier one are in, so a sweep prints its rows as it goes.
 
     ``then(run, result)``, when given, runs in the child on the finished
     run, its live system still there; its picklable return value comes
@@ -603,12 +605,13 @@ def run_specs(
     return in_children(calls, slots=len(os.sched_getaffinity(0)))
 
 
-def in_children(calls: Sequence[tuple[str, Callable[[], Any]]], slots: int = 1) -> list[Any]:
+def in_children(calls: Sequence[tuple[str, Callable[[], Any]]], slots: int = 1) -> Iterator[Any]:
     """Each ``(name, fn)``'s ``fn()`` in a fresh forked child (a clean heap
     and allocator per call), at most ``slots`` at once; what they
-    returned, in order.  The first child that raises, or exits without a
-    result, stops the others and raises :class:`SimulationError` with its
-    name and its exception text or exit code."""
+    returned, in order, each as soon as every earlier call's is in.  The
+    first child that raises, or exits without a result, stops the others
+    and raises :class:`SimulationError` with its name and its exception
+    text or exit code; closing the iterator early stops them too."""
     import multiprocessing as mp
     from multiprocessing.connection import wait
 
@@ -616,7 +619,8 @@ def in_children(calls: Sequence[tuple[str, Callable[[], Any]]], slots: int = 1) 
     # closure over live objects (a sweep's ``then`` hook), which spawn
     # would have to pickle.
     ctx = mp.get_context("fork")
-    results: list[Any] = [None] * len(calls)
+    finished: dict[int, Any] = {}  #: index -> result, until it is yielded
+    yielded = 0
     queued = list(enumerate(calls))[::-1]
     running: dict[Any, tuple[int, str, Any]] = {}  #: pipe -> (index, name, process)
     try:
@@ -625,6 +629,9 @@ def in_children(calls: Sequence[tuple[str, Callable[[], Any]]], slots: int = 1) 
                 index, (name, fn) = queued.pop()
                 receiver, sender = ctx.Pipe(duplex=False)
                 proc = ctx.Process(target=_child, args=(sender, fn))
+                # A forked child flushes the stdout buffer it inherits, so
+                # rows printed and still buffered would come out twice.
+                sys.stdout.flush()
                 proc.start()
                 sender.close()
                 running[receiver] = (index, name, proc)
@@ -639,13 +646,15 @@ def in_children(calls: Sequence[tuple[str, Callable[[], Any]]], slots: int = 1) 
                 proc.join()
                 if not ok:
                     raise SimulationError(f"{name}: child {value}")
-                results[index] = value
+                finished[index] = value
+            while yielded in finished:
+                yield finished.pop(yielded)
+                yielded += 1
     finally:
         for receiver, (_, _, proc) in running.items():
             proc.kill()
             proc.join()
             receiver.close()
-    return results
 
 
 def _child(sender: Any, fn: Callable[[], Any]) -> None:

@@ -83,6 +83,36 @@ def test_abort_releases_prepared_state():
 
 
 # ---------------------------------------------------------------------------
+# Shard parts: a replica validates only what lies on its own shard
+# ---------------------------------------------------------------------------
+TWO_SHARDS = Sharder(SystemConfig(f=1, num_shards=2))
+OWNED, FOREIGN = "owned", "foreign"  # on shards 0 and 1 of TWO_SHARDS
+
+
+def test_a_foreign_key_is_left_to_its_own_shard():
+    assert [TWO_SHARDS.shard_of(k) for k in (OWNED, FOREIGN)] == [0, 1]
+    store = TapirStore()
+    writer = make_tx(ts(5), writes=[(OWNED, 1), (FOREIGN, 2)])
+    assert store.occ_check(TWO_SHARDS.part_of(writer, 0)) is TapirVote.OK
+    store.commit(TWO_SHARDS.part_of(writer, 0))
+    assert list(store.versions.keys()) == [OWNED]
+    # a read that missed the foreign write is the other shard's to judge
+    late = make_tx(ts(10), reads=[(FOREIGN, GENESIS)], writes=[(OWNED, 3), (FOREIGN, 4)])
+    assert store.occ_check(TWO_SHARDS.part_of(late, 0)) is TapirVote.OK
+    store.abort(TWO_SHARDS.part_of(late, 0))
+    assert list(store.versions.keys()) == [OWNED]
+
+
+def test_a_conflict_on_an_owned_key_still_aborts():
+    store = TapirStore()
+    writer = make_tx(ts(5), writes=[(OWNED, 1)])
+    store.occ_check(TWO_SHARDS.part_of(writer, 0))
+    store.commit(TWO_SHARDS.part_of(writer, 0))
+    stale = make_tx(ts(10), reads=[(OWNED, GENESIS)], writes=[(FOREIGN, 3)])
+    assert store.occ_check(TWO_SHARDS.part_of(stale, 0)) is TapirVote.ABORT
+
+
+# ---------------------------------------------------------------------------
 # System-level
 # ---------------------------------------------------------------------------
 @pytest.fixture()

@@ -10,6 +10,8 @@ from repro.core.mvtso import (
     mvtso_check,
     undo_prepare,
 )
+from repro.config import SystemConfig
+from repro.core.sharding import Sharder
 from repro.core.timestamps import GENESIS, Timestamp
 from repro.core.transaction import Dep, TxBuilder
 from repro.errors import StorageError
@@ -260,3 +262,54 @@ def test_interested_clients_are_a_tuple_without_duplicates():
     for client in ("c2", "c1", "c2", "c1", "c3"):
         state.add_interested(client)
     assert state.interested == ("c2", "c1", "c3")
+
+
+# ---------------------------------------------------------------------------
+# Shard parts: a replica checks only what lies on its own shard
+# ---------------------------------------------------------------------------
+TWO_SHARDS = Sharder(SystemConfig(f=1, num_shards=2))
+OWNED, FOREIGN = "owned", "foreign"  # on shards 0 and 1 of TWO_SHARDS
+
+
+def test_placement_of_the_part_keys():
+    assert [TWO_SHARDS.shard_of(k) for k in (OWNED, FOREIGN)] == [0, 1]
+
+
+def test_unknown_dep_on_a_foreign_key_is_not_invalid(store, states):
+    unseen = Dep(txid=b"u" * 32, key=FOREIGN, version=ts(4))
+    tx = make_tx(ts(10), reads=[(OWNED, GENESIS), (FOREIGN, ts(4))],
+                 writes=[(OWNED, b"o"), (FOREIGN, b"f")], deps=[unseen])
+    assert check(store, states, tx).reason == "invalid-dep"  # the whole record
+    part = TWO_SHARDS.part_of(tx, 0)
+    assert (part.txid, part.deps) == (tx.txid, ())
+    result = check(store, {}, part)
+    assert result.status is CheckStatus.PREPARED
+    assert result.pending_deps == ()
+    assert list(store.keys()) == [OWNED]
+
+
+def test_unknown_dep_on_an_owned_key_is_still_invalid(store, states):
+    unseen = Dep(txid=b"u" * 32, key=OWNED, version=ts(4))
+    tx = make_tx(ts(10), reads=[(OWNED, ts(4))], writes=[(FOREIGN, b"f")], deps=[unseen])
+    result = check(store, states, TWO_SHARDS.part_of(tx, 0))
+    assert result.status is CheckStatus.ABORT
+    assert result.reason == "invalid-dep"
+
+
+def test_part_is_the_record_when_nothing_lies_elsewhere():
+    tx = make_tx(ts(10), reads=[(OWNED, GENESIS)], writes=[(OWNED, b"o")])
+    assert TWO_SHARDS.part_of(tx, 0) is tx
+    assert TWO_SHARDS.part_of(tx, 0) is tx  # memoized on the record
+    assert TWO_SHARDS.part_of(tx, 1).read_set == ()
+    mixed = make_tx(ts(10), writes=[(OWNED, b"o"), (FOREIGN, b"f")])
+    assert Sharder(SystemConfig(f=1)).part_of(mixed, 0) is mixed  # one shard
+
+
+def test_undo_and_commit_touch_only_the_part(store, states):
+    tx = make_tx(ts(10), reads=[(FOREIGN, GENESIS)], writes=[(OWNED, b"o"), (FOREIGN, b"f")])
+    part = TWO_SHARDS.part_of(tx, 0)
+    assert check(store, states, part).status is CheckStatus.PREPARED
+    undo_prepare(store, part)
+    apply_commit(store, part)
+    assert [v.value for v in store.committed_versions(OWNED)] == [b"o"]
+    assert FOREIGN not in store and list(store.keys()) == [OWNED]

@@ -3,7 +3,8 @@
 Every sweep runs its points through it, so a point's digest, event
 count, bench row and fault counters must not depend on which process
 ran it: each must equal the in-process ``SequentialRun(spec).run()``.
-A child that fails must fail the sweep, promptly and by name.
+A child that fails must fail the sweep, promptly and by name.  Results
+stream: the first comes back while a later point is still running.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def mixed_specs() -> list[ModelSpec]:
 
 def test_results_come_back_in_spec_order_equal_to_in_process_runs():
     specs = mixed_specs()
-    forked = run_specs(specs)
+    forked = list(run_specs(specs))
     assert len(forked) == len(specs)
     for spec, result in zip(specs, forked):
         expected = SequentialRun(spec).run()
@@ -67,9 +68,9 @@ def test_results_come_back_in_spec_order_equal_to_in_process_runs():
 
 def test_then_runs_in_the_child_on_the_live_run():
     specs = mixed_specs()[1:3]
-    seen = run_specs(specs, then=lambda run, result: (
+    seen = list(run_specs(specs, then=lambda run, result: (
         run.spec.label, len(run.system.replicas), os.getpid(), result.events,
-    ))
+    )))
     assert [label for label, *_ in seen] == ["tapir", "txhs"]
     assert all(replicas > 0 and events > 0 for _, replicas, _, events in seen)
     assert os.getpid() not in {pid for _, _, pid, _ in seen}
@@ -81,7 +82,7 @@ def test_a_child_that_raises_fails_the_sweep_naming_the_spec():
         k: v for k, v in SMALL.items() if k != "workload_keys"
     })
     with pytest.raises(SimulationError) as error:
-        run_specs([good, bad])
+        list(run_specs([good, bad]))
     assert "broken-point" in str(error.value)
     assert "unknown workload 'no-such-workload'" in str(error.value)
 
@@ -93,5 +94,24 @@ def test_a_child_that_exits_without_sending_fails_fast_naming_the_spec():
     spec = mixed_specs()[1]
     started = time.monotonic()
     with pytest.raises(SimulationError, match=r"tapir: child exited with code 3"):
-        run_specs([spec], then=vanish)
+        list(run_specs([spec], then=vanish))
     assert time.monotonic() - started < 30.0
+
+
+def test_the_first_result_comes_back_before_the_last_point_finishes(tmp_path):
+    """The second point cannot finish until the parent has the first
+    result in hand: it waits for a file the parent writes only then."""
+    released = tmp_path / "first-result-received"
+
+    def hold_second(run, result):
+        if run.spec.label == "txhs":
+            deadline = time.monotonic() + 20.0
+            while not released.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+        return run.spec.label, released.exists()
+
+    results = run_specs(mixed_specs()[1:3], then=hold_second)
+    assert next(results) == ("tapir", False)
+    released.touch()
+    assert next(results) == ("txhs", True)
+    assert next(results, None) is None

@@ -52,7 +52,7 @@ def traced(specs: dict[str, ModelSpec], tmp_path) -> dict:
     trace_dir = str(tmp_path / "traces")
     specs = {name: dataclasses.replace(spec, trace=True, trace_dir=trace_dir)
              for name, spec in specs.items()}
-    return exp.run_figures({"figure": specs})["figure"]
+    return dict(exp.run_figures({"figure": specs}))["figure"]
 
 
 def _hand_built_digest(system, workload, clients: int, name: str, **kwargs) -> str:
