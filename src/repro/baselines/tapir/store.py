@@ -48,11 +48,12 @@ class TapirStore:
         for key, version in tx.read_set:
             if version > ts:
                 return TapirVote.ABORT
-            for hit in self.versions.writes_between(key, version, ts):
-                # conflict with a committed write: permanent abort;
-                # with a merely prepared write: abstain (retryable)
-                if hit.status.value == "committed":
-                    return TapirVote.ABORT
+            committed, prepared = self.versions.writes_between(key, version, ts)
+            # conflict with a committed write: permanent abort;
+            # with a merely prepared write: abstain (retryable)
+            if committed:
+                return TapirVote.ABORT
+            if prepared:
                 return TapirVote.ABSTAIN
         for key, _value in tx.write_set:
             if self.versions.reads_spanning(key, ts):

@@ -35,8 +35,8 @@ class _Entry:
     version: int = 0
 
 
-def _genesis_entry(chain_entry: tuple[Any, Version]) -> _Entry:
-    return _Entry(value=chain_entry[1].value, version=1)
+def _genesis_entry(chain: tuple[Version]) -> _Entry:
+    return _Entry(value=chain[0].value, version=1)
 
 
 @dataclass

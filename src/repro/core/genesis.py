@@ -3,11 +3,12 @@
 Every replica of every shard starts from the same population, so the
 population is held once — as the immutable mapping ``Workload.genesis()``
 returns — and a :class:`Genesis` wraps it with the two things a store
-needs: the shared GENESIS :class:`~repro.storage.versionstore.Version` of
-a key and its version-chain entry ``(GENESIS, version)`` (memoised, so a
-key touched on all 5f+1 replicas of its shard still has one version
-object and one entry) and the number of population keys the sharder
-places on a shard (so ``store.stats()`` can count keys no store has
+needs: the committed chain ``(version,)`` holding a key's GENESIS
+:class:`~repro.storage.versionstore.Version` (memoised, so a key touched
+on all 5f+1 replicas of its shard still has one version and one chain,
+which every store keeps until its first committed write of the key
+replaces it) and the number of population keys the sharder places on a
+shard (so ``store.stats()`` can count keys no store has
 materialised).  A store creates a key's state from it on first touch
 (:class:`~repro.storage.versionstore.GenesisTable`); nothing here or there
 schedules an event or draws from an RNG stream.
@@ -36,35 +37,30 @@ class Genesis:
             values if isinstance(values, Mapping) else dict(values)
         )
         self.sharder = sharder
-        #: Per shard, the genesis chain entries handed out so far: the
-        #: second to (5f+1)-th replica to touch a key pay two lookups for it.
-        self._entries: list[dict[Any, tuple[Any, Version]]] = [
+        #: Per shard, the genesis chains handed out so far: the second
+        #: to (5f+1)-th replica to touch a key pay two lookups for it.
+        self._chains: list[dict[Any, tuple[Version]]] = [
             {} for _ in range(sharder.num_shards)
         ]
         self._census: list[int] | None = None
 
-    def entry(self, key: Any, shard: int) -> tuple[Any, Version] | None:
-        """The chain entry ``(GENESIS, version)`` of ``key``'s GENESIS
+    def chain(self, key: Any, shard: int) -> tuple[Version] | None:
+        """The committed chain ``(version,)`` of ``key``'s GENESIS
         version as seen by a store of ``shard``.
 
         None when the key is outside the population or the sharder places
         it on another shard — both read as absent, as if never loaded.
         """
-        memo = self._entries[shard]
-        entry = memo.get(key)
-        if entry is None:
+        memo = self._chains[shard]
+        chain = memo.get(key)
+        if chain is None:
             if self.sharder.shard_of(key) != shard:
                 return None
             value = self.values.get(key, _ABSENT)
             if value is _ABSENT:
                 return None
-            entry = memo[key] = (GENESIS, Version(key, GENESIS, value, GENESIS_TXID))
-        return entry
-
-    def version(self, key: Any, shard: int) -> Version | None:
-        """The GENESIS version of ``key`` (see :meth:`entry`), or None."""
-        entry = self.entry(key, shard)
-        return entry[1] if entry is not None else None
+            chain = memo[key] = (Version(GENESIS, value, GENESIS_TXID),)
+        return chain
 
     def population(self, shard: int) -> int:
         """How many population keys live on ``shard``.

@@ -11,7 +11,7 @@ which dependencies must be awaited.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.certificates import CommitCert, ConflictProof, DecisionCert
@@ -19,6 +19,7 @@ from repro.core.messages import Decision, Vote
 from repro.core.transaction import ShardPart, TxRecord
 from repro.crypto.digest import Digest
 from repro.sim.events import Signal
+from repro.sim.loop import Future
 
 
 class TxPhase(enum.Enum):
@@ -36,8 +37,9 @@ class TxState:
 
     The three fallback containers stay None until the path that fills
     them first runs (a recovery prepare or an ST2 for ``interested``,
-    the first ELECTFB for the other two): a transaction the fast path
-    decides never allocates them.
+    the first ELECTFB for the other two), and so does the decision
+    signal (a dependent prepare's :meth:`wait_decision`): a transaction
+    the fast path decides never allocates them.
     """
 
     tx: Optional[TxRecord] = None
@@ -47,8 +49,9 @@ class TxState:
     conflict: Optional[ConflictProof] = None
     conflict_txid: Optional[Digest] = None
     conflict_key: object = None
-    #: Fires with the Decision once this transaction commits or aborts here.
-    decision_signal: Signal = field(default_factory=Signal)
+    #: Fires with the Decision once this transaction commits or aborts
+    #: here; made by the first wait on an undecided transaction.
+    decision_signal: Optional[Signal] = None
     cert: Optional[DecisionCert] = None
     #: Slow-path log state (only meaningful on S_log members).
     logged_decision: Optional[Decision] = None
@@ -74,6 +77,20 @@ class TxState:
     @property
     def decided(self) -> bool:
         return self.phase in (TxPhase.COMMITTED, TxPhase.ABORTED)
+
+    def wait_decision(self) -> Future:
+        """A future resolved with this transaction's Decision here: at
+        once if it is decided, else when the decision signal fires."""
+        if self.decided:
+            fut = Future()
+            fut.set_result(
+                Decision.COMMIT if self.phase is TxPhase.COMMITTED else Decision.ABORT
+            )
+            return fut
+        signal = self.decision_signal
+        if signal is None:
+            signal = self.decision_signal = Signal()
+        return signal.wait()
 
 
 class CheckStatus(enum.Enum):
@@ -164,8 +181,9 @@ def mvtso_check(
     for key, version in tx.read_set:
         if version > ts:
             return CheckResult(CheckStatus.MISBEHAVIOR, reason="read-from-future")
-        missed = store.writes_between(key, version, ts)
-        if missed:
+        committed, prepared = store.writes_between(key, version, ts)
+        if committed or prepared:
+            missed = committed + prepared
             return CheckResult(
                 CheckStatus.ABORT,
                 reason="missed-write",

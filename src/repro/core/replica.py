@@ -303,7 +303,7 @@ class BasilReplica(Node):
         self.prepares_waiting += 1
         wait_begin = self.sim.now
         try:
-            waits = [self.tx_states[d].decision_signal.wait() for d in pending]
+            waits = [self.tx_states[d].wait_decision() for d in pending]
             decisions = await self.sim.gather(waits)
         finally:
             self.prepares_waiting -= 1
@@ -456,7 +456,10 @@ class BasilReplica(Node):
             if state.phase is TxPhase.PREPARED:
                 undo_prepare(self.store, self.sharder.part_of(tx, self.shard))
             state.phase = TxPhase.ABORTED
-        state.decision_signal.fire(decision)
+        # Once decided, a wait resolves from the phase: drop the signal.
+        signal, state.decision_signal = state.decision_signal, None
+        if signal is not None:
+            signal.fire(decision)
 
     def suspect_clients(self, min_reads: int = 50, max_settled_ratio: float = 0.02) -> set[int]:
         """Client ids that read heavily but (almost) never finish.

@@ -63,19 +63,14 @@ class Queue:
 
 
 class Signal:
-    """A one-shot event that many coroutines can wait on.
-
-    The waiter list is created by the first :meth:`wait` before the
-    signal fires: most signals (one per transaction on every replica)
-    fire with nobody waiting.
-    """
+    """A one-shot event that many coroutines can wait on."""
 
     __slots__ = ("_fired", "_value", "_waiters")
 
     def __init__(self) -> None:
         self._fired = False
         self._value: Any = None
-        self._waiters: list[Future] | None = None
+        self._waiters: list[Future] = []
 
     @property
     def fired(self) -> bool:
@@ -95,18 +90,15 @@ class Signal:
             return
         self._fired = True
         self._value = value
-        waiters, self._waiters = self._waiters, None
-        if waiters:
-            for fut in waiters:
-                if not fut.done():
-                    fut.set_result(value)
+        waiters, self._waiters = self._waiters, []
+        for fut in waiters:
+            if not fut.done():
+                fut.set_result(value)
 
     def wait(self) -> Future:
         fut = Future()
         if self._fired:
             fut.set_result(self._value)
-        elif self._waiters is None:
-            self._waiters = [fut]
         else:
             self._waiters.append(fut)
         return fut

@@ -8,6 +8,6 @@ The store is deliberately generic over the timestamp type — anything
 totally ordered works — so it is reused by the TAPIR and TxSMR baselines.
 """
 
-from repro.storage.versionstore import Version, VersionStatus, VersionStore
+from repro.storage.versionstore import Version, VersionStore
 
-__all__ = ["Version", "VersionStatus", "VersionStore"]
+__all__ = ["Version", "VersionStore"]

@@ -23,9 +23,8 @@ the whole population had been written at the genesis timestamp.
 from __future__ import annotations
 
 import bisect
-import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Generic, Hashable, Iterable, TypeVar
+from typing import Any, Callable, Generic, Hashable, Iterable, NamedTuple, TypeVar
 
 from repro.errors import StorageError
 
@@ -33,48 +32,40 @@ TS = TypeVar("TS")
 Key = Hashable
 
 
-class VersionStatus(enum.Enum):
-    PREPARED = "prepared"
-    COMMITTED = "committed"
+class Version(NamedTuple):
+    """One version of one key, created by the write of one transaction.
 
+    It is its own chain entry: ordered by timestamp first, so a chain
+    bisects on the 1-tuple ``(timestamp,)`` (a shorter tuple sorts
+    before any equal-prefix longer one) without a per-probe ``key=``
+    callable.  The key and whether it is prepared or committed are
+    known from the chain that holds it.
+    """
 
-@dataclass(frozen=True, slots=True)
-class Version(Generic[TS]):
-    """One version of one key, created by the write of one transaction."""
-
-    key: Any
-    timestamp: TS
+    timestamp: Any
     value: Any
     writer: bytes  # transaction id (digest) that wrote this version
-    status: VersionStatus = VersionStatus.COMMITTED
-
-    def canonical_fields(self) -> tuple:
-        return (self.key, self.timestamp, self.value, self.writer, self.status.value)
 
 
-#: Every empty chain of every :class:`_KeyState`: one shared tuple,
-#: replaced by a list of the key's own at an insert, and put back when
-#: the last entry is removed.
+#: The empty chain.  Every chain is a tuple that an insert or removal
+#: replaces (``c[:i] + (e,) + c[i:]``), so each one is exactly as long
+#: as its contents, and a chain is never changed in place: stores may
+#: share one (every replica of a shard holds the same genesis chain of
+#: a key until its first committed write there).
 _EMPTY: tuple = ()
 
 
 @dataclass(slots=True)
 class _KeyState:
-    """Per-key bookkeeping. Every chain is kept sorted by timestamp.
+    """Per-key bookkeeping. Every chain is a tuple sorted by timestamp."""
 
-    An empty chain is the shared ``()``: most touched keys hold no
-    prepared version, reservation or indexed read on most replicas most
-    of the time, and an empty list per chain per key per replica would
-    be most of a store's memory.
-    """
-
-    committed: list[tuple[Any, Version]] | tuple = _EMPTY
-    prepared: list[tuple[Any, Version]] | tuple = _EMPTY
+    committed: tuple[Version, ...] = _EMPTY
+    prepared: tuple[Version, ...] = _EMPTY
     #: Read-timestamp reservations: sorted timestamps.
-    rts: list[Any] | tuple = _EMPTY
+    rts: tuple[Any, ...] = _EMPTY
     #: Reads by prepared/committed transactions: sorted by reader timestamp,
     #: entries are (reader_ts, version_ts_read, reader_txid).
-    reads: list[tuple[Any, Any, bytes]] | tuple = _EMPTY
+    reads: tuple[tuple[Any, Any, bytes], ...] = _EMPTY
 
 
 class GenesisTable(dict):
@@ -82,16 +73,15 @@ class GenesisTable(dict):
 
     ``table[key]`` is the touching lookup: a miss on a population key
     that the sharder places on this store's shard builds the key's state
-    from its shared genesis chain entry ``(GENESIS, version)``
-    (``make(entry)``) and keeps it; a miss on any other key returns None
-    and stores nothing, so such keys read as absent exactly as in a
-    store nobody loaded.
+    from its shared genesis chain ``(version,)`` (``make(chain)``) and
+    keeps it; a miss on any other key returns None and stores nothing,
+    so such keys read as absent exactly as in a store nobody loaded.
     ``table.get(key)`` never materialises; hits cost one subscript.
     """
 
     __slots__ = ("genesis", "shard", "materialised", "_make")
 
-    def __init__(self, make: Callable[[tuple[Any, Version]], Any]) -> None:
+    def __init__(self, make: Callable[[tuple[Version]], Any]) -> None:
         super().__init__()
         #: The deployment's shared repro.core.genesis.Genesis (None until
         #: the system loads one: every key is then absent).
@@ -105,10 +95,10 @@ class GenesisTable(dict):
         self.genesis = genesis
         self.shard = shard
 
-    def genesis_version(self, key: Key) -> Version | None:
-        """``key``'s genesis version here, or None; never materialises."""
+    def genesis_chain(self, key: Key) -> tuple[Version] | None:
+        """``key``'s shared genesis chain here, or None; never materialises."""
         genesis = self.genesis
-        return genesis.version(key, self.shard) if genesis is not None else None
+        return genesis.chain(key, self.shard) if genesis is not None else None
 
     def untouched(self) -> int:
         """Population keys of this shard with no state in this table."""
@@ -121,16 +111,16 @@ class GenesisTable(dict):
         genesis = self.genesis
         if genesis is None:
             return None
-        entry = genesis.entry(key, self.shard)
-        if entry is None:
+        chain = genesis.chain(key, self.shard)
+        if chain is None:
             return None
         self.materialised += 1
-        state = self[key] = self._make(entry)
+        state = self[key] = self._make(chain)
         return state
 
 
-def _genesis_state(entry: tuple[Any, Version]) -> _KeyState:
-    return _KeyState(committed=[entry])
+def _genesis_state(chain: tuple[Version]) -> _KeyState:
+    return _KeyState(committed=chain)
 
 
 class VersionStore(Generic[TS]):
@@ -159,7 +149,7 @@ class VersionStore(Generic[TS]):
     def __contains__(self, key: Key) -> bool:
         state = self._keys.get(key)
         if state is None:
-            return self._keys.genesis_version(key) is not None
+            return self._keys.genesis_chain(key) is not None
         return bool(state.committed)
 
     def keys(self) -> Iterable[Key]:
@@ -174,7 +164,8 @@ class VersionStore(Generic[TS]):
         Walks the per-key state; intended for periodic sampling (the
         obs ticker), not per-operation paths.  Untouched population keys
         count as one key holding one committed version each, so the
-        numbers are those of a store that had loaded every key.
+        numbers are those of a store that had loaded every key
+        (:meth:`footprint` counts what this store holds itself).
         """
         untouched = self._keys.untouched()
         committed = prepared = rts = reads = 0
@@ -191,6 +182,22 @@ class VersionStore(Generic[TS]):
             "read_index_entries": reads,
         }
 
+    def footprint(self) -> dict[str, int]:
+        """What this store holds itself (pure observation, walks state).
+
+        ``touched_keys``: keys with state here.  ``stored_versions``:
+        committed and prepared versions, less the deployment's shared
+        genesis versions.
+        """
+        stored = 0
+        for key, state in self._keys.items():
+            committed = state.committed
+            stored += len(committed) + len(state.prepared)
+            genesis = self._keys.genesis_chain(key)
+            if genesis is not None and committed and committed[0] is genesis[0]:
+                stored -= 1
+        return {"touched_keys": len(self._keys), "stored_versions": stored}
+
     # ------------------------------------------------------------------
     # Loading / committed writes
     # ------------------------------------------------------------------
@@ -202,22 +209,15 @@ class VersionStore(Generic[TS]):
         the paper's proof of Lemma 1 requires.
         """
         state = self._state(key)
-        # Chains hold (timestamp, Version) pairs; probing with the 1-tuple
-        # ``(timestamp,)`` bisects on the timestamp alone (a shorter tuple
-        # sorts before any equal-prefix longer one) without a per-probe
-        # ``key=`` callable — these run on every read and MVTSO check.
-        idx = bisect.bisect_left(state.committed, (timestamp,))
-        if idx < len(state.committed) and state.committed[idx][0] == timestamp:
-            existing = state.committed[idx][1]
-            if existing.writer != writer:
+        chain = state.committed
+        idx = bisect.bisect_left(chain, (timestamp,))
+        if idx < len(chain) and chain[idx].timestamp == timestamp:
+            if chain[idx].writer != writer:
                 raise StorageError(
                     f"two committed writers at the same timestamp on {key!r}"
                 )
             return  # duplicate writeback delivery: idempotent
-        version = Version(key, timestamp, value, writer, VersionStatus.COMMITTED)
-        if not state.committed:
-            state.committed = []
-        state.committed.insert(idx, (timestamp, version))
+        state.committed = chain[:idx] + (Version(timestamp, value, writer),) + chain[idx:]
 
     # ------------------------------------------------------------------
     # Reads
@@ -236,7 +236,7 @@ class VersionStore(Generic[TS]):
         idx = bisect.bisect_left(state.committed, (before,))
         if idx == 0:
             return None
-        return state.committed[idx - 1][1]
+        return state.committed[idx - 1]
 
     def latest_prepared(self, key: Key, before: TS) -> Version | None:
         """Highest-timestamped prepared version with ts < ``before``."""
@@ -255,7 +255,7 @@ class VersionStore(Generic[TS]):
         idx = bisect.bisect_left(state.prepared, (before,))
         if idx == 0:
             return None
-        return state.prepared[idx - 1][1]
+        return state.prepared[idx - 1]
 
     def update_rts(self, key: Key, timestamp: TS) -> None:
         """Record a read reservation at ``timestamp`` (idempotent)."""
@@ -267,23 +267,21 @@ class VersionStore(Generic[TS]):
 
     def _update_rts(self, key: Key, timestamp: TS) -> None:
         state = self._state(key)
-        idx = bisect.bisect_left(state.rts, timestamp)
-        if idx < len(state.rts) and state.rts[idx] == timestamp:
+        rts = state.rts
+        idx = bisect.bisect_left(rts, timestamp)
+        if idx < len(rts) and rts[idx] == timestamp:
             return
-        if not state.rts:
-            state.rts = []
-        state.rts.insert(idx, timestamp)
+        state.rts = rts[:idx] + (timestamp,) + rts[idx:]
 
     def remove_rts(self, key: Key, timestamp: TS) -> None:
         """Drop a read reservation (client-initiated abort, Sec 4.1)."""
         state = self._keys.get(key)
         if not state:
             return
-        idx = bisect.bisect_left(state.rts, timestamp)
-        if idx < len(state.rts) and state.rts[idx] == timestamp:
-            state.rts.pop(idx)
-            if not state.rts:
-                state.rts = _EMPTY
+        rts = state.rts
+        idx = bisect.bisect_left(rts, timestamp)
+        if idx < len(rts) and rts[idx] == timestamp:
+            state.rts = rts[:idx] + rts[idx + 1:]
 
     def max_rts(self, key: Key) -> TS | None:
         state = self._keys.get(key)
@@ -296,64 +294,62 @@ class VersionStore(Generic[TS]):
     # ------------------------------------------------------------------
     def add_prepared_write(self, key: Key, timestamp: TS, value: Any, writer: bytes) -> None:
         state = self._state(key)
-        idx = bisect.bisect_left(state.prepared, (timestamp,))
-        if idx < len(state.prepared) and state.prepared[idx][0] == timestamp:
+        chain = state.prepared
+        idx = bisect.bisect_left(chain, (timestamp,))
+        if idx < len(chain) and chain[idx].timestamp == timestamp:
             return  # duplicate prepare: idempotent
-        version = Version(key, timestamp, value, writer, VersionStatus.PREPARED)
-        if not state.prepared:
-            state.prepared = []
-        state.prepared.insert(idx, (timestamp, version))
+        state.prepared = chain[:idx] + (Version(timestamp, value, writer),) + chain[idx:]
 
     def add_read(self, key: Key, reader_ts: TS, version_read: TS, reader: bytes) -> None:
         """Index a read performed by a now-prepared transaction."""
         state = self._state(key)
+        reads = state.reads
         entry = (reader_ts, version_read, reader)
-        idx = bisect.bisect_left(state.reads, entry)
-        if idx < len(state.reads) and state.reads[idx] == entry:
+        idx = bisect.bisect_left(reads, entry)
+        if idx < len(reads) and reads[idx] == entry:
             return
-        if not state.reads:
-            state.reads = []
-        state.reads.insert(idx, entry)
+        state.reads = reads[:idx] + (entry,) + reads[idx:]
 
     def remove_prepared_write(self, key: Key, timestamp: TS) -> None:
         state = self._keys.get(key)
         if not state:
             return
-        idx = bisect.bisect_left(state.prepared, (timestamp,))
-        if idx < len(state.prepared) and state.prepared[idx][0] == timestamp:
-            state.prepared.pop(idx)
-            if not state.prepared:
-                state.prepared = _EMPTY
+        chain = state.prepared
+        idx = bisect.bisect_left(chain, (timestamp,))
+        if idx < len(chain) and chain[idx].timestamp == timestamp:
+            state.prepared = chain[:idx] + chain[idx + 1:]
 
     def remove_read(self, key: Key, reader_ts: TS, version_read: TS, reader: bytes) -> None:
         state = self._keys.get(key)
         if not state:
             return
+        reads = state.reads
         entry = (reader_ts, version_read, reader)
-        idx = bisect.bisect_left(state.reads, entry)
-        if idx < len(state.reads) and state.reads[idx] == entry:
-            state.reads.pop(idx)
-            if not state.reads:
-                state.reads = _EMPTY
+        idx = bisect.bisect_left(reads, entry)
+        if idx < len(reads) and reads[idx] == entry:
+            state.reads = reads[:idx] + reads[idx + 1:]
 
     def promote_prepared_write(self, key: Key, timestamp: TS) -> bytes | None:
         """Move a prepared version into the committed chain; return its
         writer, or None if nothing was prepared at ``timestamp``."""
         state = self._state(key)
-        idx = bisect.bisect_left(state.prepared, (timestamp,))
-        if idx >= len(state.prepared) or state.prepared[idx][0] != timestamp:
+        chain = state.prepared
+        idx = bisect.bisect_left(chain, (timestamp,))
+        if idx >= len(chain) or chain[idx].timestamp != timestamp:
             return None  # already promoted (duplicate writeback) or never prepared here
-        _, version = state.prepared.pop(idx)
-        if not state.prepared:
-            state.prepared = _EMPTY
+        version = chain[idx]
+        state.prepared = chain[:idx] + chain[idx + 1:]
         self.apply_committed_write(key, timestamp, version.value, version.writer)
         return version.writer
 
     # ------------------------------------------------------------------
     # Conflict queries used by MVTSO-Check
     # ------------------------------------------------------------------
-    def writes_between(self, key: Key, low: TS, high: TS) -> list[Version]:
-        """Committed or prepared versions with low < ts < high.
+    def writes_between(
+        self, key: Key, low: TS, high: TS
+    ) -> tuple[tuple[Version, ...], tuple[Version, ...]]:
+        """Versions with low < ts < high: the committed ones, then the
+        prepared ones.
 
         MVTSO-Check step 3: a write in this window means transaction with
         read (key, version=low) and timestamp high missed it.
@@ -363,20 +359,13 @@ class VersionStore(Generic[TS]):
             return self._writes_between(key, low, high)
         return sim.instruments.frame("store.probe", self._writes_between, key, low, high)
 
-    def _writes_between(self, key: Key, low: TS, high: TS) -> list[Version]:
+    def _writes_between(
+        self, key: Key, low: TS, high: TS
+    ) -> tuple[tuple[Version, ...], tuple[Version, ...]]:
         state = self._keys[key]
         if not state:
-            return []
-        found: list[Version] = []
-        for chain in (state.committed, state.prepared):
-            # At most one entry per timestamp, so "first ts > low" is
-            # "first ts >= low, plus one on an exact hit".
-            lo = bisect.bisect_left(chain, (low,))
-            if lo < len(chain) and chain[lo][0] == low:
-                lo += 1
-            hi = bisect.bisect_left(chain, (high,))
-            found.extend(v for _, v in chain[lo:hi])
-        return found
+            return _EMPTY, _EMPTY
+        return _between(state.committed, low, high), _between(state.prepared, low, high)
 
     def reads_spanning(self, key: Key, write_ts: TS) -> list[tuple[Any, Any, bytes]]:
         """Reads by prepared/committed txns with version_read < write_ts < reader_ts.
@@ -410,22 +399,32 @@ class VersionStore(Generic[TS]):
     def committed_versions(self, key: Key) -> list[Version]:
         state = self._keys.get(key)
         if state is None:
-            version = self._keys.genesis_version(key)
-            return [version] if version is not None else []
-        return [v for _, v in state.committed]
+            chain = self._keys.genesis_chain(key)
+            return list(chain) if chain is not None else []
+        return list(state.committed)
 
     def prepared_versions(self, key: Key) -> list[Version]:
         state = self._keys.get(key)
-        return [v for _, v in state.prepared] if state else []
+        return list(state.prepared) if state else []
 
     def check_invariants(self) -> None:
         """Raise StorageError if any per-key ordering invariant is broken."""
         for key, state in self._keys.items():
             for chain in (state.committed, state.prepared):
-                stamps = [ts for ts, _ in chain]
+                stamps = [v.timestamp for v in chain]
                 if stamps != sorted(stamps):
                     raise StorageError(f"unsorted version chain for {key!r}")
                 if len(set(stamps)) != len(stamps):
                     raise StorageError(f"duplicate version timestamp for {key!r}")
             if list(state.rts) != sorted(state.rts):
                 raise StorageError(f"unsorted RTS list for {key!r}")
+
+
+def _between(chain: tuple[Version, ...], low: Any, high: Any) -> tuple[Version, ...]:
+    """The entries of ``chain`` with low < ts < high."""
+    # At most one entry per timestamp, so "first ts > low" is "first
+    # ts >= low, plus one on an exact hit".
+    lo = bisect.bisect_left(chain, (low,))
+    if lo < len(chain) and chain[lo].timestamp == low:
+        lo += 1
+    return chain[lo:bisect.bisect_left(chain, (high,))]

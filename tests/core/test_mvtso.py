@@ -11,6 +11,7 @@ from repro.core.mvtso import (
     undo_prepare,
 )
 from repro.config import SystemConfig
+from repro.core.messages import Decision
 from repro.core.sharding import Sharder
 from repro.core.timestamps import GENESIS, Timestamp
 from repro.core.transaction import Dep, TxBuilder
@@ -313,3 +314,15 @@ def test_undo_and_commit_touch_only_the_part(store, states):
     apply_commit(store, part)
     assert [v.value for v in store.committed_versions(OWNED)] == [b"o"]
     assert FOREIGN not in store and list(store.keys()) == [OWNED]
+
+
+def test_a_wait_on_a_decided_transaction_resolves_from_its_phase():
+    undecided = TxState()
+    assert undecided.decision_signal is None
+    waiting = undecided.wait_decision()
+    assert not waiting.done() and undecided.decision_signal is not None
+    for phase, decision in ((TxPhase.COMMITTED, Decision.COMMIT),
+                            (TxPhase.ABORTED, Decision.ABORT)):
+        state = TxState(phase=phase)
+        assert state.wait_decision().result() is decision
+        assert state.decision_signal is None  # no signal made for it

@@ -27,7 +27,7 @@ from repro.core.mvtso import (
 )
 from repro.core.timestamps import GENESIS, Timestamp
 from repro.core.transaction import TxBuilder
-from repro.storage.versionstore import VersionStatus, VersionStore
+from repro.storage.versionstore import VersionStore
 
 KEYS = [f"k{i}" for i in range(8)]
 
@@ -87,11 +87,7 @@ def test_committed_reads_are_never_stale(seed):
         commits += 1
         tx = state.tx
         for key, version in tx.read_set:
-            stale = [
-                v
-                for v in store.writes_between(key, version, tx.timestamp)
-                if v.status is VersionStatus.COMMITTED
-            ]
+            stale, _prepared = store.writes_between(key, version, tx.timestamp)
             assert not stale, (
                 f"tx {tx.txid.hex()[:8]} read {key}@{version} but committed "
                 f"writes {[v.timestamp for v in stale]} lie below its "

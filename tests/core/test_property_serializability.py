@@ -71,7 +71,7 @@ def test_committed_history_replays_serially(plans):
             version = best.timestamp if best else GENESIS
             builder.record_read(key, version)
             observed[key] = version
-            if best is not None and best.status.value == "prepared":
+            if best is not None and best is prepared_v:
                 builder.record_dep(Dep(txid=best.writer, key=key, version=version))
                 dep_ids.append(best.writer)
         for key in writes:

@@ -85,12 +85,11 @@ def test_detects_version_divergence():
     key, _value = state.tx.write_set[0]
     version = replica.store.committed_versions(key)[-1]
     # forge a different writer at the same timestamp on one replica
-    entry_list = replica.store._keys[key].committed
-    from repro.storage.versionstore import Version, VersionStatus
+    state = replica.store._keys[key]
+    from repro.storage.versionstore import Version
 
-    forged = Version(key, version.timestamp, b"forged", b"\xff" * 32,
-                     VersionStatus.COMMITTED)
-    entry_list[-1] = (version.timestamp, forged)
+    forged = Version(version.timestamp, b"forged", b"\xff" * 32)
+    state.committed = state.committed[:-1] + (forged,)
     violations = HistoryChecker(system).check()
     assert any(v.kind == "version-divergence" for v in violations)
 

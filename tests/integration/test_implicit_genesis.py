@@ -56,8 +56,9 @@ def test_replaced_replica_inherits_the_genesis():
 # ---------------------------------------------------------------------------
 # Convergence oracles: a key only some replicas have touched
 # ---------------------------------------------------------------------------
-def _forged(key) -> Version:
-    return Version(key, GENESIS, "forged", b"\xff" * 32)
+def _forge_genesis(state) -> None:
+    """Replace the genesis version heading one store's chain of a key."""
+    state.committed = (Version(GENESIS, "forged", b"\xff" * 32),) + state.committed[1:]
 
 
 def test_history_checker_with_partially_touched_keys():
@@ -69,7 +70,7 @@ def test_history_checker_with_partially_touched_keys():
         replica.store.update_rts(key, READ_TS)
     assert HistoryChecker(system).check() == []
     # one replica's genesis version of that key is not the deployment's
-    replicas[0].store._keys[key].committed[0] = (GENESIS, _forged(key))
+    _forge_genesis(replicas[0].store._keys[key])
     kinds = [v.kind for v in HistoryChecker(system).check()]
     assert kinds and set(kinds) == {"version-divergence"}
 
@@ -82,7 +83,7 @@ def test_tapir_convergence_with_partially_touched_keys():
     first = system.replicas[members[0]].store.versions
     first.update_rts(key, READ_TS)
     assert check_safety("tapir", system) == []
-    first._keys[key].committed[0] = (GENESIS, _forged(key))
+    _forge_genesis(first._keys[key])
     assert any("tapir-divergence" in v for v in check_safety("tapir", system))
 
 

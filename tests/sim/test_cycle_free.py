@@ -245,11 +245,12 @@ def test_crashed_replica_frees_its_dependency_wait(collector_off):
     system = BasilSystem(SystemConfig(f=1, num_shards=1))
     replica = system.replicas["s0/r0"]
     dependency, dependent = b"\x01" * 32, b"\x02" * 32
-    undecided = replica.state_of(dependency).decision_signal
+    waited_on = replica.state_of(dependency)
     task = replica.spawn(
         replica._await_dependencies(replica.state_of(dependent), (dependency,))
     )
     assert replica.prepares_waiting == 1 and not task.done()
+    undecided = waited_on.decision_signal  # made by the wait
     frame = weakref.ref(task._coro)
     del task
 

@@ -123,6 +123,22 @@ def test_genesis_version_is_one_object_across_replicas():
     assert replicas[1].max_rts(LOCAL[0]) is None
 
 
+def test_footprint_counts_only_what_the_store_touched():
+    genesis = Genesis(POPULATION, SHARDER)
+    store = VersionStore()
+    store.seed(genesis, SHARD)
+    assert store.footprint() == {"touched_keys": 0, "stored_versions": 0}
+    store.apply_committed_write(LOCAL[0], Timestamp(3, 1), "new", b"w1")
+    store.latest_committed(LOCAL[1], Timestamp(5, 1))
+    assert store.footprint() == {"touched_keys": 2, "stored_versions": 1}
+    # the population-wide counts are unchanged in meaning
+    assert store.stats()["keys"] == len(LOCAL)
+    assert store.stats()["committed_versions"] == len(LOCAL) + 1
+    # a key outside the population holds all its versions itself
+    store.add_prepared_write("stranger-a", Timestamp(4, 1), "p", b"w2")
+    assert store.footprint() == {"touched_keys": 3, "stored_versions": 2}
+
+
 def test_population_census_is_counted_once():
     class Counting(dict):
         walks = 0

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
-from repro.storage.versionstore import VersionStatus, VersionStore
+from repro.storage.versionstore import VersionStore
 
 
 def ts(t, c=0):
@@ -57,7 +57,7 @@ def test_prepared_visibility_and_promotion(store):
     store.add_prepared_write("k", ts(10), b"p", b"t1")
     version = store.latest_prepared("k", ts(15))
     assert version.value == b"p"
-    assert version.status is VersionStatus.PREPARED
+    assert store.prepared_versions("k") == [version]
     assert store.latest_committed("k", ts(15)) is None
     store.promote_prepared_write("k", ts(10))
     assert store.latest_prepared("k", ts(15)) is None
@@ -99,10 +99,11 @@ def test_writes_between_spans_both_chains(store):
     store.apply_committed_write("k", ts(10), b"a", b"t1")
     store.apply_committed_write("k", ts(20), b"b", b"t2")
     store.add_prepared_write("k", ts(25), b"p", b"t3")
-    hits = store.writes_between("k", ts(10), ts(30))
-    assert sorted(v.timestamp for v in hits) == [ts(20), ts(25)]
+    committed, prepared = store.writes_between("k", ts(10), ts(30))
+    assert [v.timestamp for v in committed] == [ts(20)]
+    assert [v.timestamp for v in prepared] == [ts(25)]
     # boundaries are exclusive
-    assert store.writes_between("k", ts(20), ts(25)) == []
+    assert store.writes_between("k", ts(20), ts(25)) == ((), ())
 
 
 def test_reads_spanning(store):
