@@ -209,8 +209,10 @@ def mvtso_check(
             return CheckResult(CheckStatus.ABORT, reason="rts-fence")
 
     # (6) prepare T and make its writes visible (line 14)
-    state = tx_states.setdefault(tx.txid, TxState())
-    if state.tx is None:
+    state = tx_states.get(tx.txid)
+    if state is None:
+        state = tx_states[tx.txid] = TxState(tx)
+    elif state.tx is None:
         state.tx = tx
     state.phase = TxPhase.PREPARED
     for key, value in tx.write_set:

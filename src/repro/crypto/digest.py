@@ -9,8 +9,17 @@ or pickle details.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from typing import Any
+
+# The one SHA-256: CPython's built-in, OpenSSL's bytes without mapping
+# libcrypto (``_hashlib``); ``hashlib`` serves builds without it.
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 #: A digest is a 32-byte SHA-256 value, kept as bytes.
 Digest = bytes
@@ -167,7 +176,7 @@ def _object_digest(obj: Any, layout: tuple[bytes, tuple[str, ...] | None]) -> Di
     else:
         for name in names:
             _encode_into(getattr(obj, name), out)
-    digest = hashlib.sha256(out).digest()
+    digest = sha256(out).digest()
     try:
         object.__setattr__(obj, "_digest_memo", digest)
     except (AttributeError, TypeError):
@@ -185,12 +194,12 @@ def digest_of(obj: Any) -> Digest:
         return _object_digest(obj, layout)
     if _is_message(obj):
         return _object_digest(obj, _layout_of(type(obj)))
-    return hashlib.sha256(canonical_encode(obj)).digest()
+    return sha256(canonical_encode(obj)).digest()
 
 
 def digest_bytes(data: bytes) -> Digest:
     """SHA-256 of raw bytes (used by the Merkle tree)."""
-    return hashlib.sha256(data).digest()
+    return sha256(data).digest()
 
 
 def short_hex(digest: Digest, length: int = 8) -> str:

@@ -31,15 +31,16 @@ def _node_hash(left: Digest, right: Digest) -> Digest:
 class InclusionProof:
     """Sibling hashes from a leaf up to the root.
 
-    ``path`` entries are (sibling_digest, sibling_is_left) pairs ordered
-    bottom-up.
+    ``path`` holds only the sibling digests, bottom-up; the sibling at
+    level *k* is the left one exactly when bit *k* of ``index`` is set.
     """
 
     index: int
-    path: tuple[tuple[Digest, bool], ...]
+    path: tuple[Digest, ...]
 
     def canonical_fields(self) -> tuple:
-        return (self.index, self.path)
+        i = self.index
+        return (i, tuple((sib, bool(i >> k & 1)) for k, sib in enumerate(self.path)))
 
 
 class MerkleTree:
@@ -70,14 +71,11 @@ class MerkleTree:
         """Inclusion proof for the leaf at ``index``."""
         if not 0 <= index < len(self.leaves):
             raise CryptoError(f"leaf index {index} out of range")
-        path: list[tuple[Digest, bool]] = []
+        path = []
         i = index
         for level in self._levels[:-1]:
-            if i % 2 == 0:
-                sibling = level[i + 1] if i + 1 < len(level) else level[i]
-                path.append((sibling, False))
-            else:
-                path.append((level[i - 1], True))
+            sibling = i ^ 1
+            path.append(level[sibling] if sibling < len(level) else level[i])
             i //= 2
         return InclusionProof(index=index, path=tuple(path))
 
@@ -85,9 +83,8 @@ class MerkleTree:
 def verify_inclusion(leaf: Digest, proof: InclusionProof, root: Digest) -> bool:
     """Check that ``leaf`` is included under ``root`` via ``proof``."""
     node = _leaf_hash(leaf)
-    for sibling, sibling_is_left in proof.path:
-        if sibling_is_left:
-            node = _node_hash(sibling, node)
-        else:
-            node = _node_hash(node, sibling)
+    index = proof.index
+    for sibling in proof.path:
+        node = _node_hash(sibling, node) if index & 1 else _node_hash(node, sibling)
+        index >>= 1
     return node == root

@@ -25,11 +25,11 @@ a library caller.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.crypto.digest import sha256
 from repro.prof.profiler import Attribution
 
 SCHEMA = "repro.obs.run/v1"
@@ -53,7 +53,7 @@ def _jsonable(value: Any) -> Any:
 def config_digest(config: Any) -> str:
     """sha256 over the canonical JSON rendering of a SystemConfig."""
     payload = json.dumps(_jsonable(config), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return sha256(payload.encode()).hexdigest()
 
 
 @dataclass

@@ -7,7 +7,7 @@ partition ids — never on worker packing or message arrival order.
 
 from __future__ import annotations
 
-import hashlib
+from repro.crypto.digest import sha256
 
 
 def combine_digests(digests: dict[int, str]) -> str:
@@ -17,7 +17,7 @@ def combine_digests(digests: dict[int, str]) -> str:
     per-partition schedules <=> equal combined digest, for any worker
     count.
     """
-    h = hashlib.sha256()
+    h = sha256()
     for pid in sorted(digests):
         h.update(f"{pid}:{digests[pid]}\n".encode())
     return h.hexdigest()

@@ -32,7 +32,6 @@ guarantee covers the baselines too.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import os
 import random
 import sys
@@ -40,6 +39,7 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, Iterator, Sequence
 
+from repro.crypto.digest import sha256
 from repro.errors import SimulationError
 from repro.sim.loop import Simulator
 
@@ -429,11 +429,11 @@ class _MicrobenchState:
     def fold_cross(self, deliver_time: float, src_partition: int, seq: int) -> None:
         self.cross_received += 1
         key = f"{deliver_time!r}/{src_partition}/{seq}".encode()
-        self._xor ^= int.from_bytes(hashlib.sha256(key).digest()[:16], "big")
+        self._xor ^= int.from_bytes(sha256(key).digest()[:16], "big")
 
     def digest(self) -> str:
         payload = f"{self.fires}:{self.cross_received}:{self._xor:032x}"
-        return hashlib.sha256(payload.encode()).hexdigest()
+        return sha256(payload.encode()).hexdigest()
 
 
 def _microbench_schedule(

@@ -209,6 +209,13 @@ class VersionStore(Generic[TS]):
         the paper's proof of Lemma 1 requires.
         """
         state = self._state(key)
+        idx = self._commit_slot(state, key, timestamp, writer)
+        if idx is not None:
+            chain = state.committed
+            state.committed = chain[:idx] + (Version(timestamp, value, writer),) + chain[idx:]
+
+    def _commit_slot(self, state: _KeyState, key: Key, timestamp: TS, writer: bytes) -> int | None:
+        """Chain position for ``writer``'s committed version, or None if there."""
         chain = state.committed
         idx = bisect.bisect_left(chain, (timestamp,))
         if idx < len(chain) and chain[idx].timestamp == timestamp:
@@ -216,8 +223,8 @@ class VersionStore(Generic[TS]):
                 raise StorageError(
                     f"two committed writers at the same timestamp on {key!r}"
                 )
-            return  # duplicate writeback delivery: idempotent
-        state.committed = chain[:idx] + (Version(timestamp, value, writer),) + chain[idx:]
+            return None  # duplicate writeback delivery: idempotent
+        return idx
 
     # ------------------------------------------------------------------
     # Reads
@@ -339,7 +346,10 @@ class VersionStore(Generic[TS]):
             return None  # already promoted (duplicate writeback) or never prepared here
         version = chain[idx]
         state.prepared = chain[:idx] + chain[idx + 1:]
-        self.apply_committed_write(key, timestamp, version.value, version.writer)
+        slot = self._commit_slot(state, key, timestamp, version.writer)
+        if slot is not None:  # the same record moves; no copy is built
+            chain = state.committed
+            state.committed = chain[:slot] + (version,) + chain[slot:]
         return version.writer
 
     # ------------------------------------------------------------------

@@ -14,10 +14,10 @@ assignment), so byte-identical traces ⇔ identical runs; the sha256
 
 from __future__ import annotations
 
-import hashlib
 import json
 from typing import Any, Iterable
 
+from repro.crypto.digest import sha256
 from repro.trace.tracer import TraceEvent, Tracer
 
 #: Event phases the exporter emits (subset of the trace_event spec).
@@ -78,7 +78,7 @@ def export_chrome_json(tracer: Tracer) -> str:
 
 def trace_digest(tracer: Tracer) -> str:
     """sha256 of the canonical export: identical runs ⇔ identical digests."""
-    return hashlib.sha256(export_chrome_json(tracer).encode()).hexdigest()
+    return sha256(export_chrome_json(tracer).encode()).hexdigest()
 
 
 def write_chrome_trace(tracer: Tracer, path: str) -> str:
@@ -86,7 +86,7 @@ def write_chrome_trace(tracer: Tracer, path: str) -> str:
     payload = export_chrome_json(tracer)
     with open(path, "w") as fh:
         fh.write(payload)
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return sha256(payload.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

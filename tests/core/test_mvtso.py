@@ -203,9 +203,9 @@ class CountingStore(VersionStore):
         super().__init__()
         self.applied = 0
 
-    def apply_committed_write(self, key, timestamp, value, writer):
+    def _commit_slot(self, state, key, timestamp, writer):
         self.applied += 1
-        super().apply_committed_write(key, timestamp, value, writer)
+        return super()._commit_slot(state, key, timestamp, writer)
 
 
 def test_apply_commit_of_own_prepared_write_inserts_once(states):
@@ -326,3 +326,25 @@ def test_a_wait_on_a_decided_transaction_resolves_from_its_phase():
         state = TxState(phase=phase)
         assert state.wait_decision().result() is decision
         assert state.decision_signal is None  # no signal made for it
+
+
+def test_prepare_builds_a_tx_state_only_for_an_unknown_transaction(store, states, monkeypatch):
+    import repro.core.mvtso as mvtso
+
+    built = []
+
+    def counting_tx_state(*args, **kwargs):
+        built.append(args)
+        return TxState(*args, **kwargs)
+
+    monkeypatch.setattr(mvtso, "TxState", counting_tx_state)
+    # A replica makes the state when the prepare arrives: the check reuses it.
+    known = make_tx(ts(10), writes=[("k", b"v")])
+    states[known.txid] = TxState()
+    assert check(store, states, known).status is CheckStatus.PREPARED
+    assert built == [] and states[known.txid].tx is known
+    # A transaction with no state yet gets exactly one.
+    fresh = make_tx(ts(11), writes=[("j", b"v")])
+    assert check(store, states, fresh).status is CheckStatus.PREPARED
+    assert len(built) == 1 and states[fresh.txid].tx is fresh
+    assert states[fresh.txid].phase is TxPhase.PREPARED

@@ -1,12 +1,15 @@
 """Tests for canonical encoding and digests."""
 
+import hashlib
+import platform
 from dataclasses import dataclass
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto.digest import canonical_encode, digest_of, short_hex
+from repro.crypto.digest import canonical_encode, digest_of, sha256, short_hex
+from repro.crypto.merkle import _LEAF_PREFIX, _NODE_PREFIX
 
 
 def test_equal_values_equal_digest():
@@ -77,3 +80,30 @@ def test_encoding_deterministic(value):
 def test_encoding_injective_on_samples(a, b):
     if canonical_encode(a) == canonical_encode(b):
         assert a == b or (a in (True, 1) and b in (True, 1))
+
+
+def _hash_inputs():
+    encodings = [canonical_encode(obj) for obj in (
+        None, 7, "key", b"\x00" * 70, [1, "a", b"b"], {"k": (1, 2)}, {3, 1},
+    )]
+    left, right = digest_of("left"), digest_of("right")
+    return encodings + [_LEAF_PREFIX + left, _NODE_PREFIX + left + right]
+
+
+def test_sha256_matches_hashlib_one_shot_and_incremental():
+    inputs = _hash_inputs()
+    for data in inputs:
+        assert sha256(data).digest() == hashlib.sha256(data).digest()
+        assert sha256(bytearray(data)).hexdigest() == hashlib.sha256(data).hexdigest()
+    ours, theirs = sha256(), hashlib.sha256()
+    for data in inputs:
+        ours.update(data)
+        theirs.update(data)
+    assert ours.digest() == theirs.digest()
+
+
+@pytest.mark.skipif(
+    platform.python_implementation() != "CPython", reason="CPython's built-in hashes"
+)
+def test_sha256_is_cpythons_builtin():
+    assert sha256.__module__ in ("_sha2", "_sha256")

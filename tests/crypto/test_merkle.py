@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto.digest import digest_of
-from repro.crypto.merkle import MerkleTree, verify_inclusion
+from repro.crypto.digest import canonical_encode, digest_of
+from repro.crypto.merkle import InclusionProof, MerkleTree, verify_inclusion
 from repro.errors import CryptoError
 
 
@@ -80,3 +80,44 @@ def test_property_random_trees(n, data):
     other = data.draw(st.integers(min_value=0, max_value=n - 1))
     if tree.leaves[other] != tree.leaves[idx]:
         assert not verify_inclusion(tree.leaves[other], proof, tree.root)
+
+
+def _pair_form_proof(tree, index):
+    """The proof layout before siblings-only paths: bottom-up
+    ``(sibling, sibling_is_left)`` pairs, computed from the tree's
+    levels the way ``MerkleTree.proof`` did."""
+    path, i = [], index
+    for level in tree._levels[:-1]:
+        if i % 2 == 0:
+            path.append((level[i + 1] if i + 1 < len(level) else level[i], False))
+        else:
+            path.append((level[i - 1], True))
+        i //= 2
+    return (index, tuple(path))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_siblings_only_proofs_encode_as_the_pair_form(n):
+    tree = MerkleTree(leaves(n))
+    for i in range(n):
+        proof = tree.proof(i)
+        assert all(type(sibling) is bytes for sibling in proof.path)
+        assert proof.canonical_fields() == _pair_form_proof(tree, i)
+        assert canonical_encode(proof.canonical_fields()) == canonical_encode(
+            _pair_form_proof(tree, i)
+        )
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_tampered_sibling_or_index_fails(n):
+    tree = MerkleTree(leaves(n))
+    for i, leaf in enumerate(tree.leaves):
+        proof = tree.proof(i)
+        for level in range(len(proof.path)):
+            path = list(proof.path)
+            path[level] = digest_of(("tampered", level))
+            forged = InclusionProof(index=i, path=tuple(path))
+            assert not verify_inclusion(leaf, forged, tree.root)
+        for j in range(n):
+            wrong = InclusionProof(index=j, path=proof.path)
+            assert verify_inclusion(leaf, wrong, tree.root) == (j == i)

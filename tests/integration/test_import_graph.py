@@ -135,6 +135,13 @@ def test_benchmark_child_imports_no_workers_edge_or_telemetry():
     assert _loaded(modules, "multiprocessing", "repro.geo.edge", "repro.obs") == []
 
 
+def test_runs_and_benchmark_child_load_no_openssl():
+    # Every digest is CPython's built-in SHA-256 (repro.crypto.digest):
+    # hashlib would map OpenSSL's libcrypto through _hashlib.
+    for snippet in (_BASIL, _GEO_EDGE, _BENCH_CHILD):
+        assert _loaded(_modules_after(snippet), "_hashlib", "hashlib") == []
+
+
 def test_traced_benchmark_child_times_the_workloads_it_runs():
     # The traced pass wraps the Workload subclasses loaded when it
     # installs; a workload imported later would run unwrapped and its

@@ -209,7 +209,7 @@ def test_verification_caches_hold_no_tuples(run):
 
 #: Upper bound on :func:`retained_bytes_per_commit`, per interpreter
 #: and version it was measured on: this layout's value plus 10 %.
-RETAINED_BYTES_PER_COMMIT = {("cpython", 3, 11): 20_236}
+RETAINED_BYTES_PER_COMMIT = {("cpython", 3, 11): 19_210}
 
 
 def retained_bytes_per_commit() -> float:
@@ -253,8 +253,10 @@ def test_retained_bytes_per_commit_stay_bounded():
     Measured on CPython 3.11.7: 22,274 bytes with list chains,
     ``(timestamp, Version)`` entries and one decision signal per
     transaction; 18,396 with exact-size tuple chains, the shared genesis
-    chain, one record per version and lazy decision signals.  Another
-    interpreter version allocates differently, so each has its own bound.
+    chain, one record per version and lazy decision signals; 17,464
+    with siblings-only Merkle proofs and promoted versions moved, not
+    copied, into the committed chain.  Another interpreter version
+    allocates differently, so each has its own bound.
     """
     interpreter = (sys.implementation.name, *sys.version_info[:2])
     bound = RETAINED_BYTES_PER_COMMIT.get(interpreter)

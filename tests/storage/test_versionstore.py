@@ -64,6 +64,13 @@ def test_prepared_visibility_and_promotion(store):
     assert store.latest_committed("k", ts(15)).value == b"p"
 
 
+def test_promotion_moves_the_prepared_record(store):
+    store.add_prepared_write("k", ts(10), b"p", b"t1")
+    [prepared] = store.prepared_versions("k")
+    assert store.promote_prepared_write("k", ts(10)) == b"t1"
+    assert store.committed_versions("k")[-1] is prepared
+
+
 def test_promotion_is_idempotent(store):
     store.add_prepared_write("k", ts(10), b"p", b"t1")
     store.promote_prepared_write("k", ts(10))
