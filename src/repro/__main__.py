@@ -82,7 +82,6 @@ FLAGS: dict[str, dict] = {
     "faults": dict(metavar="SCHEDULE.json", help="apply a repro.faults FaultSchedule"),
     "obs": dict(metavar="DIR", help="sample telemetry; write a RunReport per run into DIR"),
     "trace": dict(metavar="DIR", help="write each run's Chrome trace_event JSON into DIR"),
-    "no-trace": dict(action="store_true", help="skip tracing (bundles lose their digest)"),
     "scale": dict(choices=("quick", "default", "paper"),
                   help="run size; paper (the paper's populations) for figures only"),
     "out": dict(metavar="PATH", help="figures: rows + verdicts JSON; faults: bundle "
@@ -111,13 +110,13 @@ def _schedule(path: str | None):
 
 
 def _instrument(spec: ModelSpec, args) -> ModelSpec:
-    """The one place ``--trace DIR``, ``--obs DIR`` and ``--no-trace``
-    reach a spec: every spec a sub-command runs passes through here."""
+    """The one place ``--trace DIR`` and ``--obs DIR`` reach a spec: every
+    spec a sub-command runs passes through here.  A run traces only when
+    asked to write its trace."""
     trace_dir, obs_dir = getattr(args, "trace", None), getattr(args, "obs", None)
     return dataclasses.replace(
-        spec,
-        trace=(spec.trace or trace_dir is not None) and not getattr(args, "no_trace", False),
-        trace_dir=trace_dir, obs=obs_dir is not None, obs_dir=obs_dir,
+        spec, trace=trace_dir is not None, trace_dir=trace_dir,
+        obs=obs_dir is not None, obs_dir=obs_dir,
     )
 
 
@@ -150,7 +149,7 @@ def _windowed_report(spec: ModelSpec, result):
     config = spec.system_config()
     return RunReport.of(
         spec.run_name(), config, config.seed, result.sim_seconds, bench=result.bench,
-        trace_digest=result.digest, prof=merge_result(spec.run_name(), result),
+        digest=result.digest, prof=merge_result(spec.run_name(), result),
     )
 
 
@@ -312,8 +311,7 @@ def sweep_figures(args) -> int:
                 if key.startswith("fig7/"):
                     exp.fig7_metrics(row, scale.clients)
                 if "trace_path" in row.extra:
-                    print(f"  trace: {row.extra['trace_path']} "
-                          f"(digest {row.extra['trace_digest'][:12]})")
+                    print(f"  trace: {row.extra['trace_path']}")
                 if "obs_path" in row.extra:
                     print(f"  obs: {row.extra['obs_path']} (health {row.extra['health']})")
             print(render_table(title, rows[key]), flush=True)
@@ -569,7 +567,7 @@ def cmd_compare(args) -> int:
 def cmd_replay(args) -> int:
     from repro.faults.campaign import replay_bundle
 
-    case = replay_bundle(args.bundle, with_trace=not args.no_trace)
+    case = replay_bundle(args.bundle)
     print(case.row())
     for violation in case.safety_violations:
         print(f"  {violation}")
@@ -672,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="subset of scenarios (default: all)")
     faults.add_argument("--systems", nargs="+", choices=SYSTEM_KINDS,
                         help="subset of systems (default: each scenario's own)")
-    _add(faults, "scale no-trace out obs", scale="quick", out="fault-failures")
+    _add(faults, "scale out obs", scale="quick", out="fault-failures")
     faults.set_defaults(func=sweep_faults)
 
     load = grids.add_parser("load", help="walk offered load, find the knee", **kw)
@@ -731,7 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     replay = sub.add_parser("replay", help="re-execute a fault-campaign failure bundle", **kw)
     replay.add_argument("bundle", help="path to a repro bundle JSON")
-    _add(replay, "no-trace")
     replay.set_defaults(func=cmd_replay)
 
     lst = sub.add_parser("list", help="systems, workloads, scenarios, topologies, rules, "

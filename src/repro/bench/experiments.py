@@ -87,19 +87,20 @@ def point(scale: Scale, label: str, config: SystemConfig, clients: int = 0,
     fields.setdefault("workload_keys", scale.ycsb_keys)
     return ModelSpec(
         config=config, num_clients=clients or scale.clients, duration=scale.duration,
-        warmup=scale.warmup, label=label, trace=False, **fields,
+        warmup=scale.warmup, label=label, **fields,
     )
 
 
 def bench_row(spec: ModelSpec, run: PartitionResult) -> BenchResult:
-    """A figure point's row: the run's bench row plus its event count, its
-    fault counters and, when the spec wrote them, its trace and obs report."""
+    """A figure point's row: the run's bench row plus its event count and
+    digest, its fault counters and, when the spec wrote them, its trace and
+    obs report."""
     row = BenchResult(**run.bench)
     row.extra["events"] = run.events
+    row.extra["digest"] = run.digest
     if run.fault_stats is not None:
         row.extra.setdefault("fault_stats", dict(run.fault_stats))
     if spec.trace_dir:
-        row.extra["trace_digest"] = run.digest
         row.extra["trace_path"] = spec.artifact_path("trace")
     if spec.obs_dir and run.report is not None:
         row.extra["obs_path"] = spec.artifact_path("obs")

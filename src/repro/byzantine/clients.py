@@ -12,8 +12,10 @@ time.  The four behaviours the paper evaluates:
   a CommitQuorum and an AbortQuorum, send conflicting justified ST2
   messages to different halves of the logging shard and vanish.  The
   paper measures that this is rarely possible (~0.05% of txns).
-* ``equiv-forced`` — the artificial worst case: conflicting ST2s always
-  "succeed" (requires ``SystemConfig.allow_unjustified_st2``).
+* ``equiv-forced`` — the artificial worst case: the client always sends
+  conflicting ST2s, justified or not.  Replicas log the unjustified one
+  only under ``SystemConfig.allow_unjustified_st2`` (Fig 7); validating
+  replicas reject it.
 
 Byzantine clients never retry their aborted transactions (paper: "faulty
 transactions that abort because of contention are not retried").
@@ -104,9 +106,8 @@ class ByzantineClient(BasilClient):
             None,
         )
         can_commit = all(t is not None for t in commit_tallies.values())
-        forced = self.behaviour == "equiv-forced" and cfg.allow_unjustified_st2
         self.equiv_attempts += 1
-        if (can_commit and abort_tally is not None) or forced:
+        if (can_commit and abort_tally is not None) or self.behaviour == "equiv-forced":
             self.equiv_successes += 1
             if self.sim.instruments is not None:
                 self.sim.instruments.byz_equivocation()

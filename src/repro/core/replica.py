@@ -109,11 +109,6 @@ class BasilReplica(Node):
         #: MVTSO-Check abort reasons seen here (fine-grained, always on;
         #: aggregated into BenchResult.extra and the obs abort taxonomy).
         self.abort_reasons: dict[str, int] = {}
-        #: Eviction accounting (Sec 4.1/6.4): reads served and decisions
-        #: finalized per client id, to spot clients that plant read
-        #: timestamps or prepares but never finish transactions.
-        self.client_reads: dict[int, int] = {}
-        self.client_settled: dict[int, int] = {}
 
     def state_of(self, txid: Digest) -> TxState:
         state = self.tx_states.get(txid)
@@ -188,8 +183,8 @@ class BasilReplica(Node):
     def _timestamp_matches_sender(ts: Timestamp, sender: str) -> bool:
         """The timestamp's client id must belong to the authenticated
         sender (channels are authenticated), or a Byzantine client could
-        frame others — e.g. plant read timestamps that trip the eviction
-        accounting against an honest client's id."""
+        frame others — e.g. plant read timestamps under an honest
+        client's id."""
         if not sender.startswith("client/"):
             return True  # replicas relaying recovery traffic
         try:
@@ -203,8 +198,6 @@ class BasilReplica(Node):
         if not self._timestamp_matches_sender(req.timestamp, sender):
             return  # forged client id in the timestamp: framing attempt
         self.store.update_rts(req.key, req.timestamp)
-        cid = req.timestamp.client_id
-        self.client_reads[cid] = self.client_reads.get(cid, 0) + 1
         reply = self.build_read_reply(req)
         # The ReadReply payload carries the req_id, so the attestation
         # itself is the wire message (no extra envelope needed).
@@ -447,8 +440,6 @@ class BasilReplica(Node):
         if state.tx is None:
             state.tx = tx
         state.cert = cert
-        cid = tx.timestamp.client_id
-        self.client_settled[cid] = self.client_settled.get(cid, 0) + 1
         if decision is Decision.COMMIT:
             apply_commit(self.store, self.sharder.part_of(tx, self.shard))
             state.phase = TxPhase.COMMITTED
@@ -460,23 +451,6 @@ class BasilReplica(Node):
         signal, state.decision_signal = state.decision_signal, None
         if signal is not None:
             signal.fire(decision)
-
-    def suspect_clients(self, min_reads: int = 50, max_settled_ratio: float = 0.02) -> set[int]:
-        """Client ids that read heavily but (almost) never finish.
-
-        The paper's lenient eviction policy (Sec 4.1, 6.4): such clients
-        plant read timestamps or prepares that abort or stall others.
-        The returned ids are candidates for administrative removal; the
-        reproduction only reports them (removal is an operator action).
-        """
-        suspects = set()
-        for cid, reads in self.client_reads.items():
-            if reads < min_reads:
-                continue
-            settled = self.client_settled.get(cid, 0)
-            if settled <= reads * max_settled_ratio:
-                suspects.add(cid)
-        return suspects
 
     # ------------------------------------------------------------------
     # Fallback: view adoption and leader election (Sec 5, divergent case)

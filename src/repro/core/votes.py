@@ -151,21 +151,5 @@ class ShardVoteCollector:
             return None
         return self._tally(Decision.ABORT, tuple(aborts))
 
-    def equivocation_material(self) -> tuple[VoteTally, VoteTally] | None:
-        """Both a CQ and an AQ, if present — a Byzantine client's lever.
-
-        The paper's ``equiv-real`` failure mode: a Byzantine client can
-        send conflicting ST2 messages only when its replies contain both
-        3f+1 commit votes and f+1 abort votes (Sec 5, Sec 6.4).
-        """
-        commits, aborts = self._split()
-        cfg = self.config
-        if len(commits) >= cfg.commit_quorum and len(aborts) >= cfg.abort_quorum:
-            return (
-                self._tally(Decision.COMMIT, tuple(commits)),
-                self._tally(Decision.ABORT, tuple(aborts)),
-            )
-        return None
-
     def _tally(self, decision: Decision, votes: tuple[Attestation, ...]) -> VoteTally:
         return VoteTally(txid=self.txid, shard=self.shard, decision=decision, votes=votes)

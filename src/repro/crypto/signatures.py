@@ -105,7 +105,7 @@ class KeyRegistry:
     full topology, and signatures minted in one worker process verify in
     any other.  Token values never enter canonical encodings (they are
     secret material), so the derivation scheme cannot affect schedules
-    or trace digests.
+    or run digests.
     """
 
     def __init__(self, seed: int = 0) -> None:

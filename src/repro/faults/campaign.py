@@ -15,16 +15,17 @@ child on the live system:
   starvation.
 
 A failing case emits a self-contained JSON *repro bundle* (seed, built
-schedule, scale, liveness bounds, trace digest) that ``python -m
+schedule, scale, liveness bounds, run digest) that ``python -m
 repro replay bundle.json`` re-executes exactly — no scenario
-code runs during replay, only the recorded schedule.
+code runs during replay, only the recorded schedule — and checks
+against the recorded digest, the delivery fingerprint every run folds.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Any, Iterator
 
 from repro.config import LivenessConfig, SystemConfig
@@ -46,7 +47,7 @@ class CaseResult:
     protocol_errors: int = 0
     undecided: int = 0
     faults_applied: int = 0
-    digest: str | None = None
+    digest: str = ""
     safety_violations: list[str] = field(default_factory=list)
     liveness_violations: list[str] = field(default_factory=list)
     bundle: str | None = None
@@ -66,7 +67,7 @@ class CaseResult:
             f"{status} {self.scenario:<26} {self.system:<6} seed={self.seed:<4} "
             f"commits={self.commits:<5} aborts={self.aborts:<4} "
             f"faults={self.faults_applied:<5} "
-            f"digest={self.digest[:12] if self.digest else '-'}{tail}"
+            f"digest={self.digest[:12]}{tail}"
         )
 
 
@@ -198,7 +199,7 @@ def judge_case(
         aborts=result.bench["aborts"],
         protocol_errors=run.runner.monitor.counter("protocol_errors").value,
         faults_applied=sum(result.fault_stats.values()),
-        digest=result.digest or None,
+        digest=result.digest,
         safety_violations=check_safety(spec.kind, run.system),
     )
     if spec.kind == "basil":
@@ -267,7 +268,7 @@ def write_bundle(
         "scale": asdict(scale),
         "liveness": asdict(liveness),
         "config_overrides": config_overrides,
-        "trace_digest": case.digest,
+        "digest": case.digest,
         "safety_violations": case.safety_violations,
         "liveness_violations": case.liveness_violations,
     }
@@ -277,8 +278,9 @@ def write_bundle(
     return path
 
 
-def replay_bundle(path: str, with_trace: bool = True) -> CaseResult:
-    """Re-execute a recorded failure exactly from its bundle."""
+def replay_bundle(path: str) -> CaseResult:
+    """Re-execute a recorded failure exactly from its bundle; a digest
+    other than the recorded one is reported as a liveness violation."""
     with open(path) as fh:
         bundle = json.load(fh)
     liveness = LivenessConfig(**bundle["liveness"])
@@ -291,9 +293,9 @@ def replay_bundle(path: str, with_trace: bool = True) -> CaseResult:
         liveness,
         bundle.get("config_overrides") or None,
     )
-    case = execute_case(replace(spec, trace=with_trace), liveness)
-    recorded = bundle.get("trace_digest")
-    if with_trace and recorded and case.digest != recorded:
+    case = execute_case(spec, liveness)
+    recorded = bundle["digest"]
+    if case.digest != recorded:
         case.liveness_violations.append(
             f"replay digest {case.digest[:12]} != recorded {recorded[:12]}"
         )

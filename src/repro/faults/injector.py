@@ -12,7 +12,7 @@ The injector composes with the simulator through two existing seams:
 Determinism contract (mirrors the tracer's): with an **empty schedule**
 the injector draws no randomness, schedules no events, and forwards the
 inner adversary's verdict unchanged — a run with an attached empty
-injector is byte-identical (same trace digest) to a run without one.
+injector is byte-identical (same run digest) to a run without one.
 All probabilistic decisions draw from the dedicated ``"faults"`` RNG
 stream, never from the network's, so enabling faults does not perturb
 the no-fault portion of the schedule's randomness either.

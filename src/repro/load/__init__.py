@@ -16,7 +16,7 @@ methodology:
   overload probes (``python -m repro sweep load``).
 
 Determinism contract: with the load subsystem unconfigured, protocol
-RNG streams and trace digests are byte-identical to a tree where this
+RNG streams and run digests are byte-identical to a tree where this
 package does not exist (``tests/load/test_determinism.py``).  The
 package re-exports nothing, so an open-loop run loads the generator
 without the planner (and the fault campaign the planner builds its

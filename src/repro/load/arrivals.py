@@ -10,7 +10,7 @@ latency–throughput knee and what happens beyond it.
 Determinism contract (mirrors ``repro.faults``): every sample is drawn
 from the dedicated ``"load"`` RNG stream the generator passes in, so an
 unconfigured load subsystem leaves protocol RNG streams — and therefore
-trace digests — byte-identical.
+run digests — byte-identical.
 """
 
 from __future__ import annotations

@@ -207,7 +207,6 @@ def _spec(
         duration=duration,
         warmup=warmup,
         label=label,
-        trace=False,
         **fields,
     )
 

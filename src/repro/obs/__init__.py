@@ -11,13 +11,13 @@ fault campaigns, and wall-clock profiling):
 * :mod:`repro.obs.health` — declarative health rules ("fallback rate >
   X/s for Y sim-seconds = degraded") evaluated into per-run verdicts.
 * :mod:`repro.obs.report` — the ``RunReport`` artifact (config digest,
-  trace digest, metric series, health verdicts).
+  run digest, metric series, health verdicts).
 * :mod:`repro.obs.compare` / :mod:`repro.obs.html` — cross-run diffs
   with tolerance-flagged deltas and a self-contained HTML rendering.
 * :mod:`repro.obs.recorder` — one-call wiring for bench/load/fault runs.
 
 Telemetry is **off by default**: with no registry attached and no
-ticker configured, a run's schedule and trace digest are byte-identical
+ticker configured, a run's schedule and digest are byte-identical
 to a build without this package (pinned by golden-digest tests).
 
 CLI: ``python -m repro run --obs DIR`` writes a report, ``python -m repro

@@ -129,11 +129,11 @@ def compare_reports(
         )
     if a.seed != b.seed:
         result.notes.append(f"seeds differ: {a.seed} vs {b.seed}")
-    if a.trace_digest and b.trace_digest:
-        if a.trace_digest == b.trace_digest:
-            result.notes.append("trace digests identical (schedules byte-identical)")
+    if a.digest and b.digest:
+        if a.digest == b.digest:
+            result.notes.append("digests identical (schedules byte-identical)")
         else:
-            result.notes.append("trace digests differ (schedules diverged)")
+            result.notes.append("digests differ (schedules diverged)")
 
     if a.bench and b.bench:
         for name, direction in BENCH_FIELDS.items():

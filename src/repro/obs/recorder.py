@@ -97,7 +97,7 @@ class ObsRecorder:
         name: str,
         config: Any = None,
         bench: Any = None,
-        trace_digest: str | None = None,
+        digest: str | None = None,
         meta: dict[str, Any] | None = None,
     ) -> RunReport:
         """Stop sampling and assemble the RunReport for this run."""
@@ -116,6 +116,6 @@ class ObsRecorder:
             bench=None if bench is None else _jsonable(bench),
             series=[s.to_dict() for s in series],
             histograms=self.registry.histogram_summaries(),
-            trace_digest=trace_digest,
+            digest=digest,
             meta=dict(meta or {}),
         )

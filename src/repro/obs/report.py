@@ -2,8 +2,8 @@
 
 A :class:`RunReport` is the machine-checkable record of one simulated
 run: the configuration (and its digest, so two reports can assert they
-ran the same setup), the trace digest when a tracer was attached (the
-determinism oracle), the sampled metric time series, histogram
+ran the same setup), the run digest (its network's delivery fingerprint,
+the determinism oracle), the sampled metric time series, histogram
 summaries, the benchmark row, and the evaluated health verdicts.
 
 A profiled run's report also carries its wall-clock attribution
@@ -69,7 +69,8 @@ class RunReport:
     bench: dict[str, Any] | None = None
     series: list[dict[str, Any]] = field(default_factory=list)
     histograms: dict[str, dict[str, float]] = field(default_factory=dict)
-    trace_digest: str | None = None
+    #: The run digest: its network's delivery fingerprint.
+    digest: str | None = None
     config: dict[str, Any] = field(default_factory=dict)
     meta: dict[str, Any] = field(default_factory=dict)
     #: The wall-clock attribution of a profiled run; None otherwise.
@@ -104,7 +105,7 @@ class RunReport:
             "bench": self.bench,
             "series": self.series,
             "histograms": self.histograms,
-            "trace_digest": self.trace_digest,
+            "digest": self.digest,
             "config": self.config,
             "meta": self.meta,
             **prof,
@@ -126,7 +127,7 @@ class RunReport:
             bench=data.get("bench"),
             series=data.get("series", []),
             histograms=data.get("histograms", {}),
-            trace_digest=data.get("trace_digest"),
+            digest=data.get("digest"),
             config=data.get("config", {}),
             meta=data.get("meta", {}),
             prof=Attribution.from_dict(data["prof"]) if "prof" in data else None,
@@ -215,7 +216,6 @@ def run_instrumented(
         duration=duration,
         warmup=warmup,
         label=name or f"obs-{system}-{workload}-seed{seed}",
-        trace=False,
         obs=True,
         obs_interval=interval,
         fault_schedule=schedule,

@@ -15,7 +15,7 @@ or mutate protocol state.
 
 The ticker is the *only* part of the obs stack that schedules events.
 It is never installed by default: an unconfigured run has no ticker and
-its event schedule — hence its golden trace digest — is untouched.  When
+its event schedule — hence its golden digest — is untouched.  When
 installed, tick events interleave with protocol events deterministically
 (same seed, same series), and the tick callback itself only reads.
 """

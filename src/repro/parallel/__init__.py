@@ -22,7 +22,7 @@ Determinism contract (see docs/parallel.md):
 * The partition count is a function of the *topology*, never of the
   worker count.  Workers merely host one or more partitions, so a run
   with ``workers=2`` and one with ``workers=4`` execute byte-identical
-  per-partition schedules and produce identical trace digests.
+  per-partition schedules and produce identical run digests.
 * The windowed microbench digest equals the one-heap
   :class:`~repro.run.SequentialRun` digest of the same spec.
 * Inbound cross-partition messages are merged in the stable order

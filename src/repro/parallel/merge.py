@@ -1,6 +1,6 @@
 """Deterministic merging of per-partition results.
 
-Each partition produces its own trace digest; :func:`combine_digests`
+Each partition produces its own digest; :func:`combine_digests`
 folds them into one run digest in an order that depends only on
 partition ids — never on worker packing or message arrival order.
 """

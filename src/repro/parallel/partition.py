@@ -4,7 +4,7 @@ A :class:`PartitionPlan` is a pure, picklable description — it decides
 *where every node lives* and what the conservative lookahead is, and it
 is the only thing workers and the coordinator must agree on.  Plans are
 functions of the topology alone (never of the worker count), which is
-what makes trace digests invariant across worker counts.
+what makes run digests invariant across worker counts.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ Two properties:
   profiler reads ``time.perf_counter`` and mutates plain Python floats
   — it never schedules events, draws RNG, or charges CPU, so attaching
   it cannot perturb a schedule either: profiled runs are byte-identical
-  (trace digest) to unprofiled runs, pinned by
+  (run digest) to unprofiled runs, pinned by
   tests/prof/test_golden_digest.
 
 * **Frames never span awaits.**  A frame opened inside a coroutine must

@@ -95,8 +95,9 @@ class ModelSpec:
     #: Run/bench name carried into the bench row and report (defaults to
     #: the workload's own name when empty).
     label: str = ""
-    #: Attach a tracer per partition and compute trace digests.
-    trace: bool = True
+    #: Attach a tracer per partition (an export only: the run's digest is
+    #: its network's delivery fingerprint either way).
+    trace: bool = False
     #: Attach an ObsRecorder and write a RunReport.  ``workers=1`` only.
     obs: bool = False
     #: Telemetry sampling interval in simulated seconds.
@@ -358,9 +359,9 @@ class _Run:
     ) -> PartitionResult:
         """Finalize the runner and assemble the run's result and trace.
 
-        The sequential run is reported as partition -1.  A traced run's
-        digest is its trace digest; otherwise the caller passes its own
-        (the microbench fold).
+        The sequential run is reported as partition -1.  A protocol run's
+        digest is its network's delivery fingerprint; the microbench
+        passes its own fold.
         """
         from repro.bench.runner import abort_reasons
 
@@ -387,16 +388,13 @@ class _Run:
                 # recoveries and writebacks settle before the digest, the
                 # report and the caller's oracles look at the state.
                 self.sim.run(until=spec.end_time() + spec.drain)
-        if self.tracer is not None:
-            from repro.trace.export import trace_digest, write_chrome_trace
+        if self.tracer is not None and spec.trace_dir:
+            from repro.trace.export import write_chrome_trace
 
-            # sha256 over every trace event — attribute it so post-run
-            # reporting can't masquerade as kernel time.
-            digest = instruments.frame("report.digest", trace_digest, self.tracer)
-            path = _artifact_path(spec, "trace", self.partition_id)
-            if path:
-                write_chrome_trace(self.tracer, path)
+            write_chrome_trace(self.tracer, _artifact_path(spec, "trace", self.partition_id))
         network = getattr(system, "network", None)
+        if network is not None:
+            digest = network.digest()
         if instruments is not None and instruments.profiler is not None:
             extra = {**(extra or {}), "prof": instruments.profiler.table()}
         return PartitionResult(
@@ -550,14 +548,14 @@ class SequentialRun(_Run):
         if deep is not None:
             deep.stop()
         wall = perf_counter() - self.began
-        name, digest = spec.run_name(), result.digest or None
+        name = spec.run_name()
         if self.recorder is not None:
-            report = self.recorder.finish(name, bench=result.bench, trace_digest=digest)
+            report = self.recorder.finish(name, bench=result.bench, digest=result.digest)
         else:
             config = spec.system_config() if self.system is None else self.system.config
             report = RunReport.of(
                 name, config, self.sim.seed, self.sim.now,
-                bench=result.bench, trace_digest=digest,
+                bench=result.bench, digest=result.digest,
             )
         if spec.prof:
             from repro.prof.profiler import Attribution

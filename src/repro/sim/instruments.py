@@ -62,7 +62,7 @@ class Instruments:
         """``fn(*args)`` inside a profiler frame ``name`` (profiler rows:
         ``cpu.spend``, ``network.send``, ``crypto.sign`` / ``verify`` /
         ``hash``, ``store.probe``, ``exchange.envelope``,
-        ``runner.finalize``, ``report.digest``)."""
+        ``runner.finalize``)."""
         profiler = self.profiler
         if profiler is None:
             return fn(*args)

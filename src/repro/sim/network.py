@@ -8,10 +8,15 @@ A pluggable :class:`NetworkAdversary` may delay, reorder (by delaying), or
 drop messages.  Basil's safety must hold under any adversary; liveness
 (Byzantine independence) is only promised when the adversary does not
 fully control the network, mirroring Theorem 2's caveat.
+
+Every message of every system is delivered by :meth:`Network._deliver`,
+which folds it into the network's run fingerprint (:meth:`Network.digest`):
+the run's determinism oracle, taken with instruments on or off.
 """
 
 from __future__ import annotations
 
+import zlib
 from typing import Any, Iterable, Protocol
 
 from repro.config import NetworkConfig
@@ -67,6 +72,19 @@ class UniformLatency:
         return f"uniform link ({self.one_way:g}s base)"
 
 
+class _StableIds(dict):
+    """Node name or message class -> crc32 of its name, computed once.
+
+    ``hash(str)`` varies with ``PYTHONHASHSEED``; these ints do not, so a
+    fingerprint folded from them is the same in every process.
+    """
+
+    def __missing__(self, key: Any) -> int:
+        name = key if isinstance(key, str) else key.__qualname__
+        value = self[key] = zlib.crc32(name.encode())
+        return value
+
+
 class PassiveAdversary:
     """Default adversary: delivers everything with the modeled latency."""
 
@@ -113,6 +131,10 @@ class Network:
         self._rng = sim.rng("network")
         self.messages_delivered = 0
         self.messages_dropped = 0
+        self._ids = _StableIds()
+        #: Ordered fold of every delivery's (source, destination, message
+        #: type, time): :meth:`digest`.
+        self._fingerprint = 0
 
     # -- membership -----------------------------------------------------
     def register(self, node: Node) -> None:
@@ -261,7 +283,17 @@ class Network:
         """
         self._deliver_after(delay, src, dst, message)
 
+    def digest(self) -> str:
+        """The run fingerprint so far, as 16 hex digits: equal runs (same
+        deliveries, in the same order, at the same times) fold equal."""
+        return f"{self._fingerprint & 0xFFFF_FFFF_FFFF_FFFF:016x}"
+
     def _deliver(self, src: str, dst: str, message: Any) -> None:
+        ids = self._ids
+        # A tuple of ints and a float hashes the same in every process.
+        self._fingerprint = hash(
+            (self._fingerprint, ids[src], ids[dst], ids[type(message)], self.sim.now)
+        )
         instruments = self.sim.instruments
         node = self._nodes.get(dst)
         if node is None:  # node was torn down mid-flight

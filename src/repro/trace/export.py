@@ -1,4 +1,4 @@
-"""Chrome ``trace_event`` export and the canonical trace digest.
+"""Chrome ``trace_event`` export: what a traced run writes.
 
 The exported JSON follows the Trace Event Format's JSON-object flavor:
 ``{"traceEvents": [...], "displayTimeUnit": "ms"}`` with one process
@@ -8,8 +8,9 @@ names are declared with ``M`` (metadata) events — loadable directly into
 ``chrome://tracing`` or https://ui.perfetto.dev.
 
 Exports are canonical (sorted keys, fixed separators, deterministic tid
-assignment), so byte-identical traces ⇔ identical runs; the sha256
-:func:`trace_digest` of the export is the regression oracle tests use.
+assignment), so two exports of equal runs compare equal byte for byte.
+The trace is an export only: a run's digest is its network's delivery
+fingerprint (:meth:`repro.sim.network.Network.digest`), traced or not.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable
 
-from repro.crypto.digest import sha256
 from repro.trace.tracer import TraceEvent, Tracer
 
 #: Event phases the exporter emits (subset of the trace_event spec).
@@ -76,17 +76,10 @@ def export_chrome_json(tracer: Tracer) -> str:
     return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
 
-def trace_digest(tracer: Tracer) -> str:
-    """sha256 of the canonical export: identical runs ⇔ identical digests."""
-    return sha256(export_chrome_json(tracer).encode()).hexdigest()
-
-
-def write_chrome_trace(tracer: Tracer, path: str) -> str:
-    """Write the canonical export to ``path``; returns its digest."""
-    payload = export_chrome_json(tracer)
+def write_chrome_trace(tracer: Tracer, path: str) -> None:
+    """Write the canonical export to ``path``."""
     with open(path, "w") as fh:
-        fh.write(payload)
-    return sha256(payload.encode()).hexdigest()
+        fh.write(export_chrome_json(tracer))
 
 
 # ---------------------------------------------------------------------------

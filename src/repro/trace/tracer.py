@@ -18,9 +18,9 @@ Two properties are load-bearing:
 
 * **Determinism.**  Every recorded value derives from simulator state
   (names, types, seeded randomness, virtual time).  Two runs of the same
-  config + seed produce byte-identical traces; the export digest
-  (:func:`repro.trace.export.trace_digest`) is therefore a regression
-  oracle for the whole message schedule.
+  config + seed produce byte-identical traces.  The recorder is bounded,
+  so it is an export, not the oracle: the run digest is the network's
+  delivery fingerprint (:meth:`repro.sim.network.Network.digest`).
 
 This module imports nothing from the rest of ``repro`` so the sim kernel
 can depend on it without cycles.

@@ -93,18 +93,3 @@ def test_wrong_txid_ignored(collector, registry, sharder):
     name = sharder.members(0)[0]
     collector.add(sign_vote(registry, name, b"\x00" * 32, Vote.COMMIT))
     assert collector.replies == 0
-
-
-def test_equivocation_material_needs_both_quorums(collector, registry, sharder, config):
-    votes = [Vote.COMMIT] * config.commit_quorum + [Vote.ABORT] * (config.f + 1)
-    add_votes(collector, registry, sharder, votes)
-    material = collector.equivocation_material()
-    assert material is not None
-    cq, aq = material
-    assert cq.decision is Decision.COMMIT and aq.decision is Decision.ABORT
-
-
-def test_no_equivocation_without_abort_quorum(collector, registry, sharder, config):
-    votes = [Vote.COMMIT] * config.commit_quorum + [Vote.ABORT]
-    add_votes(collector, registry, sharder, votes)
-    assert collector.equivocation_material() is None

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -41,7 +42,7 @@ def test_no_faults_case_passes_everywhere(kind):
     case, _ = run_case(SCENARIOS["no-faults"], kind, 3, TINY)
     assert case.ok, (case.safety_violations, case.liveness_violations)
     assert case.commits > 0
-    assert case.digest is not None
+    assert len(case.digest) == 16
     assert case.faults_applied == 0
 
 
@@ -61,13 +62,13 @@ def test_failing_case_writes_replayable_bundle(tmp_path):
         (tmp_path / "obs" / "partition-minority-basil-seed2.obs.json").read_text()
     )
     assert report["name"] == "partition-minority/basil/seed2"
-    assert report["trace_digest"] == case.digest
+    assert report["digest"] == case.digest
     assert report["bench"]["commits"] == case.commits
 
     path = write_bundle(case, schedule, TINY, impossible, {}, str(tmp_path))
     bundle = json.loads(open(path).read())
     assert bundle["seed"] == 2
-    assert bundle["trace_digest"] == case.digest
+    assert bundle["digest"] == case.digest
     assert FaultSchedule.from_dict(bundle["schedule"]) == schedule
 
     replayed = replay_bundle(path)
@@ -86,7 +87,7 @@ def test_sweep_runs_matrix_and_reports(tmp_path):
         scale=TINY,
     )
     results = sweep(
-        [dataclasses.replace(spec, trace=False) for spec in specs],
+        specs,
         TINY,
         out_dir=str(tmp_path),
         verbose=False,
@@ -119,8 +120,10 @@ def test_cli_list_and_sweep(capsys, tmp_path):
 
     code = main([
         "sweep", "faults", "--seeds", "1", "--scenarios", "no-faults",
-        "--systems", "basil", "--no-trace", "--out", str(tmp_path),
+        "--systems", "basil", "--out", str(tmp_path),
     ])
     assert code == 0
     out = capsys.readouterr().out
     assert "1 ok, 0 failed" in out
+    # every row carries its run digest, traced or not
+    assert re.search(r"^ok +no-faults .* digest=[0-9a-f]{12}$", out, re.M)

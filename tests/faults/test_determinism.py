@@ -1,12 +1,12 @@
-"""The injector's determinism contract, asserted over trace digests.
+"""The injector's determinism contract, asserted over run digests.
 
 Acceptance criteria from the fault-injection issue:
 
-* faults disabled (empty schedule, injector attached) => the trace
+* faults disabled (empty schedule, injector attached) => the run
   digest for a fixed seed is byte-identical to a run with no injector
   at all;
 * faults enabled => runs remain fully deterministic: same (seed,
-  schedule) gives byte-identical traces, and the fault RNG draws from
+  schedule) gives byte-identical schedules, and the fault RNG draws from
   its own stream (the no-fault portion of the run is unperturbed).
 """
 
@@ -19,22 +19,19 @@ from repro.config import SystemConfig
 from repro.core.system import BasilSystem
 from repro.faults.injector import FaultInjector
 from repro.faults.spec import CrashFault, FaultSchedule, LinkFault, PartitionFault
-from repro.trace import Tracer
-from repro.trace.export import trace_digest
 from repro.workloads.ycsb import YCSBWorkload
 
 
 def run_bench(schedule: FaultSchedule | None, attach_injector: bool = True):
     system = BasilSystem(SystemConfig(f=1, num_shards=1, batch_size=4))
     workload = YCSBWorkload(num_keys=200, reads=1, writes=1)
-    tracer = system.sim.attach_tracer(Tracer())
     injector = FaultInjector(schedule) if attach_injector else None
     runner = ExperimentRunner(
         system, workload, num_clients=3, duration=0.05, warmup=0.02,
         injector=injector,
     )
     result = runner.run()
-    return result, tracer, injector, system
+    return result, system.network.digest(), injector, system
 
 
 FAULTY = FaultSchedule(
@@ -50,9 +47,9 @@ FAULTY = FaultSchedule(
 
 def test_disabled_injector_is_byte_identical_to_no_injector():
     """THE acceptance criterion: empty schedule == no injector, exactly."""
-    _, tracer_none, _, sys_none = run_bench(None, attach_injector=False)
-    _, tracer_empty, injector, sys_empty = run_bench(FaultSchedule())
-    assert trace_digest(tracer_none) == trace_digest(tracer_empty)
+    _, digest_none, _, sys_none = run_bench(None, attach_injector=False)
+    _, digest_empty, injector, sys_empty = run_bench(FaultSchedule())
+    assert digest_none == digest_empty
     assert sys_none.sim.events_processed == sys_empty.sim.events_processed
     assert sys_none.sim.now == sys_empty.sim.now
     assert injector.faults_applied() == 0
@@ -60,18 +57,18 @@ def test_disabled_injector_is_byte_identical_to_no_injector():
 
 
 def test_faulty_runs_are_seed_deterministic():
-    result_a, tracer_a, injector_a, _ = run_bench(FAULTY)
-    result_b, tracer_b, injector_b, _ = run_bench(FAULTY)
+    result_a, digest_a, injector_a, _ = run_bench(FAULTY)
+    result_b, digest_b, injector_b, _ = run_bench(FAULTY)
     assert injector_a.faults_applied() > 0
     assert injector_a.stats == injector_b.stats
     assert result_a.commits == result_b.commits
-    assert trace_digest(tracer_a) == trace_digest(tracer_b)
+    assert digest_a == digest_b
 
 
 def test_faulty_run_differs_from_clean_run():
-    _, tracer_clean, _, _ = run_bench(FaultSchedule())
-    _, tracer_faulty, _, _ = run_bench(FAULTY)
-    assert trace_digest(tracer_clean) != trace_digest(tracer_faulty)
+    _, digest_clean, _, _ = run_bench(FaultSchedule())
+    _, digest_faulty, _, _ = run_bench(FAULTY)
+    assert digest_clean != digest_faulty
 
 
 @pytest.mark.parametrize("seed", (1, 7))

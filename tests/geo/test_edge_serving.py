@@ -23,8 +23,6 @@ from repro.geo.runner import GeoRunner, build_geo_system, wan_timeouts
 from repro.geo.topology import wan3
 from repro.run import ModelSpec, SequentialRun
 from repro.sim.monitor import Histogram
-from repro.trace.export import trace_digest
-from repro.trace.tracer import Tracer
 from repro.verify.history import HistoryChecker
 
 pytestmark = pytest.mark.geo_smoke
@@ -120,12 +118,11 @@ def test_geo_spec_digest_matches_hand_built():
     result = SequentialRun(spec).run()
 
     system = build_geo_system(spec.system_config(), spec.geo)
-    tracer = system.sim.attach_tracer(Tracer())
     GeoRunner(
         system, spec.geo, duration=spec.duration, warmup=spec.warmup,
         name=spec.label,
     ).run()
-    assert result.digest == trace_digest(tracer)
+    assert result.digest == system.network.digest()
     assert result.bench["commits"] > 0
 
 

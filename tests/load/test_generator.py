@@ -62,7 +62,7 @@ def test_row_includes_open_loop_columns():
 
 def test_same_seed_reproduces_exactly():
     from repro.trace import Tracer
-    from repro.trace.export import trace_digest
+    from repro.trace.export import export_chrome_json
 
     tracer_a, tracer_b = Tracer(), Tracer()
     gen_a, result_a = run_open_loop(seed=5, tracer=tracer_a)
@@ -70,7 +70,8 @@ def test_same_seed_reproduces_exactly():
     assert result_a.commits == result_b.commits
     assert result_a.offered_tps == result_b.offered_tps
     assert result_a.mean_latency == result_b.mean_latency
-    assert trace_digest(tracer_a) == trace_digest(tracer_b)
+    assert gen_a.system.network.digest() == gen_b.system.network.digest()
+    assert export_chrome_json(tracer_a) == export_chrome_json(tracer_b)
 
 
 def test_different_seeds_differ():
@@ -124,16 +125,13 @@ def test_bursty_process_runs_open_loop():
 
 def test_spec_with_arrivals_matches_hand_built_generator():
     """The run pipeline's open-loop path is this generator, wired the
-    same way: same trace digest, same bench row (but the run's name)."""
+    same way: same digest, same bench row (but the run's name)."""
     import dataclasses
 
     from repro.run import ModelSpec, SequentialRun
-    from repro.trace import Tracer
-    from repro.trace.export import trace_digest
 
     policy = AdmissionConfig(policy="static-cap", cap=2, mode="shed")
-    tracer = Tracer()
-    gen, want = run_open_loop(rate=2_000.0, policy=policy, tracer=tracer)
+    gen, want = run_open_loop(rate=2_000.0, policy=policy)
     spec = ModelSpec(
         kind="basil",
         config=SystemConfig(f=1, num_shards=1, batch_size=4, seed=11),
@@ -146,7 +144,7 @@ def test_spec_with_arrivals_matches_hand_built_generator():
         admission=policy,
     )
     result = SequentialRun(spec).run()
-    assert result.digest == trace_digest(tracer)
+    assert result.digest == gen.system.network.digest()
     row = dataclasses.asdict(want)
     assert want.shed_count > 0
     assert {**result.bench, "name": row["name"]} == row

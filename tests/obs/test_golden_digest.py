@@ -7,7 +7,7 @@ Two layers of the zero-overhead contract:
   systems match the ledger's ``load/<kind>`` entries exactly.
 * With a registry attached but *no ticker*, metrics are plain int
   mutations: no events are scheduled, no RNG streams are drawn, so the
-  trace digest and event count still match the golden values.
+  run digest and event count still match the golden values.
 """
 
 import pytest
@@ -19,7 +19,7 @@ from tests.load.test_determinism import KINDS, capture, pinned
 @pytest.mark.parametrize("kind", KINDS)
 def test_unconfigured_runs_keep_golden_digests(kind, pin):
     digest, result, system = capture(kind)
-    assert system.sim.instruments.metrics is None  # only the tracer
+    assert system.sim.instruments is None  # nothing attached
     pin(f"load/{kind}", pinned(digest, result, system))
 
 

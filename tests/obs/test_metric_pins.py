@@ -10,8 +10,8 @@ instrumented site: ``run_instrumented()``'s default configuration
 abort-taxonomy and byz-client counters), Basil behind the wan3 edge
 tier, two open-loop admission points (AIMD shedding, and a static cap
 that parks arrivals) and both baselines.  The open-loop ``delay`` point
-also pins its trace digest: its ``load`` spans (queued, in flight, shed)
-are in no other pinned trace.
+also pins its run digest (under the key ``trace``): its parked and
+re-admitted arrivals are in no other pinned schedule.
 
 ``obs-check`` also pins a sha256 over its whole ``RunReport`` — the
 bench row, every sampled series point, histogram summaries, health
@@ -93,9 +93,10 @@ def _spec(name: str) -> ModelSpec:
 #: The pinned runs; each one's values are ledger entry ``metrics/<name>``.
 CASES = ("geo-wan3-edge", "obs-check", "open-aimd", "open-delay", "tapir",
          "txsmr", "zipf-byz")
-#: Runs that also pin their trace digest: no other test pins that trace.
-#: geo-wan3-edge's equals the run with obs off (telemetry moves no geo
-#: event); open-delay's holds the only pinned ``load`` spans.
+#: Runs that also pin their run digest (ledger key ``trace``): no other
+#: test pins that schedule.  geo-wan3-edge's equals the run with obs off
+#: (telemetry delivers no message); open-delay's holds the only pinned
+#: parked arrivals.
 TRACE_PINNED = ("geo-wan3-edge", "open-delay")
 
 
@@ -108,7 +109,7 @@ def report_digest(report, rules) -> str:
 
 
 def observe(name: str) -> dict[str, str]:
-    """The pinned values of one run: its registry digest, plus its trace
+    """The pinned values of one run: its registry digest, plus its run
     digest (``TRACE_PINNED``) or its whole report (``obs-check``)."""
     recorders = []
     attach = ObsRecorder.attach

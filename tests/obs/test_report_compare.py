@@ -35,7 +35,7 @@ def make_report(**overrides) -> RunReport:
         ],
         histograms={"lat": {"count": 3, "mean": 0.002, "p50": 0.002,
                             "p95": 0.003, "p99": 0.003, "max": 0.003}},
-        trace_digest="t" * 64,
+        digest="t" * 16,
         config={"f": 1},
         meta={},
     )

@@ -2,9 +2,9 @@
 
 Two contracts:
 
-* **Golden digests** — every figure's points, each run in a forked
-  child, are byte-identical (trace digest) to the original sequential
-  figure path, reconstructed
+* **Golden digests** — every figure's points, each run traced in a
+  forked child, are byte-identical (run digest) to the original
+  sequential figure path, untraced and reconstructed
   hand-built here exactly as ``_run`` used to build it: fig4 across all
   four systems, fig5c, and fig7 with Byzantine clients.
 * **Fault overlays** — fig7's crash schedule names fixed victims per
@@ -25,8 +25,6 @@ from repro.byzantine.clients import ByzantineClient
 from repro.config import CryptoConfig, SystemConfig
 from repro.faults.spec import ByzantineClientFault, FaultSchedule
 from repro.run import ModelSpec, SequentialRun
-from repro.trace.export import trace_digest
-from repro.trace.tracer import Tracer
 
 pytestmark = pytest.mark.parallel_smoke
 
@@ -48,7 +46,7 @@ TINY = Scale(
 
 def traced(specs: dict[str, ModelSpec], tmp_path) -> dict:
     """Run a figure's points as ``--trace DIR`` does, one forked child
-    each: artifacts go into tmp, digests into each row's extra."""
+    each: artifacts go into tmp, each row's extra carries its digest."""
     trace_dir = str(tmp_path / "traces")
     specs = {name: dataclasses.replace(spec, trace=True, trace_dir=trace_dir)
              for name, spec in specs.items()}
@@ -56,13 +54,12 @@ def traced(specs: dict[str, ModelSpec], tmp_path) -> dict:
 
 
 def _hand_built_digest(system, workload, clients: int, name: str, **kwargs) -> str:
-    """The original sequential figure path: ``_run`` with a tracer, inlined."""
-    tracer = system.sim.attach_tracer(Tracer())
+    """The original sequential figure path, ``_run``, inlined."""
     ExperimentRunner(
         system, workload, num_clients=clients,
         duration=TINY.duration, warmup=TINY.warmup, name=name, **kwargs,
     ).run()
-    return trace_digest(tracer)
+    return system.network.digest()
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +102,7 @@ def test_fig4_workers1_digests_match_sequential(tmp_path):
         ),
     }
     for system_name, result in results.items():
-        assert result.extra["trace_digest"] == expected[system_name], system_name
+        assert result.extra["digest"] == expected[system_name], system_name
 
 
 def test_fig5c_workers1_digests_match_sequential(tmp_path):
@@ -126,7 +123,7 @@ def test_fig5c_workers1_digests_match_sequential(tmp_path):
                 YCSBWorkload(num_keys=TINY.ycsb_keys, reads=3, writes=3),
                 clients, name,
             )
-            assert results[name].extra["trace_digest"] == digest, name
+            assert results[name].extra["digest"] == digest, name
 
 
 def test_fig7_workers1_digest_matches_sequential(tmp_path):
@@ -159,7 +156,7 @@ def test_fig7_workers1_digest_matches_sequential(tmp_path):
         TINY.clients, f"{behaviour}@{int(fraction * 100)}%",
         client_factories=factories,
     )
-    assert results[f"{behaviour}@50%"].extra["trace_digest"] == digest
+    assert results[f"{behaviour}@50%"].extra["digest"] == digest
 
 
 # ---------------------------------------------------------------------------

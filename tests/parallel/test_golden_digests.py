@@ -1,7 +1,7 @@
 """Golden digests: the ``workers=1`` run is byte-identical to a hand-built run.
 
-A :class:`SequentialRun` of a spec must be a pure wrapper: same trace
-digest (hence identical event schedule), same event count, same bench
+A :class:`SequentialRun` of a spec must be a pure wrapper: same digest
+(the network's delivery fingerprint, hence identical message schedule), same event count, same bench
 numbers as constructing the system and runner by hand.  This is the
 contract that lets every experiment run through the one pipeline
 without re-baselining anything.
@@ -17,8 +17,6 @@ from repro.bench.runner import ExperimentRunner
 from repro.byzantine.clients import ByzantineClient
 from repro.config import SystemConfig
 from repro.run import ModelSpec, SequentialRun
-from repro.trace.export import trace_digest
-from repro.trace.tracer import Tracer
 from repro.workloads import make_workload
 
 pytestmark = pytest.mark.parallel_smoke
@@ -58,7 +56,6 @@ def _hand_built(kind: str, config: SystemConfig):
         from repro.baselines.txsmr.system import TxSMRSystem
 
         system = TxSMRSystem(config)
-    tracer = system.sim.attach_tracer(Tracer())
     runner = ExperimentRunner(
         system,
         make_workload("ycsb-t", keys=KEYS),
@@ -67,7 +64,7 @@ def _hand_built(kind: str, config: SystemConfig):
         warmup=WARMUP,
     )
     bench = runner.run()
-    return trace_digest(tracer), system.sim.events_processed, bench
+    return system.network.digest(), system.sim.events_processed, bench
 
 
 @pytest.mark.parametrize("kind", ["basil", "tapir", "txsmr"])
@@ -100,7 +97,6 @@ def test_drained_faulted_run_identical_to_hand_built():
         ),
     )
     system = BasilSystem(config)
-    tracer = system.sim.attach_tracer(Tracer())
     factories = [
         lambda: system.create_client(
             client_class=ByzantineClient, behaviour="stall-late", faulty_fraction=1.0
@@ -123,7 +119,7 @@ def test_drained_faulted_run_identical_to_hand_built():
         _spec("basil", config), fault_schedule=schedule, drain=drain
     )
     result = SequentialRun(spec).run()
-    assert result.digest == trace_digest(tracer)
+    assert result.digest == system.network.digest()
     assert result.events == system.sim.events_processed
     assert result.now == system.sim.now
     assert result.bench["commits"] == bench.commits

@@ -18,22 +18,19 @@ from repro.bench.runner import ExperimentRunner
 from repro.config import SystemConfig
 from repro.core.system import BasilSystem
 from repro.prof.profiler import Profiler
-from repro.trace import Tracer
-from repro.trace.export import trace_digest
 from repro.workloads.ycsb import YCSBWorkload
 from tests.load.test_determinism import pinned
 
 def _golden_run(profile: bool):
     config = SystemConfig(f=1, num_shards=1, batch_size=4, seed=7)
     system = BasilSystem(config)
-    tracer = system.sim.attach_tracer(Tracer())
     profiler = system.sim.attach_profiler(Profiler()) if profile else None
     workload = YCSBWorkload(num_keys=300, reads=2, writes=2, distribution="zipfian")
     runner = ExperimentRunner(
         system, workload, num_clients=4, duration=0.05, warmup=0.02
     )
     result = runner.run()
-    return pinned(trace_digest(tracer), result, system), profiler
+    return pinned(system.network.digest(), result, system), profiler
 
 
 def test_profiled_sequential_run_matches_golden_digest(pin):
@@ -107,13 +104,13 @@ def _instrumented_run(trace: bool, prof: bool):
 def test_instruments_off_and_on_push_and_dispatch_the_same_events():
     """Attach-time instrument choice: the profiled scheduler variants and
     the framed task step push exactly what the plain ones push (equal
-    final ``seq``), dispatch the same events and trace the same digest."""
+    final ``seq``), dispatch the same events and fold the same digest."""
     bare, bare_sim = _instrumented_run(trace=False, prof=False)
     traced, traced_sim = _instrumented_run(trace=True, prof=False)
     both, both_sim = _instrumented_run(trace=True, prof=True)
     assert bare.events == traced.events == both.events > 1_000
     assert bare_sim._seq == traced_sim._seq == both_sim._seq
-    assert traced.digest and traced.digest == both.digest
+    assert bare.digest == traced.digest == both.digest
     table = both.extra["prof"]
     assert table["kernel.heap_push"]["calls"] == both_sim._seq
 

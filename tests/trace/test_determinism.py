@@ -3,10 +3,9 @@
 Two load-bearing properties, asserted end-to-end over real benchmark
 runs:
 
-* same seed + same config => byte-identical trace exports (the digest is
-  a regression oracle over the entire message/CPU schedule);
-* tracing disabled vs enabled => identical simulated-time results
-  (tracing charges no cost and draws no randomness).
+* same seed + same config => byte-identical trace exports;
+* tracing disabled vs enabled => identical simulated-time results and
+  run digest (tracing charges no cost and draws no randomness).
 """
 
 import pytest
@@ -15,7 +14,7 @@ from repro.bench.runner import ExperimentRunner
 from repro.config import SystemConfig
 from repro.core.system import BasilSystem
 from repro.trace import Tracer
-from repro.trace.export import trace_digest
+from repro.trace.export import export_chrome_json
 from repro.workloads.ycsb import YCSBWorkload
 
 
@@ -45,7 +44,7 @@ def test_same_seed_traces_are_byte_identical(factory):
     _, tracer_a, _ = run_bench(factory, traced=True)
     _, tracer_b, _ = run_bench(factory, traced=True)
     assert len(tracer_a) == len(tracer_b)
-    assert trace_digest(tracer_a) == trace_digest(tracer_b)
+    assert export_chrome_json(tracer_a) == export_chrome_json(tracer_b)
 
 
 @pytest.mark.parametrize("factory", [basil, tapir], ids=["basil", "tapir"])
@@ -63,6 +62,7 @@ def test_tracing_has_zero_simulated_cost(factory):
     # the event schedules themselves are identical, step for step
     assert sys_traced.sim.events_processed == sys_plain.sim.events_processed
     assert sys_traced.sim.now == sys_plain.sim.now
+    assert sys_traced.network.digest() == sys_plain.network.digest()
 
 
 def test_disabled_tracer_records_nothing():

@@ -30,8 +30,7 @@ def test_traced_ycsb_bench_exports_valid_chrome_trace(tmp_path):
     assert len(tracer) > 0
 
     path = tmp_path / "ycsb-t.trace.json"
-    digest = write_chrome_trace(tracer, str(path))
-    assert len(digest) == 64  # sha256 hex
+    write_chrome_trace(tracer, str(path))
 
     document = json.loads(path.read_text())
     problems = validate_chrome_trace(document)
